@@ -256,30 +256,20 @@ let bench_decide_scale ~sched ~path jobs =
 
 (* Hold pattern: [n] pending events; each op pops the earliest and
    re-inserts it a pseudo-random delay later, keeping density constant
-   while the clock sweeps forward across bucket boundaries. *)
-let bench_queue_hold ~impl ~n =
+   while the clock sweeps forward. *)
+let bench_queue_hold ~n =
   let lcg = ref 0x2545F491 in
   let delta () =
     lcg := ((!lcg * 1103515245) + 12345) land 0x3FFFFFFF;
     1 + (!lcg mod (4 * n))
   in
-  match impl with
-  | `Heap ->
-    let q = Rtlf_engine.Event_queue.create () in
-    for _ = 1 to n do
-      Rtlf_engine.Event_queue.add q ~time:(delta ()) ()
-    done;
-    Staged.stage (fun () ->
-        let t, () = Rtlf_engine.Event_queue.pop_exn q in
-        Rtlf_engine.Event_queue.add q ~time:(t + delta ()) ())
-  | `Wheel ->
-    let q = Rtlf_engine.Timing_wheel.create () in
-    for _ = 1 to n do
-      Rtlf_engine.Timing_wheel.add q ~time:(delta ()) ()
-    done;
-    Staged.stage (fun () ->
-        let t, () = Rtlf_engine.Timing_wheel.pop_exn q in
-        Rtlf_engine.Timing_wheel.add q ~time:(t + delta ()) ())
+  let q = Rtlf_engine.Event_queue.create () in
+  for _ = 1 to n do
+    Rtlf_engine.Event_queue.add q ~time:(delta ()) ()
+  done;
+  Staged.stage (fun () ->
+      let t, () = Rtlf_engine.Event_queue.pop_exn q in
+      Rtlf_engine.Event_queue.add q ~time:(t + delta ()) ())
 
 (* The anomaly-free static serving path: one ahead-of-time plan, one
    warm decide to arm the store, then every iteration is a fast-path
@@ -354,11 +344,7 @@ let scale_kernels ~keep ~max_n () =
             entry
               (Printf.sprintf "event-queue hold n=%d heap" n)
               256
-              (fun () -> Staged.unstage (bench_queue_hold ~impl:`Heap ~n));
-            entry
-              (Printf.sprintf "event-queue hold n=%d wheel" n)
-              256
-              (fun () -> Staged.unstage (bench_queue_hold ~impl:`Wheel ~n));
+              (fun () -> Staged.unstage (bench_queue_hold ~n));
           ]
       end)
     scale_sizes
@@ -408,9 +394,7 @@ let run_scale_group ~quota ~name kernels =
    runs one decide over all n jobs (the selection is then spread across
    cores); partitioned dispatch runs m decides over n/m-job partitions,
    each with its own scheduler instance exactly as the simulator keeps
-   them (deciders carry caches). The hold kernels track the event queue
-   at m cores' event density — every core keeps a completion event in
-   flight, so pending events scale with m. *)
+   them (deciders carry caches). *)
 let smp_cores = [ 1; 2; 4 ]
 
 let smp_kernels ~keep () =
@@ -444,11 +428,6 @@ let smp_kernels ~keep () =
           entry
             (Printf.sprintf "smp decide n=%d m=%d partitioned" n m)
             1 partitioned;
-          entry
-            (Printf.sprintf "smp event-queue hold m=%d wheel" m)
-            256
-            (fun () ->
-              Staged.unstage (bench_queue_hold ~impl:`Wheel ~n:(256 * m)));
         ])
     smp_cores
 
@@ -893,7 +872,7 @@ let () =
   in
   let smp_rows =
     run_scale_group ~quota
-      ~name:"SMP dispatcher kernels (decide + event queue per core count)"
+      ~name:"SMP dispatcher kernels (decide per core count)"
       (smp_kernels ~keep ())
   in
   let scale_rows =

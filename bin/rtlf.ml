@@ -100,18 +100,6 @@ let hetero_arg =
   let doc = "Use the heterogeneous TUF class (step+linear+parabolic)." in
   Arg.(value & flag & info [ "heterogeneous" ] ~doc)
 
-let queue_arg =
-  let doc =
-    "Event-queue implementation: heap (binary heap) or wheel \
-     (hierarchical timing wheel, amortised-O(1) insert). Results are \
-     bit-identical either way."
-  in
-  let queues =
-    [ ("heap", Simulator.Binary_heap); ("wheel", Simulator.Wheel) ]
-  in
-  Arg.(value & opt (enum queues) Simulator.Binary_heap
-       & info [ "queue" ] ~doc)
-
 let mode_arg =
   let doc =
     "Scheduling mode: dynamic (deciders interpret the task set every \
@@ -138,6 +126,15 @@ let make_spec ~tasks ~objects ~load ~exec_us ~hetero ~seed =
       (if hetero then Workload.Heterogeneous else Workload.Step_only);
     seed;
   }
+
+(* A workload the spec validation rejects (an [Invalid_argument] from
+   [Workload.make]) is a usage error: cmdliner reports it, exit 124. *)
+let workload_guard f =
+  match f () with
+  | r -> r
+  | exception Invalid_argument msg
+    when String.starts_with ~prefix:"Workload:" msg ->
+    `Error (false, msg)
 
 let sync_of = function
   | `Lock_based -> Experiments.Common.lock_based
@@ -194,6 +191,7 @@ let run_cmd =
     Arg.(value & opt_all int [] & info [ "cores" ] ~docv:"M" ~doc)
   in
   let run name fast jobs cores =
+    workload_guard @@ fun () ->
     let mode = mode_of_fast fast in
     if cores <> [] && name <> "smp" then
       `Error
@@ -302,16 +300,17 @@ let print_observability res =
   Report.contention fmt res.Simulator.contention
 
 let sim_cmd =
-  let run tasks objects load exec_us sync sched queue sched_mode hetero seed
-      fast json cores dispatch trace_out csv_out metrics_out contention_csv
+  let run tasks objects load exec_us sync sched sched_mode hetero seed fast
+      json cores dispatch trace_out csv_out metrics_out contention_csv
       trace_capacity =
+    workload_guard @@ fun () ->
     let spec = make_spec ~tasks ~objects ~load ~exec_us ~hetero ~seed in
     let task_list = Workload.make spec in
     let mode = mode_of_fast fast in
     let trace = Option.is_some trace_out || Option.is_some csv_out in
     let res =
       Experiments.Common.simulate ~mode ~sync:(sync_of sync) ~sched ~trace
-        ?trace_capacity ~queue ~cores ~dispatch ~sched_mode ~seed task_list
+        ?trace_capacity ~cores ~dispatch ~sched_mode ~seed task_list
     in
     if json then print_string (Obs.Result_json.to_string res)
     else begin
@@ -380,15 +379,17 @@ let sim_cmd =
         "rtlf sim: Theorem 2 retry budget violated (%d job(s))@."
         (List.length res.Simulator.audit.Rtlf_sim.Audit.violations);
       exit 4
-    end
+    end;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "sim" ~doc:"Run one ad-hoc simulation and print a summary.")
     Term.(
-      const run $ tasks_arg $ objects_arg $ load_arg $ exec_arg $ sync_arg
-      $ sched_arg $ queue_arg $ mode_arg $ hetero_arg $ seed_arg $ fast_flag
-      $ json_flag $ cores_arg $ dispatch_arg $ trace_out_arg $ csv_out_arg
-      $ metrics_out_arg $ contention_csv_arg $ trace_capacity_arg)
+      ret
+        (const run $ tasks_arg $ objects_arg $ load_arg $ exec_arg $ sync_arg
+         $ sched_arg $ mode_arg $ hetero_arg $ seed_arg $ fast_flag $ json_flag
+         $ cores_arg $ dispatch_arg $ trace_out_arg $ csv_out_arg
+         $ metrics_out_arg $ contention_csv_arg $ trace_capacity_arg))
 
 (* --- rtlf trace ---------------------------------------------------------- *)
 
@@ -427,6 +428,7 @@ let trace_cmd =
   in
   let run name tasks objects load exec_us sync sched hetero seed out csv_out
       trace_capacity =
+    workload_guard @@ fun () ->
     let picked =
       match name with
       | None -> Ok (load, hetero, sync, sched)
@@ -524,6 +526,7 @@ let explain_cmd =
   in
   let run name tasks objects load exec_us sync sched hetero seed from_trace
       job task top blame_out =
+    workload_guard @@ fun () ->
     let attributed =
       match from_trace with
       | Some path ->
@@ -610,6 +613,7 @@ let explain_cmd =
 
 let timeline_cmd =
   let run tasks objects load exec_us sync sched hetero seed =
+    workload_guard @@ fun () ->
     let spec = make_spec ~tasks ~objects ~load ~exec_us ~hetero ~seed in
     let task_list = Workload.make spec in
     let horizon =
@@ -630,14 +634,16 @@ let timeline_cmd =
     Format.pp_print_string fmt
       (Rtlf_sim.Timeline.render
          (Rtlf_sim.Timeline.build ~buckets:100 ~max_jobs:24
-            res.Simulator.trace))
+            res.Simulator.trace));
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "timeline"
        ~doc:"Simulate briefly and render an ASCII execution timeline.")
     Term.(
-      const run $ tasks_arg $ objects_arg $ load_arg $ exec_arg $ sync_arg
-      $ sched_arg $ hetero_arg $ seed_arg)
+      ret
+        (const run $ tasks_arg $ objects_arg $ load_arg $ exec_arg $ sync_arg
+         $ sched_arg $ hetero_arg $ seed_arg))
 
 (* --- rtlf check ---------------------------------------------------------- *)
 
@@ -738,6 +744,7 @@ let check_cmd =
 
 let bound_cmd =
   let run tasks objects load exec_us hetero seed =
+    workload_guard @@ fun () ->
     let spec = make_spec ~tasks ~objects ~load ~exec_us ~hetero ~seed in
     let task_list = Workload.make spec in
     Format.fprintf fmt "Theorem 2 retry bounds (%a)@." Workload.pp_spec spec;
@@ -747,13 +754,15 @@ let bound_cmd =
         Format.fprintf fmt "  task %d: x_i=%d bound=%d@." i
           (Rtlf_core.Retry_bound.x_i ~tasks:task_list ~i)
           (Rtlf_core.Retry_bound.bound ~tasks:task_list ~i))
-      task_list
+      task_list;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "bound" ~doc:"Print Theorem 2 retry bounds for a workload.")
     Term.(
-      const run $ tasks_arg $ objects_arg $ load_arg $ exec_arg $ hetero_arg
-      $ seed_arg)
+      ret
+        (const run $ tasks_arg $ objects_arg $ load_arg $ exec_arg $ hetero_arg
+         $ seed_arg))
 
 let main =
   let doc = "Lock-free synchronization for dynamic embedded real-time systems" in

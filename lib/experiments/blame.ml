@@ -123,7 +123,7 @@ let run ?(mode = Common.Full) ?jobs fmt =
      bit-exactly)@."
     (List.length rows);
   Format.fprintf fmt
-    "attribution self-overhead: %.1fms CPU for %d trace events (%.0f \
+    "attribution self-overhead: %.1fms wall for %d trace events (%.0f \
      ns/event)@."
     (attr_s *. 1e3) events
     (if events = 0 then 0.0 else attr_s *. 1e9 /. float_of_int events)

@@ -7,7 +7,7 @@
     idle). The crossover the theorem predicts shows up here as a
     decomposition shift: the lock-based blocked share climbs with load
     while the lock-free runs pay a bounded retry share instead. The
-    attribution pass's own cost (CPU ms per trace event) is reported —
+    attribution pass's own cost (wall ms per trace event) is reported —
     observability observing itself. *)
 
 type row = {
@@ -25,7 +25,7 @@ type row = {
   idle : float;
   conservation_ok : bool;
   events : int;        (** trace entries attributed *)
-  attr_s : float;      (** attribution pass CPU seconds *)
+  attr_s : float;      (** attribution pass wall seconds *)
 }
 
 val compute :

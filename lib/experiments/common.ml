@@ -33,12 +33,12 @@ let horizon_for mode tasks =
   windows * max_window
 
 let simulate ?(mode = Full) ?(sync = lock_free) ?(sched = Simulator.Rua)
-    ?(trace = false) ?trace_capacity ?queue ?cores ?dispatch ?sched_mode ~seed
+    ?(trace = false) ?trace_capacity ?cores ?dispatch ?sched_mode ~seed
     tasks =
   let horizon = horizon_for mode tasks in
   Simulator.run
     (Simulator.config ~tasks ~sync ~sched ~horizon ~seed ~sched_base
-       ~sched_per_op ~trace ?trace_capacity ?queue ?cores ?dispatch
+       ~sched_per_op ~trace ?trace_capacity ?cores ?dispatch
        ?mode:sched_mode ())
 
 let measure ?(mode = Full) ?jobs ?cores ?dispatch ~sync tasks =

@@ -55,7 +55,6 @@ val simulate :
   ?sched:Rtlf_sim.Simulator.sched_kind ->
   ?trace:bool ->
   ?trace_capacity:int ->
-  ?queue:Rtlf_sim.Simulator.queue_impl ->
   ?cores:int ->
   ?dispatch:Rtlf_sim.Cores.policy ->
   ?sched_mode:Rtlf_sim.Simulator.sched_mode ->
@@ -64,8 +63,7 @@ val simulate :
   Rtlf_sim.Simulator.result
 (** [simulate ~seed tasks] runs one simulation with the shared cost
     constants (defaults: [Full] mode, lock-free sync, RUA, no trace,
-    binary-heap event queue, one core, global dispatch, dynamic
-    scheduling mode). *)
+    one core, global dispatch, dynamic scheduling mode). *)
 
 val measure :
   ?mode:mode ->

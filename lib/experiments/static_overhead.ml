@@ -73,13 +73,13 @@ let compute ?(mode = Common.Full) ?jobs () =
       let dyn_s = ref 0.0 and static_s = ref 0.0 in
       List.iter
         (fun seed ->
-          let t0 = Sys.time () in
+          let t0 = Unix.gettimeofday () in
           let dyn = Common.simulate ~mode ~seed tasks in
-          let t1 = Sys.time () in
+          let t1 = Unix.gettimeofday () in
           let sta =
             Common.simulate ~mode ~sched_mode:Simulator.Static ~seed tasks
           in
-          let t2 = Sys.time () in
+          let t2 = Unix.gettimeofday () in
           dyn_s := !dyn_s +. (t1 -. t0);
           static_s := !static_s +. (t2 -. t1);
           check_identical

@@ -20,8 +20,8 @@ type row = {
   n_tasks : int;
   seeds : int;
   stats : Rtlf_core.Static_mode.stats;  (** summed over the seeds *)
-  dyn_s : float;     (** total CPU seconds, dynamic runs *)
-  static_s : float;  (** total CPU seconds, static runs *)
+  dyn_s : float;     (** total wall seconds, dynamic runs *)
+  static_s : float;  (** total wall seconds, static runs *)
 }
 
 val compute : ?mode:Common.mode -> ?jobs:int -> unit -> row list

@@ -146,7 +146,7 @@ let decompose_loss ~tuf j =
     { u_self; u_retry; u_blocked; u_preempted; u_sched; u_abort; u_idle } )
 
 let of_trace ?tasks trace =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   if Trace.dropped trace > 0 then
     Error
       (Printf.sprintf
@@ -385,7 +385,7 @@ let of_trace ?tasks trace =
         in_flight = Hashtbl.length live;
         events = List.length entries;
         last_time;
-        elapsed_s = Sys.time () -. t0;
+        elapsed_s = Unix.gettimeofday () -. t0;
         anomalies = !anomalies;
       }
   end

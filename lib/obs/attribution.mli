@@ -96,7 +96,7 @@ type t = {
   events : int;     (** trace entries consumed *)
   last_time : int;  (** greatest timestamp in the trace *)
   elapsed_s : float;
-      (** CPU seconds the attribution pass itself took — observability
+      (** wall seconds the attribution pass itself took — observability
           observing itself; reported by [rtlf explain] and the blame
           experiment *)
   anomalies : int;

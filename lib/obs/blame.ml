@@ -266,5 +266,5 @@ let render_summary fmt (a : Attribution.t) =
   | Error msg -> Format.fprintf fmt "conservation: VIOLATED@.%s@." msg);
   if a.Attribution.anomalies > 0 then
     Format.fprintf fmt "anomalies: %d retry clamp(s)@." a.Attribution.anomalies;
-  Format.fprintf fmt "attribution pass: %.1fms CPU@."
+  Format.fprintf fmt "attribution pass: %.1fms wall@."
     (a.Attribution.elapsed_s *. 1e3)

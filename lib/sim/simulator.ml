@@ -1,5 +1,4 @@
 module Event_queue = Rtlf_engine.Event_queue
-module Timing_wheel = Rtlf_engine.Timing_wheel
 module Float_buffer = Rtlf_engine.Float_buffer
 module Prng = Rtlf_engine.Prng
 module Stats = Rtlf_engine.Stats
@@ -12,7 +11,6 @@ module Lock_manager = Rtlf_model.Lock_manager
 module Scheduler = Rtlf_core.Scheduler
 
 type sched_kind = Edf | Edf_pip | Rua
-type queue_impl = Binary_heap | Wheel
 
 (* [Static] wraps each decider instance in [Static_mode] over a
    [Specialize] plan built from the task set. Decisions and ops charges
@@ -32,41 +30,10 @@ type config = {
   retry_on_any_preemption : bool;
   trace : bool;
   trace_capacity : int option;
-  queue : queue_impl;
   cores : int;
   dispatch : Cores.policy;
-  migrate_ops : int;
   mode : sched_mode;
 }
-
-(* Both event-queue implementations share the same observable contract
-   (pop in (time, seq) order — pinned by the differential suite in
-   test_timing_wheel), so runs are bit-identical whichever is picked;
-   the choice only trades insert cost against pop cost. *)
-type 'a equeue =
-  | Heap_q of 'a Event_queue.t
-  | Wheel_q of 'a Timing_wheel.t
-
-let equeue_create = function
-  | Binary_heap -> Heap_q (Event_queue.create ())
-  | Wheel -> Wheel_q (Timing_wheel.create ())
-
-let equeue_add q ~time e =
-  match q with
-  | Heap_q h -> Event_queue.add h ~time e
-  | Wheel_q w -> Timing_wheel.add w ~time e
-
-let equeue_peek = function
-  | Heap_q h -> Event_queue.peek h
-  | Wheel_q w -> Timing_wheel.peek w
-
-let equeue_peek_time = function
-  | Heap_q h -> Event_queue.peek_time h
-  | Wheel_q w -> Timing_wheel.peek_time w
-
-let equeue_pop_exn = function
-  | Heap_q h -> Event_queue.pop_exn h
-  | Wheel_q w -> Timing_wheel.pop_exn w
 
 let infer_objects tasks =
   let scan = List.fold_left (fun acc (obj, _) -> max acc (obj + 1)) in
@@ -91,8 +58,7 @@ let infer_objects tasks =
 let config ~tasks ~sync ?(sched = Rua) ?n_objects ~horizon ?(seed = 1)
     ?(sched_base = 200) ?(sched_per_op = 25)
     ?(retry_on_any_preemption = false) ?(trace = false) ?trace_capacity
-    ?(queue = Binary_heap) ?(cores = 1) ?(dispatch = Cores.Global)
-    ?(migrate_ops = 8) ?(mode = Dynamic) () =
+    ?(cores = 1) ?(dispatch = Cores.Global) ?(mode = Dynamic) () =
   let n_objects =
     match n_objects with Some n -> n | None -> infer_objects tasks
   in
@@ -108,10 +74,8 @@ let config ~tasks ~sync ?(sched = Rua) ?n_objects ~horizon ?(seed = 1)
     retry_on_any_preemption;
     trace;
     trace_capacity;
-    queue;
     cores;
     dispatch;
-    migrate_ops;
     mode;
   }
 
@@ -169,7 +133,7 @@ type event = Arrival of Task.t | Expiry of int
 
 type state = {
   cfg : config;
-  queue : event equeue;
+  queue : event Event_queue.t;
   objects : Resource.t;
   locks : Lock_manager.t;
       (* lock-based blocking and the spin-lock grant table share the
@@ -209,8 +173,6 @@ type state = {
 let validate cfg =
   if cfg.horizon <= 0 then invalid_arg "Simulator: horizon must be positive";
   if cfg.cores < 1 then invalid_arg "Simulator: need at least one core";
-  if cfg.migrate_ops < 0 then
-    invalid_arg "Simulator: migrate_ops must be non-negative";
   let seen = Hashtbl.create 16 in
   List.iter
     (fun t ->
@@ -346,10 +308,12 @@ let wake_new_owner st obj = function
       Trace.record st.trace ~time:st.now
         (Trace.Acquire (waiter.Job.jid, obj)))
 
-(* A lock request was refused: park the job and profile the contention.
-   The requester is already enqueued in the lock manager, so the waiter
-   count is the current queue depth. *)
-let block_job st job obj =
+(* A lock request was refused: park the job until the FIFO grant and
+   profile the contention. The requester is already enqueued in the
+   lock manager, so the waiter count is the current queue depth. A
+   lock-based waiter gives up its core; a spin waiter keeps it and
+   burns CPU there. *)
+let wait_for_lock st job obj =
   job.Job.state <- Job.Blocked obj;
   job.Job.blocked_count <- job.Job.blocked_count + 1;
   st.blocked_events <- st.blocked_events + 1;
@@ -359,20 +323,7 @@ let block_job st job obj =
     ~depth:(List.length (Lock_manager.waiters st.locks ~obj));
   Hashtbl.replace st.block_since job.Job.jid (obj, st.now);
   Trace.record st.trace ~time:st.now (Trace.Block (job.Job.jid, obj));
-  Cores.vacate st.cores ~jid:job.Job.jid
-
-(* A refused spin request: same bookkeeping, but the job keeps its core
-   and burns CPU there until the FIFO grant. *)
-let spin_wait_job st job obj =
-  job.Job.state <- Job.Blocked obj;
-  job.Job.blocked_count <- job.Job.blocked_count + 1;
-  st.blocked_events <- st.blocked_events + 1;
-  let c = st.contention.(obj) in
-  Contention.note_conflict c;
-  Contention.note_queue_depth c
-    ~depth:(List.length (Lock_manager.waiters st.locks ~obj));
-  Hashtbl.replace st.block_since job.Job.jid (obj, st.now);
-  Trace.record st.trace ~time:st.now (Trace.Block (job.Job.jid, obj))
+  if not (is_spin st) then Cores.vacate st.cores ~jid:job.Job.jid
 
 let abort_job st job =
   (* Aborts are a static-mode anomaly: each instance opens a fallback
@@ -621,6 +572,11 @@ let apply_plan st plan =
     end
   done
 
+(* Migration cost is charged through the ops accounting like scheduler
+   ops: each migration the dispatcher commits to adds this many ops to
+   its invocation. *)
+let ops_per_migration = 8
+
 let invoke_dispatcher st =
   let plan =
     match st.cfg.dispatch with
@@ -628,10 +584,7 @@ let invoke_dispatcher st =
     | Cores.Partitioned -> plan_partitioned st
   in
   st.sched_invocations <- st.sched_invocations + 1;
-  (* Migration cost is charged through the ops accounting like
-     scheduler ops: each migration the dispatcher commits to adds
-     [migrate_ops] ops to this invocation. *)
-  let ops = plan.p_ops + (st.cfg.migrate_ops * plan.p_migrations) in
+  let ops = plan.p_ops + (ops_per_migration * plan.p_migrations) in
   let cost =
     (st.cfg.sched_base * plan.p_decisions) + (st.cfg.sched_per_op * ops)
   in
@@ -655,7 +608,7 @@ let handle_event st time ev =
     let job = Job.create ~task ~jid ~arrival:time in
     Live_view.add st.live job;
     Cores.admit st.cores job;
-    equeue_add st.queue
+    Event_queue.add st.queue
       ~time:(Job.absolute_critical_time job)
       (Expiry jid);
     Trace.record st.trace ~time:st.now
@@ -669,9 +622,9 @@ let handle_event st time ev =
    horizon). Returns the number handled. *)
 let process_due_events st =
   let rec go n =
-    match equeue_peek st.queue with
+    match Event_queue.peek st.queue with
     | Some (t, _) when t <= st.now && t < st.cfg.horizon ->
-      let t, ev = equeue_pop_exn st.queue in
+      let t, ev = Event_queue.pop_exn st.queue in
       handle_event st t ev;
       go (n + 1)
     | Some _ | None -> n
@@ -714,17 +667,49 @@ let next_step st job =
       max 0 (overhead - job.Job.seg_progress)
     | Sync.Lock_free _ | Sync.Ideal -> 0)
 
-let record_access_sample st job =
-  match job.Job.access_enter with
+(* Close a finished access: sample its duration and mark it in the
+   trace. *)
+let access_done st job obj =
+  (match job.Job.access_enter with
   | Some enter ->
     Stats.add st.access_samples (float_of_int (st.now - enter))
-  | None -> Stats.add st.access_samples 0.0
+  | None -> Stats.add st.access_samples 0.0);
+  Trace.record st.trace ~time:st.now (Trace.Access_done (job.Job.jid, obj))
+
+(* Lock-based and spin sharing run one request/grant/release protocol
+   through the lock manager. They differ only in what a refused
+   requester does ([wait_for_lock]) and in whether an acquire is a
+   scheduling event: spin acquires deliberately are not — the cost
+   advantage of the spin discipline over lock-based sharing. *)
+let acquire_event st = if is_spin st then `Continue else `Sched_event
+
+(* Request [obj]. Granted on the spot, the job holds it and the result
+   is [true]; refused, the job waits for the FIFO grant. *)
+let acquire st job obj =
+  job.Job.lock_pending <- true;
+  match Lock_manager.request st.locks ~jid:job.Job.jid ~obj with
+  | Lock_manager.Granted ->
+    job.Job.holding <- obj :: job.Job.holding;
+    Contention.note_acquire st.contention.(obj);
+    Trace.record st.trace ~time:st.now (Trace.Acquire (job.Job.jid, obj));
+    true
+  | Lock_manager.Blocked_on _ ->
+    wait_for_lock st job obj;
+    false
+
+(* End a critical section on [obj]: hand the object to the head waiter,
+   commit the section's write and count the access. *)
+let release st job obj ~write =
+  let new_owner = Lock_manager.release st.locks ~jid:job.Job.jid ~obj in
+  job.Job.holding <- List.filter (fun o -> o <> obj) job.Job.holding;
+  Trace.record st.trace ~time:st.now (Trace.Release (job.Job.jid, obj));
+  wake_new_owner st obj new_owner;
+  if write then commit_write st job.Job.jid obj;
+  Resource.record_access st.objects obj
 
 (* Complete the head segment; returns [`Sched_event] when the boundary
-   is a scheduling event (job departure or lock/unlock request). Spin
-   acquires are deliberately NOT scheduling events — the cost advantage
-   of the spin discipline over lock-based sharing; spin releases are,
-   because they end a non-preemptable section. *)
+   is a scheduling event (job departure, a lock-based lock request, or
+   any release — a spin release ends a non-preemptable section). *)
 let boundary st job =
   let finish_or k =
     Job.finish_segment job;
@@ -745,155 +730,49 @@ let boundary st job =
       (* The lock-free model excludes nested sections (§3.3): lock
          markers are skipped at zero cost. *)
       finish_or `Continue
-    | Sync.Lock_based _ ->
+    | Sync.Lock_based _ | Sync.Spin _ ->
       if job.Job.lock_pending then begin
-        (* Woken after blocking: the lock manager already granted the
+        (* Woken after waiting: the lock manager already granted the
            object on release (see [wake_new_owner]). *)
         assert (List.mem obj job.Job.holding);
         Job.finish_segment job;
         `Continue
       end
-      else begin
-        job.Job.lock_pending <- true;
-        match Lock_manager.request st.locks ~jid:job.Job.jid ~obj with
-        | Lock_manager.Granted ->
-          job.Job.holding <- obj :: job.Job.holding;
-          Contention.note_acquire st.contention.(obj);
-          Trace.record st.trace ~time:st.now
-            (Trace.Acquire (job.Job.jid, obj));
-          Job.finish_segment job;
-          if job.Job.segments = [] then complete_job st job;
-          `Sched_event
-        | Lock_manager.Blocked_on _ ->
-          block_job st job obj;
-          `Sched_event
-      end
-    | Sync.Spin _ ->
-      if job.Job.lock_pending then begin
-        (* Granted while spinning (see [wake_new_owner]). *)
-        assert (List.mem obj job.Job.holding);
-        Job.finish_segment job;
-        `Continue
-      end
-      else begin
-        job.Job.lock_pending <- true;
-        match Lock_manager.request st.locks ~jid:job.Job.jid ~obj with
-        | Lock_manager.Granted ->
-          job.Job.holding <- obj :: job.Job.holding;
-          Contention.note_acquire st.contention.(obj);
-          Trace.record st.trace ~time:st.now
-            (Trace.Acquire (job.Job.jid, obj));
-          finish_or `Continue
-        | Lock_manager.Blocked_on _ ->
-          spin_wait_job st job obj;
-          `Continue
-      end)
+      else if acquire st job obj then finish_or (acquire_event st)
+      else acquire_event st)
   | Segment.Unlock obj :: _ -> (
     match st.cfg.sync with
     | Sync.Lock_free _ | Sync.Ideal -> finish_or `Continue
     | Sync.Lock_based _ | Sync.Spin _ ->
-      let new_owner = Lock_manager.release st.locks ~jid:job.Job.jid ~obj in
-      job.Job.holding <- List.filter (fun o -> o <> obj) job.Job.holding;
-      Trace.record st.trace ~time:st.now (Trace.Release (job.Job.jid, obj));
-      wake_new_owner st obj new_owner;
-      commit_write st job.Job.jid obj;
-      Resource.record_access st.objects obj;
-      Job.finish_segment job;
-      if job.Job.segments = [] then complete_job st job;
-      `Sched_event)
+      release st job obj ~write:true;
+      finish_or `Sched_event)
   | Segment.Access { obj; work = _; write } :: _ -> (
-    match st.cfg.sync with
-    | Sync.Ideal ->
-      Resource.record_access st.objects obj;
-      if write then commit_write st job.Job.jid obj;
-      Contention.note_acquire st.contention.(obj);
-      record_access_sample st job;
+    match (st.cfg.sync, job.Job.attempt_snapshot) with
+    | Sync.Lock_free _, Some snap when snap <> Resource.version st.objects obj
+      ->
+      (* Attempt finished but invalidated by a peer's commit: retry. *)
+      let lost = job.Job.seg_progress in
+      Job.restart_access job;
+      Contention.note_retry st.contention.(obj);
       Trace.record st.trace ~time:st.now
-        (Trace.Access_done (job.Job.jid, obj));
+        (Trace.Retry (job.Job.jid, obj, st.last_writer.(obj), lost));
+      `Continue
+    | (Sync.Lock_free _ | Sync.Ideal), _ ->
+      (* Only writers invalidate peers' in-flight attempts. *)
+      if write then commit_write st job.Job.jid obj;
+      Resource.record_access st.objects obj;
+      Contention.note_acquire st.contention.(obj);
+      access_done st job obj;
       finish_or `Continue
-    | Sync.Lock_free _ -> (
-      (* Attempt finished: validate against the object version. *)
-      let current = Resource.version st.objects obj in
-      match job.Job.attempt_snapshot with
-      | Some snap when snap <> current ->
-        let lost = job.Job.seg_progress in
-        Job.restart_access job;
-        Contention.note_retry st.contention.(obj);
-        Trace.record st.trace ~time:st.now
-          (Trace.Retry (job.Job.jid, obj, st.last_writer.(obj), lost));
-        `Continue
-      | Some _ | None ->
-        (* Only writers invalidate peers' in-flight attempts. *)
-        if write then commit_write st job.Job.jid obj;
-        Resource.record_access st.objects obj;
-        Contention.note_acquire st.contention.(obj);
-        record_access_sample st job;
-        Trace.record st.trace ~time:st.now
-          (Trace.Access_done (job.Job.jid, obj));
-        finish_or `Continue)
-    | Sync.Lock_based _ ->
+    | (Sync.Lock_based _ | Sync.Spin _), _ ->
       if not job.Job.lock_pending then begin
-        (* Lock request point. *)
-        job.Job.lock_pending <- true;
-        match Lock_manager.request st.locks ~jid:job.Job.jid ~obj with
-        | Lock_manager.Granted ->
-          job.Job.holding <- obj :: job.Job.holding;
-          Contention.note_acquire st.contention.(obj);
-          Trace.record st.trace ~time:st.now
-            (Trace.Acquire (job.Job.jid, obj));
-          `Sched_event
-        | Lock_manager.Blocked_on _ ->
-          block_job st job obj;
-          `Sched_event
+        ignore (acquire st job obj : bool);
+        acquire_event st
       end
       else begin
-        (* Unlock point. *)
-        let new_owner = Lock_manager.release st.locks ~jid:job.Job.jid ~obj in
-        job.Job.holding <-
-          List.filter (fun o -> o <> obj) job.Job.holding;
-        Trace.record st.trace ~time:st.now
-          (Trace.Release (job.Job.jid, obj));
-        wake_new_owner st obj new_owner;
-        if write then commit_write st job.Job.jid obj;
-        Resource.record_access st.objects obj;
-        record_access_sample st job;
-        Trace.record st.trace ~time:st.now
-          (Trace.Access_done (job.Job.jid, obj));
-        Job.finish_segment job;
-        if job.Job.segments = [] then complete_job st job;
-        `Sched_event
-      end
-    | Sync.Spin _ ->
-      if not job.Job.lock_pending then begin
-        (* Spin-acquire point. *)
-        job.Job.lock_pending <- true;
-        match Lock_manager.request st.locks ~jid:job.Job.jid ~obj with
-        | Lock_manager.Granted ->
-          job.Job.holding <- obj :: job.Job.holding;
-          Contention.note_acquire st.contention.(obj);
-          Trace.record st.trace ~time:st.now
-            (Trace.Acquire (job.Job.jid, obj));
-          `Continue
-        | Lock_manager.Blocked_on _ ->
-          spin_wait_job st job obj;
-          `Continue
-      end
-      else begin
-        (* Spin-release point: end of the non-preemptable section. *)
-        let new_owner = Lock_manager.release st.locks ~jid:job.Job.jid ~obj in
-        job.Job.holding <-
-          List.filter (fun o -> o <> obj) job.Job.holding;
-        Trace.record st.trace ~time:st.now
-          (Trace.Release (job.Job.jid, obj));
-        wake_new_owner st obj new_owner;
-        if write then commit_write st job.Job.jid obj;
-        Resource.record_access st.objects obj;
-        record_access_sample st job;
-        Trace.record st.trace ~time:st.now
-          (Trace.Access_done (job.Job.jid, obj));
-        Job.finish_segment job;
-        if job.Job.segments = [] then complete_job st job;
-        `Sched_event
+        release st job obj ~write;
+        access_done st job obj;
+        finish_or `Sched_event
       end)
 
 (* Advance every occupied core to the earliest per-core boundary (or
@@ -917,7 +796,7 @@ let run_slice st =
       end
   done;
   let next_ev =
-    match equeue_peek_time st.queue with
+    match Event_queue.peek_time st.queue with
     | Some t -> min t st.cfg.horizon
     | None -> st.cfg.horizon
   in
@@ -977,7 +856,7 @@ let rec main_loop st =
       main_loop st
     end
     else
-      match equeue_peek_time st.queue with
+      match Event_queue.peek_time st.queue with
       | None -> () (* no events, nothing running: done *)
       | Some t when t >= st.cfg.horizon -> ()
       | Some t ->
@@ -1147,7 +1026,7 @@ let run cfg =
   let st =
     {
       cfg;
-      queue = equeue_create cfg.queue;
+      queue = Event_queue.create ();
       objects;
       locks;
       schedulers =
@@ -1184,7 +1063,7 @@ let run cfg =
         Uam.generate task.Task.arrival g ~start:0 ~horizon:cfg.horizon
       in
       List.iter
-        (fun t -> equeue_add st.queue ~time:t (Arrival task))
+        (fun t -> Event_queue.add st.queue ~time:t (Arrival task))
         arrivals)
     cfg.tasks;
   main_loop st;

@@ -6,13 +6,15 @@
     advance the one clock (they stall every core). The simulator:
 
     - releases jobs according to each task's UAM law (seeded,
-      deterministic);
+      deterministic), holding arrivals and critical-time expiries in one
+      {!Rtlf_engine.Event_queue} binary heap (equal times pop in
+      insertion order);
     - invokes the configured dispatch policy at every scheduling event —
-      job arrival, departure, critical-time expiry, and, for lock-based
-      sharing, lock/unlock requests — charging
+      job arrival, departure, critical-time expiry, every lock release
+      and, for lock-based sharing, every lock request — charging
       [sched_base × decisions + sched_per_op × ops] ns of CPU per
       invocation, where [ops] is the algorithms' own abstract operation
-      count (§3.6) plus [migrate_ops] per committed migration;
+      count (§3.6) plus 8 ops per committed cross-core migration;
     - executes each core's dispatched job's compute/access segments,
       charging blocking (lock-based), optimistic retries (lock-free),
       or busy-wait spinning (spin) at access boundaries;
@@ -28,13 +30,6 @@ type sched_kind =
   | Edf      (** deadline baseline (no lock awareness) *)
   | Edf_pip  (** EDF with priority inheritance (Sha et al. [23]) *)
   | Rua      (** RUA, specialised by the sync discipline *)
-
-type queue_impl =
-  | Binary_heap  (** {!Rtlf_engine.Event_queue}: O(log n) insert/pop *)
-  | Wheel
-      (** {!Rtlf_engine.Timing_wheel}: amortised-O(1) insert, for runs
-          with 10⁵+ live jobs. Bit-identical results either way — both
-          queues obey the same (time, insertion-order) pop contract. *)
 
 type sched_mode =
   | Dynamic  (** the deciders interpret the task set on every invocation *)
@@ -65,13 +60,8 @@ type config = {
   trace_capacity : int option;
       (** bound the trace to a drop-oldest ring buffer of this many
           entries; [None] keeps the full history *)
-  queue : queue_impl;  (** event-queue implementation for the run *)
   cores : int;         (** number of cores, ≥ 1 *)
   dispatch : Cores.policy;  (** global or partitioned dispatch *)
-  migrate_ops : int;
-      (** abstract ops charged per cross-core migration, folded into
-          the dispatcher's [sched_per_op] cost (global dispatch only —
-          partitioned jobs never migrate) *)
   mode : sched_mode;
 }
 
@@ -87,19 +77,16 @@ val config :
   ?retry_on_any_preemption:bool ->
   ?trace:bool ->
   ?trace_capacity:int ->
-  ?queue:queue_impl ->
   ?cores:int ->
   ?dispatch:Cores.policy ->
-  ?migrate_ops:int ->
   ?mode:sched_mode ->
   unit ->
   config
 (** [config ~tasks ~sync ~horizon ()] fills in defaults: RUA
     scheduling, object count inferred from the tasks' accesses, seed 1,
     [sched_base = 200] ns, [sched_per_op = 25] ns, realistic conflict
-    detection, no trace (and, when tracing, an unbounded trace), binary
-    heap event queue, one core, global dispatch, [migrate_ops = 8],
-    dynamic scheduling mode. *)
+    detection, no trace (and, when tracing, an unbounded trace), one
+    core, global dispatch, dynamic scheduling mode. *)
 
 type task_result = {
   task_id : int;

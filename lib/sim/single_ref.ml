@@ -10,7 +10,6 @@
    [Simulator] and keep this as the anchor. *)
 
 module Event_queue = Rtlf_engine.Event_queue
-module Timing_wheel = Rtlf_engine.Timing_wheel
 module Float_buffer = Rtlf_engine.Float_buffer
 module Prng = Rtlf_engine.Prng
 module Stats = Rtlf_engine.Stats
@@ -22,36 +21,11 @@ module Resource = Rtlf_model.Resource
 module Lock_manager = Rtlf_model.Lock_manager
 module Scheduler = Rtlf_core.Scheduler
 
-type 'a equeue =
-  | Heap_q of 'a Event_queue.t
-  | Wheel_q of 'a Timing_wheel.t
-
-let equeue_create = function
-  | Simulator.Binary_heap -> Heap_q (Event_queue.create ())
-  | Simulator.Wheel -> Wheel_q (Timing_wheel.create ())
-
-let equeue_add q ~time e =
-  match q with
-  | Heap_q h -> Event_queue.add h ~time e
-  | Wheel_q w -> Timing_wheel.add w ~time e
-
-let equeue_peek = function
-  | Heap_q h -> Event_queue.peek h
-  | Wheel_q w -> Timing_wheel.peek w
-
-let equeue_peek_time = function
-  | Heap_q h -> Event_queue.peek_time h
-  | Wheel_q w -> Timing_wheel.peek_time w
-
-let equeue_pop_exn = function
-  | Heap_q h -> Event_queue.pop_exn h
-  | Wheel_q w -> Timing_wheel.pop_exn w
-
 type event = Arrival of Task.t | Expiry of int
 
 type state = {
   cfg : Simulator.config;
-  queue : event equeue;
+  queue : event Event_queue.t;
   objects : Resource.t;
   locks : Lock_manager.t;
   scheduler : Scheduler.t;
@@ -286,7 +260,7 @@ let handle_event st time ev =
     st.next_jid <- st.next_jid + 1;
     let job = Job.create ~task ~jid ~arrival:time in
     Live_view.add st.live job;
-    equeue_add st.queue
+    Event_queue.add st.queue
       ~time:(Job.absolute_critical_time job)
       (Expiry jid);
     Trace.record st.trace ~time:st.now
@@ -298,9 +272,9 @@ let handle_event st time ev =
 
 let process_due_events st =
   let rec go n =
-    match equeue_peek st.queue with
+    match Event_queue.peek st.queue with
     | Some (t, _) when t <= st.now && t < st.cfg.Simulator.horizon ->
-      let t, ev = equeue_pop_exn st.queue in
+      let t, ev = Event_queue.pop_exn st.queue in
       handle_event st t ev;
       go (n + 1)
     | Some _ | None -> n
@@ -505,7 +479,7 @@ let boundary st job =
 
 let run_slice st job =
   let next_ev =
-    match equeue_peek_time st.queue with
+    match Event_queue.peek_time st.queue with
     | Some t -> min t st.cfg.Simulator.horizon
     | None -> st.cfg.Simulator.horizon
   in
@@ -549,7 +523,7 @@ let rec main_loop st =
         run_slice st job;
         main_loop st
       | None -> (
-        match equeue_peek_time st.queue with
+        match Event_queue.peek_time st.queue with
         | None -> ()
         | Some t when t >= st.cfg.Simulator.horizon -> ()
         | Some t ->
@@ -703,7 +677,7 @@ let run (cfg : Simulator.config) =
   let st =
     {
       cfg;
-      queue = equeue_create cfg.Simulator.queue;
+      queue = Event_queue.create ();
       objects;
       locks;
       scheduler = make_scheduler cfg locks;
@@ -739,7 +713,7 @@ let run (cfg : Simulator.config) =
         Uam.generate task.Task.arrival g ~start:0
           ~horizon:cfg.Simulator.horizon
       in
-      List.iter (fun t -> equeue_add st.queue ~time:t (Arrival task)) arrivals)
+      List.iter (fun t -> Event_queue.add st.queue ~time:t (Arrival task)) arrivals)
     cfg.Simulator.tasks;
   main_loop st;
   summarise st

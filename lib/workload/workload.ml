@@ -40,22 +40,30 @@ let default =
   }
 
 let validate spec =
-  if spec.n_tasks <= 0 then invalid_arg "Workload: n_tasks must be positive";
-  if spec.target_al <= 0.0 then
-    invalid_arg "Workload: target_al must be positive";
+  let fail fmt = Printf.ksprintf invalid_arg ("Workload: " ^^ fmt) in
+  if spec.n_tasks <= 0 then
+    fail "n_tasks must be positive (got %d)" spec.n_tasks;
+  (* [<= 0.0] alone lets nan through, and an infinite load releases no
+     jobs: both would run silently. *)
+  if not (Float.is_finite spec.target_al && spec.target_al > 0.0) then
+    fail "target_al must be positive and finite (got %g)" spec.target_al;
   if spec.mean_exec <= 0 then
-    invalid_arg "Workload: mean_exec must be positive";
+    fail "mean_exec must be positive (got %d)" spec.mean_exec;
   if spec.accesses_per_job < 0 then
-    invalid_arg "Workload: negative accesses_per_job";
+    fail "negative accesses_per_job (got %d)" spec.accesses_per_job;
   if spec.accesses_per_job > 0 && spec.n_objects <= 0 then
-    invalid_arg "Workload: accesses but no objects";
-  if spec.access_work < 0 then invalid_arg "Workload: negative access_work";
-  if spec.burst < 1 then invalid_arg "Workload: burst must be >= 1";
-  if spec.window_factor < 1.0 then
-    invalid_arg "Workload: window_factor must be >= 1 (model needs C <= W)";
-  if spec.abort_cost < 0 then invalid_arg "Workload: negative abort_cost";
+    fail "accesses but no objects (got n_objects %d)" spec.n_objects;
+  if spec.access_work < 0 then
+    fail "negative access_work (got %d)" spec.access_work;
+  if spec.burst < 1 then fail "burst must be >= 1 (got %d)" spec.burst;
+  if not (Float.is_finite spec.window_factor && spec.window_factor >= 1.0)
+  then
+    fail "window_factor must be finite and >= 1 (model needs C <= W; got %g)"
+      spec.window_factor;
+  if spec.abort_cost < 0 then
+    fail "negative abort_cost (got %d)" spec.abort_cost;
   if spec.readers < 0 || spec.readers > spec.n_tasks then
-    invalid_arg "Workload: readers out of range"
+    fail "readers out of range (got %d of %d tasks)" spec.readers spec.n_tasks
 
 (* Empirical arrivals-per-window of the UAM generator for burst [a]:
    probe a throwaway law so the calibration below stays correct even if

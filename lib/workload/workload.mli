@@ -49,8 +49,9 @@ val make : spec -> Rtlf_model.Task.t list
     - each job performs [accesses_per_job] accesses, spread round-robin
       over the objects starting at the task's index.
 
-    Raises [Invalid_argument] on nonsensical specs (no tasks,
-    non-positive load, window factor below 1, …). *)
+    Raises [Invalid_argument] with a ["Workload: "]-prefixed message
+    naming the bad value on nonsensical specs (no tasks, non-positive
+    or non-finite load, window factor below 1, …). *)
 
 val actual_load : Rtlf_model.Task.t list -> float
 (** [actual_load tasks] recomputes [Σ uᵢ/Cᵢ] from the synthesised

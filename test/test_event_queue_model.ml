@@ -50,11 +50,23 @@ type cmd =
   | Clear
   | Observe  (* compare to_list / length / is_empty / peek_time *)
 
+(* Keys: mostly a narrow range, so ties are dense; also negative keys
+   and keys at and beyond 2^40, where heap comparisons must not wrap. *)
+let key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_bound 50);
+        (1, map (fun k -> -1 - k) (int_bound 50));
+        (1, map (fun k -> (1 lsl 40) + k) (int_bound 50));
+        (1, map (fun k -> max_int - k) (int_bound 50));
+      ])
+
 let cmd_gen =
   QCheck.Gen.(
     frequency
       [
-        (6, map2 (fun t v -> Add (t, v)) (int_bound 50) (int_bound 1000));
+        (6, map2 (fun t v -> Add (t, v)) key_gen (int_bound 1000));
         (3, return Pop);
         (2, return Peek);
         (1, map (fun n -> Filter_mod (n + 2)) (int_bound 3));
@@ -75,7 +87,11 @@ let pp_cmd = function
 let cmds_arb =
   QCheck.make
     ~print:(fun l -> String.concat "; " (List.map pp_cmd l))
-    QCheck.Gen.(list_size (int_bound 60) cmd_gen)
+    QCheck.Gen.(
+      list_size
+        (* Now and then a long run, so ties pile up across many pops. *)
+        (frequency [ (9, int_bound 60); (1, int_range 200 400) ])
+        cmd_gen)
 
 let agree_opt what cmd a b =
   if a <> b then

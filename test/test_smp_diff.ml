@@ -150,12 +150,12 @@ let spec_arb =
       Format.asprintf "%a (seed %d)" Workload.pp_spec spec
         spec.Workload.seed)
 
-let config_of ?(queue = Simulator.Binary_heap) ~sync ~sched ~dispatch spec =
+let config_of ~sync ~sched ~dispatch spec =
   let tasks = Workload.make spec in
   let horizon = 20 * 50_000 * spec.Workload.n_tasks in
   Simulator.config ~tasks ~sync ~sched ~horizon
     ~seed:(Test_support.seed + spec.Workload.seed)
-    ~trace:true ~queue ~cores:1 ~dispatch ()
+    ~trace:true ~cores:1 ~dispatch ()
 
 let bit_identical_all_configs =
   QCheck.Test.make
@@ -177,20 +177,6 @@ let bit_identical_all_configs =
                     (config_of ~sync ~sched ~dispatch spec))
                 dispatches)
             scheds)
-        syncs)
-
-let bit_identical_wheel_queue =
-  QCheck.Test.make
-    ~name:"cores=1 bit-identical on the timing-wheel event queue" ~count:4
-    spec_arb
-    (fun spec ->
-      List.for_all
-        (fun (sync_name, sync) ->
-          compare_engines
-            ~label:(Printf.sprintf "%s/wheel (wl seed %d)" sync_name
-                      spec.Workload.seed)
-            (config_of ~queue:Simulator.Wheel ~sync ~sched:Simulator.Rua
-               ~dispatch:Cores.Global spec))
         syncs)
 
 let bit_identical_adversarial_retry =
@@ -267,7 +253,6 @@ let () =
         List.map Test_support.to_alcotest
           [
             bit_identical_all_configs;
-            bit_identical_wheel_queue;
             bit_identical_adversarial_retry;
           ] );
       ( "deterministic",

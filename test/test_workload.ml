@@ -100,6 +100,12 @@ let test_validation () =
   in
   expect_invalid "no tasks" { spec with Workload.n_tasks = 0 };
   expect_invalid "zero load" { spec with Workload.target_al = 0.0 };
+  expect_invalid "nan load" { spec with Workload.target_al = Float.nan };
+  expect_invalid "infinite load"
+    { spec with Workload.target_al = Float.infinity };
+  expect_invalid "negative infinite load"
+    { spec with Workload.target_al = Float.neg_infinity };
+  expect_invalid "nan window" { spec with Workload.window_factor = Float.nan };
   expect_invalid "zero exec" { spec with Workload.mean_exec = 0 };
   expect_invalid "window < 1"
     { spec with Workload.window_factor = 0.5 };
