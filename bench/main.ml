@@ -271,29 +271,6 @@ let bench_queue_hold ~n =
       let t, () = Rtlf_engine.Event_queue.pop_exn q in
       Rtlf_engine.Event_queue.add q ~time:(t + delta ()) ())
 
-(* The anomaly-free static serving path: one ahead-of-time plan, one
-   warm decide to arm the store, then every iteration is a fast-path
-   hit — the state-code scan that replaces the dynamic decider's
-   cache revalidation (which recomputes a PUD per live job). The
-   decision and [ops] charge are bit-identical to the dynamic cached
-   kernel's by the static-mode contract; only the serving cost
-   differs. *)
-let bench_static_decide ~n () =
-  let tasks = Workload.make { Workload.default with Workload.n_tasks = n } in
-  let jobs =
-    Array.of_list
-      (List.mapi (fun i t -> Job.create ~task:t ~jid:i ~arrival:0) tasks)
-  in
-  let plan = Rtlf_core.Specialize.plan ~tasks ~remaining in
-  let st =
-    Rtlf_core.Static_mode.create ~plan
-      ~fallback:(Rtlf_core.Rua_lock_free.make ())
-      ~algo:Rtlf_core.Static_mode.Rua_lf ()
-  in
-  let sched = Rtlf_core.Static_mode.scheduler st in
-  ignore (sched.Scheduler.decide ~now:0 ~jobs ~remaining);
-  fun () -> ignore (sched.Scheduler.decide ~now:0 ~jobs ~remaining)
-
 (* Built on demand (--scale): the 10^5-job scenes are too expensive to
    construct when the group is not going to run — and [--filter] drops
    a kernel before its scene is built, for the same reason. Each
@@ -330,10 +307,6 @@ let scale_kernels ~keep ~max_n () =
                 Staged.unstage
                   (bench_decide_scale ~sched:`Lock_free ~path:`Cached
                      (fresh_jobs ())));
-            entry
-              (Printf.sprintf "static rua decide n=%d fast-path" n)
-              1
-              (bench_static_decide ~n);
             entry
               (Printf.sprintf "edf decide n=%d rebuild" n)
               1

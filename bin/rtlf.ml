@@ -103,11 +103,11 @@ let hetero_arg =
 let mode_arg =
   let doc =
     "Scheduling mode: dynamic (deciders interpret the task set every \
-     invocation) or static (decides served from an ahead-of-time \
-     specialisation plan, falling back to the dynamic decider on \
-     anomalies). Decisions and ops charges are bit-identical either \
-     way; static requires a lock-oblivious decider (edf, or rua under \
-     lock-free/spin/ideal sync)."
+     invocation) or static (fresh synchronized releases served from an \
+     ahead-of-time release-pattern table, every other decide delegated \
+     to the dynamic decider). Decisions and ops charges are \
+     bit-identical either way; static requires a lock-oblivious decider \
+     (edf, or rua under lock-free/spin/ideal sync)."
   in
   let modes =
     [ ("dynamic", Simulator.Dynamic); ("static", Simulator.Static) ]
@@ -127,13 +127,15 @@ let make_spec ~tasks ~objects ~load ~exec_us ~hetero ~seed =
     seed;
   }
 
-(* A workload the spec validation rejects (an [Invalid_argument] from
-   [Workload.make]) is a usage error: cmdliner reports it, exit 124. *)
-let workload_guard f =
+(* A workload spec or simulator config that validation rejects (an
+   [Invalid_argument] from [Workload.make] or [Simulator.run]) is a
+   usage error: cmdliner reports it, exit 124. *)
+let usage_guard f =
   match f () with
   | r -> r
   | exception Invalid_argument msg
-    when String.starts_with ~prefix:"Workload:" msg ->
+    when String.starts_with ~prefix:"Workload:" msg
+         || String.starts_with ~prefix:"Simulator:" msg ->
     `Error (false, msg)
 
 let sync_of = function
@@ -191,7 +193,7 @@ let run_cmd =
     Arg.(value & opt_all int [] & info [ "cores" ] ~docv:"M" ~doc)
   in
   let run name fast jobs cores =
-    workload_guard @@ fun () ->
+    usage_guard @@ fun () ->
     let mode = mode_of_fast fast in
     if cores <> [] && name <> "smp" then
       `Error
@@ -303,7 +305,7 @@ let sim_cmd =
   let run tasks objects load exec_us sync sched sched_mode hetero seed fast
       json cores dispatch trace_out csv_out metrics_out contention_csv
       trace_capacity =
-    workload_guard @@ fun () ->
+    usage_guard @@ fun () ->
     let spec = make_spec ~tasks ~objects ~load ~exec_us ~hetero ~seed in
     let task_list = Workload.make spec in
     let mode = mode_of_fast fast in
@@ -335,23 +337,10 @@ let sim_cmd =
         res.Simulator.blocked_events res.Simulator.sched_invocations;
       Option.iter
         (fun (s : Rtlf_core.Static_mode.stats) ->
-          Format.fprintf fmt
-            "static mode: decides=%d fast=%d pattern=%d delegated=%d \
-             anomalies=%d (shape=%d deadline=%d abort=%d chain=%d) \
-             respecialisations=%d@."
+          Format.fprintf fmt "static mode: decides=%d pattern=%d delegated=%d@."
             s.Rtlf_core.Static_mode.decides
-            s.Rtlf_core.Static_mode.fast_hits
             s.Rtlf_core.Static_mode.pattern_hits
-            s.Rtlf_core.Static_mode.delegated
-            (s.Rtlf_core.Static_mode.anomalies_new_shape
-            + s.Rtlf_core.Static_mode.anomalies_deadline_miss
-            + s.Rtlf_core.Static_mode.anomalies_abort
-            + s.Rtlf_core.Static_mode.anomalies_chain)
-            s.Rtlf_core.Static_mode.anomalies_new_shape
-            s.Rtlf_core.Static_mode.anomalies_deadline_miss
-            s.Rtlf_core.Static_mode.anomalies_abort
-            s.Rtlf_core.Static_mode.anomalies_chain
-            s.Rtlf_core.Static_mode.respecialisations)
+            s.Rtlf_core.Static_mode.delegated)
         res.Simulator.static;
       Format.fprintf fmt "mean access time: %a@."
         Rtlf_engine.Stats.pp_summary res.Simulator.access_samples;
@@ -428,7 +417,7 @@ let trace_cmd =
   in
   let run name tasks objects load exec_us sync sched hetero seed out csv_out
       trace_capacity =
-    workload_guard @@ fun () ->
+    usage_guard @@ fun () ->
     let picked =
       match name with
       | None -> Ok (load, hetero, sync, sched)
@@ -526,7 +515,7 @@ let explain_cmd =
   in
   let run name tasks objects load exec_us sync sched hetero seed from_trace
       job task top blame_out =
-    workload_guard @@ fun () ->
+    usage_guard @@ fun () ->
     let attributed =
       match from_trace with
       | Some path ->
@@ -613,7 +602,7 @@ let explain_cmd =
 
 let timeline_cmd =
   let run tasks objects load exec_us sync sched hetero seed =
-    workload_guard @@ fun () ->
+    usage_guard @@ fun () ->
     let spec = make_spec ~tasks ~objects ~load ~exec_us ~hetero ~seed in
     let task_list = Workload.make spec in
     let horizon =
@@ -744,7 +733,7 @@ let check_cmd =
 
 let bound_cmd =
   let run tasks objects load exec_us hetero seed =
-    workload_guard @@ fun () ->
+    usage_guard @@ fun () ->
     let spec = make_spec ~tasks ~objects ~load ~exec_us ~hetero ~seed in
     let task_list = Workload.make spec in
     Format.fprintf fmt "Theorem 2 retry bounds (%a)@." Workload.pp_spec spec;

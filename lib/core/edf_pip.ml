@@ -9,34 +9,16 @@ module Lock_manager = Rtlf_model.Lock_manager
 
 type scratch = { arena : Arena.t }
 
-(* Jobs transitively blocked on [j] are those whose dependency chain
-   contains [j]. Rather than inverting the wait-for graph, walk each
-   blocked job's chain once; cost O(n · chain) per invocation, in line
-   with PIP implementations that propagate on block/release events. *)
-let effective_critical_time ~locks ~by_jid job =
-  let own = Job.absolute_critical_time job in
-  Hashtbl.fold
-    (fun jid blocked acc ->
-      if jid = job.Job.jid then acc
-      else
-        match blocked.Job.state with
-        | Job.Blocked _ ->
-          let chain = Lock_manager.dependency_chain locks ~jid in
-          if List.mem job.Job.jid chain then
-            min acc (Job.absolute_critical_time blocked)
-          else acc
-        | Job.Ready | Job.Running | Job.Completed | Job.Aborted -> acc)
-    by_jid own
-
 let by_ect (a : Arena.cell) (b : Arena.cell) =
   match Float.compare a.Arena.key b.Arena.key with
   | 0 -> Int.compare a.Arena.jid b.Arena.jid
   | c -> c
 
-(* The decision path computes the same min-fold directly over the jobs
-   array: min is commutative, so iteration order — the only thing that
-   differs from the [by_jid] fold — cannot change the result. *)
-let effective_ct_arr ~locks ~jobs job =
+(* Jobs transitively blocked on [j] are those whose dependency chain
+   contains [j]. Rather than inverting the wait-for graph, walk each
+   blocked job's chain once; cost O(n · chain) per invocation, in line
+   with PIP implementations that propagate on block/release events. *)
+let effective_critical_time ~locks ~jobs job =
   let own = ref (Job.absolute_critical_time job) in
   Array.iter
     (fun blocked ->
@@ -65,7 +47,7 @@ let decide scratch ~locks ~now:_ ~jobs ~remaining:_ =
         ops := !ops + 1;
         if Job.is_runnable j then begin
           let c = cells.(!n) in
-          c.Arena.key <- float_of_int (effective_ct_arr ~locks ~jobs j);
+          c.Arena.key <- float_of_int (effective_critical_time ~locks ~jobs j);
           c.Arena.jid <- j.Job.jid;
           c.Arena.job <- j;
           incr n

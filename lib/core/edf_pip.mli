@@ -15,9 +15,10 @@ val make : locks:Rtlf_model.Lock_manager.t -> Scheduler.t
 
 val effective_critical_time :
   locks:Rtlf_model.Lock_manager.t ->
-  by_jid:(int, Rtlf_model.Job.t) Hashtbl.t ->
+  jobs:Rtlf_model.Job.t array ->
   Rtlf_model.Job.t ->
   int
-(** [effective_critical_time ~locks ~by_jid j] is [j]'s absolute
-    critical time lowered to the minimum over every job transitively
-    blocked on [j] — the inherited priority. Exposed for testing. *)
+(** [effective_critical_time ~locks ~jobs j] is [j]'s absolute critical
+    time lowered to the minimum over every live job of [jobs]
+    transitively blocked on [j] — the inherited priority. This is the
+    fold {!make}'s decide ranks jobs by; exposed for testing. *)

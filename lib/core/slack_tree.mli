@@ -26,8 +26,7 @@ type t
 val sentinel : int
 (** The vacant-position slack: far above any reachable slack, far below
     overflow. [suffix_min]/[min_all] return it when no admitted
-    position is in range; {!Static_mode} reuses it when reconstructing
-    [min_all] from a schedule. *)
+    position is in range. *)
 
 val create : unit -> t
 (** [create ()] is an empty index. *)

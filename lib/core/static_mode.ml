@@ -1,404 +1,220 @@
-module Job = Rtlf_model.Job
 module Task = Rtlf_model.Task
+module Job = Rtlf_model.Job
 
 type algo = Rua_lf | Edf
 
-type stats = {
-  decides : int;
-  fast_hits : int;
-  pattern_hits : int;
-  delegated : int;
-  anomalies_new_shape : int;
-  anomalies_deadline_miss : int;
-  anomalies_abort : int;
-  anomalies_chain : int;
-  respecialisations : int;
-}
+type stats = { decides : int; pattern_hits : int; delegated : int }
 
-let zero_stats =
-  {
-    decides = 0;
-    fast_hits = 0;
-    pattern_hits = 0;
-    delegated = 0;
-    anomalies_new_shape = 0;
-    anomalies_deadline_miss = 0;
-    anomalies_abort = 0;
-    anomalies_chain = 0;
-    respecialisations = 0;
-  }
+let zero_stats = { decides = 0; pattern_hits = 0; delegated = 0 }
 
 let add_stats a b =
   {
     decides = a.decides + b.decides;
-    fast_hits = a.fast_hits + b.fast_hits;
     pattern_hits = a.pattern_hits + b.pattern_hits;
     delegated = a.delegated + b.delegated;
-    anomalies_new_shape = a.anomalies_new_shape + b.anomalies_new_shape;
-    anomalies_deadline_miss =
-      a.anomalies_deadline_miss + b.anomalies_deadline_miss;
-    anomalies_abort = a.anomalies_abort + b.anomalies_abort;
-    anomalies_chain = a.anomalies_chain + b.anomalies_chain;
-    respecialisations = a.respecialisations + b.respecialisations;
   }
 
+(* --- plan: the release-pattern table ------------------------------------ *)
+
+(* Subset masks are single OCaml ints: slots 0..61 keep [1 lsl slot]
+   positive on 63-bit ints. *)
+let mask_bits = 62
+
+(* Below this virtual time, [float_of_int] of any completion time the
+   decider compares is exact, so decisions on a fresh release depend
+   only on (subset, now - arrival) — the translation invariance the
+   table relies on. *)
+let exact_bound = 1 lsl 52
+
+(* Keeps the table O(1)-bounded rather than load-dependent. *)
+let max_patterns = 512
+
+type profile = {
+  task : Task.t;  (* compared physically: a same-id task value differs *)
+  slot : int;  (* position in task-id order; mask bit when < mask_bits *)
+  critical : int;  (* relative to arrival *)
+  fresh_rem : int;  (* remaining cost of a fresh job under the plan *)
+}
+
+(* A decision in position space: positions index the release's live
+   jobs in task-id order; -1 dispatches nothing. *)
+type template = {
+  t_dispatch : int;
+  t_rejected : int array;  (* in PUD-rank (probe) order *)
+  t_schedule : int array;  (* in schedule (ECF) order *)
+  t_ops : int;
+}
+
+type plan = {
+  profiles : (int, profile) Hashtbl.t;
+  patterns : (int * int, template) Hashtbl.t;
+}
+
+let profile plan (task : Task.t) =
+  match Hashtbl.find_opt plan.profiles task.Task.id with
+  | Some p when p.task == task -> Some p
+  | _ -> None
+
+(* Record [d], a decision on the release keyed [(mask, delta)], through
+   [pos] (jid -> position, raising [Not_found] for a job outside the
+   release, which leaves the table unchanged). *)
+let learn plan ~mask ~delta ~pos (d : Scheduler.decision) =
+  if
+    Hashtbl.length plan.patterns < max_patterns
+    && not (Hashtbl.mem plan.patterns (mask, delta))
+  then
+    match
+      {
+        t_dispatch =
+          (match d.Scheduler.dispatch with
+          | None -> -1
+          | Some j -> pos j.Job.jid);
+        t_rejected = Array.of_list (List.map pos d.Scheduler.rejected);
+        t_schedule =
+          Array.of_list
+            (List.map (fun j -> pos j.Job.jid) d.Scheduler.schedule);
+        t_ops = d.Scheduler.ops;
+      }
+    with
+    | tpl -> Hashtbl.replace plan.patterns (mask, delta) tpl
+    | exception Not_found -> ()
+
+(* Run the real decider on a synthetic fresh release of [tasks] (in
+   list order, jid = position, arrival = 0, decided at the release
+   instant) and record it under [mask]. *)
+let synthesise plan ~remaining ~mask tasks =
+  let jobs =
+    Array.of_list
+      (List.mapi (fun i task -> Job.create ~task ~jid:i ~arrival:0) tasks)
+  in
+  let d = (Rua_lock_free.make ()).Scheduler.decide ~now:0 ~jobs ~remaining in
+  learn plan ~mask ~delta:0 ~pos:Fun.id d
+
+let plan ~tasks ~remaining =
+  let plan = { profiles = Hashtbl.create 64; patterns = Hashtbl.create 64 } in
+  let sorted =
+    List.sort (fun (a : Task.t) (b : Task.t) -> Int.compare a.Task.id b.Task.id)
+      tasks
+  in
+  List.iteri
+    (fun slot task ->
+      Hashtbl.replace plan.profiles task.Task.id
+        {
+          task;
+          slot;
+          critical = Task.critical_time task;
+          fresh_rem = remaining (Job.create ~task ~jid:0 ~arrival:0);
+        })
+    sorted;
+  (* Ahead of time: each singleton release, plus the full synchronized
+     release, at the release instant. *)
+  List.iteri
+    (fun slot task ->
+      if slot < mask_bits then
+        synthesise plan ~remaining ~mask:(1 lsl slot) [ task ])
+    sorted;
+  let n = List.length sorted in
+  if n > 1 && n <= mask_bits then
+    synthesise plan ~remaining ~mask:((1 lsl n) - 1) sorted;
+  plan
+
+(* --- the scheduler ------------------------------------------------------ *)
+
 type t = {
-  plan : Specialize.t;
+  plan : plan;
   fallback : Scheduler.t;
   algo : algo;
-  fallback_len : int;
   mutable n_decides : int;
-  mutable n_fast : int;
   mutable n_pattern : int;
   mutable n_delegated : int;
-  mutable n_new_shape : int;
-  mutable n_deadline : int;
-  mutable n_abort : int;
-  mutable n_chain : int;
-  mutable n_respec : int;
-  mutable abort_pending : bool;
-  mutable fb_window : int;
-  (* fast-path store: the last served decision plus everything needed
-     to prove it still holds, one state code per array index *)
-  mutable armed : bool;
-  mutable jobs_arr : Job.t array;
-  mutable prev_now : int;
-  mutable window_end : int;
-  mutable scode : int array;
-  mutable active : bool array;
-  mutable srem : int array;
-  mutable spud : float array;
-  mutable sprof : Specialize.profile option array;
-  mutable decision : Scheduler.decision;
   (* scratch: array index of the p-th live job, for pattern replay *)
   mutable live_idx : int array;
 }
 
-let sentinel = Slack_tree.sentinel
-
-(* One int captures everything the decision depends on about a job's
-   state: dead entries collapse to -1 ([Completed]/[Aborted] decide
-   identically — not at all), and distinct blocking objects get
-   distinct codes so a lock-chain rewiring never aliases. *)
-let code_of (j : Job.t) =
-  match j.Job.state with
-  | Job.Ready -> 0
-  | Job.Running -> 1
-  | Job.Blocked obj -> 2 + obj
-  | Job.Completed | Job.Aborted -> -1
-
-let ensure_int n arr =
-  if Array.length arr >= n then arr else Array.make (max n 16) 0
-
-let ensure_bool n arr =
-  if Array.length arr >= n then arr else Array.make (max n 16) false
-
-let ensure_float n arr =
-  if Array.length arr >= n then arr else Array.make (max n 16) 0.0
-
-let ensure_opt n arr =
-  if Array.length arr >= n then arr else Array.make (max n 16) None
-
-let trigger t =
-  t.fb_window <- t.fallback_len;
-  t.armed <- false
-
-(* [Slack_tree.min_all] of the rebuild that produced [schedule],
-   recomputed from the schedule alone: the admitted set read in
-   position order with slack [eff_ct_p - sum of admitted rem <= p]. *)
-let min_slack_of_schedule ~remaining schedule =
-  let acc = ref 0 and ms = ref sentinel in
-  List.iter
-    (fun j ->
-      acc := !acc + remaining j;
-      ms := min !ms (Job.absolute_critical_time j - !acc))
-    schedule;
-  !ms
-
-(* --- fast path ---------------------------------------------------------- *)
-
-let fast_hit t ~now ~jobs ~remaining =
-  t.armed && jobs == t.jobs_arr && now >= t.prev_now && now <= t.window_end
-  &&
-  let n = Array.length jobs in
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < n do
-    let j = jobs.(!i) in
-    let code = code_of j in
-    let old = t.scode.(!i) in
-    if code <> old then begin
-      ok := false;
-      if code >= 2 || old >= 2 then begin
-        t.n_chain <- t.n_chain + 1;
-        trigger t
-      end
-    end
-    else if t.active.(!i) && t.algo = Rua_lf then begin
-      (* [Running] at the store: the one kind of job whose feasibility
-         inputs may drift without a state change. Everything else is
-         covered by the code compare plus the PUD-expiry window. *)
-      let rem = remaining j in
-      if rem <> t.srem.(!i) then ok := false
-      else
-        match t.sprof.(!i) with
-        | Some p ->
-          if
-            not
-              (Float.equal
-                 (p.Specialize.pud ~now ~arrival:j.Job.arrival ~rem)
-                 t.spud.(!i))
-          then ok := false
-        | None -> ok := false
-    end;
-    incr i
-  done;
-  !ok
-
-(* --- store -------------------------------------------------------------- *)
-
-let store t ~now ~jobs ~remaining (d : Scheduler.decision) =
-  let n = Array.length jobs in
-  t.scode <- ensure_int n t.scode;
-  t.active <- ensure_bool n t.active;
-  t.srem <- ensure_int n t.srem;
-  t.spud <- ensure_float n t.spud;
-  t.sprof <- ensure_opt n t.sprof;
-  t.jobs_arr <- jobs;
-  t.prev_now <- now;
-  t.decision <- d;
-  let expiry = ref max_int in
-  let known = ref true in
-  for i = 0 to n - 1 do
-    let j = jobs.(i) in
-    let code = code_of j in
-    t.scode.(i) <- code;
-    t.active.(i) <- code = 1;
-    if code >= 0 then (
-      match Specialize.profile t.plan j.Job.task with
-      | Some p ->
-        t.sprof.(i) <- Some p;
-        if t.algo = Rua_lf then begin
-          let rem = remaining j in
-          t.srem.(i) <- rem;
-          t.spud.(i) <- p.Specialize.pud ~now ~arrival:j.Job.arrival ~rem;
-          expiry :=
-            min !expiry
-              (p.Specialize.pud_expiry ~now ~arrival:j.Job.arrival ~rem)
-        end
-      | None -> known := false)
-    else t.sprof.(i) <- None
-  done;
-  if not !known then t.armed <- false
-  else begin
-    t.window_end <-
-      (match t.algo with
-      | Edf -> max_int (* EDF decisions are independent of [now] *)
-      | Rua_lf ->
-        min (min_slack_of_schedule ~remaining d.Scheduler.schedule) !expiry);
-    t.armed <- true
-  end
-
-(* --- pattern learning --------------------------------------------------- *)
-
-let learn_from t ~jobs ~k ~base ~delta ~mask ~remaining
-    (d : Scheduler.decision) =
-  let ok = ref true in
-  let pos_of_jid jid =
-    let rec go p =
-      if p >= k then begin
-        ok := false;
-        -1
-      end
-      else if jobs.(t.live_idx.(p)).Job.jid = jid then p
-      else go (p + 1)
-    in
-    go 0
-  in
-  let schedule =
-    List.map (fun j -> pos_of_jid j.Job.jid) d.Scheduler.schedule
-  in
-  let rejected = List.map pos_of_jid d.Scheduler.rejected in
-  let dispatch =
-    match d.Scheduler.dispatch with
-    | None -> -1
-    | Some j -> pos_of_jid j.Job.jid
-  in
-  if !ok then begin
-    let ms = min_slack_of_schedule ~remaining d.Scheduler.schedule in
-    let ms_rel = if ms = sentinel then sentinel else ms - base in
-    Specialize.learn t.plan ~mask ~delta
-      (Specialize.make_template ~dispatch ~rejected:(Array.of_list rejected)
-         ~schedule:(Array.of_list schedule) ~ops:d.Scheduler.ops
-         ~min_slack_rel:ms_rel)
-  end
-
-(* --- slow path ---------------------------------------------------------- *)
-
-let delegate_windowed t ~now ~jobs ~remaining =
-  t.fb_window <- t.fb_window - 1;
-  if t.fb_window = 0 then t.n_respec <- t.n_respec + 1;
-  t.armed <- false;
+let delegate t ~now ~jobs ~remaining =
   t.n_delegated <- t.n_delegated + 1;
   t.fallback.Scheduler.decide ~now ~jobs ~remaining
 
-let slow_path t ~now ~jobs ~remaining =
-  let n = Array.length jobs in
-  t.live_idx <- ensure_int n t.live_idx;
-  (* One scan: anomaly detection plus fresh-release accumulation. A
-     release is pattern-eligible iff every live job is [Ready] at its
-     task's fresh cost, all share one arrival, and (task id, jid) both
-     strictly increase along the array — which pins the position<->job
-     correspondence the templates are expressed in. *)
-  let unknown = ref false and missed = ref false in
-  let fresh = ref (t.algo = Rua_lf) in
-  let mask = ref 0 in
-  let base = ref min_int in
-  let last_tid = ref min_int and last_jid = ref min_int in
-  let max_crit = ref 0 in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    let j = jobs.(i) in
-    if Job.is_live j then begin
-      t.live_idx.(!k) <- i;
-      incr k;
-      match Specialize.profile t.plan j.Job.task with
-      | None ->
-        unknown := true;
-        fresh := false
-      | Some p ->
-        if now >= Job.absolute_critical_time j then missed := true;
-        if !fresh then
-          if
-            (match j.Job.state with Job.Ready -> false | _ -> true)
-            || p.Specialize.slot >= Specialize.mask_bits
-          then fresh := false
-          else begin
-            (if !base = min_int then base := j.Job.arrival
-             else if j.Job.arrival <> !base then fresh := false);
-            let tid = j.Job.task.Task.id in
-            if tid <= !last_tid || j.Job.jid <= !last_jid then fresh := false
-            else begin
-              last_tid := tid;
-              last_jid := j.Job.jid;
-              if remaining j <> p.Specialize.fresh_rem then fresh := false
-              else begin
-                mask := !mask lor (1 lsl p.Specialize.slot);
-                max_crit := max !max_crit p.Specialize.critical
-              end
-            end
-          end
-    end
-  done;
-  if !unknown then begin
-    (* New arrival shape: extend the plan now (re-specialisation),
-       serve from the dynamic decider while the window drains. *)
-    t.n_new_shape <- t.n_new_shape + 1;
-    Array.iter
-      (fun j ->
-        if Job.is_live j then ignore (Specialize.register t.plan j.Job.task))
-      jobs;
-    trigger t
-  end
-  else if !missed then begin
-    t.n_deadline <- t.n_deadline + 1;
-    trigger t
-  end;
-  if t.fb_window > 0 then delegate_windowed t ~now ~jobs ~remaining
-  else begin
-    let delta = now - !base in
-    let eligible =
-      !fresh && !k > 0 && !base >= 0 && delta >= 0
-      && !base + !max_crit < Specialize.exact_bound
-    in
-    let tpl =
-      if eligible then Specialize.find_template t.plan ~mask:!mask ~delta
-      else None
-    in
-    match tpl with
-    | Some tpl ->
-      t.n_pattern <- t.n_pattern + 1;
-      let get p = jobs.(t.live_idx.(p)) in
-      let dispatch =
-        if tpl.Specialize.t_dispatch < 0 then None
-        else Some (get tpl.Specialize.t_dispatch)
-      in
-      let rejected =
-        Array.fold_right
-          (fun p acc -> (get p).Job.jid :: acc)
-          tpl.Specialize.t_rejected []
-      in
-      let schedule =
-        Array.fold_right (fun p acc -> get p :: acc) tpl.Specialize.t_schedule
-          []
-      in
-      let d =
-        {
-          Scheduler.dispatch;
-          aborts = [];
-          rejected;
-          schedule;
-          ops = tpl.Specialize.t_ops;
-        }
-      in
-      store t ~now ~jobs ~remaining d;
-      d
-    | None ->
-      let d = t.fallback.Scheduler.decide ~now ~jobs ~remaining in
-      t.n_delegated <- t.n_delegated + 1;
-      if eligible then
-        learn_from t ~jobs ~k:!k ~base:!base ~delta ~mask:!mask ~remaining d;
-      store t ~now ~jobs ~remaining d;
-      d
-  end
+let replay t ~jobs tpl =
+  t.n_pattern <- t.n_pattern + 1;
+  let get p = jobs.(t.live_idx.(p)) in
+  {
+    Scheduler.dispatch =
+      (if tpl.t_dispatch < 0 then None else Some (get tpl.t_dispatch));
+    aborts = [];
+    rejected =
+      Array.fold_right (fun p acc -> (get p).Job.jid :: acc) tpl.t_rejected [];
+    schedule = Array.fold_right (fun p acc -> get p :: acc) tpl.t_schedule [];
+    ops = tpl.t_ops;
+  }
 
-(* --- decide ------------------------------------------------------------- *)
+(* A release is pattern-eligible iff every live job is [Ready] at its
+   planned task's fresh cost, all share one arrival, and (task id, jid)
+   both strictly increase along the array — which pins the
+   position<->job correspondence the templates are expressed in. The
+   scan stops at the first job that breaks this. *)
+let decide_rua t ~now ~jobs ~remaining =
+  let n = Array.length jobs in
+  if Array.length t.live_idx < n then t.live_idx <- Array.make (max n 16) 0;
+  let fresh = ref true and i = ref 0 and k = ref 0 in
+  let mask = ref 0 and base = ref min_int and max_crit = ref 0 in
+  let last_tid = ref min_int and last_jid = ref min_int in
+  while !fresh && !i < n do
+    let j = jobs.(!i) in
+    if Job.is_live j then begin
+      t.live_idx.(!k) <- !i;
+      incr k;
+      match (j.Job.state, profile t.plan j.Job.task) with
+      | Job.Ready, Some p
+        when p.slot < mask_bits
+             && (!base = min_int || j.Job.arrival = !base)
+             && j.Job.task.Task.id > !last_tid
+             && j.Job.jid > !last_jid
+             && remaining j = p.fresh_rem ->
+        base := j.Job.arrival;
+        last_tid := j.Job.task.Task.id;
+        last_jid := j.Job.jid;
+        mask := !mask lor (1 lsl p.slot);
+        max_crit := max !max_crit p.critical
+      | _ -> fresh := false
+    end;
+    incr i
+  done;
+  let k = !k and delta = now - !base in
+  if
+    !fresh && k > 0 && !base >= 0 && delta >= 0
+    && !base + !max_crit < exact_bound
+  then
+    match Hashtbl.find_opt t.plan.patterns (!mask, delta) with
+    | Some tpl -> replay t ~jobs tpl
+    | None ->
+      let d = delegate t ~now ~jobs ~remaining in
+      let pos jid =
+        let rec go p =
+          if p >= k then raise Not_found
+          else if jobs.(t.live_idx.(p)).Job.jid = jid then p
+          else go (p + 1)
+        in
+        go 0
+      in
+      learn t.plan ~mask:!mask ~delta ~pos d;
+      d
+  else delegate t ~now ~jobs ~remaining
 
 let decide t ~now ~jobs ~remaining =
   t.n_decides <- t.n_decides + 1;
-  if t.abort_pending then begin
-    t.abort_pending <- false;
-    t.n_abort <- t.n_abort + 1;
-    trigger t
-  end;
-  if t.fb_window > 0 then delegate_windowed t ~now ~jobs ~remaining
-  else if fast_hit t ~now ~jobs ~remaining then begin
-    t.n_fast <- t.n_fast + 1;
-    t.decision
-  end
-  else if t.fb_window > 0 then
-    (* the fast-path check itself flagged a chain-change anomaly *)
-    delegate_windowed t ~now ~jobs ~remaining
-  else slow_path t ~now ~jobs ~remaining
+  match t.algo with
+  | Edf -> delegate t ~now ~jobs ~remaining
+  | Rua_lf -> decide_rua t ~now ~jobs ~remaining
 
-let create ?(fallback_len = 8) ~plan ~fallback ~algo () =
-  if fallback_len < 1 then invalid_arg "Static_mode.create: fallback_len < 1";
+let create ~plan ~fallback ~algo =
   {
     plan;
     fallback;
     algo;
-    fallback_len;
     n_decides = 0;
-    n_fast = 0;
     n_pattern = 0;
     n_delegated = 0;
-    n_new_shape = 0;
-    n_deadline = 0;
-    n_abort = 0;
-    n_chain = 0;
-    n_respec = 0;
-    abort_pending = false;
-    fb_window = 0;
-    armed = false;
-    jobs_arr = [||];
-    prev_now = 0;
-    window_end = 0;
-    scode = [||];
-    active = [||];
-    srem = [||];
-    spud = [||];
-    sprof = [||];
-    decision = Scheduler.idle_decision;
     live_idx = [||];
   }
 
@@ -408,17 +224,9 @@ let scheduler t =
     decide = (fun ~now ~jobs ~remaining -> decide t ~now ~jobs ~remaining);
   }
 
-let notify_abort t = t.abort_pending <- true
-
 let stats t =
   {
     decides = t.n_decides;
-    fast_hits = t.n_fast;
     pattern_hits = t.n_pattern;
     delegated = t.n_delegated;
-    anomalies_new_shape = t.n_new_shape;
-    anomalies_deadline_miss = t.n_deadline;
-    anomalies_abort = t.n_abort;
-    anomalies_chain = t.n_chain;
-    respecialisations = t.n_respec;
   }

@@ -1,80 +1,65 @@
-(** Static-mode scheduler: serve decides from a {!Specialize} plan,
-    fall back to the dynamic decider on anomalies.
+(** Static-mode scheduler: serve fresh synchronized releases from an
+    ahead-of-time release-pattern table, delegate everything else to
+    the dynamic decider.
 
     The wrapper is {e observationally identical} to the dynamic decider
     it wraps — same decisions, same abstract [ops] charges, bit for bit
     — so Theorem-2 auditing and attribution remain valid in static
-    mode. It is a cache hierarchy, not a different algorithm:
+    mode. Each decide takes one of two paths:
 
-    - {e fast path}: a per-index state-code compare over the jobs array
-      (one int per job), valid while [now] is inside the stored window
-      (minimum schedule slack ∧ every live job's PUD-expiry). Jobs that
-      were [Running] at the store additionally revalidate remaining
-      cost and monomorphised PUD bitwise.
-    - {e pattern path}: a fresh synchronized release whose (task-subset
-      mask, time-since-release) key is in the plan's decision table is
-      answered by translating the stored template — no sort, no
-      admission loop.
-    - {e fallback}: everything else delegates to the wrapped dynamic
-      decider; fresh releases with unknown keys are learned from the
-      delegated decision.
+    - {e pattern}: a fresh synchronized release whose (task-subset
+      mask, time-since-release) key is in the plan's table is answered
+      by translating the stored template — no sort, no admission loop;
+    - {e delegation}: everything else runs the wrapped dynamic decider
+      (whose own validity cache serves steady states); a fresh release
+      with an unknown key is learned from the delegated decision.
 
-    Anomalies — a job of an unknown task ({e new arrival shape}), a
-    live job past its critical time ({e deadline miss}), an {e abort}
-    signalled via {!notify_abort}, or a lock-chain state change on the
-    fast path ({e chain change}) — force a window of [fallback_len]
-    consecutive delegated decides while the plan re-specialises
-    ({!Specialize.register}), then the static paths re-arm.
+    A job of a task the plan does not know makes its release
+    ineligible for a template; it is simply delegated. *)
 
-    Contract (the simulator's dispatch discipline guarantees it, and
-    the static differential suite mutates under it): between two
-    consecutive decides on the same jobs array, a job's [remaining]
-    cost may change only if the job was [Running] at the previous
-    decide or its observable state changed. *)
-
+module Task = Rtlf_model.Task
 module Job = Rtlf_model.Job
 
 type algo = Rua_lf | Edf
-(** Which dynamic decider is wrapped. [Edf] decisions are independent
-    of [now] and remaining cost, so its fast path skips the PUD window;
-    the pattern table is RUA-only (EDF's own cache is already O(n) flag
-    compares, and its [ops] charge counts dead array entries, which a
-    position template cannot reproduce). *)
+(** Which dynamic decider is wrapped. The pattern table is RUA-only
+    (EDF's own cache is already O(n) flag compares, and its [ops]
+    charge counts dead array entries, which a position template cannot
+    reproduce), so every [Edf] decide is delegated. *)
 
 type stats = {
   decides : int;
-  fast_hits : int;
   pattern_hits : int;
   delegated : int;  (** decides served by the wrapped dynamic decider *)
-  anomalies_new_shape : int;
-  anomalies_deadline_miss : int;
-  anomalies_abort : int;
-  anomalies_chain : int;
-  respecialisations : int;  (** completed fallback windows (re-arms) *)
 }
 
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
 
+type plan
+(** The release-pattern table of a fixed task set: the full decision
+    (dispatch, rejections, schedule order, charged [ops]) of the RUA
+    lock-free decider on a fresh synchronized release of a task
+    subset, keyed by (subset mask, time since release). Decisions are
+    translation-invariant in the common arrival, so one entry serves
+    every recurrence of the pattern. *)
+
+val plan : tasks:Task.t list -> remaining:(Job.t -> int) -> plan
+(** [plan ~tasks ~remaining] specialises [tasks] under the cost model
+    [remaining] (the same closure the simulator hands its schedulers).
+    Entries for the full set and each singleton, at the release
+    instant, are synthesised ahead of time; other subsets and offsets
+    are learned from delegated decisions, up to a fixed cap. Only the
+    first 62 tasks in id order take part in patterns. A plan may be
+    shared by several instances whose decides are serialized. *)
+
 type t
 
-val create :
-  ?fallback_len:int ->
-  plan:Specialize.t ->
-  fallback:Scheduler.t ->
-  algo:algo ->
-  unit ->
-  t
-(** [create ~plan ~fallback ~algo ()] wraps [fallback] (a
-    [Rua_lock_free.make ()] or [Edf.make ()] instance). [fallback_len]
-    (default 8) is the number of consecutive delegated decides after an
-    anomaly before the static paths re-arm. *)
+val create : plan:plan -> fallback:Scheduler.t -> algo:algo -> t
+(** [create ~plan ~fallback ~algo] wraps [fallback] (a
+    [Rua_lock_free.make ()] or [Edf.make ()] instance). *)
 
 val scheduler : t -> Scheduler.t
 (** The wrapped scheduler. Its [name] is the fallback's name — static
     mode changes how decisions are produced, not what they are. *)
-
-val notify_abort : t -> unit
-(** Signal an abort anomaly; the next decide opens a fallback window. *)
 
 val stats : t -> stats

@@ -5,15 +5,16 @@
     {!Rtlf_sim.Simulator.sched_mode}, asserts every figure-level metric
     of the two results is bit-identical (raising [Failure] otherwise —
     this experiment doubles as an end-to-end equivalence gate in CI),
-    and reports how the static layer served its decides: fast-path
-    hits, pattern-table hits, delegations to the dynamic decider,
-    anomalies, and the wall-clock cost of both runs.
+    and reports how the static layer served its decides: pattern-table
+    hits, delegations to the dynamic decider, and the wall-clock cost
+    of both runs.
 
     Three regimes probe the serving profile: [sparse] (light load —
     isolated releases replay ahead-of-time singleton templates),
     [steady] (the paper's base AL), and [overload] (AL > 1 — deadline
-    misses and aborts force fallback windows; the point is that the
-    results still match bit for bit). *)
+    misses and aborts leave few fresh releases, so nearly every decide
+    is delegated; the point is that the results still match bit for
+    bit). *)
 
 type row = {
   regime : string;

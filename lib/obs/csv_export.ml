@@ -121,17 +121,29 @@ let of_string s =
     if String.trim hd <> header then
       Error (Printf.sprintf "bad header %S (expected %S)" hd header)
     else begin
+      (* Line 1 is the header. A simulator trace never goes back in
+         time, so a row earlier than its predecessor is corrupt input,
+         not something attribution should try to make sense of. *)
+      let line_no = ref 1 and last = ref min_int in
       try
         let trace = Trace.create ~enabled:true () in
         List.iter
           (fun line ->
+            incr line_no;
             if String.trim line <> "" then begin
               let e = parse_row line in
+              if e.Trace.time < !last then
+                raise
+                  (Bad_row
+                     (Printf.sprintf
+                        "time_ns %d is before the previous row's %d: %s"
+                        e.Trace.time !last line));
+              last := e.Trace.time;
               Trace.record trace ~time:e.Trace.time e.Trace.kind
             end)
           rows;
         Ok trace
-      with Bad_row msg -> Error msg
+      with Bad_row msg -> Error (Printf.sprintf "line %d: %s" !line_no msg)
     end
 
 let read_file ~path =

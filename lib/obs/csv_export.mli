@@ -24,8 +24,9 @@ val of_string : string -> (Rtlf_sim.Trace.t, string) result
     a trace — the CSV export is lossless, so round-tripping preserves
     every entry. Rows written before the causal-attribution payload
     enrichment (no [at=]/[by=]/[lost=]/[handler=] extras) parse with
-    conservative defaults. Returns [Error] with a row-level message on
-    malformed input. *)
+    conservative defaults. Returns [Error] with a message naming the
+    line on malformed input, including a row whose [time_ns] is below
+    the previous row's. *)
 
 val read_file : path:string -> (Rtlf_sim.Trace.t, string) result
 (** [read_file ~path] is {!of_string} on the contents of [path]

@@ -102,14 +102,8 @@ let static_stats (res : Simulator.result) =
     Json.Obj
       [
         ("decides", Json.Int s.S.decides);
-        ("fast_hits", Json.Int s.S.fast_hits);
         ("pattern_hits", Json.Int s.S.pattern_hits);
         ("delegated", Json.Int s.S.delegated);
-        ("anomalies_new_shape", Json.Int s.S.anomalies_new_shape);
-        ("anomalies_deadline_miss", Json.Int s.S.anomalies_deadline_miss);
-        ("anomalies_abort", Json.Int s.S.anomalies_abort);
-        ("anomalies_chain", Json.Int s.S.anomalies_chain);
-        ("respecialisations", Json.Int s.S.respecialisations);
       ]
 
 let result (res : Simulator.result) =

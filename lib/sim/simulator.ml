@@ -13,7 +13,7 @@ module Scheduler = Rtlf_core.Scheduler
 type sched_kind = Edf | Edf_pip | Rua
 
 (* [Static] wraps each decider instance in [Static_mode] over a
-   [Specialize] plan built from the task set. Decisions and ops charges
+   release-pattern plan built from the task set. Decisions and ops charges
    are bit-identical to [Dynamic] (pinned by the static differential
    suite); only the cost of producing them changes. *)
 type sched_mode = Dynamic | Static
@@ -170,6 +170,16 @@ type state = {
   retry_tails : Stats.P2.tracker array; (* indexed by task id *)
 }
 
+let scheduler_name cfg =
+  (* Mirrors [make_scheduler] without building the lock table. *)
+  match cfg.sched with
+  | Edf -> "edf"
+  | Edf_pip -> "edf-pip"
+  | Rua -> (
+    match cfg.sync with
+    | Sync.Lock_based _ -> "rua-lock-based"
+    | Sync.Lock_free _ | Sync.Spin _ | Sync.Ideal -> "rua-lock-free")
+
 let validate cfg =
   if cfg.horizon <= 0 then invalid_arg "Simulator: horizon must be positive";
   if cfg.cores < 1 then invalid_arg "Simulator: need at least one core";
@@ -188,16 +198,19 @@ let validate cfg =
   match cfg.mode with
   | Dynamic -> ()
   | Static -> (
-    (* The static fast path revalidates decisions from job state codes
-       alone, so the wrapped decider must not consult hidden state:
-       [Rua_lock_based] and [Edf_pip] both read the lock table. *)
+    (* Pattern templates are keyed on job state alone and replay
+       [Rua_lock_free] decisions, so the wrapped decider must not
+       consult hidden state: [Rua_lock_based] and [Edf_pip] both read
+       the lock table. *)
     match (cfg.sched, cfg.sync) with
     | Edf, _ -> ()
     | Rua, (Sync.Lock_free _ | Sync.Spin _ | Sync.Ideal) -> ()
     | Rua, Sync.Lock_based _ | Edf_pip, _ ->
       invalid_arg
-        "Simulator: static mode requires a lock-oblivious decider (edf, or \
-         rua under lock-free/spin/ideal sync)")
+        (Printf.sprintf
+           "Simulator: static mode requires a lock-oblivious decider (edf, \
+            or rua under lock-free/spin/ideal sync; got %s)"
+           (scheduler_name cfg)))
 
 let make_scheduler cfg locks =
   match cfg.sched with
@@ -208,16 +221,6 @@ let make_scheduler cfg locks =
     | Sync.Lock_based _ -> Rtlf_core.Rua_lock_based.make ~locks
     | Sync.Lock_free _ | Sync.Spin _ | Sync.Ideal ->
       Rtlf_core.Rua_lock_free.make ())
-
-let scheduler_name cfg =
-  (* Mirrors [make_scheduler] without building the lock table. *)
-  match cfg.sched with
-  | Edf -> "edf"
-  | Edf_pip -> "edf-pip"
-  | Rua -> (
-    match cfg.sync with
-    | Sync.Lock_based _ -> "rua-lock-based"
-    | Sync.Lock_free _ | Sync.Spin _ | Sync.Ideal -> "rua-lock-free")
 
 (* Remaining CPU demand of a job including nominal sync overheads —
    what the scheduler uses for PUD and feasibility. Depends only on
@@ -326,9 +329,6 @@ let wait_for_lock st job obj =
   if not (is_spin st) then Cores.vacate st.cores ~jid:job.Job.jid
 
 let abort_job st job =
-  (* Aborts are a static-mode anomaly: each instance opens a fallback
-     window at its next decide. *)
-  Array.iter Rtlf_core.Static_mode.notify_abort st.statics;
   (match st.cfg.sync with
   | Sync.Lock_based _ | Sync.Spin _ ->
     let released = Lock_manager.release_all st.locks ~jid:job.Job.jid in
@@ -1011,7 +1011,7 @@ let run cfg =
          reused across instances (all mutation happens inside decide
          calls, which the virtual clock serializes). *)
       let plan =
-        Rtlf_core.Specialize.plan ~tasks:cfg.tasks
+        Rtlf_core.Static_mode.plan ~tasks:cfg.tasks
           ~remaining:(remaining_cost cfg.sync)
       in
       let algo =
@@ -1021,7 +1021,7 @@ let run cfg =
       in
       Array.init n_schedulers (fun _ ->
           Rtlf_core.Static_mode.create ~plan
-            ~fallback:(make_scheduler cfg locks) ~algo ())
+            ~fallback:(make_scheduler cfg locks) ~algo)
   in
   let st =
     {

@@ -34,13 +34,12 @@ type sched_kind =
 type sched_mode =
   | Dynamic  (** the deciders interpret the task set on every invocation *)
   | Static
-      (** serve decides from a {!Rtlf_core.Specialize} plan via
-          {!Rtlf_core.Static_mode}, falling back to the dynamic decider
-          on anomalies (new arrival shape, deadline miss, abort, chain
-          change). Decisions and [ops] charges are bit-identical to
-          [Dynamic] — pinned by the static differential suite — so every
-          figure-level metric matches; only wall-clock decide cost
-          changes. Requires a lock-oblivious decider: [Edf], or [Rua]
+      (** serve fresh synchronized releases from the release-pattern
+          table of {!Rtlf_core.Static_mode}, delegating every other
+          decide to the dynamic decider. Decisions and [ops] charges
+          are bit-identical to [Dynamic] — pinned by the static
+          differential suite — so every figure-level metric matches;
+          only wall-clock decide cost changes. Requires a lock-oblivious decider: [Edf], or [Rua]
           under lock-free/spin/ideal sync ({!run} raises
           [Invalid_argument] otherwise). *)
 
@@ -147,8 +146,8 @@ type result = {
           every resolved job checked against its task's retry budget *)
   trace : Trace.t;
   static : Rtlf_core.Static_mode.stats option;
-      (** static-mode serving statistics (fast hits, pattern hits,
-          delegations, anomalies), summed over scheduler instances;
+      (** static-mode serving statistics (decides, pattern hits,
+          delegations), summed over scheduler instances;
           [None] for dynamic runs *)
 }
 

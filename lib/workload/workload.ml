@@ -107,7 +107,16 @@ let make spec =
       let exec =
         max 1 (int_of_float (float_of_int spec.mean_exec *. factor))
       in
-      let c = max 1 (int_of_float (float_of_int exec /. per_task_load)) in
+      (* Critical times are whole nanoseconds: a load so high that one
+         falls below 1 ns has no meaningful task set. *)
+      let c_ns = float_of_int exec /. per_task_load in
+      if c_ns < 1.0 then
+        invalid_arg
+          (Printf.sprintf
+             "Workload: target_al %g gives task %d a critical time below 1 \
+              ns (%g ns)"
+             spec.target_al i c_ns);
+      let c = int_of_float c_ns in
       (* Scale the window by the generator's empirical arrivals-per-
          window so the offered utilization tracks AL: with [rate] jobs
          per window of [rate·window_factor·C], per-task utilization is

@@ -51,7 +51,8 @@ val make : spec -> Rtlf_model.Task.t list
 
     Raises [Invalid_argument] with a ["Workload: "]-prefixed message
     naming the bad value on nonsensical specs (no tasks, non-positive
-    or non-finite load, window factor below 1, …). *)
+    or non-finite load, a load so high that a critical time falls
+    below 1 ns, window factor below 1, …). *)
 
 val actual_load : Rtlf_model.Task.t list -> float
 (** [actual_load tasks] recomputes [Σ uᵢ/Cᵢ] from the synthesised

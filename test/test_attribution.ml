@@ -434,6 +434,25 @@ let test_csv_round_trip_preserves_attribution () =
         Alcotest.(check int) "idle" x.Attribution.idle y.Attribution.idle)
       a1.Attribution.jobs a2.Attribution.jobs
 
+let test_csv_rejects_time_reversal () =
+  let csv =
+    String.concat "\n"
+      [
+        Csv.header;
+        "0,arrive,0,,task=0;at=0";
+        "5,start,0,,core=0";
+        "3,complete,0,,";
+        "";
+      ]
+  in
+  match Csv.of_string csv with
+  | Ok _ -> Alcotest.fail "time-reversed trace accepted"
+  | Error msg ->
+    Alcotest.(check bool)
+      ("error names line 4 and the time: " ^ msg)
+      true
+      (String.starts_with ~prefix:"line 4: time_ns 3 is before" msg)
+
 let () =
   Test_support.run "attribution"
     [
@@ -474,5 +493,7 @@ let () =
         [
           Alcotest.test_case "round-trip preserves decomposition" `Quick
             test_csv_round_trip_preserves_attribution;
+          Alcotest.test_case "time-reversed rows rejected" `Quick
+            test_csv_rejects_time_reversal;
         ] );
     ]

@@ -44,14 +44,11 @@ let test_inheritance_direct () =
   (match Lock_manager.request locks ~jid:1 ~obj:0 with
   | Lock_manager.Blocked_on _ -> urgent.Job.state <- Job.Blocked 0
   | Lock_manager.Granted -> Alcotest.fail "expected block");
-  let by_jid = Hashtbl.create 4 in
-  List.iter
-    (fun j -> Hashtbl.replace by_jid j.Job.jid j)
-    [ holder; urgent ];
+  let jobs = [| holder; urgent |] in
   Alcotest.(check int) "holder inherits ct=100" 100
-    (Edf_pip.effective_critical_time ~locks ~by_jid holder);
+    (Edf_pip.effective_critical_time ~locks ~jobs holder);
   Alcotest.(check int) "urgent keeps its own" 100
-    (Edf_pip.effective_critical_time ~locks ~by_jid urgent)
+    (Edf_pip.effective_critical_time ~locks ~jobs urgent)
 
 let test_inheritance_transitive () =
   (* j2(ct 100) waits on j1(ct 500) waits on j0(ct 900): j0 inherits
@@ -68,10 +65,8 @@ let test_inheritance_transitive () =
   (match Lock_manager.request locks ~jid:2 ~obj:1 with
   | Lock_manager.Blocked_on _ -> j2.Job.state <- Job.Blocked 1
   | Lock_manager.Granted -> Alcotest.fail "expected block");
-  let by_jid = Hashtbl.create 4 in
-  List.iter (fun j -> Hashtbl.replace by_jid j.Job.jid j) [ j0; j1; j2 ];
   Alcotest.(check int) "transitive inheritance" 100
-    (Edf_pip.effective_critical_time ~locks ~by_jid j0)
+    (Edf_pip.effective_critical_time ~locks ~jobs:[| j0; j1; j2 |] j0)
 
 let test_dispatches_inheriting_holder () =
   (* Three jobs: holder (late ct), urgent blocked on it, and an
@@ -94,10 +89,8 @@ let test_dispatches_inheriting_holder () =
 let test_no_inheritance_without_blocking () =
   let locks = with_locks () in
   let a = job ~jid:0 ~ct:900 ~rem:10 in
-  let by_jid = Hashtbl.create 1 in
-  Hashtbl.replace by_jid 0 a;
   Alcotest.(check int) "own ct" 900
-    (Edf_pip.effective_critical_time ~locks ~by_jid a)
+    (Edf_pip.effective_critical_time ~locks ~jobs:[| a |] a)
 
 (* --- end-to-end ------------------------------------------------------------ *)
 

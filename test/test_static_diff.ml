@@ -1,23 +1,20 @@
-(* Differential oracle for static mode (ahead-of-time specialisation).
+(* Differential oracle for static mode (the release-pattern table).
 
-   [Static_mode] over a [Specialize] plan must be observationally
+   [Static_mode] over a release-pattern plan must be observationally
    identical to the dynamic decider it wraps — dispatch, aborts,
    rejected, schedule order AND the charged [ops] count — whichever
-   path served the decide (fast hit, pattern-template replay, or
-   delegation during an anomaly fallback window). Four layers:
+   path served the decide (pattern-template replay or delegation).
+   Three layers:
 
-   - kernel: the plan's monomorphised PUD kernels are bitwise equal to
-     [Pud.of_job] across every TUF shape, and constant over the window
-     their expiry promises;
    - scene: fresh static instances vs the list-based [Reference] across
      seeded scenes (>= 100), including synchronized-release scenes that
      exercise the ahead-of-time and learned pattern templates;
    - sequence: a persistent static instance against an evolving jobs
      array through seeded mutation sequences that respect the
      simulator's dispatch contract (remaining cost only moves for jobs
-     that were Running or whose state changed), with every anomaly
-     class forced — unknown tasks, deadline misses, notify_abort,
-     lock-chain flips, array replacement on release;
+     that were Running or whose state changed) — unknown tasks,
+     deadline misses, aborts, lock-chain flips, array replacement on
+     release — compared to [Reference] at every step;
    - simulator: [Simulator.run] in Static vs Dynamic mode, field for
      field and trace entry for trace entry, across sync x scheduler x
      cores x dispatch.
@@ -30,8 +27,6 @@ module Task = Rtlf_model.Task
 module Job = Rtlf_model.Job
 module Scheduler = Rtlf_core.Scheduler
 module Reference = Rtlf_core.Reference
-module Pud = Rtlf_core.Pud
-module Specialize = Rtlf_core.Specialize
 module Static_mode = Rtlf_core.Static_mode
 module Sync = Rtlf_sim.Sync
 module Simulator = Rtlf_sim.Simulator
@@ -59,48 +54,6 @@ let mk_task rs ~id =
   Task.make ~id ~tuf:(mk_tuf rs ~ct)
     ~arrival:(Uam.periodic ~period:(2 * ct))
     ~exec ()
-
-(* --- kernel layer ------------------------------------------------------ *)
-
-let test_pud_kernels () =
-  let rs = Test_support.rand_state () in
-  let tasks = List.init 40 (fun id -> mk_task rs ~id) in
-  let plan = Specialize.plan ~tasks ~remaining in
-  List.iter
-    (fun task ->
-      let p =
-        match Specialize.profile plan task with
-        | Some p -> p
-        | None -> Alcotest.fail "planned task has no profile"
-      in
-      for _ = 1 to 25 do
-        let arrival = Random.State.int rs 5_000 in
-        let now = arrival + Random.State.int rs 4_000 in
-        let rem = Random.State.int rs 300 in
-        let job = Job.create ~task ~jid:0 ~arrival in
-        let expect = Pud.of_job ~now ~remaining:(fun _ -> rem) job in
-        let got = p.Specialize.pud ~now ~arrival ~rem in
-        if not (Float.equal expect got) then
-          Alcotest.failf "pud mismatch %a: now=%d arrival=%d rem=%d: %h <> %h"
-            Tuf.pp task.Task.tuf now arrival rem expect got;
-        (* Constancy over the promised expiry window. *)
-        if rem > 0 then begin
-          let e = p.Specialize.pud_expiry ~now ~arrival ~rem in
-          Alcotest.(check bool) "expiry >= now" true (e >= now);
-          let cap = min e (now + 4_000) in
-          List.iter
-            (fun now' ->
-              if now' >= now && now' <= cap then
-                let got' = p.Specialize.pud ~now:now' ~arrival ~rem in
-                if not (Float.equal got got') then
-                  Alcotest.failf
-                    "pud drifted inside expiry window %a: now=%d now'=%d \
-                     expiry=%d arrival=%d rem=%d"
-                    Tuf.pp task.Task.tuf now now' e arrival rem)
-            [ now + 1; (now + cap) / 2; cap ]
-        end
-      done)
-    tasks
 
 (* --- scene layer ------------------------------------------------------- *)
 
@@ -131,11 +84,11 @@ let make_static ~plan kind =
   | `Rua ->
     Static_mode.create ~plan
       ~fallback:(Rtlf_core.Rua_lock_free.make ())
-      ~algo:Static_mode.Rua_lf ()
+      ~algo:Static_mode.Rua_lf
   | `Edf ->
     Static_mode.create ~plan
       ~fallback:(Rtlf_core.Edf.make ())
-      ~algo:Static_mode.Edf ()
+      ~algo:Static_mode.Edf
 
 let reference_of = function
   | `Rua -> Reference.rua_lock_free ()
@@ -167,7 +120,7 @@ let run_scenes kind () =
       for rep = 1 to 14 do
         incr count;
         let tasks = List.init n (fun id -> mk_task rs ~id) in
-        let plan = Specialize.plan ~tasks ~remaining in
+        let plan = Static_mode.plan ~tasks ~remaining in
         let static = make_static ~plan kind in
         let sched = Static_mode.scheduler static in
         let jobs = scene rs ~tasks ~n in
@@ -176,15 +129,15 @@ let run_scenes kind () =
         let expected = reference.Scheduler.decide ~now ~jobs ~remaining in
         let msg = Printf.sprintf "scene n=%d rep=%d" n rep in
         check_same ~msg expected (sched.Scheduler.decide ~now ~jobs ~remaining);
-        (* Same scene again on the same instance: whichever static path
-           answers (fast hit included) must still match. *)
+        (* Same scene again on the same instance, its wrapped
+           decider's cache now warm: must still match. *)
         check_same ~msg:(msg ^ " (rerun)") expected
           (sched.Scheduler.decide ~now ~jobs ~remaining);
         (* Synchronized release: every task releases one fresh job at a
-           common arrival. Decided on two physically distinct arrays so
-           the second cannot fast-hit — it must come from the pattern
-           table (ahead-of-time at delta=0, learned otherwise) or a
-           delegation, and match either way. *)
+           common arrival, decided on two physically distinct arrays.
+           Under RUA the second comes from the pattern table
+           (ahead-of-time at delta=0, learned from the first
+           otherwise); both must match. *)
         incr count;
         let base = Random.State.int rs 10_000 in
         let delta = if Random.State.bool rs then 0 else Random.State.int rs 60 in
@@ -201,6 +154,17 @@ let run_scenes kind () =
           (sched.Scheduler.decide ~now:bnow ~jobs:b1 ~remaining);
         check_same ~msg:(msg ^ " (replay)") expected
           (sched.Scheduler.decide ~now:bnow ~jobs:b2 ~remaining);
+        (* The same release after some jobs ran and were preempted:
+           same key, but no longer fresh, so no template may serve it. *)
+        let b3 = burst () in
+        Array.iter
+          (fun j ->
+            if Random.State.bool rs && remaining j > 1 then
+              j.Job.seg_progress <- 1 + Random.State.int rs (remaining j - 1))
+          b3;
+        check_same ~msg:(msg ^ " (progressed)")
+          ((reference_of kind).Scheduler.decide ~now:bnow ~jobs:b3 ~remaining)
+          (sched.Scheduler.decide ~now:bnow ~jobs:b3 ~remaining);
         pattern_hits :=
           !pattern_hits + (Static_mode.stats static).Static_mode.pattern_hits
       done)
@@ -211,7 +175,7 @@ let run_scenes kind () =
   if kind = `Rua then
     Alcotest.(check bool) "pattern path exercised" true (!pattern_hits > 0)
 
-(* --- sequence layer (forced fallbacks) --------------------------------- *)
+(* --- sequence layer ----------------------------------------------------- *)
 
 (* Mutations follow the simulator's dispatch discipline: only Running
    jobs burn remaining cost, and every other change is an observable
@@ -226,9 +190,9 @@ let run_sequences kind () =
         let all_tasks = List.init (n + 8) (fun id -> mk_task rs ~id) in
         let tasks = List.filteri (fun i _ -> i < n) all_tasks in
         (* Plan over a strict subset of the tasks the sequence will
-           release: the rest arrive as new shapes. *)
+           release: the rest are unknown to the plan. *)
         let planned = List.filteri (fun i _ -> i < max 1 (n / 2)) tasks in
-        let plan = Specialize.plan ~tasks:planned ~remaining in
+        let plan = Static_mode.plan ~tasks:planned ~remaining in
         let static = make_static ~plan kind in
         let sched = Static_mode.scheduler static in
         let jobs =
@@ -271,12 +235,9 @@ let run_sequences kind () =
             let j = arr.(Random.State.int rs m) in
             if Job.is_live j then j.Job.state <- Job.Completed
           | 7 ->
-            (* Abort: the simulator notifies every static instance. *)
+            (* Abort. *)
             let j = arr.(Random.State.int rs m) in
-            if Job.is_live j then begin
-              j.Job.state <- Job.Aborted;
-              Static_mode.notify_abort static
-            end
+            if Job.is_live j then j.Job.state <- Job.Aborted
           | 8 ->
             (* Deadline pressure: jump the clock far enough that some
                live job's critical time has passed. *)
@@ -308,61 +269,12 @@ let run_sequences kind () =
         total := Static_mode.add_stats !total (Static_mode.stats static)
       done)
     [ 1; 4; 16; 48 ];
-  (* The sweep must actually have forced fallbacks of every flavour —
-     a suite that never leaves the fast path pins nothing. *)
   let s = !total in
-  Alcotest.(check bool) "new-shape anomalies forced" true
-    (s.Static_mode.anomalies_new_shape > 0);
-  Alcotest.(check bool) "abort anomalies forced" true
-    (s.Static_mode.anomalies_abort > 0);
-  Alcotest.(check bool) "deadline-miss anomalies forced" true
-    (s.Static_mode.anomalies_deadline_miss > 0);
-  Alcotest.(check bool) "respecialisations completed" true
-    (s.Static_mode.respecialisations > 0);
-  Alcotest.(check bool) "fast path exercised" true
-    (s.Static_mode.fast_hits > 0)
-
-(* Chain anomalies need a fast-path-armed store to flip under; random
-   sequences reach that rarely, so force it deterministically. Step
-   TUFs keep the PUD window open across several instants (the other
-   shapes expire immediately), so the decides below genuinely arm. *)
-let test_chain_anomaly () =
-  let rs = Test_support.rand_state () in
-  let tasks =
-    List.init 6 (fun id ->
-        let ct = 500 + Random.State.int rs 500 in
-        Task.make ~id
-          ~tuf:(Tuf.step ~height:10.0 ~c:ct)
-          ~arrival:(Uam.periodic ~period:(2 * ct))
-          ~exec:(1 + Random.State.int rs 100)
-          ())
-  in
-  let plan = Specialize.plan ~tasks ~remaining in
-  let static = make_static ~plan `Rua in
-  let sched = Static_mode.scheduler static in
-  let jobs =
-    Array.of_list
-      (List.mapi (fun jid t -> Job.create ~task:t ~jid ~arrival:0) tasks)
-  in
-  let decide now =
-    let expected =
-      (reference_of `Rua).Scheduler.decide ~now ~jobs ~remaining
-    in
-    check_same
-      ~msg:(Printf.sprintf "chain now=%d" now)
-      expected
-      (sched.Scheduler.decide ~now ~jobs ~remaining)
-  in
-  decide 0;
-  decide 1;
-  (* armed *)
-  jobs.(2).Job.state <- Job.Blocked 0;
-  decide 2;
-  jobs.(2).Job.state <- Job.Ready;
-  decide 3;
-  let s = Static_mode.stats static in
-  Alcotest.(check bool) "chain anomaly counted" true
-    (s.Static_mode.anomalies_chain > 0)
+  Alcotest.(check bool) "delegation exercised" true
+    (s.Static_mode.delegated > 0);
+  Alcotest.(check int) "every decide accounted to a path"
+    s.Static_mode.decides
+    (s.Static_mode.pattern_hits + s.Static_mode.delegated)
 
 (* --- simulator layer --------------------------------------------------- *)
 
@@ -456,8 +368,7 @@ let test_simulator_identical () =
                       (s.Static_mode.decides > 0);
                     Alcotest.(check int) "every decide accounted to a path"
                       s.Static_mode.decides
-                      (s.Static_mode.fast_hits + s.Static_mode.pattern_hits
-                     + s.Static_mode.delegated))
+                      (s.Static_mode.pattern_hits + s.Static_mode.delegated))
                 [
                   (1, Cores.Global, "global");
                   (2, Cores.Global, "global");
@@ -490,11 +401,6 @@ let test_static_mode_validation () =
 let () =
   Test_support.run "static_diff"
     [
-      ( "kernels",
-        [
-          Alcotest.test_case "monomorphised pud bitwise = Pud.of_job" `Quick
-            test_pud_kernels;
-        ] );
       ( "scenes",
         [
           Alcotest.test_case "rua static = reference" `Quick (run_scenes `Rua);
@@ -506,7 +412,6 @@ let () =
             (run_sequences `Rua);
           Alcotest.test_case "edf sequences + forced fallbacks" `Quick
             (run_sequences `Edf);
-          Alcotest.test_case "chain anomaly" `Quick test_chain_anomaly;
         ] );
       ( "simulator",
         [

@@ -111,7 +111,13 @@ let test_validation () =
     { spec with Workload.window_factor = 0.5 };
   expect_invalid "accesses without objects"
     { spec with Workload.n_objects = 0; accesses_per_job = 2 };
-  expect_invalid "burst 0" { spec with Workload.burst = 0 }
+  expect_invalid "burst 0" { spec with Workload.burst = 0 };
+  (* A finite but huge load would put critical times below 1 ns. *)
+  match Workload.make { spec with Workload.target_al = 1e300 } with
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "huge-load message names the load" true
+      (String.starts_with ~prefix:"Workload: target_al 1e+300 " msg)
+  | _ -> Alcotest.fail "huge load accepted"
 
 let test_exec_diversity () =
   let tasks = Workload.make { spec with Workload.n_tasks = 20 } in
