@@ -63,14 +63,73 @@ let drop_nans xs =
     Array.of_list (List.filter (fun x -> not (Float.is_nan x)) (Array.to_list xs))
   else xs
 
-let percentile xs ~p =
-  if Array.length xs = 0 then invalid_arg "Stats.percentile: empty array";
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let kept = drop_nans xs in
-  let n = Array.length kept in
-  if n = 0 then invalid_arg "Stats.percentile: no non-NaN samples";
-  let sorted = if kept == xs then Array.copy kept else kept in
-  Array.sort Float.compare sorted;
+(* Float-specialised port of Stdlib's [Array.sort] (a ternary heap
+   sort), so the result is the very permutation [Array.sort
+   Float.compare] produces — down to the order of [-0.0] and [0.0],
+   which compare equal. The polymorphic version boxes every float it
+   hands to the comparison; this one reads the flat array directly.
+   [fcmp] is [Float.compare]: NaN sorts below everything else. *)
+let fcmp (x : float) (y : float) =
+  if x < y then -1
+  else if x > y then 1
+  else if x = y then 0
+  else Bool.to_int (Float.is_nan y) - Bool.to_int (Float.is_nan x)
+
+(* Index of the largest of [i]'s three sons in the heap prefix [0, l),
+   or -1 when [i] has none (Stdlib's [Bottom i]). *)
+let maxson (a : float array) l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if fcmp a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+    if fcmp a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+  end
+  else if i31 + 1 < l && fcmp a.(i31) a.(i31 + 1) < 0 then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let rec trickle (a : float array) l i e =
+  let j = maxson a l i in
+  if j >= 0 && fcmp a.(j) e > 0 then begin
+    a.(i) <- a.(j);
+    trickle a l j e
+  end
+  else a.(i) <- e
+
+let rec bubble (a : float array) l i =
+  let j = maxson a l i in
+  if j < 0 then i
+  else begin
+    a.(i) <- a.(j);
+    bubble a l j
+  end
+
+let rec trickleup (a : float array) i e =
+  let father = (i - 1) / 3 in
+  if fcmp a.(father) e < 0 then begin
+    a.(i) <- a.(father);
+    if father > 0 then trickleup a father e else a.(0) <- e
+  end
+  else a.(i) <- e
+
+let sort_floats (a : float array) =
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle a l i a.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup a (bubble a i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
+(* [sorted] is non-empty, NaN-free and ascending. *)
+let percentile_sorted sorted ~p =
+  let n = Array.length sorted in
   let rank = p /. 100.0 *. float_of_int (n - 1) in
   let lo = int_of_float (floor rank) in
   let hi = int_of_float (ceil rank) in
@@ -78,6 +137,16 @@ let percentile xs ~p =
   else
     let frac = rank -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+
+let percentile xs ~p =
+  if Array.length xs = 0 then invalid_arg "Stats.percentile: empty array";
+  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
+  let kept = drop_nans xs in
+  if Array.length kept = 0 then
+    invalid_arg "Stats.percentile: no non-NaN samples";
+  let sorted = if kept == xs then Array.copy kept else kept in
+  sort_floats sorted;
+  percentile_sorted sorted ~p
 
 let percentile_opt xs ~p =
   if Array.exists (fun x -> not (Float.is_nan x)) xs then
@@ -127,7 +196,9 @@ let histogram ?(bins = 10) xs =
   if n = 0 then empty_histogram
   else
     let s = of_array xs in
-    let q p = percentile xs ~p in
+    let sorted = Array.copy xs in
+    sort_floats sorted;
+    let q p = percentile_sorted sorted ~p in
     let lo = s.min in
     let width =
       let span = s.max -. lo in
@@ -234,7 +305,7 @@ module P2 = struct
       if t.count < 5 then begin
         t.q.(t.count) <- x;
         t.count <- t.count + 1;
-        if t.count = 5 then Array.sort Float.compare t.q
+        if t.count = 5 then sort_floats t.q
       end
       else begin
         (* Locate the marker cell and clamp the extremes. *)
@@ -285,7 +356,7 @@ module P2 = struct
       (* Exact over the retained prefix, same interpolation as
          [percentile]. *)
       let sorted = Array.sub t.q 0 t.count in
-      Array.sort Float.compare sorted;
+      sort_floats sorted;
       let rank = t.p *. float_of_int (t.count - 1) in
       let lo = int_of_float (floor rank) in
       let hi = int_of_float (ceil rank) in

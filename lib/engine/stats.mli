@@ -44,6 +44,12 @@ val percentile : float array -> p:float -> float
     [Invalid_argument] on an empty array, on an array with no non-NaN
     sample, or on out-of-range [p]. *)
 
+val sort_floats : float array -> unit
+(** [sort_floats a] sorts [a] in place into exactly the permutation
+    [Array.sort Float.compare a] produces (a float-specialised port of
+    the same heap sort, so [-0.0]/[0.0] ties land where the standard
+    library puts them), without boxing a float per comparison. *)
+
 val percentile_opt : float array -> p:float -> float option
 (** [percentile_opt xs ~p] is the total variant of {!percentile}:
     [None] when there is no usable (non-NaN) sample instead of

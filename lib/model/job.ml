@@ -19,13 +19,13 @@ type t = {
   mutable last_core : int;
 }
 
-let create ~task ~jid ~arrival =
+let of_segments ~task ~segments ~jid ~arrival =
   {
     task;
     jid;
     arrival;
     state = Ready;
-    segments = Task.segments task;
+    segments;
     seg_progress = 0;
     holding = [];
     lock_pending = false;
@@ -38,6 +38,9 @@ let create ~task ~jid ~arrival =
     accrued = 0.0;
     last_core = -1;
   }
+
+let create ~task ~jid ~arrival =
+  of_segments ~task ~segments:(Task.segments task) ~jid ~arrival
 
 let absolute_critical_time j = j.arrival + Task.critical_time j.task
 

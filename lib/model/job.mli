@@ -43,6 +43,12 @@ val create : task:Task.t -> jid:int -> arrival:int -> t
 (** [create ~task ~jid ~arrival] is a fresh [Ready] job with the full
     segment profile. *)
 
+val of_segments :
+  task:Task.t -> segments:Segment.t list -> jid:int -> arrival:int -> t
+(** [of_segments ~task ~segments ~jid ~arrival] is [create] with the
+    profile [Task.segments task] already built: a simulator builds each
+    task's (immutable) list once per run and shares it between jobs. *)
+
 val absolute_critical_time : t -> int
 (** [absolute_critical_time j] is [arrival + Cᵢ]. *)
 

@@ -23,47 +23,73 @@ let min_arrivals_in law ~span =
 (* Next arrival must be
    - at or after [times[n-a] + w]  (max side), and
    - at or before [times[n-l] + w] (min side, l >= 1),
-   where times is the history so far. We keep a circular buffer of the
-   last [a] arrival times. *)
-let generate law g ~start ~horizon =
-  if horizon <= start then []
+   where times is the history so far. The cursor keeps a circular
+   buffer of the last [a] arrival times and draws one arrival ahead. *)
+type cursor = {
+  law : t;
+  g : Prng.t;
+  start : int;
+  horizon : int;
+  hist : int array;
+  mutable count : int;
+  mutable last : int;
+  mutable pending : int; (* [max_int] once exhausted *)
+}
+
+(* Time of the arrival [k] places before the next one (1-based). *)
+let nth_back c k = c.hist.((c.count - k) mod c.law.a)
+
+let draw c =
+  let law = c.law in
+  let lo =
+    (* Never travel back in time: arrivals may coincide with the
+       previous one but not precede it. *)
+    Int.max c.last
+      (if c.count >= law.a then nth_back c law.a + law.w else c.start)
+  in
+  let hi_min =
+    if law.l >= 1 && c.count >= law.l then nth_back c law.l + law.w
+    else if c.count = 0 then c.start + law.w - 1
+    else max_int
+  in
+  let hi = Int.min hi_min (c.horizon - 1) in
+  if lo >= c.horizon || hi < lo then c.pending <- max_int
   else begin
-    let hist = Array.make law.a start in
-    let count = ref 0 in
-    let nth_back k =
-      (* time of the arrival k places before the next one (1-based) *)
-      hist.((!count - k) mod law.a)
-    in
-    let acc = ref [] in
-    let last = ref start in
-    let continue = ref true in
-    while !continue do
-      let lo =
-        (* Never travel back in time: arrivals may coincide with the
-           previous one but not precede it. *)
-        max !last
-          (if !count >= law.a then nth_back law.a + law.w else start)
-      in
-      let hi_min =
-        if law.l >= 1 && !count >= law.l then nth_back law.l + law.w
-        else if !count = 0 then start + law.w - 1
-        else max_int
-      in
-      if lo >= horizon then continue := false
-      else begin
-        let hi = min hi_min (horizon - 1) in
-        if hi < lo then continue := false
-        else begin
-          let time = Prng.int_in g ~lo ~hi in
-          acc := time :: !acc;
-          hist.(!count mod law.a) <- time;
-          last := time;
-          incr count
-        end
-      end
-    done;
-    List.rev !acc
+    let time = Prng.int_in c.g ~lo ~hi in
+    c.hist.(c.count mod law.a) <- time;
+    c.last <- time;
+    c.count <- c.count + 1;
+    c.pending <- time
   end
+
+let cursor law g ~start ~horizon =
+  let c =
+    {
+      law;
+      g;
+      start;
+      horizon;
+      hist = Array.make law.a start;
+      count = 0;
+      last = start;
+      pending = max_int;
+    }
+  in
+  if horizon > start then draw c;
+  c
+
+let peek c = c.pending
+
+let advance c = if c.pending <> max_int then draw c
+
+let generate law g ~start ~horizon =
+  let c = cursor law g ~start ~horizon in
+  let acc = ref [] in
+  while c.pending <> max_int do
+    acc := c.pending :: !acc;
+    draw c
+  done;
+  List.rev !acc
 
 let generate_worst_burst law ~start ~horizon =
   let rec windows t acc =

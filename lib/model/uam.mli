@@ -41,6 +41,22 @@ val generate :
     [\[start, horizon)] satisfying [law], sorted non-decreasing. The
     first arrival lands within [\[start, start + w)]. *)
 
+type cursor
+(** A lazily drawn arrival trace: the same draws, in the same order, as
+    {!generate}, one arrival at a time. *)
+
+val cursor : t -> Rtlf_engine.Prng.t -> start:int -> horizon:int -> cursor
+(** [cursor law g ~start ~horizon] starts the trace {!generate} would
+    draw from [g], drawing its first arrival now. *)
+
+val peek : cursor -> int
+(** [peek c] is the next arrival time, or [max_int] once the trace is
+    exhausted. *)
+
+val advance : cursor -> unit
+(** [advance c] consumes the arrival [peek c] and draws the next one.
+    No-op once exhausted. *)
+
 val generate_worst_burst : t -> start:int -> horizon:int -> int list
 (** [generate_worst_burst law ~start ~horizon] is the adversarial trace
     used in Theorem 2's proof: [a] simultaneous arrivals at the front

@@ -10,9 +10,11 @@
     reports, the metrics JSON, and the CLI's exit code.
 
     The bound is proved for RUA scheduling of lock-free sharing under
-    the UAM, so the auditor only arms itself for that configuration
-    ([audited = false] otherwise — lock-based jobs never retry and
-    non-UA schedulers are outside the theorem). A violation therefore
+    the UAM on one processor, so the simulator arms the auditor only
+    for that configuration ([audited = false] otherwise — lock-based
+    jobs never retry, non-UA schedulers are outside the theorem, and on
+    m > 1 cores writers on other cores can invalidate attempts the
+    bound does not count). A violation therefore
     means a real soundness bug in the scheduler, the retry accounting,
     or the bound itself. *)
 

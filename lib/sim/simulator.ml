@@ -129,11 +129,21 @@ type result = {
       (* summed over scheduler instances; [None] in dynamic mode *)
 }
 
-type event = Arrival of Task.t | Expiry of int
-
 type state = {
   cfg : config;
-  queue : event Event_queue.t;
+  queue : int Event_queue.t;
+      (* expiries only, keyed by absolute critical time (payload: jid);
+         arrivals come from [cursors] *)
+  tasks : Task.t array; (* [cfg.tasks], in list order *)
+  cursors : Uam.cursor array; (* per task, parallel to [tasks] *)
+  segments : Segment.t list array;
+      (* per task, parallel to [tasks]: each task's segment profile,
+         built once per run and shared by its jobs *)
+  mutable next_arrival : int;
+      (* earliest pending arrival over [cursors] ([max_int] when none) *)
+  mutable next_source : int;
+      (* its task position: the lowest one on a tie, so simultaneous
+         arrivals follow task-list order, then draw order *)
   objects : Resource.t;
   locks : Lock_manager.t;
       (* lock-based blocking and the spin-lock grant table share the
@@ -151,7 +161,19 @@ type state = {
   cores : Cores.t;
   mutable next_jid : int;
   live : Live_view.t;
-  mutable resolved : Job.t list;
+  (* Per-task-id results of resolved jobs, kept as they resolve. *)
+  released : int array;
+  completed : int array;
+  met : int array;
+  aborted : int array;
+  total_retries : int array;
+  max_retries : int array;
+  max_possible : float array;
+  mutable preemptions : int;
+  completions : Float_buffer.t;
+      (* (task id, sojourn ns, accrued) per completed job, three slots
+         each, in resolution order: what [summarise] folds into its
+         order-sensitive float results (ids and ns are exact floats) *)
   mutable sched_invocations : int;
   mutable sched_overhead : int;
   mutable busy : int;
@@ -168,6 +190,8 @@ type state = {
   sched_costs : Float_buffer.t;
   audit : Audit.t;
   retry_tails : Stats.P2.tracker array; (* indexed by task id *)
+  occ : Job.t option array; (* per core: [run_slice] scratch *)
+  steps : int array; (* per core: [run_slice] scratch *)
 }
 
 let scheduler_name cfg =
@@ -222,23 +246,30 @@ let make_scheduler cfg locks =
     | Sync.Lock_free _ | Sync.Spin _ | Sync.Ideal ->
       Rtlf_core.Rua_lock_free.make ())
 
+let seg_cost sync = function
+  | Segment.Compute s -> s
+  | Segment.Access { work; _ } -> Sync.nominal_access_cost sync ~work
+  | Segment.Lock _ | Segment.Unlock _ -> (
+    match sync with
+    | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } -> overhead
+    | Sync.Lock_free _ | Sync.Ideal -> 0)
+
+let rec add_seg_costs sync acc = function
+  | [] -> acc
+  | s :: tail -> add_seg_costs sync (acc + seg_cost sync s) tail
+
 (* Remaining CPU demand of a job including nominal sync overheads —
    what the scheduler uses for PUD and feasibility. Depends only on
-   the sync model, so the per-state closure is built once in [run]. *)
+   the sync model, so the per-state closure is built once in [run]; a
+   call builds none. *)
 let remaining_cost sync job =
-  let seg_cost = function
-    | Segment.Compute s -> s
-    | Segment.Access { work; _ } -> Sync.nominal_access_cost sync ~work
-    | Segment.Lock _ | Segment.Unlock _ -> (
-      match sync with
-      | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } -> overhead
-      | Sync.Lock_free _ | Sync.Ideal -> 0)
-  in
   match job.Job.segments with
   | [] -> 0
   | head :: tail ->
-    let head_left = max 0 (seg_cost head - job.Job.seg_progress) in
-    List.fold_left (fun acc s -> acc + seg_cost s) head_left tail
+    let head_left = Int.max 0 (seg_cost sync head - job.Job.seg_progress) in
+    add_seg_costs sync head_left tail
+
+let tracing st = Trace.enabled st.trace
 
 let is_spin st =
   match st.cfg.sync with Sync.Spin _ -> true | _ -> false
@@ -264,19 +295,44 @@ let spin_pinned st job =
    point where its final retry count is known, so both the Theorem-2
    auditor and the per-task retry-tail estimators feed off it. *)
 let resolve st job =
-  let task_id = job.Job.task.Task.id in
-  Audit.observe st.audit ~task_id ~jid:job.Job.jid ~retries:job.Job.retries
-    ~time:st.now;
-  Stats.P2.track st.retry_tails.(task_id) (float_of_int job.Job.retries);
+  let i = job.Job.task.Task.id in
+  let retries = job.Job.retries in
+  Audit.observe st.audit ~task_id:i ~jid:job.Job.jid ~retries ~time:st.now;
+  Stats.P2.track st.retry_tails.(i) (float_of_int retries);
   Live_view.remove st.live ~jid:job.Job.jid;
   Cores.retire st.cores job;
-  st.resolved <- job :: st.resolved
+  st.released.(i) <- st.released.(i) + 1;
+  st.preemptions <- st.preemptions + job.Job.preemptions;
+  (* The supremum of the TUF, not U(0): increasing piecewise shapes
+     (Fig. 1(c)) peak after arrival, and AUR must stay within [0, 1].
+     Every addend of a task's sum is the same, so adding at resolve
+     gives the same float as any other order. *)
+  st.max_possible.(i) <-
+    st.max_possible.(i) +. Rtlf_model.Tuf.max_utility job.Job.task.Task.tuf;
+  st.total_retries.(i) <- st.total_retries.(i) + retries;
+  if retries > st.max_retries.(i) then st.max_retries.(i) <- retries;
+  match job.Job.state with
+  | Job.Completed ->
+    st.completed.(i) <- st.completed.(i) + 1;
+    let sojourn =
+      match job.Job.completion with
+      | Some c -> c - job.Job.arrival
+      | None -> assert false
+    in
+    if sojourn < Task.critical_time job.Job.task then
+      st.met.(i) <- st.met.(i) + 1;
+    Float_buffer.push_int st.completions i;
+    Float_buffer.push_int st.completions sojourn;
+    Float_buffer.push st.completions job.Job.accrued
+  | Job.Aborted -> st.aborted.(i) <- st.aborted.(i) + 1
+  | Job.Ready | Job.Running | Job.Blocked _ -> assert false
 
 let complete_job st job =
   job.Job.state <- Job.Completed;
   job.Job.completion <- Some st.now;
   job.Job.accrued <- Job.utility_at job ~now:st.now;
-  Trace.record st.trace ~time:st.now (Trace.Complete job.Job.jid);
+  if tracing st then
+    Trace.record st.trace ~time:st.now (Trace.Complete job.Job.jid);
   Cores.vacate st.cores ~jid:job.Job.jid;
   resolve st job
 
@@ -307,9 +363,11 @@ let wake_new_owner st obj = function
       waiter.Job.holding <- obj :: waiter.Job.holding;
       close_block_span st waiter.Job.jid;
       Contention.note_acquire st.contention.(obj);
-      Trace.record st.trace ~time:st.now (Trace.Wake (waiter.Job.jid, obj));
-      Trace.record st.trace ~time:st.now
-        (Trace.Acquire (waiter.Job.jid, obj)))
+      if tracing st then begin
+        Trace.record st.trace ~time:st.now (Trace.Wake (waiter.Job.jid, obj));
+        Trace.record st.trace ~time:st.now
+          (Trace.Acquire (waiter.Job.jid, obj))
+      end)
 
 (* A lock request was refused: park the job until the FIFO grant and
    profile the contention. The requester is already enqueued in the
@@ -325,7 +383,8 @@ let wait_for_lock st job obj =
   Contention.note_queue_depth c
     ~depth:(List.length (Lock_manager.waiters st.locks ~obj));
   Hashtbl.replace st.block_since job.Job.jid (obj, st.now);
-  Trace.record st.trace ~time:st.now (Trace.Block (job.Job.jid, obj));
+  if tracing st then
+    Trace.record st.trace ~time:st.now (Trace.Block (job.Job.jid, obj));
   if not (is_spin st) then Cores.vacate st.cores ~jid:job.Job.jid
 
 let abort_job st job =
@@ -334,7 +393,8 @@ let abort_job st job =
     let released = Lock_manager.release_all st.locks ~jid:job.Job.jid in
     List.iter
       (fun (obj, new_owner) ->
-        Trace.record st.trace ~time:st.now (Trace.Release (job.Job.jid, obj));
+        if tracing st then
+          Trace.record st.trace ~time:st.now (Trace.Release (job.Job.jid, obj));
         wake_new_owner st obj new_owner)
       released;
     job.Job.holding <- []
@@ -345,7 +405,8 @@ let abort_job st job =
      charged duration rides in the trace payload so attribution can
      bill the post-abort interval to this job exactly. *)
   let handler = max 0 job.Job.task.Task.abort_cost in
-  Trace.record st.trace ~time:st.now (Trace.Abort (job.Job.jid, handler));
+  if tracing st then
+    Trace.record st.trace ~time:st.now (Trace.Abort (job.Job.jid, handler));
   let core = Cores.core_of st.cores ~jid:job.Job.jid in
   Cores.vacate st.cores ~jid:job.Job.jid;
   if handler > 0 then begin
@@ -363,15 +424,17 @@ let abort_job st job =
 let preempt st ~by job =
   job.Job.state <- Job.Ready;
   job.Job.preemptions <- job.Job.preemptions + 1;
-  Trace.record st.trace ~time:st.now (Trace.Preempt (job.Job.jid, by));
+  if tracing st then
+    Trace.record st.trace ~time:st.now (Trace.Preempt (job.Job.jid, by));
   (match (st.cfg.sync, job.Job.segments) with
   | Sync.Lock_free _, Segment.Access { obj; _ } :: _
     when st.cfg.retry_on_any_preemption && job.Job.seg_progress > 0 ->
     let lost = job.Job.seg_progress in
     Job.restart_access job;
     Contention.note_retry st.contention.(obj);
-    Trace.record st.trace ~time:st.now
-      (Trace.Retry (job.Job.jid, obj, by, lost))
+    if tracing st then
+      Trace.record st.trace ~time:st.now
+        (Trace.Retry (job.Job.jid, obj, by, lost))
   | _ -> ());
   Cores.vacate st.cores ~jid:job.Job.jid
 
@@ -383,7 +446,8 @@ let commit_write st jid obj =
 
 let set_running st ~core job =
   job.Job.state <- Job.Running;
-  Trace.record st.trace ~time:st.now (Trace.Start (job.Job.jid, core));
+  if tracing st then
+    Trace.record st.trace ~time:st.now (Trace.Start (job.Job.jid, core));
   job.Job.last_core <- core;
   Cores.place st.cores core job
 
@@ -410,13 +474,17 @@ let migrates_to job core = job.Job.last_core >= 0 && job.Job.last_core <> core
 let assign_global st ~keep selected =
   let m = Cores.count st.cores in
   let assign = Array.make m None in
-  let placed = Hashtbl.create 8 in
+  (* A job is placed by the first pass iff it runs on a core the plan
+     does not keep. *)
+  let placed (j : Job.t) =
+    match Cores.core_of st.cores ~jid:j.Job.jid with
+    | Some c -> not keep.(c)
+    | None -> false
+  in
   List.iter
     (fun (j : Job.t) ->
       match Cores.core_of st.cores ~jid:j.Job.jid with
-      | Some c when not keep.(c) ->
-        assign.(c) <- Some j;
-        Hashtbl.replace placed j.Job.jid ()
+      | Some c when not keep.(c) -> assign.(c) <- Some j
       | Some _ | None -> ())
     selected;
   let free c = (not keep.(c)) && assign.(c) = None in
@@ -427,7 +495,7 @@ let assign_global st ~keep selected =
   let migrations = ref 0 in
   List.iter
     (fun (j : Job.t) ->
-      if not (Hashtbl.mem placed j.Job.jid) then begin
+      if not (placed j) then begin
         let c =
           if j.Job.last_core >= 0 && j.Job.last_core < m && free j.Job.last_core
           then Some j.Job.last_core
@@ -555,8 +623,9 @@ let apply_plan st plan =
       in
       let dispatch_onto j =
         if migrates_to j c then begin
-          Trace.record st.trace ~time:st.now
-            (Trace.Migrate (j.Job.jid, j.Job.last_core, c));
+          if tracing st then
+            Trace.record st.trace ~time:st.now
+              (Trace.Migrate (j.Job.jid, j.Job.last_core, c));
           Cores.note_migration st.cores
         end;
         set_running st ~core:c j
@@ -588,7 +657,8 @@ let invoke_dispatcher st =
   let cost =
     (st.cfg.sched_base * plan.p_decisions) + (st.cfg.sched_per_op * ops)
   in
-  Trace.record st.trace ~time:st.now (Trace.Sched (ops, cost));
+  if tracing st then
+    Trace.record st.trace ~time:st.now (Trace.Sched (ops, cost));
   Float_buffer.push_int st.sched_costs cost;
   st.now <- st.now + cost;
   st.sched_overhead <- st.sched_overhead + cost;
@@ -600,34 +670,58 @@ let invoke_dispatcher st =
 
 (* --- event handling ------------------------------------------------- *)
 
-let handle_event st time ev =
-  match ev with
-  | Arrival task ->
-    let jid = st.next_jid in
-    st.next_jid <- st.next_jid + 1;
-    let job = Job.create ~task ~jid ~arrival:time in
-    Live_view.add st.live job;
-    Cores.admit st.cores job;
-    Event_queue.add st.queue
-      ~time:(Job.absolute_critical_time job)
-      (Expiry jid);
-    Trace.record st.trace ~time:st.now
-      (Trace.Arrive (jid, task.Task.id, time))
-  | Expiry jid -> (
-    match Live_view.find st.live ~jid with
-    | None -> () (* already resolved *)
-    | Some job -> abort_job st job)
+(* Re-derive the earliest pending arrival after a cursor moved. *)
+let refresh_next_arrival st =
+  let best = ref max_int and src = ref (-1) in
+  for k = 0 to Array.length st.cursors - 1 do
+    let t = Uam.peek st.cursors.(k) in
+    if t < !best then begin
+      best := t;
+      src := k
+    end
+  done;
+  st.next_arrival <- !best;
+  st.next_source <- !src
 
-(* Pop and handle every event due at or before [st.now] (and within the
-   horizon). Returns the number handled. *)
+(* Release the pending arrival of the task at position [k]. *)
+let arrive st k =
+  let task = st.tasks.(k) in
+  let time = st.next_arrival in
+  let jid = st.next_jid in
+  st.next_jid <- st.next_jid + 1;
+  let job =
+    Job.of_segments ~task ~segments:st.segments.(k) ~jid ~arrival:time
+  in
+  Live_view.add st.live job;
+  Cores.admit st.cores job;
+  Event_queue.add st.queue ~time:(Job.absolute_critical_time job) jid;
+  if tracing st then
+    Trace.record st.trace ~time:st.now
+      (Trace.Arrive (jid, task.Task.id, time));
+  Uam.advance st.cursors.(k);
+  refresh_next_arrival st
+
+let queue_time st =
+  match Event_queue.peek_time st.queue with Some t -> t | None -> max_int
+
+(* Handle every event due at or before [st.now] (and within the
+   horizon), arrivals before expiries at equal times. Returns the
+   number handled. *)
 let process_due_events st =
   let rec go n =
-    match Event_queue.peek st.queue with
-    | Some (t, _) when t <= st.now && t < st.cfg.horizon ->
-      let t, ev = Event_queue.pop_exn st.queue in
-      handle_event st t ev;
+    let expiry = queue_time st in
+    let t = Int.min st.next_arrival expiry in
+    if t <= st.now && t < st.cfg.horizon then begin
+      if st.next_arrival <= expiry then arrive st st.next_source
+      else begin
+        let _, jid = Event_queue.pop_exn st.queue in
+        match Live_view.find st.live ~jid with
+        | None -> () (* already resolved *)
+        | Some job -> abort_job st job
+      end;
       go (n + 1)
-    | Some _ | None -> n
+    end
+    else n
   in
   go 0
 
@@ -652,19 +746,20 @@ let prepare_attempt st job =
 let next_step st job =
   match job.Job.segments with
   | [] -> 0
-  | Segment.Compute s :: _ -> max 0 (s - job.Job.seg_progress)
+  | Segment.Compute s :: _ -> Int.max 0 (s - job.Job.seg_progress)
   | Segment.Access { work; _ } :: _ -> (
     match st.cfg.sync with
     | Sync.Ideal -> 0
     | Sync.Lock_free { overhead } ->
-      max 0 (overhead + work - job.Job.seg_progress)
+      Int.max 0 (overhead + work - job.Job.seg_progress)
     | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } ->
-      if not job.Job.lock_pending then max 0 (overhead - job.Job.seg_progress)
-      else max 0 ((2 * overhead) + work - job.Job.seg_progress))
+      if not job.Job.lock_pending then
+        Int.max 0 (overhead - job.Job.seg_progress)
+      else Int.max 0 ((2 * overhead) + work - job.Job.seg_progress))
   | (Segment.Lock _ | Segment.Unlock _) :: _ -> (
     match st.cfg.sync with
     | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } ->
-      max 0 (overhead - job.Job.seg_progress)
+      Int.max 0 (overhead - job.Job.seg_progress)
     | Sync.Lock_free _ | Sync.Ideal -> 0)
 
 (* Close a finished access: sample its duration and mark it in the
@@ -674,7 +769,8 @@ let access_done st job obj =
   | Some enter ->
     Stats.add st.access_samples (float_of_int (st.now - enter))
   | None -> Stats.add st.access_samples 0.0);
-  Trace.record st.trace ~time:st.now (Trace.Access_done (job.Job.jid, obj))
+  if tracing st then
+    Trace.record st.trace ~time:st.now (Trace.Access_done (job.Job.jid, obj))
 
 (* Lock-based and spin sharing run one request/grant/release protocol
    through the lock manager. They differ only in what a refused
@@ -691,7 +787,8 @@ let acquire st job obj =
   | Lock_manager.Granted ->
     job.Job.holding <- obj :: job.Job.holding;
     Contention.note_acquire st.contention.(obj);
-    Trace.record st.trace ~time:st.now (Trace.Acquire (job.Job.jid, obj));
+    if tracing st then
+      Trace.record st.trace ~time:st.now (Trace.Acquire (job.Job.jid, obj));
     true
   | Lock_manager.Blocked_on _ ->
     wait_for_lock st job obj;
@@ -702,7 +799,8 @@ let acquire st job obj =
 let release st job obj ~write =
   let new_owner = Lock_manager.release st.locks ~jid:job.Job.jid ~obj in
   job.Job.holding <- List.filter (fun o -> o <> obj) job.Job.holding;
-  Trace.record st.trace ~time:st.now (Trace.Release (job.Job.jid, obj));
+  if tracing st then
+    Trace.record st.trace ~time:st.now (Trace.Release (job.Job.jid, obj));
   wake_new_owner st obj new_owner;
   if write then commit_write st job.Job.jid obj;
   Resource.record_access st.objects obj
@@ -710,26 +808,26 @@ let release st job obj ~write =
 (* Complete the head segment; returns [`Sched_event] when the boundary
    is a scheduling event (job departure, a lock-based lock request, or
    any release — a spin release ends a non-preemptable section). *)
+let finish_or st job k =
+  Job.finish_segment job;
+  if job.Job.segments = [] then begin
+    complete_job st job;
+    `Sched_event
+  end
+  else k
+
 let boundary st job =
-  let finish_or k =
-    Job.finish_segment job;
-    if job.Job.segments = [] then begin
-      complete_job st job;
-      `Sched_event
-    end
-    else k
-  in
   match job.Job.segments with
   | [] ->
     complete_job st job;
     `Sched_event
-  | Segment.Compute _ :: _ -> finish_or `Continue
+  | Segment.Compute _ :: _ -> finish_or st job `Continue
   | Segment.Lock obj :: _ -> (
     match st.cfg.sync with
     | Sync.Lock_free _ | Sync.Ideal ->
       (* The lock-free model excludes nested sections (§3.3): lock
          markers are skipped at zero cost. *)
-      finish_or `Continue
+      finish_or st job `Continue
     | Sync.Lock_based _ | Sync.Spin _ ->
       if job.Job.lock_pending then begin
         (* Woken after waiting: the lock manager already granted the
@@ -738,14 +836,14 @@ let boundary st job =
         Job.finish_segment job;
         `Continue
       end
-      else if acquire st job obj then finish_or (acquire_event st)
+      else if acquire st job obj then finish_or st job (acquire_event st)
       else acquire_event st)
   | Segment.Unlock obj :: _ -> (
     match st.cfg.sync with
-    | Sync.Lock_free _ | Sync.Ideal -> finish_or `Continue
+    | Sync.Lock_free _ | Sync.Ideal -> finish_or st job `Continue
     | Sync.Lock_based _ | Sync.Spin _ ->
       release st job obj ~write:true;
-      finish_or `Sched_event)
+      finish_or st job `Sched_event)
   | Segment.Access { obj; work = _; write } :: _ -> (
     match (st.cfg.sync, job.Job.attempt_snapshot) with
     | Sync.Lock_free _, Some snap when snap <> Resource.version st.objects obj
@@ -754,8 +852,9 @@ let boundary st job =
       let lost = job.Job.seg_progress in
       Job.restart_access job;
       Contention.note_retry st.contention.(obj);
-      Trace.record st.trace ~time:st.now
-        (Trace.Retry (job.Job.jid, obj, st.last_writer.(obj), lost));
+      if tracing st then
+        Trace.record st.trace ~time:st.now
+          (Trace.Retry (job.Job.jid, obj, st.last_writer.(obj), lost));
       `Continue
     | (Sync.Lock_free _ | Sync.Ideal), _ ->
       (* Only writers invalidate peers' in-flight attempts. *)
@@ -763,7 +862,7 @@ let boundary st job =
       Resource.record_access st.objects obj;
       Contention.note_acquire st.contention.(obj);
       access_done st job obj;
-      finish_or `Continue
+      finish_or st job `Continue
     | (Sync.Lock_based _ | Sync.Spin _), _ ->
       if not job.Job.lock_pending then begin
         ignore (acquire st job obj : bool);
@@ -772,8 +871,24 @@ let boundary st job =
       else begin
         release st job obj ~write;
         access_done st job obj;
-        finish_or `Sched_event
+        finish_or st job `Sched_event
       end)
+
+(* Charge [delta] ns to every core [run_slice] found occupied; only
+   occupants with a step (not spin-waiting) make segment progress. *)
+let burn st delta =
+  if delta > 0 then begin
+    let cbusy = Cores.busy st.cores in
+    for c = 0 to Cores.count st.cores - 1 do
+      match st.occ.(c) with
+      | None -> ()
+      | Some job ->
+        if st.steps.(c) >= 0 then
+          job.Job.seg_progress <- job.Job.seg_progress + delta;
+        cbusy.(c) <- cbusy.(c) + delta;
+        st.busy <- st.busy + delta
+    done
+  end
 
 (* Advance every occupied core to the earliest per-core boundary (or
    the next event, whichever comes first). Spin-waiters burn CPU
@@ -781,10 +896,11 @@ let boundary st job =
    holder's release boundary or an expiry abort. *)
 let run_slice st =
   let m = Cores.count st.cores in
-  let occ = Array.init m (fun c -> Cores.occupant st.cores c) in
-  let steps = Array.make m (-1) in
+  let occ = st.occ and steps = st.steps in
   let dmin = ref max_int in
   for c = 0 to m - 1 do
+    occ.(c) <- Cores.occupant st.cores c;
+    steps.(c) <- -1;
     match occ.(c) with
     | None -> ()
     | Some job ->
@@ -796,32 +912,17 @@ let run_slice st =
       end
   done;
   let next_ev =
-    match Event_queue.peek_time st.queue with
-    | Some t -> min t st.cfg.horizon
-    | None -> st.cfg.horizon
-  in
-  let cbusy = Cores.busy st.cores in
-  let burn delta =
-    if delta > 0 then
-      for c = 0 to m - 1 do
-        match occ.(c) with
-        | None -> ()
-        | Some job ->
-          if steps.(c) >= 0 then
-            job.Job.seg_progress <- job.Job.seg_progress + delta;
-          cbusy.(c) <- cbusy.(c) + delta;
-          st.busy <- st.busy + delta
-      done
+    Int.min (Int.min st.next_arrival (queue_time st)) st.cfg.horizon
   in
   if !dmin = max_int then begin
     (* Every occupied core is spinning: burn until the next event. *)
-    burn (next_ev - st.now);
-    st.now <- max st.now next_ev
+    burn st (next_ev - st.now);
+    st.now <- Int.max st.now next_ev
   end
   else begin
     let finish = st.now + !dmin in
     if finish <= next_ev then begin
-      burn !dmin;
+      burn st !dmin;
       st.now <- finish;
       let sched_event = ref false in
       for c = 0 to m - 1 do
@@ -838,7 +939,7 @@ let run_slice st =
       if !sched_event then invoke_dispatcher st
     end
     else begin
-      burn (next_ev - st.now);
+      burn st (next_ev - st.now);
       st.now <- next_ev
     end
   end
@@ -855,75 +956,49 @@ let rec main_loop st =
       run_slice st;
       main_loop st
     end
-    else
-      match Event_queue.peek_time st.queue with
-      | None -> () (* no events, nothing running: done *)
-      | Some t when t >= st.cfg.horizon -> ()
-      | Some t ->
-        st.now <- max st.now t;
+    else begin
+      (* Nothing running: jump to the next event, or stop when none is
+         left before the horizon. *)
+      let t = Int.min st.next_arrival (queue_time st) in
+      if t < st.cfg.horizon then begin
+        st.now <- Int.max st.now t;
         main_loop st
+      end
+    end
   end
 
 (* --- result assembly ------------------------------------------------ *)
 
 let summarise st =
   let cfg = st.cfg in
-  let jobs = st.resolved in
-  let max_id =
-    List.fold_left (fun acc t -> max acc t.Task.id) (-1) cfg.tasks
-  in
-  let n_tasks = max_id + 1 in
-  let released = Array.make n_tasks 0 in
-  let completed = Array.make n_tasks 0 in
-  let met = Array.make n_tasks 0 in
-  let aborted = Array.make n_tasks 0 in
+  let n_tasks = Array.length st.released in
   let accrued = Array.make n_tasks 0.0 in
-  let max_possible = Array.make n_tasks 0.0 in
-  let total_retries = Array.make n_tasks 0 in
-  let max_retries = Array.make n_tasks 0 in
   let sojourns = Array.init n_tasks (fun _ -> Stats.create ()) in
-  let all_sojourns = Float_buffer.create () in
-  let preempt_total = ref 0 in
-  List.iter
-    (fun (job : Job.t) ->
-      let i = job.Job.task.Task.id in
-      released.(i) <- released.(i) + 1;
-      preempt_total := !preempt_total + job.Job.preemptions;
-      max_possible.(i) <-
-        max_possible.(i)
-        (* The supremum of the TUF, not U(0): increasing piecewise
-           shapes (Fig. 1(c)) peak after arrival, and AUR must stay
-           within [0, 1]. *)
-        +. Rtlf_model.Tuf.max_utility job.Job.task.Task.tuf;
-      total_retries.(i) <- total_retries.(i) + job.Job.retries;
-      if job.Job.retries > max_retries.(i) then
-        max_retries.(i) <- job.Job.retries;
-      match job.Job.state with
-      | Job.Completed ->
-        completed.(i) <- completed.(i) + 1;
-        accrued.(i) <- accrued.(i) +. job.Job.accrued;
-        (match Job.sojourn job with
-        | Some s ->
-          Stats.add sojourns.(i) (float_of_int s);
-          Float_buffer.push_int all_sojourns s;
-          if s < Task.critical_time job.Job.task then
-            met.(i) <- met.(i) + 1
-        | None -> ())
-      | Job.Aborted -> aborted.(i) <- aborted.(i) + 1
-      | Job.Ready | Job.Running | Job.Blocked _ -> assert false)
-    jobs;
+  (* Fold the log newest-first. Float addition is not associative, so
+     this order is part of the results: the per-task accrued sums, the
+     Welford updates and [sojourn_samples] are built in it. *)
+  let log = st.completions in
+  let n = Float_buffer.length log / 3 in
+  let sojourn_samples = Array.make n 0.0 in
+  for k = n - 1 downto 0 do
+    let i = int_of_float (Float_buffer.get log (3 * k)) in
+    let s = Float_buffer.get log ((3 * k) + 1) in
+    accrued.(i) <- accrued.(i) +. Float_buffer.get log ((3 * k) + 2);
+    Stats.add sojourns.(i) s;
+    sojourn_samples.(n - 1 - k) <- s
+  done;
   let per_task =
     Array.init n_tasks (fun i ->
         {
           task_id = i;
-          released = released.(i);
-          completed = completed.(i);
-          met = met.(i);
-          aborted = aborted.(i);
+          released = st.released.(i);
+          completed = st.completed.(i);
+          met = st.met.(i);
+          aborted = st.aborted.(i);
           accrued = accrued.(i);
-          max_possible = max_possible.(i);
-          total_retries = total_retries.(i);
-          max_retries = max_retries.(i);
+          max_possible = st.max_possible.(i);
+          total_retries = st.total_retries.(i);
+          max_retries = st.max_retries.(i);
           retry_tails = Stats.P2.tails st.retry_tails.(i);
           sojourn = Stats.summary sojourns.(i);
         })
@@ -935,7 +1010,6 @@ let summarise st =
   let met_all = sum (fun tr -> tr.met) in
   let accrued_all = sumf (fun tr -> tr.accrued) in
   let possible_all = sumf (fun tr -> tr.max_possible) in
-  let sojourn_samples = Float_buffer.to_array all_sojourns in
   {
     sync_name = Sync.name cfg.sync;
     sched_name = st.schedulers.(0).Scheduler.name;
@@ -955,7 +1029,7 @@ let summarise st =
          float_of_int met_all /. float_of_int released_all
        else 0.0);
     retries_total = sum (fun tr -> tr.total_retries);
-    preemptions = !preempt_total;
+    preemptions = st.preemptions;
     blocked_events = st.blocked_events;
     migrations = Cores.migrations st.cores;
     sched_invocations = st.sched_invocations;
@@ -986,11 +1060,14 @@ let run cfg =
   validate cfg;
   let objects = Resource.create ~n:cfg.n_objects in
   let locks = Lock_manager.create ~objects in
-  (* Theorem 2 is proved for RUA scheduling of lock-free sharing; the
-     auditor stays disarmed elsewhere (lock-based and spin jobs never
-     retry, and EDF is not a UA scheduler, so the bound does not
-     apply). *)
+  (* Theorem 2 is proved for RUA scheduling of lock-free sharing on one
+     processor; the auditor stays disarmed elsewhere (lock-based and
+     spin jobs never retry, EDF is not a UA scheduler, and on m > 1
+     cores writers on the other cores can invalidate an attempt the
+     uniprocessor bound does not count). *)
   let audit_enabled =
+    cfg.cores = 1
+    &&
     match (cfg.sync, cfg.sched) with
     | Sync.Lock_free _, Rua -> true
     | _ -> false
@@ -1023,10 +1100,25 @@ let run cfg =
           Rtlf_core.Static_mode.create ~plan
             ~fallback:(make_scheduler cfg locks) ~algo)
   in
+  let tasks = Array.of_list cfg.tasks in
+  let root = Prng.create ~seed:cfg.seed in
+  (* [Array.init] applies its function in index order: the k-th task
+     in list order draws from the k-th split of the root stream. *)
+  let cursors =
+    Array.init (Array.length tasks) (fun k ->
+        Uam.cursor tasks.(k).Task.arrival (Prng.split root) ~start:0
+          ~horizon:cfg.horizon)
+  in
+  let per_task x = Array.make n_tasks x in
   let st =
     {
       cfg;
       queue = Event_queue.create ();
+      tasks;
+      cursors;
+      segments = Array.map Task.segments tasks;
+      next_arrival = max_int;
+      next_source = -1;
       objects;
       locks;
       schedulers =
@@ -1040,7 +1132,15 @@ let run cfg =
       cores = Cores.create ~m:cfg.cores ~policy:cfg.dispatch;
       next_jid = 0;
       live = Live_view.create ();
-      resolved = [];
+      released = per_task 0;
+      completed = per_task 0;
+      met = per_task 0;
+      aborted = per_task 0;
+      total_retries = per_task 0;
+      max_retries = per_task 0;
+      max_possible = per_task 0.0;
+      preemptions = 0;
+      completions = Float_buffer.create ();
       sched_invocations = 0;
       sched_overhead = 0;
       busy = 0;
@@ -1053,18 +1153,10 @@ let run cfg =
       sched_costs = Float_buffer.create ();
       audit = Audit.create ~tasks:cfg.tasks ~enabled:audit_enabled;
       retry_tails = Array.init n_tasks (fun _ -> Stats.P2.tracker ());
+      occ = Array.make cfg.cores None;
+      steps = Array.make cfg.cores (-1);
     }
   in
-  let root = Prng.create ~seed:cfg.seed in
-  List.iter
-    (fun task ->
-      let g = Prng.split root in
-      let arrivals =
-        Uam.generate task.Task.arrival g ~start:0 ~horizon:cfg.horizon
-      in
-      List.iter
-        (fun t -> Event_queue.add st.queue ~time:t (Arrival task))
-        arrivals)
-    cfg.tasks;
+  refresh_next_arrival st;
   main_loop st;
   summarise st

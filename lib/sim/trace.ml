@@ -16,7 +16,10 @@ type kind =
 type entry = { time : int; kind : kind }
 
 type storage =
-  | Unbounded of { mutable rev : entry list }
+  | Unbounded of {
+      mutable arr : entry array; (* amortised doubling; [len] used *)
+      mutable len : int;
+    }
   | Ring of {
       buf : entry option array;
       mutable next : int; (* slot receiving the next write *)
@@ -29,17 +32,28 @@ type t = { enabled : bool; storage : storage }
 let create ?capacity ~enabled () =
   let storage =
     match capacity with
-    | None -> Unbounded { rev = [] }
+    | None -> Unbounded { arr = [||]; len = 0 }
     | Some c ->
       if c <= 0 then invalid_arg "Trace.create: capacity must be positive";
       Ring { buf = Array.make c None; next = 0; len = 0; dropped = 0 }
   in
   { enabled; storage }
 
+let enabled tr = tr.enabled
+
 let record tr ~time kind =
   if tr.enabled then
     match tr.storage with
-    | Unbounded u -> u.rev <- { time; kind } :: u.rev
+    | Unbounded u ->
+      let e = { time; kind } in
+      let cap = Array.length u.arr in
+      if u.len = cap then begin
+        let grown = Array.make (if cap = 0 then 256 else 2 * cap) e in
+        Array.blit u.arr 0 grown 0 u.len;
+        u.arr <- grown
+      end;
+      u.arr.(u.len) <- e;
+      u.len <- u.len + 1
     | Ring r ->
       let cap = Array.length r.buf in
       r.buf.(r.next) <- Some { time; kind };
@@ -49,7 +63,12 @@ let record tr ~time kind =
 
 let entries tr =
   match tr.storage with
-  | Unbounded u -> List.rev u.rev
+  | Unbounded u ->
+    let acc = ref [] in
+    for i = u.len - 1 downto 0 do
+      acc := u.arr.(i) :: !acc
+    done;
+    !acc
   | Ring r ->
     let cap = Array.length r.buf in
     let start = (r.next - r.len + cap) mod cap in

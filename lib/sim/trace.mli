@@ -56,6 +56,11 @@ val create : ?capacity:int -> enabled:bool -> unit -> t
     counts the overwritten entries. Raises [Invalid_argument] when
     [capacity <= 0]. *)
 
+val enabled : t -> bool
+(** [enabled tr] is whether [tr] records anything. Callers on a hot
+    path test it before building a {!kind} payload, so an untraced run
+    allocates none. *)
+
 val record : t -> time:int -> kind -> unit
 (** [record tr ~time kind] appends one entry (O(1)). *)
 

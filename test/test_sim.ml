@@ -396,6 +396,30 @@ let test_audit_disarmed_outside_theorem () =
   Alcotest.(check bool) "vacuously ok" true
     (Rtlf_sim.Audit.ok edf.Simulator.audit)
 
+let test_audit_uniprocessor_only () =
+  (* Theorem 2 is a uniprocessor result: lock-free RUA is audited at
+     m = 1 and not at m = 2, where writers on the other core can
+     invalidate attempts the bound does not count. *)
+  let tasks = Workload.make contention_spec in
+  let audited cores =
+    let res =
+      Simulator.run
+        (Simulator.config ~tasks
+           ~sync:(Sync.Lock_free { overhead = 100 })
+           ~sched:Simulator.Rua ~horizon:(ms 100) ~seed:7 ~cores ())
+    in
+    res.Simulator.audit
+  in
+  let one = audited 1 in
+  Alcotest.(check bool) "m = 1 audited" true one.Rtlf_sim.Audit.audited;
+  Alcotest.(check bool) "m = 1 checked jobs" true
+    (one.Rtlf_sim.Audit.checked > 0);
+  let two = audited 2 in
+  Alcotest.(check bool) "m = 2 not audited" false two.Rtlf_sim.Audit.audited;
+  Alcotest.(check int) "m = 2 checked 0" 0 two.Rtlf_sim.Audit.checked;
+  Alcotest.(check string) "m = 2 report" "auditor: not applicable"
+    (Format.asprintf "%a" Rtlf_sim.Audit.pp_report two)
+
 let test_audit_flags_excess () =
   (* Drive the auditor directly with a fabricated over-budget job: the
      simulator should never produce one, so the detection path needs
@@ -450,6 +474,33 @@ let test_retry_tails_per_task () =
           <= float_of_int tr.Simulator.max_retries +. 1e-9)
       end)
     res.Simulator.per_task
+
+(* --- allocation budget ------------------------------------------------ *)
+
+(* Minor-heap words per scheduler invocation of the paper's base regime
+   (10 tasks, AL 0.5, lock-free RUA, full horizon), setup and summary
+   included. The count is exact for a given build, so the bound pins
+   the main loop's per-invocation allocation. *)
+let words_per_invocation_budget = 400.0
+
+let test_allocation_budget () =
+  let module Common = Rtlf_experiments.Common in
+  let tasks =
+    Workload.make { Workload.default with Workload.target_al = 0.5 }
+  in
+  let cfg =
+    Simulator.config ~tasks ~sync:Common.lock_free ~sched:Simulator.Rua
+      ~horizon:(Common.horizon_for Common.Full tasks)
+      ~seed:1 ~sched_base:Common.sched_base ~sched_per_op:Common.sched_per_op
+      ()
+  in
+  let before = Gc.minor_words () in
+  let res = Simulator.run cfg in
+  let words = Gc.minor_words () -. before in
+  let per_inv = words /. float_of_int res.Simulator.sched_invocations in
+  if per_inv > words_per_invocation_budget then
+    Alcotest.failf "%.1f minor words per invocation (budget %.0f)" per_inv
+      words_per_invocation_budget
 
 (* The incremental deciders key their cross-invocation caches on the
    physical identity of the jobs array [Live_view.view] hands them.
@@ -545,10 +596,17 @@ let () =
             test_audit_armed_lock_free_rua;
           Alcotest.test_case "disarmed outside Theorem 2" `Quick
             test_audit_disarmed_outside_theorem;
+          Alcotest.test_case "uniprocessor only" `Quick
+            test_audit_uniprocessor_only;
           Alcotest.test_case "flags over-budget jobs" `Quick
             test_audit_flags_excess;
           Alcotest.test_case "per-task retry tails" `Quick
             test_retry_tails_per_task;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "words per invocation within budget" `Quick
+            test_allocation_budget;
         ] );
       ( "sync",
         [

@@ -188,6 +188,76 @@ let test_histogram_edges () =
   Alcotest.(check int) "all-NaN histogram is empty" 0 h.Stats.n;
   Alcotest.(check bool) "all-NaN p50 nan" true (Float.is_nan h.Stats.p50)
 
+(* --- the float-specialised sort ---------------------------------------- *)
+
+(* Bit patterns, so [-0.0] and [0.0] (equal under [Float.compare]) are
+   told apart: the specialised sort must put them exactly where the
+   standard library's heap sort does. *)
+let bits xs = Array.map Int64.bits_of_float xs
+
+let check_sort xs =
+  let want = Array.copy xs in
+  Array.sort Float.compare want;
+  let got = Array.copy xs in
+  Stats.sort_floats got;
+  if bits got <> bits want then
+    Alcotest.failf "sort_floats [%s] = [%s], Array.sort gives [%s]"
+      (String.concat "; " (List.map (Printf.sprintf "%h") (Array.to_list xs)))
+      (String.concat "; " (List.map (Printf.sprintf "%h") (Array.to_list got)))
+      (String.concat "; "
+         (List.map (Printf.sprintf "%h") (Array.to_list want)))
+
+let test_sort_matches_stdlib () =
+  let g = Test_support.prng () in
+  let module P = Rtlf_engine.Prng in
+  for n = 0 to 64 do
+    for _ = 1 to 30 do
+      (* A small value pool forces duplicates; signed zeros and
+         infinities are the ties and extremes a port could get wrong. *)
+      let pool = 1 + P.int g ~bound:8 in
+      let xs =
+        Array.init n (fun _ ->
+            match P.int g ~bound:(pool + 5) with
+            | 0 -> 0.0
+            | 1 -> -0.0
+            | 2 -> Float.infinity
+            | 3 -> Float.neg_infinity
+            | 4 -> Float.nan
+            | k -> float_of_int (k - 5 - (pool / 2)))
+      in
+      check_sort xs
+    done
+  done;
+  for _ = 1 to 50 do
+    check_sort
+      (Array.init (100 + P.int g ~bound:900) (fun _ ->
+           P.float_in g ~lo:(-1.0) ~hi:1.0))
+  done
+
+let test_histogram_matches_percentile () =
+  let g = Test_support.prng () in
+  let module P = Rtlf_engine.Prng in
+  for _ = 1 to 300 do
+    let n = 1 + P.int g ~bound:60 in
+    let xs =
+      Array.init n (fun _ ->
+          match P.int g ~bound:10 with
+          | 0 -> Float.nan
+          | 1 -> -0.0
+          | 2 -> 0.0
+          | _ -> float_of_int (P.int g ~bound:20))
+    in
+    let h = Stats.histogram xs in
+    List.iter
+      (fun (p, got) ->
+        match Stats.percentile_opt xs ~p with
+        | None -> Alcotest.(check int) "no samples" 0 h.Stats.n
+        | Some want ->
+          if Int64.bits_of_float got <> Int64.bits_of_float want then
+            Alcotest.failf "histogram p%.0f %h <> percentile %h" p got want)
+      [ (50.0, h.Stats.p50); (90.0, h.Stats.p90); (99.0, h.Stats.p99) ]
+  done
+
 let () =
   Test_support.run "stats_oracle"
     [
@@ -207,5 +277,12 @@ let () =
           Alcotest.test_case "random cross-check vs oracle" `Quick
             test_histogram_random;
           Alcotest.test_case "edge cases" `Quick test_histogram_edges;
+          Alcotest.test_case "p50/p90/p99 = percentile" `Quick
+            test_histogram_matches_percentile;
+        ] );
+      ( "sort",
+        [
+          Alcotest.test_case "sort_floats = Array.sort Float.compare" `Quick
+            test_sort_matches_stdlib;
         ] );
     ]

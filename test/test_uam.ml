@@ -154,6 +154,138 @@ let prop_generated_valid =
       let trace = gen law ~seed ~horizon:(w * 50) in
       Uam.validate law trace = Ok ())
 
+(* --- lazy cursor ------------------------------------------------------ *)
+
+(* An independent list-building implementation of the UAM draw
+   policy: the oracle for both the cursor and [Uam.generate]. *)
+let reference_generate (law : Uam.t) g ~start ~horizon =
+  if horizon <= start then []
+  else begin
+    let hist = Array.make law.Uam.a start in
+    let count = ref 0 in
+    let nth_back k = hist.((!count - k) mod law.Uam.a) in
+    let acc = ref [] in
+    let last = ref start in
+    let continue = ref true in
+    while !continue do
+      let lo =
+        max !last
+          (if !count >= law.Uam.a then nth_back law.Uam.a + law.Uam.w
+           else start)
+      in
+      let hi_min =
+        if law.Uam.l >= 1 && !count >= law.Uam.l then
+          nth_back law.Uam.l + law.Uam.w
+        else if !count = 0 then start + law.Uam.w - 1
+        else max_int
+      in
+      if lo >= horizon then continue := false
+      else begin
+        let hi = min hi_min (horizon - 1) in
+        if hi < lo then continue := false
+        else begin
+          let time = Prng.int_in g ~lo ~hi in
+          acc := time :: !acc;
+          hist.(!count mod law.Uam.a) <- time;
+          last := time;
+          incr count
+        end
+      end
+    done;
+    List.rev !acc
+  end
+
+let drain c =
+  let rec go acc =
+    let t = Uam.peek c in
+    if t = max_int then List.rev acc
+    else begin
+      Uam.advance c;
+      go (t :: acc)
+    end
+  in
+  go []
+
+let prop_cursor_matches_reference =
+  QCheck.Test.make ~name:"drained cursor = generate = reference" ~count:500
+    QCheck.(
+      pair
+        (triple (int_range 1 5) (int_range 0 2) (int_range 1 400))
+        (triple (int_range 0 100_000) (int_range (-50) 300) (int_range (-500) 8_000)))
+    (fun ((a, l_pick, w), (seed, start, span)) ->
+      (* l = 0, l = a and an interior l (when a > 1). *)
+      let l = match l_pick with 0 -> 0 | 1 -> a | _ -> (a + 1) / 2 in
+      let law = Uam.make ~l ~a ~w in
+      let horizon = start + span in
+      let want = reference_generate law (Prng.create ~seed) ~start ~horizon in
+      let drained =
+        drain (Uam.cursor law (Prng.create ~seed) ~start ~horizon)
+      in
+      let generated = Uam.generate law (Prng.create ~seed) ~start ~horizon in
+      drained = want && generated = want)
+
+let test_cursor_exhausted () =
+  let law = Uam.make ~l:1 ~a:2 ~w:100 in
+  List.iter
+    (fun horizon ->
+      let c = Uam.cursor law (Prng.create ~seed:3) ~start:50 ~horizon in
+      Alcotest.(check int) "empty when horizon <= start" max_int (Uam.peek c);
+      Uam.advance c;
+      Alcotest.(check int) "advance past the end is a no-op" max_int
+        (Uam.peek c))
+    [ 50; 10; -7 ]
+
+(* Simultaneous events in a simulator run: arrivals are handled in
+   (arrival time, task-list position) order, and an arrival precedes an
+   expiry at the same instant. Four ⟨1,1,4⟩ tasks with C = W = 4 and
+   jobs too long to finish: each job expires exactly when its task's
+   next job arrives, and tasks share phases, so arrivals coincide
+   across tasks and with expiries. *)
+let test_simultaneous_event_order () =
+  let module Task = Rtlf_model.Task in
+  let module Simulator = Rtlf_sim.Simulator in
+  let module Trace = Rtlf_sim.Trace in
+  let c = 4 in
+  let tasks =
+    List.init 4 (fun id ->
+        Task.make ~id
+          ~tuf:(Rtlf_model.Tuf.step ~height:1.0 ~c)
+          ~arrival:(Uam.make ~l:1 ~a:1 ~w:c)
+          ~exec:100 ())
+  in
+  let coincident = ref 0 in
+  List.iter
+    (fun seed ->
+      let res =
+        Simulator.run
+          (Simulator.config ~tasks ~sync:Rtlf_sim.Sync.Ideal
+             ~sched:Simulator.Rua ~horizon:60 ~seed ~sched_base:0
+             ~sched_per_op:0 ~trace:true ())
+      in
+      let arrival_of = Hashtbl.create 64 in
+      let last = ref (min_int, min_int) in
+      List.iter
+        (fun { Trace.kind; _ } ->
+          match kind with
+          | Trace.Arrive (jid, task, at) ->
+            if compare (at, task) !last < 0 then
+              Alcotest.failf "seed %d: J%d (task %d, at %d) arrived out of order"
+                seed jid task at;
+            if fst !last = at then incr coincident;
+            last := (at, task);
+            Hashtbl.replace arrival_of jid at
+          | Trace.Abort (jid, _) ->
+            (* The expiry instant: every arrival due then is already in. *)
+            let expiry = Hashtbl.find arrival_of jid + c in
+            if fst !last < expiry then
+              Alcotest.failf "seed %d: J%d expired at %d before an arrival then"
+                seed jid expiry
+          | _ -> ())
+        (Trace.entries res.Simulator.trace);
+      Alcotest.(check bool) "jobs expired" true (res.Simulator.aborted > 0))
+    (List.init 10 (fun s -> s + 1));
+  Alcotest.(check bool) "coincident arrivals exercised" true (!coincident > 0)
+
 let () =
   Test_support.run "uam"
     [
@@ -175,6 +307,13 @@ let () =
             test_generator_allows_simultaneous;
           Alcotest.test_case "worst burst trace" `Quick test_worst_burst;
           Test_support.to_alcotest prop_generated_valid;
+        ] );
+      ( "cursor",
+        [
+          Test_support.to_alcotest prop_cursor_matches_reference;
+          Alcotest.test_case "exhausted cursor" `Quick test_cursor_exhausted;
+          Alcotest.test_case "simultaneous event order" `Quick
+            test_simultaneous_event_order;
         ] );
       ( "validator",
         [
