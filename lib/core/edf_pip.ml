@@ -29,7 +29,7 @@ let effective_critical_time ~locks ~jobs job =
             Lock_manager.dependency_chain locks ~jid:blocked.Job.jid
           in
           if List.mem job.Job.jid chain then
-            own := min !own (Job.absolute_critical_time blocked)
+            own := Int.min !own (Job.absolute_critical_time blocked)
         | Job.Ready | Job.Running | Job.Completed | Job.Aborted -> ())
     jobs;
   !own

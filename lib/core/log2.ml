@@ -1,3 +1,13 @@
+(* A loop, not a local recursive function: that would capture [n] and
+   allocate a closure per call, and the deciders call this once per
+   candidate. *)
 let ceil n =
-  let rec go acc p = if p >= n then acc else go (acc + 1) (p * 2) in
-  if n <= 1 then 1 else go 0 1
+  if n <= 1 then 1
+  else begin
+    let acc = ref 0 and p = ref 1 in
+    while !p < n do
+      incr acc;
+      p := !p * 2
+    done;
+    !acc
+  end

@@ -11,7 +11,7 @@ module Job = Rtlf_model.Job
       ties resolved by admission order, exactly the order
       [Tentative_schedule.insert_at_ecf] produces — so admitting a
       candidate never shifts anything physically, and both feasibility
-      conditions become Fenwick / segment-tree queries ({!Slack_tree}).
+      conditions become Fenwick / slack-tree queries ({!Slack_tree}).
 
    2. Across invocations, a validity cache skips the rebuild entirely
       when no job's feasibility inputs changed. The decision is a pure
@@ -25,27 +25,17 @@ module Job = Rtlf_model.Job
       runnability, remaining cost, or PUD — falls back to the full
       rebuild.
 
+   The rebuild works on flat arrays indexed by a job's position in
+   [jobs]: each live job's remaining cost is walked once, its PUD is
+   stored unboxed, and both sorts permute ints. The only jobs held
+   across calls are the cached array and decision.
+
    The abstract ops charges are the paper's complexity model, not a
    measure of this implementation: both layers charge exactly what the
    reference list walk would have charged (per candidate probed with k
    entries admitted: two ordered-structure charges of ceil-log2(k+1)
    plus a feasibility walk of k+1; plus the n scoring and
    n*ceil-log2(n) sort charges). *)
-
-(* Non-increasing PUD; ties by jid for determinism. Total order, so the
-   in-place sort agrees with the reference [List.sort]. *)
-let by_pud (a : Arena.cell) (b : Arena.cell) =
-  match Float.compare b.Arena.key a.Arena.key with
-  | 0 -> Int.compare a.Arena.jid b.Arena.jid
-  | c -> c
-
-(* Schedule-position order: eff_ct ascending (widened to float — exact
-   below 2^53), ties by admission rank, stored in the [jid] field. This
-   is the stable-ECF insertion order of the reference schedule. *)
-let by_ecf (a : Arena.cell) (b : Arena.cell) =
-  match Float.compare a.Arena.key b.Arena.key with
-  | 0 -> Int.compare a.Arena.jid b.Arena.jid
-  | c -> c
 
 (* Last decision plus everything needed to prove it still holds. The
    per-index arrays shadow the jobs array the decision was made from
@@ -64,11 +54,12 @@ type cache = {
 }
 
 type scratch = {
-  arena : Arena.t; (* candidates in PUD (admission) order *)
-  ecf : Arena.t; (* candidates in schedule-position order *)
   tree : Slack_tree.t;
+  mutable jid : int array; (* job index -> jid *)
+  mutable by_rank : int array; (* admission rank -> job index *)
   mutable rem_of_rank : int array; (* admission rank -> remaining cost *)
   mutable ect_of_rank : int array; (* admission rank -> eff_ct *)
+  mutable by_pos : int array; (* schedule position -> admission rank *)
   mutable pos_of_rank : int array; (* admission rank -> schedule position *)
   mutable admitted : bool array; (* schedule position -> admitted? *)
   cache : cache;
@@ -77,11 +68,93 @@ type scratch = {
 let empty_decision =
   { Scheduler.dispatch = None; aborts = []; rejected = []; schedule = []; ops = 0 }
 
-let ensure n arr = if Array.length arr >= n then arr else Array.make (max n 16) 0
+(* Grow-only scratch, doubling: a run whose live set creeps upward
+   would otherwise reallocate every array at each new high, and arrays
+   past the minor-heap size limit become major-heap garbage. *)
+let grow n arr = Int.max n (Int.max 16 (2 * Array.length arr))
+let ensure n arr = if Array.length arr >= n then arr else Array.make (grow n arr) 0
 let ensure_bool n arr =
-  if Array.length arr >= n then arr else Array.make (max n 16) false
+  if Array.length arr >= n then arr else Array.make (grow n arr) false
 let ensure_float n arr =
-  if Array.length arr >= n then arr else Array.make (max n 16) 0.0
+  if Array.length arr >= n then arr else Array.make (grow n arr) 0.0
+
+(* [Pud.of_job]'s arithmetic on an already-walked remaining cost.
+   Inlined so the quotient lands unboxed in the caller. *)
+let[@inline] pud ~now job rem =
+  let finish = now + rem in
+  let span = finish - now in
+  if span <= 0 then infinity
+  else Job.utility_at job ~now:finish /. float_of_int span
+
+(* --- index sorts -------------------------------------------------------- *)
+
+(* Two in-place heapsorts of an int permutation's prefix [0, n), one per
+   order, each with its comparison inlined: no closure, no boxed key.
+   Both orders are total, so the result agrees with the reference
+   [List.sort]. *)
+
+(* Admission order over job indices: non-increasing PUD, ties by jid.
+   [pud_after pud jid a b]: [a] sorts after [b]. *)
+let[@inline] pud_after (pud : float array) (jid : int array) a b =
+  match Float.compare pud.(a) pud.(b) with 0 -> jid.(a) > jid.(b) | c -> c < 0
+
+let rec sift_pud pud jid perm i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let big = if pud_after pud jid perm.(l) perm.(i) then l else i in
+    let r = l + 1 in
+    let big =
+      if r < len && pud_after pud jid perm.(r) perm.(big) then r else big
+    in
+    if big <> i then begin
+      let t = perm.(i) in
+      perm.(i) <- perm.(big);
+      perm.(big) <- t;
+      sift_pud pud jid perm big len
+    end
+  end
+
+let sort_pud pud jid perm n =
+  for i = (n / 2) - 1 downto 0 do
+    sift_pud pud jid perm i n
+  done;
+  for len = n - 1 downto 1 do
+    let t = perm.(0) in
+    perm.(0) <- perm.(len);
+    perm.(len) <- t;
+    sift_pud pud jid perm 0 len
+  done
+
+(* Schedule-position order over admission ranks: eff_ct ascending, ties
+   by rank — the stable-ECF insertion order of the reference schedule. *)
+let[@inline] ecf_after (ect : int array) a b =
+  let ea = ect.(a) and eb = ect.(b) in
+  ea > eb || (ea = eb && a > b)
+
+let rec sift_ecf ect perm i len =
+  let l = (2 * i) + 1 in
+  if l < len then begin
+    let big = if ecf_after ect perm.(l) perm.(i) then l else i in
+    let r = l + 1 in
+    let big = if r < len && ecf_after ect perm.(r) perm.(big) then r else big in
+    if big <> i then begin
+      let t = perm.(i) in
+      perm.(i) <- perm.(big);
+      perm.(big) <- t;
+      sift_ecf ect perm big len
+    end
+  end
+
+let sort_ecf ect perm n =
+  for i = (n / 2) - 1 downto 0 do
+    sift_ecf ect perm i n
+  done;
+  for len = n - 1 downto 1 do
+    let t = perm.(0) in
+    perm.(0) <- perm.(len);
+    perm.(len) <- t;
+    sift_ecf ect perm 0 len
+  done
 
 (* --- cached fast path -------------------------------------------------- *)
 
@@ -90,156 +163,151 @@ let ensure_float n arr =
    schedule's minimum slack. PUD is recomputed at the current [now] and
    compared bitwise — a step TUF's PUD is constant over the job's
    feasible window, so steady states validate; any drift rebuilds. *)
-let cache_hit scratch ~now ~jobs ~remaining =
-  let c = scratch.cache in
+let cache_hit c ~now ~jobs ~remaining =
   c.valid && jobs == c.jobs_arr && now >= c.prev_now && now <= c.min_slack
   &&
   let n = Array.length jobs in
-  let rec check i =
-    i >= n
-    ||
-    let j = jobs.(i) in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let j = jobs.(!i) in
     let live = Job.is_live j in
-    live = c.live.(i)
-    && (not live
-       || Job.is_runnable j = c.runnable.(i)
-          && remaining j = c.rem.(i)
-          && Float.equal (Pud.of_job ~now ~remaining j) c.pud.(i))
-    && check (i + 1)
-  in
-  check 0
+    live = c.live.(!i)
+    && ((not live)
+       || Job.is_runnable j = c.runnable.(!i)
+          &&
+          let rem = remaining j in
+          rem = c.rem.(!i) && Float.equal (pud ~now j rem) c.pud.(!i))
+  do
+    incr i
+  done;
+  !i >= n
 
-(* Record the inputs the decision depended on, for the next hit test. *)
-let cache_store scratch ~now ~jobs ~remaining ~min_slack decision =
-  let c = scratch.cache in
-  let n = Array.length jobs in
-  c.live <- ensure_bool n c.live;
-  c.runnable <- ensure_bool n c.runnable;
-  c.pud <- ensure_float n c.pud;
-  c.rem <- ensure n c.rem;
-  for i = 0 to n - 1 do
+(* --- full rebuild ------------------------------------------------------ *)
+
+(* Scores every live job into the cache arrays (which then describe this
+   decision's inputs) and lists the live indices in [s.by_rank].
+   Returns the live count. *)
+let score s ~now ~jobs ~remaining =
+  let c = s.cache in
+  let total = Array.length jobs in
+  c.live <- ensure_bool total c.live;
+  c.runnable <- ensure_bool total c.runnable;
+  c.pud <- ensure_float total c.pud;
+  c.rem <- ensure total c.rem;
+  s.jid <- ensure total s.jid;
+  s.by_rank <- ensure total s.by_rank;
+  let n = ref 0 in
+  for i = 0 to total - 1 do
     let j = jobs.(i) in
     let live = Job.is_live j in
     c.live.(i) <- live;
     if live then begin
+      let rem = remaining j in
       c.runnable.(i) <- Job.is_runnable j;
-      c.rem.(i) <- remaining j;
-      c.pud.(i) <- Pud.of_job ~now ~remaining j
+      c.rem.(i) <- rem;
+      c.pud.(i) <- pud ~now j rem;
+      s.jid.(i) <- j.Job.jid;
+      s.by_rank.(!n) <- i;
+      incr n
     end
   done;
+  !n
+
+let rebuild s ~now ~jobs ~remaining =
+  let c = s.cache in
+  c.valid <- false;
+  let n = score s ~now ~jobs ~remaining in
+  let ops = ref n in
+  sort_pud c.pud s.jid s.by_rank n;
+  ops := !ops + (n * Log2.ceil (Int.max n 2));
+  (* Fixed schedule positions: candidates ordered by (eff_ct,
+     admission rank). The admitted subset read in position order is
+     exactly the reference's stable-ECF schedule. *)
+  s.rem_of_rank <- ensure n s.rem_of_rank;
+  s.ect_of_rank <- ensure n s.ect_of_rank;
+  s.by_pos <- ensure n s.by_pos;
+  s.pos_of_rank <- ensure n s.pos_of_rank;
+  s.admitted <- ensure_bool n s.admitted;
+  for r = 0 to n - 1 do
+    let i = s.by_rank.(r) in
+    s.rem_of_rank.(r) <- c.rem.(i);
+    s.ect_of_rank.(r) <- Job.absolute_critical_time jobs.(i);
+    s.by_pos.(r) <- r
+  done;
+  sort_ecf s.ect_of_rank s.by_pos n;
+  for p = 0 to n - 1 do
+    s.pos_of_rank.(s.by_pos.(p)) <- p;
+    s.admitted.(p) <- false
+  done;
+  let tree = s.tree in
+  Slack_tree.reset tree ~n;
+  (* Greedy admission, highest PUD first. Feasibility of candidate c
+     at position p, against the admitted set S (all currently
+     feasible): c itself must finish by its eff_ct after the admitted
+     work before it, and every admitted entry after p must absorb
+     rem c without going negative. Charges mirror the reference list
+     walk exactly (see module comment). *)
+  let admitted_count = ref 0 in
+  for r = 0 to n - 1 do
+    let k = !admitted_count in
+    ops := !ops + (2 * Log2.ceil (k + 1)) + (k + 1);
+    let p = s.pos_of_rank.(r) in
+    let rem = s.rem_of_rank.(r) in
+    let ect = s.ect_of_rank.(r) in
+    let before = Slack_tree.prefix_rem tree ~pos:p in
+    let slack = ect - before - rem - now in
+    if slack >= 0 && Slack_tree.suffix_min tree ~pos:(p + 1) >= now + rem
+    then begin
+      Slack_tree.admit tree ~pos:p ~rem ~slack:(ect - before - rem);
+      s.admitted.(p) <- true;
+      admitted_count := k + 1
+    end
+  done;
+  let schedule = ref [] in
+  for p = n - 1 downto 0 do
+    if s.admitted.(p) then
+      schedule := jobs.(s.by_rank.(s.by_pos.(p))) :: !schedule
+  done;
+  let rejected = ref [] in
+  for r = n - 1 downto 0 do
+    if not s.admitted.(s.pos_of_rank.(r)) then
+      rejected := s.jid.(s.by_rank.(r)) :: !rejected
+  done;
+  let schedule = !schedule in
+  let decision =
+    {
+      Scheduler.dispatch = List.find_opt Job.is_runnable schedule;
+      aborts = [];
+      rejected = !rejected;
+      schedule;
+      ops = !ops;
+    }
+  in
+  (* The decision stays valid while now <= min over admitted of
+     (eff_ct_i - prefix_rem_i): every admitted entry still feasible,
+     every rejection still forced. *)
+  c.min_slack <- Slack_tree.min_all tree;
   c.jobs_arr <- jobs;
   c.prev_now <- now;
-  c.min_slack <- min_slack;
   c.decision <- decision;
-  c.valid <- true
+  c.valid <- true;
+  decision
 
-(* --- full rebuild ------------------------------------------------------ *)
-
-let decide scratch ~now ~jobs ~remaining =
-  if cache_hit scratch ~now ~jobs ~remaining then scratch.cache.decision
-  else begin
-    let ops = ref 0 in
-    let cells = Arena.cells scratch.arena ~n:(Array.length jobs) in
-    (* PUD of each live job: O(1) per job without dependency chains. *)
-    let n = ref 0 in
-    Array.iter
-      (fun j ->
-        if Job.is_live j then begin
-          let c = cells.(!n) in
-          c.Arena.key <- Pud.of_job ~now ~remaining j;
-          c.Arena.jid <- j.Job.jid;
-          c.Arena.job <- j;
-          incr n
-        end)
-      jobs;
-    let n = !n in
-    ops := !ops + n;
-    Arena.sort cells ~n ~cmp:by_pud;
-    ops := !ops + (n * Log2.ceil (max n 2));
-    (* Fixed schedule positions: candidates ordered by (eff_ct,
-       admission rank). The admitted subset read in position order is
-       exactly the reference's stable-ECF schedule. *)
-    scratch.rem_of_rank <- ensure n scratch.rem_of_rank;
-    scratch.ect_of_rank <- ensure n scratch.ect_of_rank;
-    scratch.pos_of_rank <- ensure n scratch.pos_of_rank;
-    scratch.admitted <- ensure_bool n scratch.admitted;
-    let ecf_cells = Arena.cells scratch.ecf ~n in
-    for r = 0 to n - 1 do
-      let job = cells.(r).Arena.job in
-      let ect = Job.absolute_critical_time job in
-      scratch.rem_of_rank.(r) <- remaining job;
-      scratch.ect_of_rank.(r) <- ect;
-      let e = ecf_cells.(r) in
-      e.Arena.key <- float_of_int ect;
-      e.Arena.jid <- r;
-      e.Arena.job <- job
-    done;
-    Arena.sort ecf_cells ~n ~cmp:by_ecf;
-    for p = 0 to n - 1 do
-      scratch.pos_of_rank.(ecf_cells.(p).Arena.jid) <- p;
-      scratch.admitted.(p) <- false
-    done;
-    Slack_tree.reset scratch.tree ~n;
-    (* Greedy admission, highest PUD first. Feasibility of candidate c
-       at position p, against the admitted set S (all currently
-       feasible): c itself must finish by its eff_ct after the admitted
-       work before it, and every admitted entry after p must absorb
-       rem c without going negative. Charges mirror the reference list
-       walk exactly (see module comment). *)
-    let rejected = ref [] in
-    let admitted_count = ref 0 in
-    for r = 0 to n - 1 do
-      let k = !admitted_count in
-      ops := !ops + (2 * Log2.ceil (k + 1)) + (k + 1);
-      let p = scratch.pos_of_rank.(r) in
-      let rem = scratch.rem_of_rank.(r) in
-      let ect = scratch.ect_of_rank.(r) in
-      let before = Slack_tree.prefix_rem scratch.tree ~pos:p in
-      let slack = ect - before - rem - now in
-      if
-        slack >= 0
-        && Slack_tree.suffix_min scratch.tree ~pos:(p + 1) >= now + rem
-      then begin
-        Slack_tree.admit scratch.tree ~pos:p ~rem ~slack:(ect - before - rem);
-        scratch.admitted.(p) <- true;
-        incr admitted_count
-      end
-      else rejected := cells.(r).Arena.jid :: !rejected
-    done;
-    let schedule = ref [] in
-    for p = n - 1 downto 0 do
-      if scratch.admitted.(p) then
-        schedule := ecf_cells.(p).Arena.job :: !schedule
-    done;
-    let schedule = !schedule in
-    let dispatch = List.find_opt Job.is_runnable schedule in
-    (* The decision stays valid while now <= min over admitted of
-       (eff_ct_i - prefix_rem_i): every admitted entry still feasible,
-       every rejection still forced. *)
-    let min_slack = Slack_tree.min_all scratch.tree in
-    Arena.scrub cells ~n;
-    Arena.scrub ecf_cells ~n;
-    let decision =
-      {
-        Scheduler.dispatch;
-        aborts = [];
-        rejected = List.rev !rejected;
-        schedule;
-        ops = !ops;
-      }
-    in
-    cache_store scratch ~now ~jobs ~remaining ~min_slack decision;
-    decision
-  end
+let decide s ~now ~jobs ~remaining =
+  if cache_hit s.cache ~now ~jobs ~remaining then s.cache.decision
+  else rebuild s ~now ~jobs ~remaining
 
 let make () =
-  let scratch =
+  let s =
     {
-      arena = Arena.create ();
-      ecf = Arena.create ();
       tree = Slack_tree.create ();
+      jid = [||];
+      by_rank = [||];
       rem_of_rank = [||];
       ect_of_rank = [||];
+      by_pos = [||];
       pos_of_rank = [||];
       admitted = [||];
       cache =
@@ -258,5 +326,5 @@ let make () =
   in
   {
     Scheduler.name = "rua-lock-free";
-    decide = (fun ~now ~jobs ~remaining -> decide scratch ~now ~jobs ~remaining);
+    decide = (fun ~now ~jobs ~remaining -> decide s ~now ~jobs ~remaining);
   }

@@ -1,40 +1,58 @@
-(* Fenwick tree (prefix sums of admitted rem) + lazy range-add /
-   range-min segment tree (per-position slack) over a fixed position
-   range. Storage is grow-only and reused across decisions. *)
+(* Fenwick tree (prefix sums of admitted rem) + bottom-up range-add /
+   range-min tree (per-position slack) over a fixed position range.
+   Storage is grow-only and reused across decisions.
+
+   Slack tree layout: leaves are nodes [size .. 2*size-1], node [v]'s
+   children are [2v] and [2v+1]. [ad.(v)] is an add pending for v's
+   whole subtree; [mn.(v)] is the subtree min including every add at or
+   below v (leaves fold their adds into [mn]). A position's true slack
+   is its leaf's [mn] plus the [ad] of its strict ancestors, so
+   [suffix_min] is one leaf-to-root walk and [admit] two (read the
+   ancestors' adds, then write), with no push-down. *)
 
 (* Far above any reachable slack (eff_ct minus work sums, both bounded
    by the virtual-time horizon), far below overflow even after every
    admitted rem is subtracted from it. *)
 let sentinel = max_int / 4
 
+(* Padding leaves at positions [>= n]: they take suffix adds too, but
+   stay above every in-range vacant leaf, so a min over [pos, size)
+   equals the min over [pos, n). *)
+let padding = max_int / 2
+
 type t = {
   mutable n : int;
-  mutable size : int; (* power of two >= n; tree nodes are 1 .. 2*size-1 *)
-  mutable minv : int array; (* node -> min slack of its segment *)
-  mutable lzy : int array; (* node -> add pending for its children *)
+  mutable size : int; (* power of two >= n *)
+  mutable mn : int array; (* node -> min slack of its subtree *)
+  mutable ad : int array; (* node -> add over its whole subtree *)
   mutable fen : int array; (* 1-based Fenwick over rem *)
 }
 
-let create () = { n = 0; size = 1; minv = [||]; lzy = [||]; fen = [||] }
+let create () = { n = 0; size = 1; mn = [||]; ad = [||]; fen = [||] }
 
 let reset t ~n =
   let size = ref 1 in
-  while !size < max n 1 do
+  while !size < n do
     size := !size * 2
   done;
   let size = !size in
   t.n <- n;
   t.size <- size;
-  if Array.length t.minv < 2 * size then begin
-    t.minv <- Array.make (2 * size) sentinel;
-    t.lzy <- Array.make (2 * size) 0;
+  if Array.length t.mn < 2 * size then begin
+    t.mn <- Array.make (2 * size) sentinel;
+    t.ad <- Array.make (2 * size) 0;
     t.fen <- Array.make (size + 1) 0
   end
   else begin
-    Array.fill t.minv 0 (2 * size) sentinel;
-    Array.fill t.lzy 0 (2 * size) 0;
+    Array.fill t.ad 0 (2 * size) 0;
     Array.fill t.fen 0 (size + 1) 0
-  end
+  end;
+  let mn = t.mn in
+  Array.fill mn size n sentinel;
+  Array.fill mn (size + n) (size - n) padding;
+  for v = size - 1 downto 1 do
+    mn.(v) <- Int.min mn.(2 * v) mn.((2 * v) + 1)
+  done
 
 (* --- Fenwick ---------------------------------------------------------- *)
 
@@ -55,64 +73,50 @@ let prefix_rem t ~pos =
   done;
   !acc
 
-(* --- segment tree ----------------------------------------------------- *)
-
-let push t node =
-  let lz = t.lzy.(node) in
-  if lz <> 0 then begin
-    let l = 2 * node and r = (2 * node) + 1 in
-    t.minv.(l) <- t.minv.(l) + lz;
-    t.minv.(r) <- t.minv.(r) + lz;
-    if l < t.size then begin
-      t.lzy.(l) <- t.lzy.(l) + lz;
-      t.lzy.(r) <- t.lzy.(r) + lz
-    end;
-    t.lzy.(node) <- 0
-  end
-
-let rec range_add t node lo hi l r v =
-  if not (r < lo || hi < l) then
-    if l <= lo && hi <= r then begin
-      t.minv.(node) <- t.minv.(node) + v;
-      if node < t.size then t.lzy.(node) <- t.lzy.(node) + v
-    end
-    else begin
-      push t node;
-      let mid = (lo + hi) / 2 in
-      range_add t (2 * node) lo mid l r v;
-      range_add t ((2 * node) + 1) (mid + 1) hi l r v;
-      t.minv.(node) <- min t.minv.(2 * node) t.minv.((2 * node) + 1)
-    end
-
-let rec range_min t node lo hi l r =
-  if r < lo || hi < l then sentinel
-  else if l <= lo && hi <= r then t.minv.(node)
-  else begin
-    push t node;
-    let mid = (lo + hi) / 2 in
-    min
-      (range_min t (2 * node) lo mid l r)
-      (range_min t ((2 * node) + 1) (mid + 1) hi l r)
-  end
-
-let rec point_set t node lo hi i v =
-  if lo = hi then t.minv.(node) <- v
-  else begin
-    push t node;
-    let mid = (lo + hi) / 2 in
-    if i <= mid then point_set t (2 * node) lo mid i v
-    else point_set t ((2 * node) + 1) (mid + 1) hi i v;
-    t.minv.(node) <- min t.minv.(2 * node) t.minv.((2 * node) + 1)
-  end
-
 (* --- public queries --------------------------------------------------- *)
 
+(* The leaf at [pos] and the right siblings of its left-child ancestors
+   cover [pos, size); each parent's add applies to everything gathered
+   below it. *)
 let suffix_min t ~pos =
-  if pos >= t.n then sentinel else range_min t 1 0 (t.size - 1) pos (t.n - 1)
+  if pos >= t.n then sentinel
+  else begin
+    let mn = t.mn and ad = t.ad in
+    let x = ref (t.size + pos) in
+    let acc = ref mn.(!x) in
+    while !x > 1 do
+      let v = !x in
+      if v land 1 = 0 then acc := Int.min !acc mn.(v + 1);
+      x := v lsr 1;
+      acc := !acc + ad.(!x)
+    done;
+    !acc
+  end
 
-let min_all t = if t.n = 0 then sentinel else t.minv.(1)
+let min_all t = if t.n = 0 then sentinel else t.mn.(1)
 
+(* Leaf write plus suffix add over (pos, size) in one upward pass: the
+   right siblings along [pos]'s path are exactly that suffix. The
+   ancestors' adds are read first so the leaf's true slack is [slack]. *)
 let admit t ~pos ~rem ~slack =
   fen_add t pos rem;
-  if pos + 1 <= t.n - 1 then range_add t 1 0 (t.size - 1) (pos + 1) (t.n - 1) (-rem);
-  point_set t 1 0 (t.size - 1) pos slack
+  let mn = t.mn and ad = t.ad in
+  let leaf = t.size + pos in
+  let above = ref 0 in
+  let x = ref (leaf lsr 1) in
+  while !x >= 1 do
+    above := !above + ad.(!x);
+    x := !x lsr 1
+  done;
+  mn.(leaf) <- slack - !above;
+  let x = ref leaf in
+  while !x > 1 do
+    let v = !x in
+    if v land 1 = 0 then begin
+      ad.(v + 1) <- ad.(v + 1) - rem;
+      mn.(v + 1) <- mn.(v + 1) - rem
+    end;
+    let p = v lsr 1 in
+    mn.(p) <- ad.(p) + Int.min mn.(2 * p) mn.((2 * p) + 1);
+    x := p
+  done

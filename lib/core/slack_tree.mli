@@ -10,16 +10,18 @@
 
     This module answers both queries in O(log n): a Fenwick tree holds
     the admitted entries' remaining costs by position (prefix sums),
-    and a lazy range-add / range-min segment tree holds per-position
+    and a bottom-up range-add / range-min tree holds per-position
     slack values [v_i = eff_ct_i - prefix_rem_i] (admitted positions
     only; vacant positions sit at a huge sentinel that never wins a
-    min). Positions are fixed up front — the candidate set sorted by
-    (eff_ct, admission rank) — so admission is a point write plus one
-    suffix range-add, never a physical shift.
+    min). Each tree node keeps its subtree's min and one add for its
+    whole subtree, so {!suffix_min} and {!admit} are leaf-to-root walks
+    with no push-down, and {!min_all} reads the root. Positions are
+    fixed up front — the candidate set sorted by (eff_ct, admission
+    rank) — so admission is a leaf write plus one suffix add, never a
+    physical shift.
 
     One instance is reusable across decisions ({!reset} is O(n) and
-    storage grows monotonically), in the same arena style as
-    {!Arena}. *)
+    storage grows monotonically). *)
 
 type t
 
@@ -49,6 +51,7 @@ val min_all : t -> int
     [now] iff [now <= min_all t]. *)
 
 val admit : t -> pos:int -> rem:int -> slack:int -> unit
-(** [admit t ~pos ~rem ~slack] marks [pos] admitted: its slack leaf is
-    set to [slack], [rem] is added to the prefix sums at [pos], and
-    every later position's slack drops by [rem]. *)
+(** [admit t ~pos ~rem ~slack] marks the vacant position [pos]
+    admitted: its slack leaf is set to [slack], [rem] is added to the
+    prefix sums at [pos], and every later position's slack drops by
+    [rem]. *)

@@ -49,14 +49,14 @@ let interp points c at =
   if i + 1 >= n then u0
   else
     let t1, u1 = points.(i + 1) in
-    let t1 = min t1 c in
+    let t1 = Int.min t1 c in
     if t1 <= t0 then u0
     else
       let frac = float_of_int (at - t0) /. float_of_int (t1 - t0) in
       u0 +. (frac *. (u1 -. u0))
 
 let utility f ~at =
-  let at = max at 0 in
+  let at = Int.max at 0 in
   let c = critical_time f in
   if at >= c then 0.0
   else

@@ -404,7 +404,7 @@ let abort_job st job =
   (* The exception handler runs immediately on the CPU (§3.5); the
      charged duration rides in the trace payload so attribution can
      bill the post-abort interval to this job exactly. *)
-  let handler = max 0 job.Job.task.Task.abort_cost in
+  let handler = Int.max 0 job.Job.task.Task.abort_cost in
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Abort (job.Job.jid, handler));
   let core = Cores.core_of st.cores ~jid:job.Job.jid in

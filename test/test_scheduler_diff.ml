@@ -144,6 +144,140 @@ let run_diff kind () =
     [ 1; 2; 8; 64 ];
   Alcotest.(check bool) "at least 100 scenes" true (!count >= 100)
 
+(* --- tie-dense scenes ----------------------------------------------------- *)
+
+let shuffle rs a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rs (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done
+
+(* Scenes where the sort tiebreaks decide the outcome. Jids are a
+   shuffle of the array indices, so jid order is not array order.
+   - [`Pud]: step TUFs with heights {10, 20} and costs {5, 10}, so most
+     jobs share a PUD and jid breaks the tie.
+   - [`Ct]: every job arrives at 0 with critical time 60 or 120, so most
+     share an eff_ct and admission rank breaks the tie; the work far
+     exceeds both, so admission rejects many.
+   - [`Dead]: every job already completed or aborted.
+   A few live jobs are Running or Blocked (live but not runnable). *)
+let tie_scene rs ~n kind =
+  let jids = Array.init n (fun i -> i) in
+  shuffle rs jids;
+  Array.map
+    (fun jid ->
+      let ct, rem, tuf =
+        match kind with
+        | `Pud ->
+          let ct = 20 + Random.State.int rs 300 in
+          let height = if Random.State.bool rs then 10.0 else 20.0 in
+          let rem = if Random.State.bool rs then 5 else 10 in
+          (ct, rem, Tuf.step ~height ~c:ct)
+        | `Ct | `Dead ->
+          let ct = if Random.State.bool rs then 60 else 120 in
+          let rem = 1 + Random.State.int rs 40 in
+          let height = 0.1 +. Random.State.float rs 100.0 in
+          let tuf =
+            if Random.State.bool rs then Tuf.step ~height ~c:ct
+            else Tuf.linear ~u0:height ~c:ct
+          in
+          (ct, rem, tuf)
+      in
+      let task =
+        Task.make ~id:jid ~tuf
+          ~arrival:(Uam.periodic ~period:(2 * ct))
+          ~exec:rem ()
+      in
+      let j = Job.create ~task ~jid ~arrival:0 in
+      (match (kind, Random.State.int rs 8) with
+      | `Dead, k -> j.Job.state <- (if k < 4 then Job.Completed else Job.Aborted)
+      | _, 0 -> j.Job.state <- Job.Running
+      | _, 1 -> j.Job.state <- Job.Blocked 0
+      | _ -> ());
+      j)
+    jids
+
+let tie_kinds = [ (`Pud, "pud-ties"); (`Ct, "ct-ties"); (`Dead, "all-dead") ]
+let tie_sizes = [ 3; 17; 31; 33 ]
+
+(* Pairs of live jobs sharing a key: guards the scenes against drifting
+   into tie-free shapes that no longer exercise the tiebreaks. *)
+let shared_pairs key jobs =
+  let keys =
+    List.filter_map
+      (fun j -> if Job.is_live j then Some (key j) else None)
+      (Array.to_list jobs)
+  in
+  let rec count = function
+    | [] -> 0
+    | k :: rest -> List.length (List.filter (( = ) k) rest) + count rest
+  in
+  count keys
+
+let run_tie_diff () =
+  let rs = Test_support.rand_state () in
+  let opt = Rtlf_core.Rua_lock_free.make () in
+  let pud_ties = ref 0 and ct_ties = ref 0 in
+  List.iter
+    (fun (kind, label) ->
+      List.iter
+        (fun n ->
+          for rep = 1 to 8 do
+            let now = Random.State.int rs 20 in
+            let jobs = tie_scene rs ~n kind in
+            (match kind with
+            | `Pud ->
+              pud_ties :=
+                !pud_ties
+                + shared_pairs
+                    (fun j -> Rtlf_core.Pud.of_job ~now ~remaining j)
+                    jobs
+            | `Ct -> ct_ties := !ct_ties + shared_pairs Job.absolute_critical_time jobs
+            | `Dead -> ());
+            let expected =
+              (Reference.rua_lock_free ()).Scheduler.decide ~now ~jobs
+                ~remaining
+            in
+            let msg = Printf.sprintf "%s n=%d rep=%d" label n rep in
+            check_same ~msg expected (opt.Scheduler.decide ~now ~jobs ~remaining);
+            check_same ~msg:(msg ^ " (rerun)") expected
+              (opt.Scheduler.decide ~now ~jobs ~remaining)
+          done)
+        tie_sizes)
+    tie_kinds;
+  Alcotest.(check bool) "PUD ties present" true (!pud_ties >= 100);
+  Alcotest.(check bool) "critical-time ties present" true (!ct_ties >= 100)
+
+(* --- rebuild allocation budget ------------------------------------------ *)
+
+(* A rebuild allocates only the decision it returns: the schedule and
+   rejected lists, plus boxed utilities from non-step TUFs. One
+   persistent instance alternates between two disjoint arrays, so every
+   call misses the cache and rebuilds. The first call at each size is a
+   warm-up that grows the scratch arrays. *)
+let test_rebuild_alloc_budget () =
+  let rs = Test_support.rand_state () in
+  let opt = Rtlf_core.Rua_lock_free.make () in
+  List.iter
+    (fun n ->
+      let a = Array.init n (fun i -> mk_job rs ~jid:i) in
+      let b = Array.init n (fun i -> mk_job rs ~jid:(n + i)) in
+      ignore (opt.Scheduler.decide ~now:0 ~jobs:a ~remaining);
+      let calls = 200 in
+      let before = Gc.minor_words () in
+      for k = 1 to calls do
+        let jobs = if k land 1 = 1 then b else a in
+        ignore (opt.Scheduler.decide ~now:0 ~jobs ~remaining)
+      done;
+      let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+      let budget = float_of_int ((12 * n) + 64) in
+      if per_call > budget then
+        Alcotest.failf "n=%d: %.1f minor words per rebuild (budget %.0f)" n
+          per_call budget)
+    [ 32; 64 ]
+
 (* --- incremental sequences ---------------------------------------------- *)
 
 (* The lock-oblivious schedulers carry a cross-invocation decision cache
@@ -154,6 +288,56 @@ let run_diff kind () =
    rebuilds (segment progress, completions, unblocking, [now] passing
    the schedule's minimum slack). Mutations are biased toward no-ops so
    both paths are exercised many times per sequence. *)
+let incremental_sequence kind rs ~label ~n jobs =
+  let opt =
+    match kind with
+    | `Edf -> Rtlf_core.Edf.make ()
+    | `Lock_free -> Rtlf_core.Rua_lock_free.make ()
+  in
+  let now = ref (Random.State.int rs 50) in
+  for step = 1 to 40 do
+    (match Random.State.int rs 8 with
+    | 0 | 1 | 2 | 3 ->
+      (* Steady state: at most the clock moves. *)
+      ()
+    | 4 ->
+      (* Execution progress inside the current segment: the job's
+         remaining cost shrinks. *)
+      let j = jobs.(Random.State.int rs n) in
+      if Job.is_live j && Job.remaining_nominal j > 1 then
+        j.Job.seg_progress <- j.Job.seg_progress + 1
+    | 5 ->
+      (* Dispatch / preempt / unblock: Ready<->Running keeps the
+         runnable flag (and the cached decision) valid; leaving
+         Blocked does not. *)
+      let j = jobs.(Random.State.int rs n) in
+      (match j.Job.state with
+      | Job.Ready -> j.Job.state <- Job.Running
+      | Job.Running -> j.Job.state <- Job.Ready
+      | Job.Blocked _ -> j.Job.state <- Job.Ready
+      | Job.Completed | Job.Aborted -> ())
+    | 6 ->
+      (* Departure: the job leaves the live set. *)
+      let j = jobs.(Random.State.int rs n) in
+      if Job.is_live j then j.Job.state <- Job.Completed
+    | _ ->
+      (* Abort (e.g. deadlock victim elsewhere in the system). *)
+      let j = jobs.(Random.State.int rs n) in
+      if Job.is_live j then j.Job.state <- Job.Aborted);
+    now := !now + Random.State.int rs 30;
+    let reference =
+      match kind with
+      | `Edf -> Reference.edf ()
+      | `Lock_free -> Reference.rua_lock_free ()
+    in
+    let expected = reference.Scheduler.decide ~now:!now ~jobs ~remaining in
+    let msg =
+      Printf.sprintf "incremental %s %s step=%d" reference.Scheduler.name
+        label step
+    in
+    check_same ~msg expected (opt.Scheduler.decide ~now:!now ~jobs ~remaining)
+  done
+
 let run_incremental kind () =
   let rs = Test_support.rand_state () in
   List.iter
@@ -161,59 +345,21 @@ let run_incremental kind () =
       for rep = 1 to 8 do
         let with_chains = n >= 4 && Random.State.bool rs in
         let jobs, _locks = scene rs ~n ~with_chains in
-        let opt =
-          match kind with
-          | `Edf -> Rtlf_core.Edf.make ()
-          | `Lock_free -> Rtlf_core.Rua_lock_free.make ()
-        in
-        let now = ref (Random.State.int rs 50) in
-        for step = 1 to 40 do
-          (match Random.State.int rs 8 with
-          | 0 | 1 | 2 | 3 ->
-            (* Steady state: at most the clock moves. *)
-            ()
-          | 4 ->
-            (* Execution progress inside the current segment: the job's
-               remaining cost shrinks. *)
-            let j = jobs.(Random.State.int rs n) in
-            if Job.is_live j && Job.remaining_nominal j > 1 then
-              j.Job.seg_progress <- j.Job.seg_progress + 1
-          | 5 ->
-            (* Dispatch / preempt / unblock: Ready<->Running keeps the
-               runnable flag (and the cached decision) valid; leaving
-               Blocked does not. *)
-            let j = jobs.(Random.State.int rs n) in
-            (match j.Job.state with
-            | Job.Ready -> j.Job.state <- Job.Running
-            | Job.Running -> j.Job.state <- Job.Ready
-            | Job.Blocked _ -> j.Job.state <- Job.Ready
-            | Job.Completed | Job.Aborted -> ())
-          | 6 ->
-            (* Departure: the job leaves the live set. *)
-            let j = jobs.(Random.State.int rs n) in
-            if Job.is_live j then j.Job.state <- Job.Completed
-          | _ ->
-            (* Abort (e.g. deadlock victim elsewhere in the system). *)
-            let j = jobs.(Random.State.int rs n) in
-            if Job.is_live j then j.Job.state <- Job.Aborted);
-          now := !now + Random.State.int rs 30;
-          let reference =
-            match kind with
-            | `Edf -> Reference.edf ()
-            | `Lock_free -> Reference.rua_lock_free ()
-          in
-          let expected =
-            reference.Scheduler.decide ~now:!now ~jobs ~remaining
-          in
-          let msg =
-            Printf.sprintf "incremental %s n=%d chains=%b rep=%d step=%d"
-              reference.Scheduler.name n with_chains rep step
-          in
-          check_same ~msg expected
-            (opt.Scheduler.decide ~now:!now ~jobs ~remaining)
-        done
+        let label = Printf.sprintf "n=%d chains=%b rep=%d" n with_chains rep in
+        incremental_sequence kind rs ~label ~n jobs
       done)
-    [ 1; 4; 16; 64 ]
+    [ 1; 4; 16; 64 ];
+  List.iter
+    (fun (shape, name) ->
+      List.iter
+        (fun n ->
+          for rep = 1 to 4 do
+            let jobs = tie_scene rs ~n shape in
+            let label = Printf.sprintf "%s n=%d rep=%d" name n rep in
+            incremental_sequence kind rs ~label ~n jobs
+          done)
+        tie_sizes)
+    tie_kinds
 
 (* --- Log2 --------------------------------------------------------------- *)
 
@@ -250,6 +396,8 @@ let () =
             (run_diff `Lock_free);
           Alcotest.test_case "rua-lock-based = reference" `Quick
             (run_diff `Lock_based);
+          Alcotest.test_case "rua-lock-free tie-dense = reference" `Quick
+            run_tie_diff;
         ] );
       ( "incremental",
         [
@@ -257,5 +405,10 @@ let () =
             (run_incremental `Edf);
           Alcotest.test_case "rua-lock-free sequences = reference" `Quick
             (run_incremental `Lock_free);
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "rua-lock-free rebuild words" `Quick
+            test_rebuild_alloc_budget;
         ] );
     ]

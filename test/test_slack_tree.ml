@@ -149,6 +149,57 @@ let test_order_independence () =
       Alcotest.(check bool) (msg "min_all vacant") true (is_vacant m1)
   done
 
+(* Seeded random sequences against a brute-force array, checked after
+   every single [admit]: the array holds each position's slack (vacant
+   positions start at the sentinel and take suffix adds like admitted
+   ones) and each position's admitted rem. One instance runs every
+   size, so storage is reused across resets to smaller and larger n. *)
+let test_random_sequences () =
+  let rs = Test_support.rand_state () in
+  let t = Slack_tree.create () in
+  List.iter
+    (fun n ->
+      Slack_tree.reset t ~n;
+      let slack = Array.make n sentinel and rem_at = Array.make n 0 in
+      let check step =
+        let msg q = Printf.sprintf "n=%d step=%d %s" n step q in
+        let acc = ref 0 in
+        for pos = 0 to n - 1 do
+          acc := !acc + rem_at.(pos);
+          Alcotest.(check int)
+            (msg (Printf.sprintf "prefix_rem %d" pos))
+            !acc
+            (Slack_tree.prefix_rem t ~pos)
+        done;
+        let best = ref sentinel in
+        for pos = n - 1 downto 0 do
+          best := Int.min !best slack.(pos);
+          Alcotest.(check int)
+            (msg (Printf.sprintf "suffix_min %d" pos))
+            !best
+            (Slack_tree.suffix_min t ~pos)
+        done;
+        Alcotest.(check int) (msg "suffix_min past end") sentinel
+          (Slack_tree.suffix_min t ~pos:n);
+        Alcotest.(check int) (msg "min_all") !best (Slack_tree.min_all t)
+      in
+      check 0;
+      let order = shuffle rs (Array.init n (fun p -> p)) in
+      let k = Random.State.int rs (n + 1) in
+      for step = 1 to k do
+        let pos = order.(step - 1) in
+        let rem = if Random.State.int rs 4 = 0 then 0 else Random.State.int rs 60 in
+        let v = Random.State.int rs 4000 - 500 in
+        Slack_tree.admit t ~pos ~rem ~slack:v;
+        slack.(pos) <- v;
+        rem_at.(pos) <- rem;
+        for q = pos + 1 to n - 1 do
+          slack.(q) <- slack.(q) - rem
+        done;
+        check step
+      done)
+    [ 1; 2; 3; 5; 17; 33; 64; 100; 257; 5; 100; 0; 33 ]
+
 let () =
   Test_support.run "slack_tree"
     [
@@ -163,5 +214,7 @@ let () =
         [
           Alcotest.test_case "admission-order independence vs oracle" `Quick
             test_order_independence;
+          Alcotest.test_case "random sequences vs brute force" `Quick
+            test_random_sequences;
         ] );
     ]
