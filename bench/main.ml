@@ -239,8 +239,9 @@ let bench_decide_scale ~sched ~path jobs =
   in
   match path with
   | `Rebuild ->
-    (* Toggle one job's runnability between iterations so neither
-       decider's cache can hit: every run pays the full rebuild. *)
+    (* Toggle one job's runnability between iterations so the
+       lock-free decider's cache cannot hit: every run pays the full
+       rebuild. EDF has no cache and sorts on every call either way. *)
     let j0 = jobs.(0) in
     Staged.stage (fun () ->
         (j0.Job.state <-

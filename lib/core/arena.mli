@@ -1,11 +1,13 @@
-(** Reusable scratch storage for the scheduler hot path.
+(** Reusable scratch storage for the lock-based RUA decider.
 
-    Each scheduler instance owns one arena; every [decide] call fills
-    the same preallocated cell array instead of building and sorting
-    fresh lists, so steady-state invocations allocate nothing per live
-    job. Cells are mutable records reused across calls: [key] is the
-    sort key (PUD, or a critical time widened to float), [jid] the
-    deterministic tiebreak, [job]/[chain] the payload. *)
+    [Rua_lock_based] is the only scheduler that sorts through cells:
+    each instance owns one arena, and every [decide] call fills the
+    same preallocated cell array instead of building and sorting fresh
+    lists. [dummy_job] is also the vacant-slot filler of
+    [Tentative_schedule] and the simulator's live view. Cells are
+    mutable records reused across calls: [key] is the sort key (a
+    chain's PUD), [jid] the deterministic tiebreak, [job]/[chain] the
+    payload. *)
 
 type cell = {
   mutable key : float;

@@ -1,12 +1,13 @@
-(* The pre-arena, list-based scheduler implementations, retained
-   verbatim as the differential-testing oracle. The optimized modules
-   ([Edf], [Edf_pip], [Rua_lock_free], [Rua_lock_based]) must produce
+(* The pre-arena, list-based RUA decision procedures, retained verbatim
+   as the differential-testing oracle. [Rua_lock_free] (slack tree,
+   rollback journal) and [Rua_lock_based] (arena cells) must produce
    bit-identical decisions — dispatch, aborts, rejected, schedule
    order and the charged [ops] count — on every input; the paper's
    reproduced numbers depend only on that contract, never on the
    physical layout of the hot path. Only the entry points were adapted
    to the array-based [Scheduler.decide] signature (one [Array.to_list]
-   at the boundary). *)
+   at the boundary). EDF and EDF+PIP have no twin: their one list-based
+   implementation is checked against its specification instead. *)
 
 module Job = Rtlf_model.Job
 module Lock_manager = Rtlf_model.Lock_manager
@@ -257,90 +258,4 @@ let rua_lock_based ~locks =
     decide =
       (fun ~now ~jobs ~remaining ->
         rua_lock_based_decide ~locks ~now ~jobs ~remaining);
-  }
-
-(* --- EDF -------------------------------------------------------------- *)
-
-let edf_decide ~now:_ ~jobs ~remaining:_ =
-  let jobs = Array.to_list jobs in
-  let runnable = List.filter Job.is_runnable jobs in
-  let earlier a b =
-    let ca = Job.absolute_critical_time a
-    and cb = Job.absolute_critical_time b in
-    ca < cb || (ca = cb && a.Job.jid < b.Job.jid)
-  in
-  let best =
-    List.fold_left
-      (fun acc j ->
-        match acc with
-        | None -> Some j
-        | Some b -> if earlier j b then Some j else acc)
-      None runnable
-  in
-  let schedule =
-    List.sort
-      (fun a b ->
-        compare
-          (Job.absolute_critical_time a, a.Job.jid)
-          (Job.absolute_critical_time b, b.Job.jid))
-      runnable
-  in
-  {
-    Scheduler.dispatch = best;
-    aborts = [];
-    rejected = [];
-    schedule;
-    ops = List.length jobs;
-  }
-
-let edf () = { Scheduler.name = "edf"; decide = edf_decide }
-
-(* --- EDF + PIP -------------------------------------------------------- *)
-
-let effective_critical_time ~locks ~by_jid job =
-  let own = Job.absolute_critical_time job in
-  Hashtbl.fold
-    (fun jid blocked acc ->
-      if jid = job.Job.jid then acc
-      else
-        match blocked.Job.state with
-        | Job.Blocked _ ->
-          let chain = Lock_manager.dependency_chain locks ~jid in
-          if List.mem job.Job.jid chain then
-            min acc (Job.absolute_critical_time blocked)
-          else acc
-        | Job.Ready | Job.Running | Job.Completed | Job.Aborted -> acc)
-    by_jid own
-
-let edf_pip_decide ~locks ~now:_ ~jobs ~remaining:_ =
-  let jobs = Array.to_list jobs in
-  let live = List.filter Job.is_live jobs in
-  let by_jid = Hashtbl.create (max (List.length live) 1) in
-  List.iter (fun j -> Hashtbl.replace by_jid j.Job.jid j) live;
-  let ops = ref 0 in
-  let scored =
-    List.filter_map
-      (fun j ->
-        ops := !ops + 1;
-        if Job.is_runnable j then
-          Some (effective_critical_time ~locks ~by_jid j, j.Job.jid, j)
-        else None)
-      live
-  in
-  let ordered = List.sort compare scored in
-  let schedule = List.map (fun (_, _, j) -> j) ordered in
-  ops := !ops + (List.length live * List.length live);
-  {
-    Scheduler.dispatch = (match schedule with [] -> None | j :: _ -> Some j);
-    aborts = [];
-    rejected = [];
-    schedule;
-    ops = !ops;
-  }
-
-let edf_pip ~locks =
-  {
-    Scheduler.name = "edf-pip";
-    decide =
-      (fun ~now ~jobs ~remaining -> edf_pip_decide ~locks ~now ~jobs ~remaining);
   }

@@ -11,8 +11,9 @@
       mask, time-since-release) key is in the plan's table is answered
       by translating the stored template — no sort, no admission loop;
     - {e delegation}: everything else runs the wrapped dynamic decider
-      (whose own validity cache serves steady states); a fresh release
-      with an unknown key is learned from the delegated decision.
+      (lock-free RUA's own validity cache serves its steady states); a
+      fresh release with an unknown key is learned from the delegated
+      decision.
 
     A job of a task the plan does not know makes its release
     ineligible for a template; it is simply delegated. *)
@@ -22,9 +23,9 @@ module Job = Rtlf_model.Job
 
 type algo = Rua_lf | Edf
 (** Which dynamic decider is wrapped. The pattern table is RUA-only
-    (EDF's own cache is already O(n) flag compares, and its [ops]
-    charge counts dead array entries, which a position template cannot
-    reproduce), so every [Edf] decide is delegated. *)
+    (EDF's decide is one O(n log n) sort, and its [ops] charge counts
+    dead array entries, which a position template cannot reproduce), so
+    every [Edf] decide is delegated. *)
 
 type stats = {
   decides : int;

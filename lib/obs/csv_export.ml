@@ -114,6 +114,29 @@ let parse_row line =
     { Trace.time; kind }
   | _ -> fail "expected 5 comma-separated fields"
 
+(* What a simulator trace can never contain, given the rows before [e]:
+   an arrival recorded before it happened, a second arrival of one jid,
+   or a second resolution (complete or abort) of one job. [seen] maps
+   each jid to whether it has resolved. *)
+let check_history seen (e : Trace.entry) line =
+  let fail msg = raise (Bad_row (msg ^ ": " ^ line)) in
+  match e.Trace.kind with
+  | Trace.Arrive (jid, _, at) ->
+    if at > e.Trace.time then
+      fail
+        (Printf.sprintf "arrive at=%d is after the row's time_ns %d" at
+           e.Trace.time);
+    if Hashtbl.mem seen jid then fail (Printf.sprintf "jid %d arrives twice" jid);
+    Hashtbl.replace seen jid false
+  | Trace.Complete jid | Trace.Abort (jid, _) ->
+    if Hashtbl.find_opt seen jid = Some true then
+      fail (Printf.sprintf "jid %d already resolved" jid);
+    Hashtbl.replace seen jid true
+  | Trace.Start _ | Trace.Migrate _ | Trace.Preempt _ | Trace.Block _
+  | Trace.Wake _ | Trace.Acquire _ | Trace.Release _ | Trace.Retry _
+  | Trace.Access_done _ | Trace.Sched _ ->
+    ()
+
 let of_string s =
   match String.split_on_char '\n' s with
   | [] -> Error "empty trace CSV"
@@ -125,6 +148,7 @@ let of_string s =
          time, so a row earlier than its predecessor is corrupt input,
          not something attribution should try to make sense of. *)
       let line_no = ref 1 and last = ref min_int in
+      let seen = Hashtbl.create 64 in
       try
         let trace = Trace.create ~enabled:true () in
         List.iter
@@ -138,6 +162,7 @@ let of_string s =
                      (Printf.sprintf
                         "time_ns %d is before the previous row's %d: %s"
                         e.Trace.time !last line));
+              check_history seen e line;
               last := e.Trace.time;
               Trace.record trace ~time:e.Trace.time e.Trace.kind
             end)

@@ -26,7 +26,9 @@ val of_string : string -> (Rtlf_sim.Trace.t, string) result
     enrichment (no [at=]/[by=]/[lost=]/[handler=] extras) parse with
     conservative defaults. Returns [Error] with a message naming the
     line on malformed input, including a row whose [time_ns] is below
-    the previous row's. *)
+    the previous row's, an arrival whose [at=] is after its row's
+    [time_ns], a second arrival of one jid, and a second [complete] or
+    [abort] of one job. *)
 
 val read_file : path:string -> (Rtlf_sim.Trace.t, string) result
 (** [read_file ~path] is {!of_string} on the contents of [path]

@@ -434,24 +434,46 @@ let test_csv_round_trip_preserves_attribution () =
         Alcotest.(check int) "idle" x.Attribution.idle y.Attribution.idle)
       a1.Attribution.jobs a2.Attribution.jobs
 
-let test_csv_rejects_time_reversal () =
-  let csv =
-    String.concat "\n"
-      [
-        Csv.header;
-        "0,arrive,0,,task=0;at=0";
-        "5,start,0,,core=0";
-        "3,complete,0,,";
-        "";
-      ]
-  in
-  match Csv.of_string csv with
-  | Ok _ -> Alcotest.fail "time-reversed trace accepted"
+(* [rows] (after the header) must be rejected with an error starting
+   with [prefix], which names the offending line. *)
+let check_csv_rejected ~what rows ~prefix =
+  match Csv.of_string (String.concat "\n" ((Csv.header :: rows) @ [ "" ])) with
+  | Ok _ -> Alcotest.failf "%s trace accepted" what
   | Error msg ->
     Alcotest.(check bool)
-      ("error names line 4 and the time: " ^ msg)
+      (Printf.sprintf "error starts with %S: %s" prefix msg)
       true
-      (String.starts_with ~prefix:"line 4: time_ns 3 is before" msg)
+      (String.starts_with ~prefix msg)
+
+let test_csv_rejects_time_reversal () =
+  check_csv_rejected ~what:"time-reversed"
+    [ "0,arrive,0,,task=0;at=0"; "5,start,0,,core=0"; "3,complete,0,," ]
+    ~prefix:"line 4: time_ns 3 is before"
+
+let test_csv_rejects_future_arrival () =
+  check_csv_rejected ~what:"future-arrival"
+    [ "0,arrive,0,,task=0;at=50"; "60,start,0,,core=0"; "70,complete,0,," ]
+    ~prefix:"line 2: arrive at=50 is after the row's time_ns 0"
+
+let test_csv_rejects_second_arrival () =
+  check_csv_rejected ~what:"double-arrival"
+    [
+      "0,arrive,0,,task=0;at=0";
+      "1,start,0,,core=0";
+      "2,arrive,0,,task=0;at=2";
+      "5,complete,0,,";
+    ]
+    ~prefix:"line 4: jid 0 arrives twice"
+
+let test_csv_rejects_second_resolution () =
+  check_csv_rejected ~what:"double-resolution"
+    [
+      "0,arrive,0,,task=0;at=0";
+      "1,start,0,,core=0";
+      "5,complete,0,,";
+      "6,abort,0,,handler=0";
+    ]
+    ~prefix:"line 5: jid 0 already resolved"
 
 let () =
   Test_support.run "attribution"
@@ -495,5 +517,11 @@ let () =
             test_csv_round_trip_preserves_attribution;
           Alcotest.test_case "time-reversed rows rejected" `Quick
             test_csv_rejects_time_reversal;
+          Alcotest.test_case "future arrival rejected" `Quick
+            test_csv_rejects_future_arrival;
+          Alcotest.test_case "second arrival rejected" `Quick
+            test_csv_rejects_second_arrival;
+          Alcotest.test_case "second resolution rejected" `Quick
+            test_csv_rejects_second_resolution;
         ] );
     ]

@@ -1,14 +1,15 @@
-(* Differential oracle for the arena-backed scheduler hot path.
+(* Decision checks for every scheduler.
 
-   The optimized schedulers ([Edf], [Edf_pip], [Rua_lock_free],
-   [Rua_lock_based]) must produce decisions bit-identical to the
-   retained list-based [Reference] implementations — dispatch, aborts,
-   rejected, schedule order AND the charged [ops] count (the
-   simulator's overhead model depends on it) — across seeded scenes
-   sweeping n ∈ {1, 2, 8, 64}, with and without lock dependency
-   chains. Every scene is decided twice on the same optimized
-   instance, so stale scratch-arena state from the previous call would
-   also be caught. All randomness derives from RTLF_SEED via
+   The optimized RUA deciders ([Rua_lock_free], [Rua_lock_based]) must
+   produce decisions bit-identical to the retained list-based
+   [Reference] implementations — dispatch, aborts, rejected, schedule
+   order AND the charged [ops] count (the simulator's overhead model
+   depends on it) — across seeded scenes sweeping n ∈ {1, 2, 8, 64},
+   with and without lock dependency chains. [Edf] and [Edf_pip] have
+   a single implementation each and are checked against their
+   specification on the same scenes. Every scene is decided twice on
+   the same instance, so stale scratch state from the previous call
+   would also be caught. All randomness derives from RTLF_SEED via
    [Test_support]. *)
 
 module Tuf = Rtlf_model.Tuf
@@ -95,13 +96,12 @@ let check_same ~msg (expected : Scheduler.decision)
 
 let run_diff kind () =
   let rs = Test_support.rand_state () in
-  (* Lock-oblivious schedulers keep one instance for the whole sweep:
-     the scratch arena is reused across all 128+ scenes. *)
+  (* The lock-oblivious scheduler keeps one instance for the whole
+     sweep: its scratch arrays are reused across all 128+ scenes. *)
   let persistent =
     match kind with
-    | `Edf -> Some (Rtlf_core.Edf.make ())
     | `Lock_free -> Some (Rtlf_core.Rua_lock_free.make ())
-    | `Edf_pip | `Lock_based -> None
+    | `Lock_based -> None
   in
   let count = ref 0 in
   List.iter
@@ -115,15 +115,12 @@ let run_diff kind () =
             let opt =
               match (persistent, kind) with
               | Some s, _ -> s
-              | None, `Edf_pip -> Rtlf_core.Edf_pip.make ~locks
               | None, `Lock_based -> Rtlf_core.Rua_lock_based.make ~locks
-              | None, (`Edf | `Lock_free) -> assert false
+              | None, `Lock_free -> assert false
             in
             let reference =
               match kind with
-              | `Edf -> Reference.edf ()
               | `Lock_free -> Reference.rua_lock_free ()
-              | `Edf_pip -> Reference.edf_pip ~locks
               | `Lock_based -> Reference.rua_lock_based ~locks
             in
             let expected =
@@ -250,6 +247,97 @@ let run_tie_diff () =
   Alcotest.(check bool) "PUD ties present" true (!pud_ties >= 100);
   Alcotest.(check bool) "critical-time ties present" true (!ct_ties >= 100)
 
+(* --- EDF specification ---------------------------------------------------- *)
+
+(* EDF and EDF+PIP have one implementation each, so they are checked
+   against their definition instead of a twin: the schedule is exactly
+   the runnable jobs in (key, jid) order, dispatch is its head, nothing
+   is aborted or rejected, and [ops] is the documented charge. *)
+let check_spec ~key ~ops ~msg jobs (got : Scheduler.decision) =
+  let schedule =
+    Array.to_list jobs
+    |> List.filter Job.is_runnable
+    |> List.map (fun j -> (key j, j.Job.jid))
+    |> List.sort compare |> List.map snd
+  in
+  Alcotest.(check (list int))
+    (msg ^ ": schedule") schedule
+    (jids got.Scheduler.schedule);
+  Alcotest.(check (option int))
+    (msg ^ ": dispatch")
+    (List.nth_opt schedule 0)
+    (jid_opt got.Scheduler.dispatch);
+  Alcotest.(check (list int)) (msg ^ ": aborts") [] (jids got.Scheduler.aborts);
+  Alcotest.(check (list int)) (msg ^ ": rejected") [] got.Scheduler.rejected;
+  Alcotest.(check int) (msg ^ ": ops") ops got.Scheduler.ops
+
+(* EDF charges every array entry, dead ones included. *)
+let check_edf ~msg ~now:_ jobs =
+  check_spec ~key:Job.absolute_critical_time ~ops:(Array.length jobs) ~msg
+    jobs
+
+(* EDF+PIP ranks by inherited critical time and charges live + live². *)
+let check_edf_pip ~locks ~msg ~now:_ jobs =
+  let live = List.length (List.filter Job.is_live (Array.to_list jobs)) in
+  check_spec
+    ~key:(Rtlf_core.Edf_pip.effective_critical_time ~locks ~jobs)
+    ~ops:(live + (live * live))
+    ~msg jobs
+
+(* The random scenes of [run_diff] and the tie-dense scenes of
+   [run_tie_diff] (each from a fresh seed stream, so the scenes are
+   the same), decided twice on one instance: the first decision must
+   meet the spec and the second must equal it. EDF keeps one instance
+   for the whole sweep. *)
+let run_spec kind () =
+  let edf = Rtlf_core.Edf.make () in
+  let decide_twice ~msg ~now ~locks jobs =
+    let sched, check =
+      match kind with
+      | `Edf -> (edf, check_edf)
+      | `Edf_pip -> (Rtlf_core.Edf_pip.make ~locks, check_edf_pip ~locks)
+    in
+    let first = sched.Scheduler.decide ~now ~jobs ~remaining in
+    let msg = sched.Scheduler.name ^ " " ^ msg in
+    check ~msg ~now jobs first;
+    check_same ~msg:(msg ^ " (rerun)") first
+      (sched.Scheduler.decide ~now ~jobs ~remaining)
+  in
+  let rs = Test_support.rand_state () in
+  let count = ref 0 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun with_chains ->
+          for rep = 1 to 16 do
+            incr count;
+            let now = Random.State.int rs 200 in
+            let jobs, locks = scene rs ~n ~with_chains in
+            decide_twice ~now ~locks jobs
+              ~msg:(Printf.sprintf "n=%d chains=%b rep=%d" n with_chains rep)
+          done)
+        [ false; true ])
+    [ 1; 2; 8; 64 ];
+  let rs = Test_support.rand_state () in
+  let ct_ties = ref 0 in
+  let no_locks = Lock_manager.create ~objects:(Resource.create ~n:1) in
+  List.iter
+    (fun (shape, label) ->
+      List.iter
+        (fun n ->
+          for rep = 1 to 8 do
+            incr count;
+            let now = Random.State.int rs 20 in
+            let jobs = tie_scene rs ~n shape in
+            ct_ties := !ct_ties + shared_pairs Job.absolute_critical_time jobs;
+            decide_twice ~now ~locks:no_locks jobs
+              ~msg:(Printf.sprintf "%s n=%d rep=%d" label n rep)
+          done)
+        tie_sizes)
+    tie_kinds;
+  Alcotest.(check bool) "at least 100 scenes" true (!count >= 100);
+  Alcotest.(check bool) "critical-time ties present" true (!ct_ties >= 100)
+
 (* --- rebuild allocation budget ------------------------------------------ *)
 
 (* A rebuild allocates only the decision it returns: the schedule and
@@ -280,20 +368,17 @@ let test_rebuild_alloc_budget () =
 
 (* --- incremental sequences ---------------------------------------------- *)
 
-(* The lock-oblivious schedulers carry a cross-invocation decision cache
-   (see [Rua_lock_free], [Edf]): a persistent instance decided against
-   the same evolving jobs array must stay bit-identical to a fresh
-   [Reference] at EVERY step — through cache hits (steady states where
-   only [now] advances or a job flips Ready<->Running) and through
-   rebuilds (segment progress, completions, unblocking, [now] passing
-   the schedule's minimum slack). Mutations are biased toward no-ops so
-   both paths are exercised many times per sequence. *)
-let incremental_sequence kind rs ~label ~n jobs =
-  let opt =
-    match kind with
-    | `Edf -> Rtlf_core.Edf.make ()
-    | `Lock_free -> Rtlf_core.Rua_lock_free.make ()
-  in
+(* The lock-free RUA decider carries a cross-invocation decision cache:
+   a persistent instance decided against the same evolving jobs array
+   must stay bit-identical to a fresh [Reference] at EVERY step —
+   through cache hits (steady states where only [now] advances or a
+   job flips Ready<->Running) and through rebuilds (segment progress,
+   completions, unblocking, [now] passing the schedule's minimum
+   slack). Mutations are biased toward no-ops so both paths are
+   exercised many times per sequence. EDF runs the same sequences
+   against its specification. [expect] checks one step's decision. *)
+let incremental_sequence ~make ~expect rs ~label ~n jobs =
+  let opt = make () in
   let now = ref (Random.State.int rs 50) in
   for step = 1 to 40 do
     (match Random.State.int rs 8 with
@@ -325,20 +410,13 @@ let incremental_sequence kind rs ~label ~n jobs =
       let j = jobs.(Random.State.int rs n) in
       if Job.is_live j then j.Job.state <- Job.Aborted);
     now := !now + Random.State.int rs 30;
-    let reference =
-      match kind with
-      | `Edf -> Reference.edf ()
-      | `Lock_free -> Reference.rua_lock_free ()
-    in
-    let expected = reference.Scheduler.decide ~now:!now ~jobs ~remaining in
     let msg =
-      Printf.sprintf "incremental %s %s step=%d" reference.Scheduler.name
-        label step
+      Printf.sprintf "incremental %s %s step=%d" opt.Scheduler.name label step
     in
-    check_same ~msg expected (opt.Scheduler.decide ~now:!now ~jobs ~remaining)
+    expect ~msg ~now:!now jobs (opt.Scheduler.decide ~now:!now ~jobs ~remaining)
   done
 
-let run_incremental kind () =
+let run_incremental ~make ~expect () =
   let rs = Test_support.rand_state () in
   List.iter
     (fun n ->
@@ -346,7 +424,7 @@ let run_incremental kind () =
         let with_chains = n >= 4 && Random.State.bool rs in
         let jobs, _locks = scene rs ~n ~with_chains in
         let label = Printf.sprintf "n=%d chains=%b rep=%d" n with_chains rep in
-        incremental_sequence kind rs ~label ~n jobs
+        incremental_sequence ~make ~expect rs ~label ~n jobs
       done)
     [ 1; 4; 16; 64 ];
   List.iter
@@ -356,7 +434,7 @@ let run_incremental kind () =
           for rep = 1 to 4 do
             let jobs = tie_scene rs ~n shape in
             let label = Printf.sprintf "%s n=%d rep=%d" name n rep in
-            incremental_sequence kind rs ~label ~n jobs
+            incremental_sequence ~make ~expect rs ~label ~n jobs
           done)
         tie_sizes)
     tie_kinds
@@ -390,8 +468,6 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case "edf = reference" `Quick (run_diff `Edf);
-          Alcotest.test_case "edf-pip = reference" `Quick (run_diff `Edf_pip);
           Alcotest.test_case "rua-lock-free = reference" `Quick
             (run_diff `Lock_free);
           Alcotest.test_case "rua-lock-based = reference" `Quick
@@ -399,12 +475,22 @@ let () =
           Alcotest.test_case "rua-lock-free tie-dense = reference" `Quick
             run_tie_diff;
         ] );
+      ( "spec",
+        [
+          Alcotest.test_case "edf scenes" `Quick (run_spec `Edf);
+          Alcotest.test_case "edf-pip scenes" `Quick (run_spec `Edf_pip);
+          Alcotest.test_case "edf sequences" `Quick
+            (run_incremental ~make:Rtlf_core.Edf.make ~expect:check_edf);
+        ] );
       ( "incremental",
         [
-          Alcotest.test_case "edf sequences = reference" `Quick
-            (run_incremental `Edf);
           Alcotest.test_case "rua-lock-free sequences = reference" `Quick
-            (run_incremental `Lock_free);
+            (run_incremental ~make:Rtlf_core.Rua_lock_free.make
+               ~expect:(fun ~msg ~now jobs got ->
+                 check_same ~msg
+                   ((Reference.rua_lock_free ()).Scheduler.decide ~now ~jobs
+                      ~remaining)
+                   got));
         ] );
       ( "allocation",
         [

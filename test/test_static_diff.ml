@@ -6,15 +6,16 @@
    path served the decide (pattern-template replay or delegation).
    Three layers:
 
-   - scene: fresh static instances vs the list-based [Reference] across
-     seeded scenes (>= 100), including synchronized-release scenes that
-     exercise the ahead-of-time and learned pattern templates;
+   - scene: fresh static instances vs a fresh oracle — the list-based
+     [Reference] for RUA, a fresh [Edf] for EDF — across seeded scenes
+     (>= 100), including synchronized-release scenes that exercise the
+     ahead-of-time and learned pattern templates;
    - sequence: a persistent static instance against an evolving jobs
      array through seeded mutation sequences that respect the
      simulator's dispatch contract (remaining cost only moves for jobs
      that were Running or whose state changed) — unknown tasks,
      deadline misses, aborts, lock-chain flips, array replacement on
-     release — compared to [Reference] at every step;
+     release — compared to the fresh oracle at every step;
    - simulator: [Simulator.run] in Static vs Dynamic mode, field for
      field and trace entry for trace entry, across sync x scheduler x
      cores x dispatch.
@@ -92,7 +93,7 @@ let make_static ~plan kind =
 
 let reference_of = function
   | `Rua -> Reference.rua_lock_free ()
-  | `Edf -> Reference.edf ()
+  | `Edf -> Rtlf_core.Edf.make ()
 
 (* Mixed-state scene: fresh jobs of the scene's tasks with randomised
    arrivals, some pre-advanced (Running with progress), some Blocked,
