@@ -405,9 +405,10 @@ let smp_kernels ~keep () =
         ])
     smp_cores
 
-(* Pre-arena decision-kernel costs, measured on this harness (bechamel
-   OLS, 0.5 s quota) immediately before the scratch-arena rewrite of
-   the decision path. BENCH_*.json reports measured/baseline speedups
+(* Decision-kernel costs of the original list-based deciders (now
+   [Rtlf_core.Reference]), measured on this harness (bechamel OLS,
+   0.5 s quota) immediately before the first rewrite of the decision
+   path. BENCH_*.json reports measured/baseline speedups
    against these figures; they are the "before" column of the README's
    performance table. *)
 let decide_baseline_ns =
@@ -470,7 +471,7 @@ let run_group ?(quota = 0.25) ~name pairs =
 (* --- machine-readable bench record (BENCH_<label>.json) ---------------- *)
 
 (* Schema documented in DESIGN.md: the decide-kernel rows carry the
-   tracked pre-arena baseline and the measured/baseline speedup, so a
+   tracked list-based baseline and the measured/baseline speedup, so a
    regression is visible from the artifact alone.
 
    With [--append] the file becomes an append-only trajectory
@@ -487,7 +488,7 @@ let emit_json ~label ~run_label ~out_dir ~quota ~smoke ~append ~wall_s rows =
   let module J = Rtlf_obs.Json in
   let num x : J.t = if Float.is_finite x then J.Float x else J.Null in
   let kernels =
-    (* Every measured row is exported; rows with a tracked pre-arena
+    (* Every measured row is exported; rows with a tracked list-based
        baseline additionally carry the baseline and the speedup against
        it, the rest (e.g. the scale kernels) carry nulls. *)
     List.map

@@ -28,3 +28,9 @@ val of_job :
   now:int -> remaining:(Rtlf_model.Job.t -> int) -> Rtlf_model.Job.t -> float
 (** [of_job ~now ~remaining j] is [of_chain] on the singleton chain —
     the lock-free RUA case where dependencies never arise. *)
+
+val sort : pud:float array -> jid:int array -> int array -> int -> unit
+(** [sort ~pud ~jid perm n] sorts the indices [perm.(0) .. perm.(n-1)]
+    in place into the RUA deciders' examination order: non-increasing
+    [pud.(i)] by [Float.compare], ties by ascending [jid.(i)]. A
+    heapsort: no allocation, O(n log n). *)

@@ -1,6 +1,6 @@
-(* The pre-arena, list-based RUA decision procedures, retained verbatim
-   as the differential-testing oracle. [Rua_lock_free] (slack tree,
-   rollback journal) and [Rua_lock_based] (arena cells) must produce
+(* The original list-based RUA decision procedures, retained verbatim
+   as the differential-testing oracle. [Rua_lock_free] (slack tree) and
+   [Rua_lock_based] (rank-indexed arrays, rollback journal) must produce
    bit-identical decisions — dispatch, aborts, rejected, schedule
    order and the charged [ops] count — on every input; the paper's
    reproduced numbers depend only on that contract, never on the
@@ -14,7 +14,7 @@ module Lock_manager = Rtlf_model.Lock_manager
 
 (* The original list-backed tentative schedule (ECF order, §3.4,
    §3.4.1), including the deep [copy] per greedy candidate that the
-   arena-backed [Tentative_schedule] eliminates. *)
+   rank-indexed [Tentative_schedule] replaces with in-place rollback. *)
 module List_schedule = struct
   type entry = { job : Job.t; mutable eff_ct : int }
 

@@ -1,4 +1,4 @@
-(** Pre-arena RUA implementations, retained as oracles.
+(** The original list-based RUA implementations, retained as oracles.
 
     These are the original list-based decision procedures — including
     the deep tentative-schedule copy per greedy candidate — kept

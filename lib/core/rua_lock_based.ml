@@ -1,141 +1,248 @@
 module Job = Rtlf_model.Job
 module Lock_manager = Rtlf_model.Lock_manager
 
-(* Arena-backed hot path for the lock-based algorithm: scratch cells
-   carry each live job's dependency chain, the sort runs in place, and
-   the greedy loop probes aggregates with journalled rollback instead
-   of deep-copying the tentative schedule per candidate. Differentially
-   tested bit-identical to [Reference.rua_lock_based].
+(* Flat-array hot path for the lock-based algorithm, differentially
+   tested bit-identical to [Reference.rua_lock_based] (decisions and
+   charged ops). Every live job is walked once into int arrays indexed
+   by its live rank (its position among the live entries of [jobs]).
+   Dependency chains are rank ranges in one shared buffer; the sort
+   permutes ranks; the greedy loop probes the rank-indexed
+   [Tentative_schedule] with journalled rollback instead of
+   deep-copying it per candidate. A job that waits on nothing has the
+   singleton chain and no cycle, so the lock manager is consulted only
+   for waiters.
 
-   The deadlock-victim table is still allocated fresh per invocation:
-   it is folded to produce [aborts], and fold order over a Hashtbl
-   depends on its allocation history, which must match the reference's
-   fresh table exactly. Deadlocks are rare, the table is almost always
-   empty, and its size is bounded by the cycle count — not a hot-path
-   cost. *)
+   The deadlock-victim table is a fresh [Hashtbl.create 4], built only
+   once a cycle is found: it is folded to produce [aborts], and fold
+   order over a Hashtbl depends on its allocation and insertion
+   history, which must match the reference's table exactly. *)
 
 type scratch = {
-  arena : Arena.t;
   sched : Tentative_schedule.t;
-  by_jid : (int, Job.t) Hashtbl.t; (* reused: lookups only, never folded *)
+  mutable idx : int array; (* rank -> position in [jobs] *)
+  mutable jid : int array; (* rank -> jid *)
+  mutable rem : int array; (* rank -> remaining cost *)
+  mutable act : int array; (* rank -> absolute critical time *)
+  mutable victim : bool array; (* rank -> deadlock victim *)
+  mutable pud : float array; (* rank -> PUD over its chain *)
+  mutable chain_off : int array; (* rank -> its chain's start in [chains] *)
+  mutable chain_len : int array; (* rank -> its chain's length *)
+  mutable chains : int array; (* chain members as ranks, head first *)
+  mutable order : int array; (* surviving ranks, examination order *)
 }
 
-(* Map the jid chains produced by the lock manager back to jobs. Chain
-   members that are no longer live (just completed/aborted) are
-   dropped. *)
-let resolve_chain by_jid jids =
-  List.filter_map (fun jid -> Hashtbl.find_opt by_jid jid) jids
+(* Append rank [r] at [chains.(c)], keeping the buffer's contents when
+   it grows. Returns the new fill. *)
+let push s c r =
+  if c = Array.length s.chains then begin
+    let grown = Array.make (Scratch.grow (c + 1) s.chains) 0 in
+    Array.blit s.chains 0 grown 0 c;
+    s.chains <- grown
+  end;
+  s.chains.(c) <- r;
+  c + 1
 
-let by_pud (a : Arena.cell) (b : Arena.cell) =
-  match Float.compare b.Arena.key a.Arena.key with
-  | 0 -> Int.compare a.Arena.jid b.Arena.jid
-  | c -> c
+(* The live rank of [jid], or -1 when the job is not live (just
+   completed or aborted). Searching from the top finds the entry the
+   reference's jid table would keep. *)
+let rank_of s n jid =
+  let r = ref (n - 1) in
+  while !r >= 0 && s.jid.(!r) <> jid do
+    decr r
+  done;
+  !r
 
-let decide scratch ~locks ~now ~jobs ~remaining =
-  let ops = ref 0 in
-  let by_jid = scratch.by_jid in
-  Hashtbl.clear by_jid;
-  let cells = Arena.cells scratch.arena ~n:(Array.length jobs) in
-  let n = ref 0 in
-  Array.iter
-    (fun j ->
-      if Job.is_live j then begin
-        Hashtbl.replace by_jid j.Job.jid j;
-        let c = cells.(!n) in
-        c.Arena.jid <- j.Job.jid;
-        c.Arena.job <- j;
-        incr n
+(* Resolve a lock-manager jid chain to live ranks appended from [c],
+   dropping members that are no longer live. Returns the new fill. *)
+let rec push_resolved s n c = function
+  | [] -> c
+  | jid :: rest ->
+    let r = rank_of s n jid in
+    push_resolved s n (if r >= 0 then push s c r else c) rest
+
+let live_count s n jids =
+  List.fold_left (fun k jid -> if rank_of s n jid >= 0 then k + 1 else k) 0 jids
+
+(* [Pud.of_chain] over the chain at [chains.(off) ..], in its exact
+   summation order. Inlined so the quotient lands unboxed in the
+   caller. *)
+let[@inline] chain_pud s ~now ~jobs off len =
+  let t = ref now and u = ref 0.0 in
+  for k = off to off + len - 1 do
+    let r = s.chains.(k) in
+    t := !t + s.rem.(r);
+    u := !u +. Job.utility_at jobs.(s.idx.(r)) ~now:!t
+  done;
+  let span = !t - now in
+  if span <= 0 then infinity else !u /. float_of_int span
+
+(* The live rank of the cycle member with the least PUD (the first on
+   ties), or -1 when no member is live. *)
+let weakest s n ~now ~jobs ~remaining cycle =
+  let best = ref (-1) and best_pud = ref 0.0 in
+  List.iter
+    (fun jid ->
+      let r = rank_of s n jid in
+      if r >= 0 then begin
+        let p = Pud.of_job ~now ~remaining jobs.(s.idx.(r)) in
+        if !best < 0 || p < !best_pud then begin
+          best := r;
+          best_pud := p
+        end
       end)
-    jobs;
-  let n = !n in
-  (* Step 1: dependency chains (head-first execution order). *)
-  for i = 0 to n - 1 do
-    let c = cells.(i) in
-    let chain_jids = Lock_manager.dependency_chain locks ~jid:c.Arena.jid in
-    let chain = resolve_chain by_jid chain_jids in
-    ops := !ops + List.length chain;
-    c.Arena.chain <- chain
+    cycle;
+  !best
+
+let score s ~jobs ~remaining =
+  let total = Array.length jobs in
+  s.idx <- Scratch.ensure total s.idx;
+  s.jid <- Scratch.ensure total s.jid;
+  s.rem <- Scratch.ensure total s.rem;
+  s.act <- Scratch.ensure total s.act;
+  s.victim <- Scratch.ensure_bool total s.victim;
+  s.pud <- Scratch.ensure_float total s.pud;
+  s.chain_off <- Scratch.ensure total s.chain_off;
+  s.chain_len <- Scratch.ensure total s.chain_len;
+  s.chains <- Scratch.ensure total s.chains;
+  s.order <- Scratch.ensure total s.order;
+  let n = ref 0 in
+  for i = 0 to total - 1 do
+    let j = jobs.(i) in
+    if Job.is_live j then begin
+      let r = !n in
+      s.idx.(r) <- i;
+      s.jid.(r) <- j.Job.jid;
+      s.rem.(r) <- remaining j;
+      s.act.(r) <- Job.absolute_critical_time j;
+      s.victim.(r) <- false;
+      n := r + 1
+    end
   done;
-  (* Step 2: deadlock detection; resolve each cycle by aborting its
-     least-PUD member. *)
-  let victims = Hashtbl.create 4 in
-  for i = 0 to n - 1 do
-    ops := !ops + 1;
-    match Lock_manager.find_cycle locks ~jid:cells.(i).Arena.jid with
-    | None -> ()
-    | Some cycle_jids ->
-      let cycle = resolve_chain by_jid cycle_jids in
-      ops := !ops + List.length cycle;
-      let weakest =
-        List.fold_left
-          (fun acc job ->
-            let pud = Pud.of_job ~now ~remaining job in
-            match acc with
-            | None -> Some (pud, job)
-            | Some (best, _) when pud < best -> Some (pud, job)
-            | Some _ -> acc)
-          None cycle
-      in
-      (match weakest with
-      | Some (_, job) -> Hashtbl.replace victims job.Job.jid job
-      | None -> ())
+  !n
+
+let decide s ~locks ~now ~jobs ~remaining =
+  let n = score s ~jobs ~remaining in
+  let ops = ref 0 in
+  (* Steps 1 and 2: dependency chains (head-first execution order) and
+     deadlock detection, resolving each cycle by aborting its least-PUD
+     member. Victims are recorded in rank order, as in the reference. *)
+  let victims = ref None in
+  let c = ref 0 in
+  for r = 0 to n - 1 do
+    let jid = s.jid.(r) in
+    s.chain_off.(r) <- !c;
+    (match Lock_manager.waiting_for locks ~jid with
+    | None -> c := push s !c r
+    | Some _ -> (
+      c := push_resolved s n !c (Lock_manager.dependency_chain locks ~jid);
+      match Lock_manager.find_cycle locks ~jid with
+      | None -> ()
+      | Some cycle ->
+        let tbl =
+          match !victims with
+          | Some tbl -> tbl
+          | None ->
+            let tbl = Hashtbl.create 4 in
+            victims := Some tbl;
+            tbl
+        in
+        ops := !ops + live_count s n cycle;
+        let v = weakest s n ~now ~jobs ~remaining cycle in
+        if v >= 0 then begin
+          s.victim.(v) <- true;
+          let job = jobs.(s.idx.(v)) in
+          Hashtbl.replace tbl job.Job.jid job
+        end));
+    s.chain_len.(r) <- !c - s.chain_off.(r);
+    ops := !ops + s.chain_len.(r) + 1
   done;
-  let is_victim j = Hashtbl.mem victims j.Job.jid in
-  (* Step 3: PUD of each surviving job over its chain; compact the
-     victims out of the scored prefix in place. *)
+  (* Step 3: PUD of each surviving job over its chain, victims filtered
+     out of the chain in place. *)
+  let any_victim = Option.is_some !victims in
   let m = ref 0 in
-  for i = 0 to n - 1 do
-    let c = cells.(i) in
-    if not (is_victim c.Arena.job) then begin
-      let chain = List.filter (fun j -> not (is_victim j)) c.Arena.chain in
-      ops := !ops + List.length chain;
-      let d = cells.(!m) in
-      d.Arena.key <- Pud.of_chain ~now ~remaining chain;
-      d.Arena.jid <- c.Arena.jid;
-      d.Arena.job <- c.Arena.job;
-      d.Arena.chain <- chain;
+  for r = 0 to n - 1 do
+    if not s.victim.(r) then begin
+      let off = s.chain_off.(r) in
+      let len =
+        if not any_victim then s.chain_len.(r)
+        else begin
+          let k = ref off in
+          for q = off to off + s.chain_len.(r) - 1 do
+            if not s.victim.(s.chains.(q)) then begin
+              s.chains.(!k) <- s.chains.(q);
+              incr k
+            end
+          done;
+          !k - off
+        end
+      in
+      s.chain_len.(r) <- len;
+      ops := !ops + len;
+      s.pud.(r) <- chain_pud s ~now ~jobs off len;
+      s.order.(!m) <- r;
       incr m
     end
   done;
   let m = !m in
   (* Step 4: sort by non-increasing PUD. *)
-  Arena.sort cells ~n:m ~cmp:by_pud;
-  ops := !ops + (n * Log2.ceil (max n 2));
+  Pud.sort ~pud:s.pud ~jid:s.jid s.order m;
+  ops := !ops + (n * Log2.ceil (Int.max n 2));
   (* Step 5: greedy construction with aggregate insertion. *)
-  let sched = scratch.sched in
-  Tentative_schedule.reset sched ~ops ~now ~remaining;
-  let rejected = ref [] in
-  for i = 0 to m - 1 do
-    let c = cells.(i) in
-    if Tentative_schedule.mem sched ~jid:c.Arena.jid then
-      (* Already scheduled as someone's dependent. *)
-      ()
-    else if not (Tentative_schedule.try_insert_chain sched c.Arena.chain) then
-      rejected := c.Arena.jid :: !rejected
+  let sched = s.sched in
+  Tentative_schedule.reset sched ~now ~rem:s.rem ~act:s.act ~n;
+  (* Rejected ranks are compacted into the examined prefix of [order]. *)
+  let nrej = ref 0 in
+  for k = 0 to m - 1 do
+    let r = s.order.(k) in
+    (* A job already scheduled as someone's dependent is skipped. *)
+    if
+      (not (Tentative_schedule.mem sched ~rank:r))
+      && not
+           (Tentative_schedule.try_insert_chain sched s.chains
+              ~off:s.chain_off.(r) ~len:s.chain_len.(r))
+    then begin
+      s.order.(!nrej) <- r;
+      incr nrej
+    end
   done;
-  let schedule = Tentative_schedule.jobs sched in
-  let dispatch = List.find_opt Job.is_runnable schedule in
-  let aborts = Hashtbl.fold (fun _ job acc -> job :: acc) victims [] in
-  Arena.scrub cells ~n;
+  let schedule = ref [] in
+  for p = Tentative_schedule.length sched - 1 downto 0 do
+    schedule := jobs.(s.idx.(Tentative_schedule.rank_at sched p)) :: !schedule
+  done;
+  let rejected = ref [] in
+  for k = !nrej - 1 downto 0 do
+    rejected := s.jid.(s.order.(k)) :: !rejected
+  done;
+  let schedule = !schedule in
   {
-    Scheduler.dispatch;
-    aborts;
-    rejected = List.rev !rejected;
+    Scheduler.dispatch = List.find_opt Job.is_runnable schedule;
+    aborts =
+      (match !victims with
+      | None -> []
+      | Some tbl -> Hashtbl.fold (fun _ job acc -> job :: acc) tbl []);
+    rejected = !rejected;
     schedule;
-    ops = !ops;
+    ops = !ops + Tentative_schedule.ops sched;
   }
 
 let make ~locks =
-  let scratch =
+  let s =
     {
-      arena = Arena.create ();
-      sched =
-        Tentative_schedule.create ~ops:(ref 0) ~now:0 ~remaining:(fun _ -> 0);
-      by_jid = Hashtbl.create 64;
+      sched = Tentative_schedule.create ();
+      idx = [||];
+      jid = [||];
+      rem = [||];
+      act = [||];
+      victim = [||];
+      pud = [||];
+      chain_off = [||];
+      chain_len = [||];
+      chains = [||];
+      order = [||];
     }
   in
   {
     Scheduler.name = "rua-lock-based";
     decide =
-      (fun ~now ~jobs ~remaining -> decide scratch ~locks ~now ~jobs ~remaining);
+      (fun ~now ~jobs ~remaining -> decide s ~locks ~now ~jobs ~remaining);
   }

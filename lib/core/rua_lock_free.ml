@@ -8,8 +8,8 @@ module Job = Rtlf_model.Job
    1. Within one invocation, the greedy admission loop runs in
       O(n log n) instead of O(n²). Candidates are laid out once in the
       final schedule's total order — (eff_ct, admission rank): ECF with
-      ties resolved by admission order, exactly the order
-      [Tentative_schedule.insert_at_ecf] produces — so admitting a
+      ties resolved by admission order, exactly the order the
+      reference's stable ECF insertion produces — so admitting a
       candidate never shifts anything physically, and both feasibility
       conditions become Fenwick / slack-tree queries ({!Slack_tree}).
 
@@ -68,16 +68,6 @@ type scratch = {
 let empty_decision =
   { Scheduler.dispatch = None; aborts = []; rejected = []; schedule = []; ops = 0 }
 
-(* Grow-only scratch, doubling: a run whose live set creeps upward
-   would otherwise reallocate every array at each new high, and arrays
-   past the minor-heap size limit become major-heap garbage. *)
-let grow n arr = Int.max n (Int.max 16 (2 * Array.length arr))
-let ensure n arr = if Array.length arr >= n then arr else Array.make (grow n arr) 0
-let ensure_bool n arr =
-  if Array.length arr >= n then arr else Array.make (grow n arr) false
-let ensure_float n arr =
-  if Array.length arr >= n then arr else Array.make (grow n arr) 0.0
-
 (* [Pud.of_job]'s arithmetic on an already-walked remaining cost.
    Inlined so the quotient lands unboxed in the caller. *)
 let[@inline] pud ~now job rem =
@@ -88,45 +78,10 @@ let[@inline] pud ~now job rem =
 
 (* --- index sorts -------------------------------------------------------- *)
 
-(* Two in-place heapsorts of an int permutation's prefix [0, n), one per
-   order, each with its comparison inlined: no closure, no boxed key.
-   Both orders are total, so the result agrees with the reference
-   [List.sort]. *)
-
-(* Admission order over job indices: non-increasing PUD, ties by jid.
-   [pud_after pud jid a b]: [a] sorts after [b]. *)
-let[@inline] pud_after (pud : float array) (jid : int array) a b =
-  match Float.compare pud.(a) pud.(b) with 0 -> jid.(a) > jid.(b) | c -> c < 0
-
-let rec sift_pud pud jid perm i len =
-  let l = (2 * i) + 1 in
-  if l < len then begin
-    let big = if pud_after pud jid perm.(l) perm.(i) then l else i in
-    let r = l + 1 in
-    let big =
-      if r < len && pud_after pud jid perm.(r) perm.(big) then r else big
-    in
-    if big <> i then begin
-      let t = perm.(i) in
-      perm.(i) <- perm.(big);
-      perm.(big) <- t;
-      sift_pud pud jid perm big len
-    end
-  end
-
-let sort_pud pud jid perm n =
-  for i = (n / 2) - 1 downto 0 do
-    sift_pud pud jid perm i n
-  done;
-  for len = n - 1 downto 1 do
-    let t = perm.(0) in
-    perm.(0) <- perm.(len);
-    perm.(len) <- t;
-    sift_pud pud jid perm 0 len
-  done
-
-(* Schedule-position order over admission ranks: eff_ct ascending, ties
-   by rank — the stable-ECF insertion order of the reference schedule. *)
+(* Admission order over job indices is [Pud.sort]'s. Schedule-position
+   order over admission ranks is a second in-place int heapsort with
+   its comparison inlined: eff_ct ascending, ties by rank — the
+   stable-ECF insertion order of the reference schedule. *)
 let[@inline] ecf_after (ect : int array) a b =
   let ea = ect.(a) and eb = ect.(b) in
   ea > eb || (ea = eb && a > b)
@@ -192,12 +147,12 @@ let cache_hit c ~now ~jobs ~remaining =
 let score s ~now ~jobs ~remaining =
   let c = s.cache in
   let total = Array.length jobs in
-  c.live <- ensure_bool total c.live;
-  c.runnable <- ensure_bool total c.runnable;
-  c.pud <- ensure_float total c.pud;
-  c.rem <- ensure total c.rem;
-  s.jid <- ensure total s.jid;
-  s.by_rank <- ensure total s.by_rank;
+  c.live <- Scratch.ensure_bool total c.live;
+  c.runnable <- Scratch.ensure_bool total c.runnable;
+  c.pud <- Scratch.ensure_float total c.pud;
+  c.rem <- Scratch.ensure total c.rem;
+  s.jid <- Scratch.ensure total s.jid;
+  s.by_rank <- Scratch.ensure total s.by_rank;
   let n = ref 0 in
   for i = 0 to total - 1 do
     let j = jobs.(i) in
@@ -220,16 +175,16 @@ let rebuild s ~now ~jobs ~remaining =
   c.valid <- false;
   let n = score s ~now ~jobs ~remaining in
   let ops = ref n in
-  sort_pud c.pud s.jid s.by_rank n;
+  Pud.sort ~pud:c.pud ~jid:s.jid s.by_rank n;
   ops := !ops + (n * Log2.ceil (Int.max n 2));
   (* Fixed schedule positions: candidates ordered by (eff_ct,
      admission rank). The admitted subset read in position order is
      exactly the reference's stable-ECF schedule. *)
-  s.rem_of_rank <- ensure n s.rem_of_rank;
-  s.ect_of_rank <- ensure n s.ect_of_rank;
-  s.by_pos <- ensure n s.by_pos;
-  s.pos_of_rank <- ensure n s.pos_of_rank;
-  s.admitted <- ensure_bool n s.admitted;
+  s.rem_of_rank <- Scratch.ensure n s.rem_of_rank;
+  s.ect_of_rank <- Scratch.ensure n s.ect_of_rank;
+  s.by_pos <- Scratch.ensure n s.by_pos;
+  s.pos_of_rank <- Scratch.ensure n s.pos_of_rank;
+  s.admitted <- Scratch.ensure_bool n s.admitted;
   for r = 0 to n - 1 do
     let i = s.by_rank.(r) in
     s.rem_of_rank.(r) <- c.rem.(i);

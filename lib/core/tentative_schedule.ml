@@ -1,251 +1,192 @@
-module Job = Rtlf_model.Job
-
-(* Entries are immutable records over a growable array kept in ECF
-   order; the list-based original survives as
-   [Reference.List_schedule]. Speculative insertions (the greedy
-   loops' candidate probes) are journalled and rolled back in place —
-   zero copies per candidate where the original deep-copied the whole
-   schedule. *)
-
-(* [rem] caches [remaining job] at insertion: it is deterministic for
-   the duration of one decision (job state never changes mid-decide),
-   and the feasibility walk reads it once per entry instead of
-   re-walking the job's segment list O(n) times per probe. *)
-type entry = { job : Job.t; eff_ct : int; rem : int }
-
-type undo = U_insert of int | U_remove of int * entry
+(* Positions hold live ranks in flat int arrays reused across
+   scheduler invocations. Speculative insertions (the greedy loop's
+   candidate probes) are journalled as int triples and rolled back in
+   place; [Reference.List_schedule], the list-based oracle, probes a
+   deep copy instead. *)
 
 type t = {
-  mutable ops : int ref;
+  mutable ops : int;
   mutable now : int;
-  mutable remaining : Job.t -> int;
-  mutable arr : entry array;
+  mutable rem : int array; (* rank -> remaining cost (caller's array) *)
+  mutable act : int array; (* rank -> absolute critical time (caller's) *)
+  mutable rank : int array; (* position -> rank, prefix [0, len) *)
+  mutable eff_ct : int array; (* position -> effective critical time *)
   mutable len : int;
-  mutable journal : undo list;
+  mutable scheduled : bool array; (* rank -> present; answers [mem] *)
+  mutable journal : int array; (* undo triples (pos, rank, eff_ct) *)
+  mutable jlen : int; (* ints used in [journal] *)
   mutable recording : bool;
 }
 
-let dummy_entry = { job = Arena.dummy_job; eff_ct = 0; rem = 0 }
-
-let create ~ops ~now ~remaining =
+let create () =
   {
-    ops;
-    now;
-    remaining;
-    arr = [||];
+    ops = 0;
+    now = 0;
+    rem = [||];
+    act = [||];
+    rank = [||];
+    eff_ct = [||];
     len = 0;
-    journal = [];
+    scheduled = [||];
+    journal = [||];
+    jlen = 0;
     recording = false;
   }
 
-let reset sched ~ops ~now ~remaining =
-  sched.ops <- ops;
-  sched.now <- now;
-  sched.remaining <- remaining;
-  (* Drop job references eagerly: the arena outlives any one decision. *)
-  Array.fill sched.arr 0 sched.len dummy_entry;
-  sched.len <- 0;
-  sched.journal <- [];
-  sched.recording <- false
+let reset s ~now ~rem ~act ~n =
+  (* Every set flag belongs to a scheduled rank: clearing those leaves
+     the whole array false. *)
+  for p = 0 to s.len - 1 do
+    s.scheduled.(s.rank.(p)) <- false
+  done;
+  s.scheduled <- Scratch.ensure_bool n s.scheduled;
+  s.rank <- Scratch.ensure n s.rank;
+  s.eff_ct <- Scratch.ensure n s.eff_ct;
+  (* One probe edits each chain member at most twice (remove and
+     reinsert), and a chain holds at most n ranks. *)
+  s.journal <- Scratch.ensure (6 * n) s.journal;
+  s.ops <- 0;
+  s.now <- now;
+  s.rem <- rem;
+  s.act <- act;
+  s.len <- 0;
+  s.jlen <- 0;
+  s.recording <- false
 
-let copy sched =
-  { sched with arr = Array.copy sched.arr; journal = []; recording = false }
+let ops s = s.ops
+let length s = s.len
+let rank_at s p = s.rank.(p)
+let eff_ct_at s p = s.eff_ct.(p)
 
-let length sched = sched.len
-
-let charge_ordered_op sched =
-  sched.ops := !(sched.ops) + Log2.ceil (sched.len + 1)
+let charge_ordered_op s = s.ops <- s.ops + Log2.ceil (s.len + 1)
 
 (* --- physical array edits (journalled when speculating) -------------- *)
 
-let ensure_capacity sched =
-  let cap = Array.length sched.arr in
-  if sched.len = cap then begin
-    let ncap = if cap = 0 then 8 else cap * 2 in
-    let narr = Array.make ncap dummy_entry in
-    Array.blit sched.arr 0 narr 0 sched.len;
-    sched.arr <- narr
+let shift_in s i r ect =
+  Array.blit s.rank i s.rank (i + 1) (s.len - i);
+  Array.blit s.eff_ct i s.eff_ct (i + 1) (s.len - i);
+  s.rank.(i) <- r;
+  s.eff_ct.(i) <- ect;
+  s.scheduled.(r) <- true;
+  s.len <- s.len + 1
+
+let shift_out s i =
+  s.scheduled.(s.rank.(i)) <- false;
+  Array.blit s.rank (i + 1) s.rank i (s.len - i - 1);
+  Array.blit s.eff_ct (i + 1) s.eff_ct i (s.len - i - 1);
+  s.len <- s.len - 1
+
+(* An insertion is journalled with rank -1; a removal with what it
+   removed. *)
+let record s i r ect =
+  if s.recording then begin
+    let j = s.journal and k = s.jlen in
+    j.(k) <- i;
+    j.(k + 1) <- r;
+    j.(k + 2) <- ect;
+    s.jlen <- k + 3
   end
 
-let shift_in sched i e =
-  ensure_capacity sched;
-  Array.blit sched.arr i sched.arr (i + 1) (sched.len - i);
-  sched.arr.(i) <- e;
-  sched.len <- sched.len + 1
+let insert_at s i r ect =
+  shift_in s i r ect;
+  record s i (-1) 0
 
-let shift_out sched i =
-  Array.blit sched.arr (i + 1) sched.arr i (sched.len - i - 1);
-  sched.len <- sched.len - 1;
-  sched.arr.(sched.len) <- dummy_entry
+let remove_at s i =
+  let r = s.rank.(i) and ect = s.eff_ct.(i) in
+  shift_out s i;
+  record s i r ect
 
-let insert_at sched i e =
-  shift_in sched i e;
-  if sched.recording then sched.journal <- U_insert i :: sched.journal
+(* Undoing most-recent-first keeps every recorded index valid at the
+   moment it is replayed. *)
+let rollback s =
+  let j = s.journal in
+  let k = ref (s.jlen - 3) in
+  while !k >= 0 do
+    let i = j.(!k) and r = j.(!k + 1) in
+    if r < 0 then shift_out s i else shift_in s i r j.(!k + 2);
+    k := !k - 3
+  done;
+  s.jlen <- 0
 
-let remove_at sched i =
-  let e = sched.arr.(i) in
-  shift_out sched i;
-  if sched.recording then sched.journal <- U_remove (i, e) :: sched.journal
+(* --- lookups and ordered operations ----------------------------------- *)
 
-(* The journal lists edits most-recent-first; undoing head-first keeps
-   every recorded index valid at the moment it is replayed. *)
-let rollback sched =
-  List.iter
-    (function
-      | U_insert i -> shift_out sched i
-      | U_remove (i, e) -> shift_in sched i e)
-    sched.journal;
-  sched.journal <- []
+let index_of s r =
+  let p = ref 0 in
+  while !p < s.len && s.rank.(!p) <> r do
+    incr p
+  done;
+  if !p < s.len then !p else -1
 
-(* --- lookups --------------------------------------------------------- *)
+let mem s ~rank =
+  charge_ordered_op s;
+  s.scheduled.(rank)
 
-let index_of sched ~jid =
-  let rec go i =
-    if i >= sched.len then None
-    else if sched.arr.(i).job.Job.jid = jid then Some i
-    else go (i + 1)
-  in
-  go 0
+(* Insert at the last position whose predecessors all have eff_ct <=
+   [ect] (stable ECF), but never later than [cap]. *)
+let insert_at_ecf s r ect ~cap =
+  charge_ordered_op s;
+  let i = ref 0 in
+  while !i < s.len && !i < cap && s.eff_ct.(!i) <= ect do
+    incr i
+  done;
+  insert_at s !i r ect
 
-let find_entry sched ~jid =
-  match index_of sched ~jid with
-  | None -> None
-  | Some i -> Some sched.arr.(i)
-
-let mem sched ~jid =
-  charge_ordered_op sched;
-  index_of sched ~jid <> None
-
-let jobs sched = List.init sched.len (fun i -> sched.arr.(i).job)
-
-let entries sched =
-  List.init sched.len (fun i ->
-      let e = sched.arr.(i) in
-      (e.job, e.eff_ct))
-
-let head sched = if sched.len = 0 then None else Some sched.arr.(0).job
-
-(* Insert [entry] at the last position whose predecessors all have
-   eff_ct <= entry.eff_ct (stable ECF), but never later than [cap]. *)
-let insert_at_ecf sched entry ~cap =
-  charge_ordered_op sched;
-  let rec find i =
-    if i >= sched.len || i >= cap || sched.arr.(i).eff_ct > entry.eff_ct then
-      i
-    else find (i + 1)
-  in
-  insert_at sched (find 0) entry
-
-let remove sched ~jid =
-  charge_ordered_op sched;
-  match index_of sched ~jid with
-  | None -> ()
-  | Some i -> remove_at sched i
-
-let insert_job sched job =
-  if not (mem sched ~jid:job.Job.jid) then begin
-    let entry =
-      {
-        job;
-        eff_ct = Job.absolute_critical_time job;
-        rem = sched.remaining job;
-      }
-    in
-    insert_at_ecf sched entry ~cap:max_int
-  end
+let remove s r =
+  charge_ordered_op s;
+  let i = index_of s r in
+  if i >= 0 then remove_at s i
 
 (* §3.4.1: process the chain from tail (the examined job) to head. Each
    processed element must precede the previously processed one (its
    successor in execution order); clamp effective critical times when
    the ECF order disagrees with the dependency order. *)
-let insert_chain sched chain =
-  let rec go succ_jid = function
-    | [] -> ()
-    | job :: earlier ->
-      let jid = job.Job.jid in
-      (match succ_jid with
-      | None ->
-        if not (mem sched ~jid) then begin
-          let entry =
-            {
-              job;
-              eff_ct = Job.absolute_critical_time job;
-              rem = sched.remaining job;
-            }
-          in
-          insert_at_ecf sched entry ~cap:max_int
-        end
-      | Some sj -> (
-        let succ_pos =
-          match index_of sched ~jid:sj with
-          | Some p -> p
-          | None -> invalid_arg "Tentative_schedule.insert_chain: broken"
-        in
-        let succ_ct =
-          match find_entry sched ~jid:sj with
-          | Some e -> e.eff_ct
-          | None -> assert false
-        in
-        match index_of sched ~jid with
-        | Some p when p < succ_pos ->
-          (* Already present and already before its successor: the
-             dependency order holds (Figure 5, Case 1). *)
-          charge_ordered_op sched
-        | Some _ ->
-          (* Present but after the successor: remove, clamp, reinsert
-             immediately before the successor (Figure 5, Case 2). *)
-          remove sched ~jid;
-          let succ_pos' =
-            match index_of sched ~jid:sj with
-            | Some p -> p
-            | None -> assert false
-          in
-          let entry = { job; eff_ct = succ_ct; rem = sched.remaining job } in
-          insert_at_ecf sched entry ~cap:succ_pos'
-        | None ->
-          let abs_ct = Job.absolute_critical_time job in
-          let eff_ct = min abs_ct succ_ct in
-          let entry = { job; eff_ct; rem = sched.remaining job } in
-          insert_at_ecf sched entry ~cap:succ_pos));
-      go (Some jid) earlier
-  in
-  go None (List.rev chain)
+let insert_chain s chain ~off ~len =
+  let succ = ref (-1) in
+  for k = off + len - 1 downto off do
+    let r = chain.(k) in
+    (if !succ < 0 then begin
+       if not (mem s ~rank:r) then insert_at_ecf s r s.act.(r) ~cap:max_int
+     end
+     else begin
+       let succ_pos = index_of s !succ in
+       if succ_pos < 0 then
+         invalid_arg "Tentative_schedule.insert_chain: broken";
+       let succ_ct = s.eff_ct.(succ_pos) in
+       let p = index_of s r in
+       if p >= 0 && p < succ_pos then
+         (* Already present and already before its successor: the
+            dependency order holds (Figure 5, Case 1). *)
+         charge_ordered_op s
+       else if p >= 0 then begin
+         (* Present but after the successor: remove, clamp, reinsert
+            immediately before the successor (Figure 5, Case 2). *)
+         remove s r;
+         insert_at_ecf s r succ_ct ~cap:(index_of s !succ)
+       end
+       else insert_at_ecf s r (Int.min s.act.(r) succ_ct) ~cap:succ_pos
+     end);
+    succ := r
+  done
 
-let feasible sched =
-  sched.ops := !(sched.ops) + sched.len;
-  let rec go time i =
-    if i >= sched.len then true
-    else
-      let e = sched.arr.(i) in
-      let time = time + e.rem in
-      time <= e.eff_ct && go time (i + 1)
-  in
-  go sched.now 0
+let feasible s =
+  s.ops <- s.ops + s.len;
+  let time = ref s.now and p = ref 0 in
+  while !p < s.len && !time + s.rem.(s.rank.(!p)) <= s.eff_ct.(!p) do
+    time := !time + s.rem.(s.rank.(!p));
+    incr p
+  done;
+  !p >= s.len
 
-(* --- speculative insertion ------------------------------------------- *)
-
-let speculate sched insert =
-  sched.journal <- [];
-  sched.recording <- true;
-  insert ();
-  sched.recording <- false;
-  if feasible sched then begin
-    sched.journal <- [];
+let try_insert_chain s chain ~off ~len =
+  s.jlen <- 0;
+  s.recording <- true;
+  insert_chain s chain ~off ~len;
+  s.recording <- false;
+  if feasible s then begin
+    s.jlen <- 0;
     true
   end
   else begin
-    rollback sched;
+    rollback s;
     false
   end
-
-let try_insert_job sched job = speculate sched (fun () -> insert_job sched job)
-let try_insert_chain sched chain =
-  speculate sched (fun () -> insert_chain sched chain)
-
-let pp fmt sched =
-  Format.pp_print_list
-    ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " -> ")
-    (fun fmt (e : entry) ->
-      Format.fprintf fmt "J%d@%d" e.job.Job.jid e.eff_ct)
-    fmt
-    (List.init sched.len (fun i -> sched.arr.(i)))

@@ -10,81 +10,72 @@
     and 5). Feasibility checks that cumulative remaining work meets
     every effective critical time.
 
-    Every structural operation charges the externally supplied [ops]
-    counter with its {e abstract} cost — ⌈log₂ n⌉ for ordered-list
-    lookup/insert/remove and n for a feasibility walk — matching the
-    paper's complexity accounting (§3.6) independently of this
-    implementation's physical data layout. The physical layout is a
-    growable array reused across scheduler invocations (see {!reset});
-    the greedy loops probe candidates with {!try_insert_job} /
-    {!try_insert_chain}, which roll back in place instead of deep
-    copying, charging exactly what the copy-and-insert discipline
-    charged. *)
+    Jobs are named by {e rank}: an index [0 .. n-1] into the caller's
+    per-job arrays of remaining cost and absolute critical time, fixed
+    for one {!reset}. Positions hold ranks in flat int arrays reused
+    across scheduler invocations, so a decision allocates nothing
+    here.
+
+    Every structural operation charges the schedule's [ops] counter
+    with its {e abstract} cost — ⌈log₂(len+1)⌉ for an ordered-list
+    lookup/insert/remove and [len] for a feasibility walk — matching
+    the paper's complexity accounting (§3.6) independently of this
+    implementation's physical data layout. {!try_insert_chain} rolls a
+    rejected probe back in place instead of probing a deep copy, and
+    charges exactly what the copy-and-insert discipline of
+    [Reference] charges. *)
 
 type t
 (** A tentative schedule. *)
 
-val create :
-  ops:int ref -> now:int -> remaining:(Rtlf_model.Job.t -> int) -> t
-(** [create ~ops ~now ~remaining] is an empty schedule; [remaining]
-    estimates each job's outstanding CPU demand (including
-    synchronisation overheads, as the caller sees fit). *)
+val create : unit -> t
+(** [create ()] is an empty schedule with no ranks; {!reset} it before
+    use. *)
 
-val reset :
-  t -> ops:int ref -> now:int -> remaining:(Rtlf_model.Job.t -> int) -> unit
-(** [reset sched ~ops ~now ~remaining] empties [sched] for a new
-    scheduler invocation, keeping the backing array. Job references
-    from the previous invocation are dropped. *)
+val reset : t -> now:int -> rem:int array -> act:int array -> n:int -> unit
+(** [reset sched ~now ~rem ~act ~n] empties [sched] for a new scheduler
+    invocation over ranks [0 .. n-1]: rank [r] has remaining cost
+    [rem.(r)] (including synchronisation overheads, as the caller sees
+    fit) and absolute critical time [act.(r)]. Both arrays are read,
+    not copied, and must hold at least [n] entries. Zeroes {!ops} and
+    keeps the backing arrays. *)
 
-val copy : t -> t
-(** [copy sched] is an independent deep copy (shares [ops]). *)
+val ops : t -> int
+(** [ops sched] is the abstract cost charged since the last
+    {!reset}. *)
 
 val length : t -> int
-(** [length sched] is the number of scheduled jobs. *)
+(** [length sched] is the number of scheduled ranks. *)
 
-val mem : t -> jid:int -> bool
-(** [mem sched ~jid] is [true] iff the job is in the schedule. *)
+val rank_at : t -> int -> int
+(** [rank_at sched p] is the rank at position [p], for
+    [0 <= p < length sched]. *)
 
-val jobs : t -> Rtlf_model.Job.t list
-(** [jobs sched] lists jobs in schedule order. *)
+val eff_ct_at : t -> int -> int
+(** [eff_ct_at sched p] is the effective critical time at position
+    [p]. *)
 
-val entries : t -> (Rtlf_model.Job.t * int) list
-(** [entries sched] lists [(job, effective_critical_time)] in
-    order. *)
+val mem : t -> rank:int -> bool
+(** [mem sched ~rank] is [true] iff the rank is in the schedule
+    (charged as an ordered lookup). *)
 
-val head : t -> Rtlf_model.Job.t option
-(** [head sched] is the first job, if any. *)
-
-val insert_job : t -> Rtlf_model.Job.t -> unit
-(** [insert_job sched j] inserts [j] at its ECF position (effective
-    critical time = its absolute critical time). No-op if already
-    present. *)
-
-val insert_chain : t -> Rtlf_model.Job.t list -> unit
-(** [insert_chain sched chain] inserts a job and its dependents, given
+val insert_chain : t -> int array -> off:int -> len:int -> unit
+(** [insert_chain sched chain ~off ~len] inserts a job and its
+    dependents, given as the ranks [chain.(off) .. chain.(off+len-1)]
     head-first (execution order; the tail is the examined job). Per
     §3.4.1 the chain is processed tail to head; each element must end
     up before its successor in the chain, clamping effective critical
     times as needed, including the removal-and-reinsertion of elements
-    already present (Figure 5). *)
+    already present (Figure 5). A one-rank chain is a plain ECF
+    insertion, skipped when the rank is already present. *)
 
 val feasible : t -> bool
-(** [feasible sched] walks the schedule accumulating [remaining] and
-    checks every job's effective critical time is met starting from
-    [now]. *)
+(** [feasible sched] walks the schedule accumulating remaining costs
+    from [now] and checks every effective critical time is met. *)
 
-val try_insert_job : t -> Rtlf_model.Job.t -> bool
-(** [try_insert_job sched j] inserts [j] as {!insert_job}, tests
-    {!feasible}, and rolls the insertion back in place when the result
-    is infeasible. Returns the feasibility verdict. Charges the same
-    abstract ops as insert-on-a-copy followed by [feasible] — ops
-    charged by a rejected probe stay charged, exactly as they did when
-    the probe ran on a discarded copy. *)
-
-val try_insert_chain : t -> Rtlf_model.Job.t list -> bool
-(** [try_insert_chain sched chain] is {!try_insert_job} for
-    {!insert_chain}: speculative aggregate insertion with in-place
-    rollback on infeasibility. *)
-
-val pp : Format.formatter -> t -> unit
-(** [pp fmt sched] prints the ordered jid/critical-time pairs. *)
+val try_insert_chain : t -> int array -> off:int -> len:int -> bool
+(** [try_insert_chain sched chain ~off ~len] is {!insert_chain}
+    followed by {!feasible}, rolled back in place when the result is
+    infeasible. Returns the feasibility verdict. Ops charged by a
+    rejected probe stay charged, exactly as they did when the probe
+    ran on a discarded copy. *)

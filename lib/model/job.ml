@@ -42,6 +42,14 @@ let of_segments ~task ~segments ~jid ~arrival =
 let create ~task ~jid ~arrival =
   of_segments ~task ~segments:(Task.segments task) ~jid ~arrival
 
+let dummy =
+  let task =
+    Task.make ~id:0 ~name:"dummy"
+      ~tuf:(Tuf.step ~height:0.0 ~c:1)
+      ~arrival:(Uam.periodic ~period:1) ~exec:0 ()
+  in
+  create ~task ~jid:(-1) ~arrival:0
+
 let absolute_critical_time j = j.arrival + Task.critical_time j.task
 
 let remaining_nominal j =

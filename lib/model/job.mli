@@ -49,6 +49,11 @@ val of_segments :
     profile [Task.segments task] already built: a simulator builds each
     task's (immutable) list once per run and shares it between jobs. *)
 
+val dummy : t
+(** [dummy] is an inert placeholder for the vacant slots of a
+    preallocated job array ([jid = -1]). It is never handed to a
+    scheduler: such arrays are always read up to an explicit length. *)
+
 val absolute_critical_time : t -> int
 (** [absolute_critical_time j] is [arrival + Cᵢ]. *)
 

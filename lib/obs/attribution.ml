@@ -155,7 +155,6 @@ let of_trace ?tasks trace =
          (Trace.dropped trace)
          (if Trace.dropped trace = 1 then "y was" else "ies were"))
   else begin
-    let entries = Trace.entries trace in
     let task_by_id = Hashtbl.create 16 in
     (match tasks with
     | None -> ()
@@ -163,17 +162,25 @@ let of_trace ?tasks trace =
       List.iter (fun tk -> Hashtbl.replace task_by_id tk.Task.id tk) ts);
     (* Pre-pass: collect true arrivals so jobs can be admitted at their
        release time even when the [Arrive] entry was recorded later
-       (scheduler-cost or abort-handler intervals straddle releases). *)
+       (scheduler-cost or abort-handler intervals straddle releases);
+       note the first and the latest entry times. The trace is read in
+       place, never copied. *)
     let task_of = Hashtbl.create 64 in
+    let arrivals = ref [] in
+    let first_time = ref None and last_time = ref 0 in
+    Trace.iter
+      (fun { Trace.time; kind } ->
+        if Option.is_none !first_time then first_time := Some time;
+        last_time := max !last_time time;
+        match kind with
+        | Trace.Arrive (jid, task, at) ->
+          Hashtbl.replace task_of jid task;
+          arrivals := (at, jid, task) :: !arrivals
+        | _ -> ())
+      trace;
+    let last_time = !last_time in
     let arrivals =
-      List.filter_map
-        (fun { Trace.kind; _ } ->
-          match kind with
-          | Trace.Arrive (jid, task, at) ->
-            Hashtbl.replace task_of jid task;
-            Some (at, jid, task)
-          | _ -> None)
-        entries
+      List.rev !arrivals
       |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b)
       |> Array.of_list
     in
@@ -203,17 +210,14 @@ let of_trace ?tasks trace =
     let special = ref `None in
     let resolved = ref [] in
     let anomalies = ref 0 in
-    let last_time =
-      List.fold_left (fun m e -> max m e.Trace.time) 0 entries
-    in
     let cur =
       ref
-        (match (entries, n_arrivals) with
-        | [], _ -> 0
-        | e :: _, 0 -> e.Trace.time
-        | e :: _, _ ->
+        (match (!first_time, n_arrivals) with
+        | None, _ -> 0
+        | Some t, 0 -> t
+        | Some t, _ ->
           let (a, _, _) = arrivals.(0) in
-          min e.Trace.time a)
+          min t a)
     in
     let admit_due () =
       while
@@ -334,7 +338,7 @@ let of_trace ?tasks trace =
         in
         resolved := j :: !resolved
     in
-    List.iter
+    Trace.iter
       (fun { Trace.time; kind } ->
         (* Trace times are nondecreasing for simulator output; clamp
            defensively so hand-built traces cannot drive the cursor
@@ -377,13 +381,13 @@ let of_trace ?tasks trace =
           if handler > 0 then special := `Handler (time + handler, jid)
         | Trace.Sched (_, cost) ->
           if cost > 0 then special := `Sched (time + cost))
-      entries;
+      trace;
     Ok
       {
         jobs = List.rev !resolved;
         task_of;
         in_flight = Hashtbl.length live;
-        events = List.length entries;
+        events = Trace.length trace;
         last_time;
         elapsed_s = Unix.gettimeofday () -. t0;
         anomalies = !anomalies;

@@ -163,7 +163,7 @@ let to_string res = Json.to_string (result res)
    with drops — attribution refuses partial histories). *)
 let attribution_totals (res : Simulator.result) =
   let tr = res.Simulator.trace in
-  if Trace.entries tr = [] then Json.Null
+  if Trace.length tr = 0 then Json.Null
   else
     match Attribution.of_trace tr with
     | Error msg -> Json.Obj [ ("error", Json.Str msg) ]

@@ -7,8 +7,6 @@ module Job = Rtlf_model.Job
    [view] is a trimmed copy rebuilt only when a dirty flag says the
    membership changed since the last invocation. *)
 
-let dummy = Rtlf_core.Arena.dummy_job
-
 type t = {
   mutable buf : Job.t array; (* jid-sorted prefix [0, len) *)
   mutable len : int;
@@ -17,7 +15,12 @@ type t = {
 }
 
 let create ?(capacity = 64) () =
-  { buf = Array.make (max capacity 1) dummy; len = 0; cache = [||]; dirty = false }
+  {
+    buf = Array.make (max capacity 1) Job.dummy;
+    len = 0;
+    cache = [||];
+    dirty = false;
+  }
 
 let count t = t.len
 
@@ -33,7 +36,7 @@ let lower_bound t jid =
 let ensure_capacity t =
   let cap = Array.length t.buf in
   if t.len = cap then begin
-    let nbuf = Array.make (cap * 2) dummy in
+    let nbuf = Array.make (cap * 2) Job.dummy in
     Array.blit t.buf 0 nbuf 0 t.len;
     t.buf <- nbuf
   end
@@ -69,7 +72,7 @@ let remove t ~jid =
   if i < t.len && t.buf.(i).Job.jid = jid then begin
     Array.blit t.buf (i + 1) t.buf i (t.len - i - 1);
     t.len <- t.len - 1;
-    t.buf.(t.len) <- dummy;
+    t.buf.(t.len) <- Job.dummy;
     t.dirty <- true
   end
 

@@ -77,6 +77,24 @@ let entries tr =
         | Some e -> e
         | None -> assert false)
 
+let length tr =
+  match tr.storage with Unbounded u -> u.len | Ring r -> r.len
+
+let iter f tr =
+  match tr.storage with
+  | Unbounded u ->
+    for i = 0 to u.len - 1 do
+      f u.arr.(i)
+    done
+  | Ring r ->
+    let cap = Array.length r.buf in
+    let start = (r.next - r.len + cap) mod cap in
+    for i = 0 to r.len - 1 do
+      match r.buf.((start + i) mod cap) with
+      | Some e -> f e
+      | None -> assert false
+    done
+
 let dropped tr =
   match tr.storage with Unbounded _ -> 0 | Ring r -> r.dropped
 
@@ -210,9 +228,9 @@ let check_wake_follows_block tr =
   go (entries tr)
 
 let count tr pred =
-  List.fold_left
-    (fun acc e -> if pred e.kind then acc + 1 else acc)
-    0 (entries tr)
+  let n = ref 0 in
+  iter (fun e -> if pred e.kind then incr n) tr;
+  !n
 
 let preemptions tr =
   count tr (function Preempt _ -> true | _ -> false)

@@ -68,6 +68,13 @@ val entries : t -> entry list
 (** [entries tr] is the recorded history in chronological order (the
     retained suffix, in ring-buffer mode). *)
 
+val length : t -> int
+(** [length tr] is the number of entries {!entries} would list. *)
+
+val iter : (entry -> unit) -> t -> unit
+(** [iter f tr] applies [f] to the recorded history in chronological
+    order, as {!entries} lists it, without copying it. *)
+
 val dropped : t -> int
 (** [dropped tr] is the number of entries overwritten in ring-buffer
     mode (always [0] for unbounded traces). *)

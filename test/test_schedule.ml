@@ -1,90 +1,122 @@
-(* Tentative-schedule tests: ECF order, feasibility, and the paper's
-   §3.4.1 insertion scenarios (Figures 4 and 5). *)
+(* Tentative-schedule tests: ECF order, feasibility, the paper's §3.4.1
+   insertion scenarios (Figures 4 and 5), in-place rollback and the
+   abstract ops charges. *)
 
-module Tuf = Rtlf_model.Tuf
-module Uam = Rtlf_model.Uam
-module Task = Rtlf_model.Task
-module Job = Rtlf_model.Job
 module Ts = Rtlf_core.Tentative_schedule
 
-(* A job with a given absolute critical time [ct] and remaining work
-   [rem] (arrival 0, critical time = ct). *)
-let job ~jid ~ct ~rem =
-  let task =
-    Task.make ~id:jid
-      ~tuf:(Tuf.step ~height:1.0 ~c:ct)
-      ~arrival:(Uam.periodic ~period:(2 * ct))
-      ~exec:rem ()
+(* A schedule over jobs given as (jid, absolute critical time,
+   remaining work); rank r is the r-th job of the list. *)
+type scene = { sched : Ts.t; jids : int array }
+
+let scene ?(now = 0) specs =
+  let arr f = Array.of_list (List.map f specs) in
+  let sched = Ts.create () in
+  Ts.reset sched ~now
+    ~rem:(arr (fun (_, _, rem) -> rem))
+    ~act:(arr (fun (_, ct, _) -> ct))
+    ~n:(List.length specs);
+  { sched; jids = arr (fun (jid, _, _) -> jid) }
+
+let rank sc jid =
+  let rec go r = if sc.jids.(r) = jid then r else go (r + 1) in
+  go 0
+
+(* A chain of jids, head-first, as the ranks [insert_chain] takes. *)
+let ranks sc chain = Array.of_list (List.map (rank sc) chain)
+
+let insert sc chain =
+  let c = ranks sc chain in
+  Ts.insert_chain sc.sched c ~off:0 ~len:(Array.length c)
+
+let try_insert sc chain =
+  let c = ranks sc chain in
+  Ts.try_insert_chain sc.sched c ~off:0 ~len:(Array.length c)
+
+let jids sc =
+  List.init (Ts.length sc.sched) (fun p -> sc.jids.(Ts.rank_at sc.sched p))
+
+let eff_ct sc jid =
+  let rec go p =
+    if sc.jids.(Ts.rank_at sc.sched p) = jid then Ts.eff_ct_at sc.sched p
+    else go (p + 1)
   in
-  Job.create ~task ~jid ~arrival:0
+  go 0
 
-let remaining job = Job.remaining_nominal job
-
-let mk ?(now = 0) () =
-  let ops = ref 0 in
-  (Ts.create ~ops ~now ~remaining, ops)
-
-let jids sched = List.map (fun j -> j.Job.jid) (Ts.jobs sched)
+let pos sc jid =
+  let rec go i = function
+    | [] -> -1
+    | x :: rest -> if x = jid then i else go (i + 1) rest
+  in
+  go 0 (jids sc)
 
 (* --- plain ECF insertion ---------------------------------------------- *)
 
 let test_ecf_order () =
-  let sched, _ = mk () in
-  Ts.insert_job sched (job ~jid:0 ~ct:300 ~rem:10);
-  Ts.insert_job sched (job ~jid:1 ~ct:100 ~rem:10);
-  Ts.insert_job sched (job ~jid:2 ~ct:200 ~rem:10);
-  Alcotest.(check (list int)) "ECF order" [ 1; 2; 0 ] (jids sched)
+  let sc = scene [ (0, 300, 10); (1, 100, 10); (2, 200, 10) ] in
+  List.iter (fun jid -> insert sc [ jid ]) [ 0; 1; 2 ];
+  Alcotest.(check (list int)) "ECF order" [ 1; 2; 0 ] (jids sc)
 
 let test_insert_idempotent () =
-  let sched, _ = mk () in
-  let j = job ~jid:0 ~ct:100 ~rem:10 in
-  Ts.insert_job sched j;
-  Ts.insert_job sched j;
-  Alcotest.(check int) "single entry" 1 (Ts.length sched)
+  let sc = scene [ (0, 100, 10) ] in
+  insert sc [ 0 ];
+  insert sc [ 0 ];
+  Alcotest.(check int) "single entry" 1 (Ts.length sc.sched)
 
 let test_mem_and_head () =
-  let sched, _ = mk () in
-  Alcotest.(check bool) "head empty" true (Ts.head sched = None);
-  let j = job ~jid:3 ~ct:50 ~rem:5 in
-  Ts.insert_job sched j;
-  Alcotest.(check bool) "mem" true (Ts.mem sched ~jid:3);
-  Alcotest.(check bool) "not mem" false (Ts.mem sched ~jid:4);
-  Alcotest.(check bool) "head" true
-    (match Ts.head sched with Some h -> h.Job.jid = 3 | None -> false)
+  let sc = scene [ (3, 50, 5); (4, 60, 5) ] in
+  Alcotest.(check int) "empty" 0 (Ts.length sc.sched);
+  insert sc [ 3 ];
+  Alcotest.(check bool) "mem" true (Ts.mem sc.sched ~rank:(rank sc 3));
+  Alcotest.(check bool) "not mem" false (Ts.mem sc.sched ~rank:(rank sc 4));
+  Alcotest.(check int) "head" 3 (List.hd (jids sc))
 
-let test_copy_is_independent () =
-  let sched, _ = mk () in
-  Ts.insert_job sched (job ~jid:0 ~ct:100 ~rem:10);
-  let copy = Ts.copy sched in
-  Ts.insert_job copy (job ~jid:1 ~ct:50 ~rem:10);
-  Alcotest.(check int) "original untouched" 1 (Ts.length sched);
-  Alcotest.(check int) "copy extended" 2 (Ts.length copy)
+(* A rejected probe leaves the schedule as it was, clamped critical
+   times included, and a later reset forgets everything. *)
+let test_rejected_probe_rolls_back () =
+  let sc =
+    scene [ (1, 250, 10); (2, 300, 10); (3, 200, 10); (4, 5, 10) ]
+  in
+  insert sc [ 1; 2 ];
+  let before = List.map (fun jid -> (jid, eff_ct sc jid)) (jids sc) in
+  (* Reinserting 1 before 3 (Case 2), then 4 at the head, which cannot
+     finish by 5: infeasible. *)
+  Alcotest.(check bool) "probe rejected" false (try_insert sc [ 4; 1; 3 ]);
+  Alcotest.(check (list (pair int int)))
+    "restored" before
+    (List.map (fun jid -> (jid, eff_ct sc jid)) (jids sc));
+  Alcotest.(check bool) "3 absent" false (Ts.mem sc.sched ~rank:(rank sc 3));
+  Alcotest.(check bool) "probe accepted" true (try_insert sc [ 1; 3 ]);
+  Alcotest.(check (list int)) "kept" [ 1; 3; 2 ] (jids sc);
+  Ts.reset sc.sched ~now:0 ~rem:[| 1; 1 |] ~act:[| 9; 9 |] ~n:2;
+  Alcotest.(check int) "reset empties" 0 (Ts.length sc.sched);
+  Alcotest.(check bool) "reset clears membership" false
+    (Ts.mem sc.sched ~rank:1)
 
 (* --- feasibility -------------------------------------------------------- *)
 
 let test_feasible_simple () =
-  let sched, _ = mk () in
-  Ts.insert_job sched (job ~jid:0 ~ct:100 ~rem:50);
-  Ts.insert_job sched (job ~jid:1 ~ct:200 ~rem:50);
-  Alcotest.(check bool) "feasible" true (Ts.feasible sched)
+  let sc = scene [ (0, 100, 50); (1, 200, 50) ] in
+  insert sc [ 0 ];
+  insert sc [ 1 ];
+  Alcotest.(check bool) "feasible" true (Ts.feasible sc.sched)
 
 let test_infeasible_cumulative () =
-  let sched, _ = mk () in
-  Ts.insert_job sched (job ~jid:0 ~ct:100 ~rem:80);
-  Ts.insert_job sched (job ~jid:1 ~ct:150 ~rem:80);
+  let sc = scene [ (0, 100, 80); (1, 150, 80) ] in
+  insert sc [ 0 ];
+  insert sc [ 1 ];
   (* Job 1 finishes at 160 > 150. *)
-  Alcotest.(check bool) "infeasible" false (Ts.feasible sched)
+  Alcotest.(check bool) "infeasible" false (Ts.feasible sc.sched)
 
 let test_feasibility_uses_now () =
-  let sched, _ = mk ~now:90 () in
-  Ts.insert_job sched (job ~jid:0 ~ct:100 ~rem:20);
+  let sc = scene ~now:90 [ (0, 100, 20) ] in
+  insert sc [ 0 ];
   (* 90 + 20 = 110 > 100. *)
   Alcotest.(check bool) "accounts for current time" false
-    (Ts.feasible sched)
+    (Ts.feasible sc.sched)
 
 let test_feasible_empty () =
-  let sched, _ = mk () in
-  Alcotest.(check bool) "empty schedule feasible" true (Ts.feasible sched)
+  let sc = scene [] in
+  Alcotest.(check bool) "empty schedule feasible" true (Ts.feasible sc.sched)
 
 (* --- Figure 4: critical-time vs dependency order -------------------------- *)
 
@@ -92,26 +124,18 @@ let test_feasible_empty () =
    Case 2: C2 > C1 — T2 must still precede T1, with C2 clamped to C1. *)
 
 let test_fig4_case1 () =
-  let sched, _ = mk () in
-  let t1 = job ~jid:1 ~ct:500 ~rem:10 in
-  let t2 = job ~jid:2 ~ct:200 ~rem:10 in
-  Ts.insert_chain sched [ t2; t1 ];
-  Alcotest.(check (list int)) "dependency respected" [ 2; 1 ] (jids sched);
-  Alcotest.(check bool) "no clamping needed" true
-    (List.assoc 2
-       (List.map (fun (j, ct) -> (j.Job.jid, ct)) (Ts.entries sched))
-    = 200)
+  let sc = scene [ (1, 500, 10); (2, 200, 10) ] in
+  insert sc [ 2; 1 ];
+  Alcotest.(check (list int)) "dependency respected" [ 2; 1 ] (jids sc);
+  Alcotest.(check int) "no clamping needed" 200 (eff_ct sc 2)
 
 let test_fig4_case2 () =
-  let sched, _ = mk () in
-  let t1 = job ~jid:1 ~ct:200 ~rem:10 in
-  let t2 = job ~jid:2 ~ct:500 ~rem:10 in
-  Ts.insert_chain sched [ t2; t1 ];
+  let sc = scene [ (1, 200, 10); (2, 500, 10) ] in
+  insert sc [ 2; 1 ];
   Alcotest.(check (list int)) "T2 inserted before T1 despite later ct"
-    [ 2; 1 ] (jids sched);
-  let eff = List.map (fun (j, ct) -> (j.Job.jid, ct)) (Ts.entries sched) in
-  Alcotest.(check int) "C2 clamped to C1" 200 (List.assoc 2 eff);
-  Alcotest.(check int) "C1 unchanged" 200 (List.assoc 1 eff)
+    [ 2; 1 ] (jids sc);
+  Alcotest.(check int) "C2 clamped to C1" 200 (eff_ct sc 2);
+  Alcotest.(check int) "C1 unchanged" 200 (eff_ct sc 1)
 
 (* --- Figure 5: removal and reinsertion -------------------------------------- *)
 
@@ -123,104 +147,88 @@ let test_fig4_case2 () =
 
 let test_fig5_case1 () =
   (* C1 < C3: T1 already precedes T3 naturally. *)
-  let t1 = job ~jid:1 ~ct:100 ~rem:10 in
-  let t2 = job ~jid:2 ~ct:300 ~rem:10 in
-  let t3 = job ~jid:3 ~ct:200 ~rem:10 in
-  let sched, _ = mk () in
-  Ts.insert_chain sched [ t1; t2 ];
-  Alcotest.(check (list int)) "after T2 aggregate" [ 1; 2 ] (jids sched);
-  Ts.insert_chain sched [ t1; t3 ];
-  Alcotest.(check (list int)) "T1 before T3 and T2" [ 1; 3; 2 ] (jids sched)
+  let sc = scene [ (1, 100, 10); (2, 300, 10); (3, 200, 10) ] in
+  insert sc [ 1; 2 ];
+  Alcotest.(check (list int)) "after T2 aggregate" [ 1; 2 ] (jids sc);
+  insert sc [ 1; 3 ];
+  Alcotest.(check (list int)) "T1 before T3 and T2" [ 1; 3; 2 ] (jids sc)
 
 let test_fig5_case2 () =
   (* C1 > C3: reinsertion with clamping. *)
-  let t1 = job ~jid:1 ~ct:250 ~rem:10 in
-  let t2 = job ~jid:2 ~ct:300 ~rem:10 in
-  let t3 = job ~jid:3 ~ct:200 ~rem:10 in
-  let sched, _ = mk () in
-  Ts.insert_chain sched [ t1; t2 ];
-  Alcotest.(check (list int)) "after T2 aggregate" [ 1; 2 ] (jids sched);
-  Ts.insert_chain sched [ t1; t3 ];
+  let sc = scene [ (1, 250, 10); (2, 300, 10); (3, 200, 10) ] in
+  insert sc [ 1; 2 ];
+  Alcotest.(check (list int)) "after T2 aggregate" [ 1; 2 ] (jids sc);
+  insert sc [ 1; 3 ];
   Alcotest.(check (list int)) "T1 removed and reinserted before T3"
-    [ 1; 3; 2 ] (jids sched);
-  let eff = List.map (fun (j, ct) -> (j.Job.jid, ct)) (Ts.entries sched) in
-  Alcotest.(check int) "C1 clamped to C3" 200 (List.assoc 1 eff)
+    [ 1; 3; 2 ] (jids sc);
+  Alcotest.(check int) "C1 clamped to C3" 200 (eff_ct sc 1)
 
 let test_long_chain_order () =
   (* A 4-deep chain with thoroughly shuffled critical times must end up
      in dependency order. *)
-  let a = job ~jid:0 ~ct:900 ~rem:5 in
-  let b = job ~jid:1 ~ct:100 ~rem:5 in
-  let c = job ~jid:2 ~ct:700 ~rem:5 in
-  let d = job ~jid:3 ~ct:300 ~rem:5 in
-  let sched, _ = mk () in
-  Ts.insert_chain sched [ a; b; c; d ];
-  let pos jid =
-    let rec go i = function
-      | [] -> -1
-      | x :: rest -> if x = jid then i else go (i + 1) rest
-    in
-    go 0 (jids sched)
-  in
-  Alcotest.(check bool) "a before b" true (pos 0 < pos 1);
-  Alcotest.(check bool) "b before c" true (pos 1 < pos 2);
-  Alcotest.(check bool) "c before d" true (pos 2 < pos 3)
+  let sc = scene [ (0, 900, 5); (1, 100, 5); (2, 700, 5); (3, 300, 5) ] in
+  insert sc [ 0; 1; 2; 3 ];
+  Alcotest.(check bool) "a before b" true (pos sc 0 < pos sc 1);
+  Alcotest.(check bool) "b before c" true (pos sc 1 < pos sc 2);
+  Alcotest.(check bool) "c before d" true (pos sc 2 < pos sc 3)
 
 let test_chain_with_unrelated_entries () =
   (* Unrelated ECF entries must not break dependency placement. *)
-  let sched, _ = mk () in
-  Ts.insert_job sched (job ~jid:10 ~ct:150 ~rem:5);
-  Ts.insert_job sched (job ~jid:11 ~ct:400 ~rem:5);
-  let t1 = job ~jid:1 ~ct:200 ~rem:5 in
-  let t2 = job ~jid:2 ~ct:600 ~rem:5 in
-  Ts.insert_chain sched [ t2; t1 ];
-  let order = jids sched in
-  let pos jid =
-    let rec go i = function
-      | [] -> -1
-      | x :: rest -> if x = jid then i else go (i + 1) rest
-    in
-    go 0 order
+  let sc =
+    scene [ (10, 150, 5); (11, 400, 5); (1, 200, 5); (2, 600, 5) ]
   in
-  Alcotest.(check bool) "dependency respected" true (pos 2 < pos 1);
-  Alcotest.(check int) "all present" 4 (Ts.length sched)
+  insert sc [ 10 ];
+  insert sc [ 11 ];
+  insert sc [ 2; 1 ];
+  Alcotest.(check bool) "dependency respected" true (pos sc 2 < pos sc 1);
+  Alcotest.(check int) "all present" 4 (Ts.length sc.sched)
 
+(* Each ordered operation charges ceil-log2(len+1), each feasibility
+   walk len, whether or not a probe is kept. *)
 let test_ops_counter_charged () =
-  let sched, ops = mk () in
-  let before = !ops in
-  Ts.insert_job sched (job ~jid:0 ~ct:100 ~rem:10);
-  ignore (Ts.feasible sched);
-  Alcotest.(check bool) "ops grew" true (!ops > before)
+  let sc = scene [ (0, 100, 10); (1, 200, 10); (2, 150, 10); (3, 5, 10) ] in
+  let ops () = Ts.ops sc.sched in
+  (* mem and insert at len 0: 1 + 1; feasible: 1. *)
+  insert sc [ 0 ];
+  ignore (Ts.feasible sc.sched);
+  Alcotest.(check int) "singleton insert + walk" 3 (ops ());
+  (* 1 (tail): mem + insert at len 1, 1 + 1. 0 (head): already before
+     its successor, one lookup at len 2: 2. *)
+  insert sc [ 0; 1 ];
+  Alcotest.(check int) "Case 1 chain" 7 (ops ());
+  (* 2 (tail): mem + insert at len 2, 2 + 2. 1 (head): after its
+     successor, remove at len 3 (2) and reinsert at len 2 (2).
+     Feasible walk of 3. The probe is kept. *)
+  Alcotest.(check bool) "kept" true (try_insert sc [ 1; 2 ]);
+  Alcotest.(check int) "Case 2 chain + walk" 18 (ops ());
+  (* 3 cannot finish by 5: mem + insert at len 3 (2 + 2), walk of 4,
+     all still charged after the rollback. *)
+  Alcotest.(check bool) "rejected" false (try_insert sc [ 3 ]);
+  Alcotest.(check int) "rejected probe stays charged" 26 (ops ());
+  Ts.reset sc.sched ~now:0 ~rem:[||] ~act:[||] ~n:0;
+  Alcotest.(check int) "reset zeroes" 0 (ops ())
 
-(* --- property: insert_chain always respects dependency order -------------- *)
+(* --- properties ------------------------------------------------------------- *)
 
 let prop_chain_order =
   QCheck.Test.make ~name:"insert_chain respects dependency order" ~count:300
     QCheck.(list_of_size (Gen.int_range 1 8) (int_range 1 1_000))
     (fun cts ->
-      let chain =
-        List.mapi (fun i ct -> job ~jid:i ~ct:(ct * 10) ~rem:1) cts
-      in
-      let ops = ref 0 in
-      let sched = Ts.create ~ops ~now:0 ~remaining in
-      Ts.insert_chain sched chain;
-      let order = List.map (fun j -> j.Job.jid) (Ts.jobs sched) in
+      let sc = scene (List.mapi (fun i ct -> (i, ct * 10, 1)) cts) in
+      insert sc (List.mapi (fun i _ -> i) cts);
       (* The chain was head-first [0; 1; ...]; schedule order must list
          them in increasing jid. *)
-      order = List.sort compare order
-      && List.length order = List.length chain)
+      let order = jids sc in
+      order = List.sort compare order && List.length order = List.length cts)
 
 let prop_ecf_sorted =
   QCheck.Test.make ~name:"entries sorted by effective critical time"
     ~count:300
     QCheck.(list_of_size (Gen.int_range 0 10) (int_range 1 1_000))
     (fun cts ->
-      let ops = ref 0 in
-      let sched = Ts.create ~ops ~now:0 ~remaining in
-      List.iteri
-        (fun i ct -> Ts.insert_job sched (job ~jid:i ~ct:(ct * 10) ~rem:1))
-        cts;
-      let effs = List.map snd (Ts.entries sched) in
+      let sc = scene (List.mapi (fun i ct -> (i, ct * 10, 1)) cts) in
+      List.iteri (fun i _ -> insert sc [ i ]) cts;
+      let effs = List.init (Ts.length sc.sched) (Ts.eff_ct_at sc.sched) in
       effs = List.sort compare effs)
 
 let () =
@@ -231,8 +239,8 @@ let () =
           Alcotest.test_case "ECF order" `Quick test_ecf_order;
           Alcotest.test_case "idempotent insert" `Quick test_insert_idempotent;
           Alcotest.test_case "mem and head" `Quick test_mem_and_head;
-          Alcotest.test_case "copy independence" `Quick
-            test_copy_is_independent;
+          Alcotest.test_case "rejected probe rolls back" `Quick
+            test_rejected_probe_rolls_back;
           Test_support.to_alcotest prop_ecf_sorted;
         ] );
       ( "feasibility",

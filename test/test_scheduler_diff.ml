@@ -9,8 +9,9 @@
    a single implementation each and are checked against their
    specification on the same scenes. Every scene is decided twice on
    the same instance, so stale scratch state from the previous call
-   would also be caught. All randomness derives from RTLF_SEED via
-   [Test_support]. *)
+   would also be caught; both RUA deciders also run mutation sequences
+   on one persistent instance. All randomness derives from RTLF_SEED
+   via [Test_support]. *)
 
 module Tuf = Rtlf_model.Tuf
 module Uam = Rtlf_model.Uam
@@ -140,6 +141,57 @@ let run_diff kind () =
         [ false; true ])
     [ 1; 2; 8; 64 ];
   Alcotest.(check bool) "at least 100 scenes" true (!count >= 100)
+
+(* --- lock-based: several victims, absent chain members ------------------- *)
+
+(* Three disjoint 2-cycles (jobs 0-1 on objects 0-1, 2-3 on 2-3, 7-8
+   on 6-7), so one decision aborts several victims and their order in
+   [aborts] — a Hashtbl fold — is pinned against the reference. Job 4
+   waits on object 4, held by a jid that is not in [jobs] at all, and
+   job 5 waits on object 5, held by job 6, which has just completed:
+   both chains name a member the decider must drop. The rest are
+   independent. *)
+let cycles_scene rs ~n =
+  let jobs = Array.init n (fun jid -> mk_job rs ~jid) in
+  let locks = Lock_manager.create ~objects:(Resource.create ~n:8) in
+  let request jid obj =
+    match Lock_manager.request locks ~jid ~obj with
+    | Lock_manager.Granted -> ()
+    | Lock_manager.Blocked_on _ ->
+      if jid < n then jobs.(jid).Job.state <- Job.Blocked obj
+  in
+  List.iter
+    (fun (a, b, x, y) ->
+      request a x;
+      request b y;
+      request a y;
+      request b x)
+    [ (0, 1, 0, 1); (2, 3, 2, 3); (7, 8, 6, 7) ];
+  request (n + 100) 4;
+  request 4 4;
+  request 6 5;
+  jobs.(6).Job.state <- Job.Completed;
+  request 5 5;
+  (jobs, locks)
+
+let run_cycles () =
+  let rs = Test_support.rand_state () in
+  for rep = 1 to 24 do
+    let n = 9 + Random.State.int rs 8 in
+    let now = Random.State.int rs 200 in
+    let jobs, locks = cycles_scene rs ~n in
+    let expected =
+      (Reference.rua_lock_based ~locks).Scheduler.decide ~now ~jobs ~remaining
+    in
+    (* Ties (both members expired) can abort both jobs of a cycle. *)
+    Alcotest.(check bool) "three victims or more" true
+      (List.length expected.Scheduler.aborts >= 3);
+    let opt = Rtlf_core.Rua_lock_based.make ~locks in
+    let msg = Printf.sprintf "cycles n=%d rep=%d" n rep in
+    check_same ~msg expected (opt.Scheduler.decide ~now ~jobs ~remaining);
+    check_same ~msg:(msg ^ " (rerun)") expected
+      (opt.Scheduler.decide ~now ~jobs ~remaining)
+  done
 
 (* --- tie-dense scenes ----------------------------------------------------- *)
 
@@ -366,6 +418,32 @@ let test_rebuild_alloc_budget () =
           per_call budget)
     [ 32; 64 ]
 
+(* --- lock-based allocation budget --------------------------------------- *)
+
+(* With no waiters, a warm lock-based decision allocates only what it
+   returns: the schedule and rejected lists, the record, plus boxed
+   utilities from non-step TUFs. The first call at each size is a
+   warm-up that grows the scratch arrays. *)
+let test_lock_based_alloc_budget () =
+  let rs = Test_support.rand_state () in
+  let locks = Lock_manager.create ~objects:(Resource.create ~n:1) in
+  let opt = Rtlf_core.Rua_lock_based.make ~locks in
+  List.iter
+    (fun n ->
+      let jobs = Array.init n (fun i -> mk_job rs ~jid:i) in
+      ignore (opt.Scheduler.decide ~now:0 ~jobs ~remaining);
+      let calls = 200 in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (opt.Scheduler.decide ~now:0 ~jobs ~remaining)
+      done;
+      let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+      let budget = float_of_int ((4 * n) + 64) in
+      if per_call > budget then
+        Alcotest.failf "n=%d: %.1f minor words per decision (budget %.0f)" n
+          per_call budget)
+    [ 32; 64 ]
+
 (* --- incremental sequences ---------------------------------------------- *)
 
 (* The lock-free RUA decider carries a cross-invocation decision cache:
@@ -439,6 +517,122 @@ let run_incremental ~make ~expect () =
         tie_sizes)
     tie_kinds
 
+(* --- lock-based sequences ------------------------------------------------ *)
+
+(* One persistent lock-based instance runs over a lock table and a jobs
+   array that evolve step by step: arrivals grow the array and
+   departures of resolved jobs shrink it; lock requests grant or block;
+   releases, completions and aborts hand objects to the next waiter;
+   a job can vanish from the array while the lock table still names
+   it; and the deadlock victims a decision names are usually aborted
+   before the next step. At every step the decision must equal a fresh
+   reference's, so scratch state left by earlier, larger or
+   differently shaped calls cannot leak. Returns (steps with a waiter,
+   steps with a victim). *)
+let lock_sequence rs ~label =
+  let locks = Lock_manager.create ~objects:(Resource.create ~n:4) in
+  let opt = Rtlf_core.Rua_lock_based.make ~locks in
+  let next_jid = ref 0 in
+  let fresh () =
+    let j = mk_job rs ~jid:!next_jid in
+    incr next_jid;
+    j
+  in
+  let jobs = ref (Array.init (1 + Random.State.int rs 6) (fun _ -> fresh ())) in
+  let now = ref (Random.State.int rs 50) in
+  let waiting = ref 0 and victims = ref 0 in
+  let pick () =
+    let a = !jobs in
+    if Array.length a = 0 then None
+    else Some a.(Random.State.int rs (Array.length a))
+  in
+  let wake = function
+    | None -> ()
+    | Some jid ->
+      Array.iter
+        (fun j -> if j.Job.jid = jid then j.Job.state <- Job.Ready)
+        !jobs
+  in
+  let request j obj =
+    if Job.is_runnable j then
+      match Lock_manager.request locks ~jid:j.Job.jid ~obj with
+      | Lock_manager.Granted -> ()
+      | Lock_manager.Blocked_on _ -> j.Job.state <- Job.Blocked obj
+  in
+  let resolve state j =
+    if Job.is_live j then begin
+      List.iter (fun (_, owner) -> wake owner)
+        (Lock_manager.release_all locks ~jid:j.Job.jid);
+      j.Job.state <- state
+    end
+  in
+  for step = 1 to 60 do
+    (match Random.State.int rs 14 with
+    | 0 | 1 ->
+      if Array.length !jobs < 24 then jobs := Array.append !jobs [| fresh () |]
+    | 2 | 3 | 4 ->
+      Option.iter (fun j -> request j (Random.State.int rs 4)) (pick ())
+    | 5 -> (
+      match pick () with
+      | Some j -> (
+        match Lock_manager.holding locks ~jid:j.Job.jid with
+        | obj :: _ -> wake (Lock_manager.release locks ~jid:j.Job.jid ~obj)
+        | [] -> ())
+      | None -> ())
+    | 6 -> Option.iter (resolve Job.Completed) (pick ())
+    | 7 -> Option.iter (resolve Job.Aborted) (pick ())
+    | 8 -> jobs := Array.of_list (List.filter Job.is_live (Array.to_list !jobs))
+    | 9 -> (
+      (* The job leaves the array but keeps its locks and waits. *)
+      match pick () with
+      | Some g ->
+        jobs := Array.of_list (List.filter (( != ) g) (Array.to_list !jobs))
+      | None -> ())
+    | 10 -> (
+      match pick () with
+      | Some j when Job.is_live j && Job.remaining_nominal j > 1 ->
+        j.Job.seg_progress <- j.Job.seg_progress + 1
+      | _ -> ())
+    | 11 | 12 -> (
+      (* Two jobs each take one object and then ask for the other's:
+         a deadlock when both first requests are granted. *)
+      match (pick (), pick ()) with
+      | Some a, Some b when a != b ->
+        let x = Random.State.int rs 4 in
+        let y = (x + 1 + Random.State.int rs 3) mod 4 in
+        request a x;
+        request b y;
+        request a y;
+        request b x
+      | _ -> ())
+    | _ -> ());
+    now := !now + Random.State.int rs 30;
+    let jobs = !jobs in
+    let expected =
+      (Reference.rua_lock_based ~locks).Scheduler.decide ~now:!now ~jobs
+        ~remaining
+    in
+    if Lock_manager.blocked_jobs locks <> [] then incr waiting;
+    if expected.Scheduler.aborts <> [] then incr victims;
+    let msg = Printf.sprintf "lock sequence %s step=%d" label step in
+    let got = opt.Scheduler.decide ~now:!now ~jobs ~remaining in
+    check_same ~msg expected got;
+    if Random.State.int rs 4 > 0 then
+      List.iter (resolve Job.Aborted) got.Scheduler.aborts
+  done;
+  (!waiting, !victims)
+
+let run_lock_sequences () =
+  let rs = Test_support.rand_state () in
+  let waiting = ref 0 and victims = ref 0 in
+  for rep = 1 to 40 do
+    let w, v = lock_sequence rs ~label:(Printf.sprintf "rep=%d" rep) in
+    waiting := !waiting + w;
+    victims := !victims + v
+  done;
+  Alcotest.(check bool) "steps with waiters" true (!waiting >= 500);
+  Alcotest.(check bool) "steps with deadlock victims" true (!victims >= 20)
+
 (* --- Log2 --------------------------------------------------------------- *)
 
 let test_log2_boundaries () =
@@ -474,6 +668,8 @@ let () =
             (run_diff `Lock_based);
           Alcotest.test_case "rua-lock-free tie-dense = reference" `Quick
             run_tie_diff;
+          Alcotest.test_case "rua-lock-based disjoint cycles = reference"
+            `Quick run_cycles;
         ] );
       ( "spec",
         [
@@ -491,10 +687,14 @@ let () =
                    ((Reference.rua_lock_free ()).Scheduler.decide ~now ~jobs
                       ~remaining)
                    got));
+          Alcotest.test_case "rua-lock-based sequences = reference" `Quick
+            run_lock_sequences;
         ] );
       ( "allocation",
         [
           Alcotest.test_case "rua-lock-free rebuild words" `Quick
             test_rebuild_alloc_budget;
+          Alcotest.test_case "rua-lock-based decision words" `Quick
+            test_lock_based_alloc_budget;
         ] );
     ]
