@@ -22,10 +22,3 @@ let get buf i =
   buf.data.(i)
 
 let to_array buf = Array.sub buf.data 0 buf.len
-
-let clear buf = buf.len <- 0
-
-let iter f buf =
-  for i = 0 to buf.len - 1 do
-    f buf.data.(i)
-  done

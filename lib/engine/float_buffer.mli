@@ -25,8 +25,3 @@ val get : t -> int -> float
 
 val to_array : t -> float array
 (** [to_array buf] is a trimmed copy of the contents, in push order. *)
-
-val clear : t -> unit
-(** [clear buf] forgets the contents (keeps the backing storage). *)
-
-val iter : (float -> unit) -> t -> unit

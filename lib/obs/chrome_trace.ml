@@ -90,32 +90,24 @@ let flow_event ~ph ~tid ~id ~name ~time =
    staircase aligned with the job lanes — flat stretches are
    conflict-free, steep ones mark interference bursts. *)
 let counter_events trace =
-  let entries = Trace.entries trace in
-  let max_obj =
-    List.fold_left
-      (fun acc { Trace.kind; _ } ->
-        match kind with Trace.Retry (_, obj, _, _) -> max acc obj | _ -> acc)
-      (-1) entries
-  in
-  if max_obj < 0 then []
-  else begin
-    let per_obj = Array.make (max_obj + 1) 0 in
-    let total = ref 0 in
-    List.concat_map
-      (fun { Trace.time; kind } ->
-        match kind with
-        | Trace.Retry (_, obj, _, _) ->
-          per_obj.(obj) <- per_obj.(obj) + 1;
-          incr total;
-          [
-            counter_event
-              ~name:(Printf.sprintf "retries o%d" obj)
-              ~time ~value:per_obj.(obj);
-            counter_event ~name:"retries (total)" ~time ~value:!total;
-          ]
-        | _ -> [])
-      entries
-  end
+  let per_obj = Hashtbl.create 8 in
+  let total = ref 0 in
+  let events = ref [] in
+  Trace.iter
+    (fun { Trace.time; kind } ->
+      match kind with
+      | Trace.Retry (_, obj, _, _) ->
+        let n = 1 + Option.value (Hashtbl.find_opt per_obj obj) ~default:0 in
+        Hashtbl.replace per_obj obj n;
+        incr total;
+        events :=
+          counter_event ~name:"retries (total)" ~time ~value:!total
+          :: counter_event ~name:(Printf.sprintf "retries o%d" obj) ~time
+               ~value:n
+          :: !events
+      | _ -> ())
+    trace;
+  List.rev !events
 
 (* Blame flows: one arrow per causal hand-off.
 
@@ -143,7 +135,7 @@ let flow_events trace lane_of =
       emit (flow_event ~ph:"f" ~tid:(lane_of jid) ~id ~name ~time);
       Hashtbl.remove pending jid
   in
-  List.iter
+  Trace.iter
     (fun { Trace.time; kind } ->
       match kind with
       | Trace.Acquire (jid, obj) -> Hashtbl.replace holder obj jid
@@ -177,7 +169,7 @@ let flow_events trace lane_of =
       | Trace.Arrive _ | Trace.Start _ | Trace.Preempt _ | Trace.Sched _
       | Trace.Migrate _ ->
         ())
-    (Trace.entries trace);
+    trace;
   List.rev !events
 
 let span_name (s : Spans.span) =
@@ -228,31 +220,31 @@ let events trace =
         List.map sched_span spans.Spans.sched;
       ]
   in
-  let instants =
-    List.filter_map
-      (fun { Trace.time; kind } ->
-        let inst jid name extra =
-          Some
-            (instant_event ~tid:(lane_of jid) ~name ~time
-               ~args:(("jid", Json.Int jid) :: extra))
-        in
-        match kind with
-        | Trace.Arrive (jid, task, at) ->
-          inst jid "arrive" [ ("task", Json.Int task); ("at", Json.Int at) ]
-        | Trace.Preempt (jid, by) ->
-          inst jid "preempt"
-            (if by >= 0 then [ ("by", Json.Int by) ] else [])
-        | Trace.Wake (jid, obj) -> inst jid "wake" [ ("obj", Json.Int obj) ]
-        | Trace.Complete jid -> inst jid "complete" []
-        | Trace.Abort (jid, handler) ->
-          inst jid "abort" [ ("handler_ns", Json.Int handler) ]
-        | Trace.Start _ | Trace.Block _ | Trace.Acquire _ | Trace.Release _
-        | Trace.Retry _ | Trace.Access_done _ | Trace.Sched _
-        | Trace.Migrate _ ->
-          None)
-      (Trace.entries trace)
-  in
-  meta @ durations @ instants @ counter_events trace @ flow_events trace lane_of
+  let instants = ref [] in
+  Trace.iter
+    (fun { Trace.time; kind } ->
+      let inst jid name extra =
+        instants :=
+          instant_event ~tid:(lane_of jid) ~name ~time
+            ~args:(("jid", Json.Int jid) :: extra)
+          :: !instants
+      in
+      match kind with
+      | Trace.Arrive (jid, task, at) ->
+        inst jid "arrive" [ ("task", Json.Int task); ("at", Json.Int at) ]
+      | Trace.Preempt (jid, by) ->
+        inst jid "preempt" (if by >= 0 then [ ("by", Json.Int by) ] else [])
+      | Trace.Wake (jid, obj) -> inst jid "wake" [ ("obj", Json.Int obj) ]
+      | Trace.Complete jid -> inst jid "complete" []
+      | Trace.Abort (jid, handler) ->
+        inst jid "abort" [ ("handler_ns", Json.Int handler) ]
+      | Trace.Start _ | Trace.Block _ | Trace.Acquire _ | Trace.Release _
+      | Trace.Retry _ | Trace.Access_done _ | Trace.Sched _
+      | Trace.Migrate _ ->
+        ())
+    trace;
+  meta @ durations @ List.rev !instants @ counter_events trace
+  @ flow_events trace lane_of
 
 let to_string trace = Json.lines_to_string (events trace)
 

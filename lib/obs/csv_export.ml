@@ -34,11 +34,11 @@ let to_string trace =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf header;
   Buffer.add_char buf '\n';
-  List.iter
+  Trace.iter
     (fun e ->
       Buffer.add_string buf (row e);
       Buffer.add_char buf '\n')
-    (Trace.entries trace);
+    trace;
   Buffer.contents buf
 
 let write_file ~path trace =

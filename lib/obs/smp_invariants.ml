@@ -21,7 +21,7 @@ let sweep ~spin trace ~on_start ~on_migrate =
   in
   let exception Bad of string in
   try
-    List.iter
+    Trace.iter
       (fun { Trace.time; kind } ->
         let fail fmt =
           Format.kasprintf (fun s -> raise (Bad s)) ("t=%d: " ^^ fmt) time
@@ -61,7 +61,7 @@ let sweep ~spin trace ~on_start ~on_migrate =
         | Trace.Arrive _ | Trace.Wake _ | Trace.Acquire _ | Trace.Release _
         | Trace.Retry _ | Trace.Access_done _ | Trace.Sched _ ->
           ())
-      (Trace.entries trace);
+      trace;
     Ok ()
   with Bad msg -> Error msg
 

@@ -31,14 +31,10 @@ let kind_name = function
 
 let duration s = s.stop - s.start
 
-let durations spans =
-  Array.of_list (List.map (fun s -> float_of_int (duration s)) spans)
-
 let of_trace trace =
-  let entries = Trace.entries trace in
-  let last_time =
-    List.fold_left (fun acc e -> max acc e.Trace.time) 0 entries
-  in
+  let last_time = ref 0 in
+  Trace.iter (fun e -> last_time := max !last_time e.Trace.time) trace;
+  let last_time = !last_time in
   (* Open-interval bookkeeping. [anchor] is the per-job start of the
      current access attempt: the last dispatch, wake, retry or segment
      boundary — the point from which a Retry/Access_done span runs. *)
@@ -97,7 +93,7 @@ let of_trace trace =
         :: !blocking;
       Hashtbl.remove block_since jid
   in
-  List.iter
+  Trace.iter
     (fun { Trace.time; kind } ->
       match kind with
       | Trace.Arrive (jid, task, _) ->
@@ -151,7 +147,7 @@ let of_trace trace =
             stop = time + cost; ops }
           :: !sched
       | Trace.Acquire _ | Trace.Release _ | Trace.Migrate _ -> ())
-    entries;
+    trace;
   (* Close whatever the horizon cut off so exporters see no dangling
      intervals. *)
   Hashtbl.iter

@@ -57,7 +57,3 @@ val kind_name : kind -> string
 
 val duration : span -> int
 (** [duration s] is [s.stop - s.start] in ns. *)
-
-val durations : span list -> float array
-(** [durations spans] extracts durations as floats (histogram
-    input). *)

@@ -55,8 +55,3 @@ let totals arr =
 let is_quiet c =
   c.acquires = 0 && c.conflicts = 0 && c.retries = 0 && c.blocked_ns = 0
   && c.max_queue_depth = 0
-
-let pp fmt c =
-  Format.fprintf fmt
-    "o%d: acquires=%d conflicts=%d retries=%d blocked=%dns max-queue=%d"
-    c.obj c.acquires c.conflicts c.retries c.blocked_ns c.max_queue_depth

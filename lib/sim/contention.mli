@@ -53,6 +53,3 @@ val totals : t array -> totals
 
 val is_quiet : t -> bool
 (** [is_quiet c] is [true] when the object saw no activity at all. *)
-
-val pp : Format.formatter -> t -> unit
-(** [pp fmt c] prints one object's counters on one line. *)

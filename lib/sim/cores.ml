@@ -60,8 +60,6 @@ let core_of t ~jid =
   in
   go 0
 
-let clear t c = t.running.(c) <- None
-
 let vacate t ~jid =
   match core_of t ~jid with None -> () | Some c -> t.running.(c) <- None
 

@@ -53,9 +53,6 @@ val occupant : t -> int -> Rtlf_model.Job.t option
 val core_of : t -> jid:int -> int option
 (** The core whose slot holds [jid], scanning the [m] slots. *)
 
-val clear : t -> int -> unit
-(** Empty core [c]'s running slot. *)
-
 val vacate : t -> jid:int -> unit
 (** Empty the slot holding [jid], if any. *)
 

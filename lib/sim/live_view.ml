@@ -82,8 +82,3 @@ let view t =
     t.dirty <- false
   end;
   t.cache
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.buf.(i)
-  done

@@ -36,6 +36,3 @@ val view : t -> Rtlf_model.Job.t array
     previous snapshot is returned as-is. Callers must not mutate the
     array (job fields are fair game — the array holds shared
     references). *)
-
-val iter : (Rtlf_model.Job.t -> unit) -> t -> unit
-(** Iterate the live jobs in jid order, no snapshot rebuild. *)

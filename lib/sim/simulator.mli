@@ -22,9 +22,9 @@
       handlers and releasing their locks (§3.5).
 
     At [cores = 1] (the default) the engine reduces exactly — trace for
-    trace — to the historical single-CPU semantics; the frozen
-    {!Single_ref} copy and the differential suite in [test_smp_diff]
-    pin this. *)
+    trace — to the historical single-CPU semantics; [test_smp_diff]
+    pins this against result digests the pre-SMP engine recorded
+    (test/golden/m1_digests.json). *)
 
 type sched_kind =
   | Edf      (** deadline baseline (no lock awareness) *)

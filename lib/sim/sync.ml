@@ -24,12 +24,3 @@ let nominal_access_cost sync ~work =
 let uses_lock_events = function
   | Lock_based _ | Spin _ -> true
   | Lock_free _ | Ideal -> false
-
-let pp fmt sync =
-  match sync with
-  | Lock_based { overhead } ->
-    Format.fprintf fmt "lock-based(ov=%dns)" overhead
-  | Lock_free { overhead } -> Format.fprintf fmt "lock-free(ov=%dns)" overhead
-  | Spin { overhead; kind } ->
-    Format.fprintf fmt "spin-%s(ov=%dns)" (spin_kind_name kind) overhead
-  | Ideal -> Format.pp_print_string fmt "ideal"

@@ -59,6 +59,3 @@ val uses_lock_events : t -> bool
 (** [uses_lock_events sync] is [true] iff lock/unlock (or spin
     block/grant) events may appear in traces under [sync] (lock-based
     and spin; §4.1). *)
-
-val pp : Format.formatter -> t -> unit
-(** [pp fmt sync] prints the name and overhead. *)

@@ -19,17 +19,14 @@ let merge a b = if rank b > rank a then b else a
 let build ?(buckets = 72) ?(max_jobs = 20) trace =
   if buckets <= 0 then invalid_arg "Timeline.build: buckets must be positive";
   if max_jobs <= 0 then invalid_arg "Timeline.build: max_jobs must be positive";
-  let entries = Trace.entries trace in
-  (match entries with
-  | [] -> invalid_arg "Timeline.build: empty trace"
-  | _ -> ());
-  let origin, finish =
-    (* One pass, no intermediate times list — traces can carry hundreds
-       of thousands of entries. *)
-    List.fold_left
-      (fun (lo, hi) e -> (min lo e.Trace.time, max hi e.Trace.time))
-      (max_int, min_int) entries
-  in
+  if Trace.length trace = 0 then invalid_arg "Timeline.build: empty trace";
+  let origin = ref max_int and finish = ref min_int in
+  Trace.iter
+    (fun e ->
+      origin := min !origin e.Trace.time;
+      finish := max !finish e.Trace.time)
+    trace;
+  let origin = !origin and finish = !finish in
   let span = max 1 (finish - origin) in
   let bucket_ns = max 1 ((span + buckets - 1) / buckets) in
   let col time = min (buckets - 1) ((time - origin) / bucket_ns) in
@@ -74,7 +71,7 @@ let build ?(buckets = 72) ?(max_jobs = 20) trace =
     Hashtbl.iter (fun _ (jid, since) -> paint jid since time) running;
     Hashtbl.reset running
   in
-  List.iter
+  Trace.iter
     (fun { Trace.time; kind } ->
       match kind with
       | Trace.Arrive (jid, _, _) -> ignore (touch jid)
@@ -97,7 +94,7 @@ let build ?(buckets = 72) ?(max_jobs = 20) trace =
       | Trace.Acquire _ | Trace.Release _ | Trace.Access_done _
       | Trace.Sched _ | Trace.Migrate _ ->
         ())
-    entries;
+    trace;
   close_all finish;
   let all = List.rev !order in
   let total = List.length all in
@@ -139,5 +136,3 @@ let render timeline =
     Buffer.add_string buf
       (Printf.sprintf "… +%d job(s) beyond max_jobs\n" timeline.truncated);
   Buffer.contents buf
-
-let pp fmt timeline = Format.pp_print_string fmt (render timeline)

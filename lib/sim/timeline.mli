@@ -37,6 +37,3 @@ val cell_char : cell -> char
 
 val render : t -> string
 (** [render timeline] is the multi-line chart with a legend. *)
-
-val pp : Format.formatter -> t -> unit
-(** [pp fmt timeline] prints {!render}'s output. *)

@@ -103,11 +103,18 @@ let capacity tr =
   | Unbounded _ -> None
   | Ring r -> Some (Array.length r.buf)
 
+(* The first [Error] [check] returns on the history, in order. *)
+let first_error tr check =
+  let exception Bad of string in
+  match
+    iter (fun e -> match check e with Ok () -> () | Error m -> raise (Bad m)) tr
+  with
+  | () -> Ok ()
+  | exception Bad m -> Error m
+
 let check_mutual_exclusion tr =
   let owners = Hashtbl.create 8 in
-  let rec go = function
-    | [] -> Ok ()
-    | { time; kind } :: rest -> (
+  first_error tr (fun { time; kind } ->
       match kind with
       | Acquire (jid, obj) -> (
         match Hashtbl.find_opt owners obj with
@@ -118,21 +125,19 @@ let check_mutual_exclusion tr =
                obj holder)
         | _ ->
           Hashtbl.replace owners obj jid;
-          go rest)
+          Ok ())
       | Release (jid, obj) -> (
         match Hashtbl.find_opt owners obj with
         | Some holder when holder = jid ->
           Hashtbl.remove owners obj;
-          go rest
+          Ok ()
         | _ ->
           Error
             (Printf.sprintf "t=%d: J%d released object %d it did not hold"
                time jid obj))
       | Arrive _ | Start _ | Migrate _ | Preempt _ | Block _ | Wake _ | Retry _
       | Access_done _ | Complete _ | Abort _ | Sched _ ->
-        go rest)
-  in
-  go (entries tr)
+        Ok ())
 
 let check_abort_releases tr =
   let held = Hashtbl.create 8 in
@@ -140,35 +145,29 @@ let check_abort_releases tr =
   let holding jid =
     match Hashtbl.find_opt held jid with Some objs -> objs | None -> []
   in
-  let rec go = function
-    | [] -> Ok ()
-    | { time; kind } :: rest -> (
+  first_error tr (fun { time; kind } ->
       match kind with
       | Acquire (jid, obj) ->
         Hashtbl.replace held jid (obj :: holding jid);
-        go rest
+        Ok ()
       | Release (jid, obj) ->
         Hashtbl.replace held jid (List.filter (( <> ) obj) (holding jid));
-        go rest
+        Ok ()
       | Complete jid | Abort (jid, _) ->
         if holding jid <> [] then
           Error
             (Printf.sprintf "t=%d: J%d ended while holding %d object(s)"
                time jid
                (List.length (holding jid)))
-        else go rest
+        else Ok ()
       | Arrive _ | Start _ | Migrate _ | Preempt _ | Block _ | Wake _ | Retry _
       | Access_done _ | Sched _ ->
-        go rest)
-  in
-  go (entries tr)
+        Ok ())
 
 let check_block_only_lock_based ~lock_based tr =
   if lock_based then Ok ()
   else
-    let rec go = function
-      | [] -> Ok ()
-      | { time; kind } :: rest -> (
+    first_error tr (fun { time; kind } ->
         match kind with
         | Block (jid, obj) ->
           Error
@@ -182,16 +181,12 @@ let check_block_only_lock_based ~lock_based tr =
                time jid obj)
         | Arrive _ | Start _ | Migrate _ | Preempt _ | Acquire _ | Release _
         | Retry _ | Access_done _ | Complete _ | Abort _ | Sched _ ->
-          go rest)
-    in
-    go (entries tr)
+          Ok ())
 
 let check_wake_follows_block tr =
   let blocked = Hashtbl.create 8 in
   (* jid -> obj it is currently blocked on *)
-  let rec go = function
-    | [] -> Ok ()
-    | { time; kind } :: rest -> (
+  first_error tr (fun { time; kind } ->
       match kind with
       | Block (jid, obj) ->
         if Hashtbl.mem blocked jid then
@@ -200,13 +195,13 @@ let check_wake_follows_block tr =
                jid)
         else begin
           Hashtbl.replace blocked jid obj;
-          go rest
+          Ok ()
         end
       | Wake (jid, obj) -> (
         match Hashtbl.find_opt blocked jid with
         | Some o when o = obj ->
           Hashtbl.remove blocked jid;
-          go rest
+          Ok ()
         | Some o ->
           Error
             (Printf.sprintf
@@ -220,12 +215,10 @@ let check_wake_follows_block tr =
       | Complete jid | Abort (jid, _) ->
         (* Aborting a blocked job legitimately ends its wait. *)
         Hashtbl.remove blocked jid;
-        go rest
+        Ok ()
       | Arrive _ | Start _ | Migrate _ | Preempt _ | Acquire _ | Release _
       | Retry _ | Access_done _ | Sched _ ->
-        go rest)
-  in
-  go (entries tr)
+        Ok ())
 
 let count tr pred =
   let n = ref 0 in
@@ -237,33 +230,3 @@ let preemptions tr =
 
 let scheduler_invocations tr =
   count tr (function Sched _ -> true | _ -> false)
-
-let pp_kind fmt = function
-  | Arrive (jid, task, at) ->
-    Format.fprintf fmt "arrive J%d (task %d, at=%dns)" jid task at
-  | Start (jid, core) ->
-    if core = 0 then Format.fprintf fmt "start J%d" jid
-    else Format.fprintf fmt "start J%d on c%d" jid core
-  | Migrate (jid, from_core, to_core) ->
-    Format.fprintf fmt "migrate J%d c%d->c%d" jid from_core to_core
-  | Preempt (jid, by) ->
-    if by < 0 then Format.fprintf fmt "preempt J%d" jid
-    else Format.fprintf fmt "preempt J%d by J%d" jid by
-  | Block (jid, obj) -> Format.fprintf fmt "block J%d on o%d" jid obj
-  | Wake (jid, obj) -> Format.fprintf fmt "wake J%d with o%d" jid obj
-  | Acquire (jid, obj) -> Format.fprintf fmt "acquire J%d o%d" jid obj
-  | Release (jid, obj) -> Format.fprintf fmt "release J%d o%d" jid obj
-  | Retry (jid, obj, by, lost) ->
-    if by < 0 then
-      Format.fprintf fmt "retry J%d o%d (lost=%dns)" jid obj lost
-    else
-      Format.fprintf fmt "retry J%d o%d by J%d (lost=%dns)" jid obj by lost
-  | Access_done (jid, obj) -> Format.fprintf fmt "access J%d o%d" jid obj
-  | Complete jid -> Format.fprintf fmt "complete J%d" jid
-  | Abort (jid, handler) ->
-    Format.fprintf fmt "abort J%d (handler=%dns)" jid handler
-  | Sched (ops, cost) ->
-    Format.fprintf fmt "sched(ops=%d,cost=%dns)" ops cost
-
-let pp_entry fmt e =
-  Format.fprintf fmt "t=%d %a" e.time pp_kind e.kind

@@ -114,9 +114,3 @@ val scheduler_invocations : t -> int
 
 val count : t -> (kind -> bool) -> int
 (** [count tr pred] counts entries whose kind satisfies [pred]. *)
-
-val pp_kind : Format.formatter -> kind -> unit
-(** [pp_kind fmt k] prints one kind. *)
-
-val pp_entry : Format.formatter -> entry -> unit
-(** [pp_entry fmt e] prints ["t=<ns> <kind>"]. *)

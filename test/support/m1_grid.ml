@@ -1,0 +1,177 @@
+(* The m = 1 pin: the grid of single-core configs and the digest
+   document that records their results, shared by test_smp_diff and
+   the generator test/gen/gen_m1_digests.exe.
+
+   Every config is fixed-seed (the root seed is [default_seed], not
+   RTLF_SEED): the committed test/golden/m1_digests.json was generated
+   from exactly this grid, so changing it invalidates the file. *)
+
+module Task = Rtlf_model.Task
+module Tuf = Rtlf_model.Tuf
+module Uam = Rtlf_model.Uam
+module Segment = Rtlf_model.Segment
+module Sync = Rtlf_sim.Sync
+module Simulator = Rtlf_sim.Simulator
+module Cores = Rtlf_sim.Cores
+module Workload = Rtlf_workload.Workload
+module Json = Rtlf_obs.Json
+
+let schema = "rtlf-m1-digests-v1"
+let seed = Test_support.default_seed
+
+let syncs =
+  [
+    ("ideal", Sync.Ideal);
+    ("lock-free", Sync.Lock_free { overhead = 150 });
+    ("lock-based", Sync.Lock_based { overhead = 2_000 });
+    ("spin-ticket", Sync.Spin { overhead = 800; kind = Sync.Ticket });
+    ("spin-mcs", Sync.Spin { overhead = 800; kind = Sync.Mcs });
+  ]
+
+let scheds =
+  [ ("rua", Simulator.Rua); ("edf", Simulator.Edf); ("edf-pip", Simulator.Edf_pip) ]
+
+let dispatches = [ ("global", Cores.Global); ("partitioned", Cores.Partitioned) ]
+
+let spec_gen =
+  QCheck.Gen.(
+    let* n_tasks = int_range 2 8 in
+    let* n_objects = int_range 1 5 in
+    let* accesses = int_range 0 5 in
+    let* load10 = int_range 2 14 in
+    let* burst = int_range 1 3 in
+    let* hetero = bool in
+    let* seed = int_range 1 10_000 in
+    return
+      {
+        Workload.default with
+        Workload.n_tasks;
+        n_objects;
+        accesses_per_job = accesses;
+        target_al = float_of_int load10 /. 10.0;
+        tuf_class =
+          (if hetero then Workload.Heterogeneous else Workload.Step_only);
+        mean_exec = 50_000;
+        access_work = 2_000;
+        burst;
+        seed;
+      })
+
+(* [spec<k>/...] labels: k indexes the drawn specs, whose own seeds may
+   collide. *)
+let specs =
+  List.mapi
+    (fun k spec -> (Printf.sprintf "spec%d" k, spec))
+    (QCheck.Gen.generate ~rand:(Random.State.make [| seed |]) ~n:8 spec_gen)
+
+let config_of ?retry_on_any_preemption ?dispatch ~sync ~sched spec =
+  Simulator.config ~tasks:(Workload.make spec) ~sync ~sched
+    ~horizon:(20 * 50_000 * spec.Workload.n_tasks)
+    ~seed:(seed + spec.Workload.seed) ?retry_on_any_preemption ~trace:true
+    ~cores:1 ?dispatch ()
+
+let random =
+  List.concat_map
+    (fun (name, spec) ->
+      List.concat_map
+        (fun (sync_name, sync) ->
+          List.concat_map
+            (fun (sched_name, sched) ->
+              List.map
+                (fun (disp_name, dispatch) ->
+                  ( String.concat "/" [ name; sync_name; sched_name; disp_name ],
+                    config_of ~sync ~sched ~dispatch spec ))
+                dispatches)
+            scheds)
+        syncs)
+    specs
+
+(* Lemma 1's adversary: any preemption inside a lock-free attempt
+   forces a retry. *)
+let adversarial =
+  List.map
+    (fun (name, spec) ->
+      ( name ^ "/adversarial",
+        config_of ~retry_on_any_preemption:true
+          ~sync:(Sync.Lock_free { overhead = 150 })
+          ~sched:Simulator.Rua spec ))
+    specs
+
+(* Nested critical sections (Lock/Unlock markers), including the
+   deadlock-forming pair under lock-based RUA: exercises victim
+   aborts, release chains, and the spin engine's Lock/Unlock path. *)
+let nested =
+  let us n = n * 1_000 in
+  let profile first second =
+    [
+      Segment.Lock first;
+      Segment.Compute (us 1000);
+      Segment.Lock second;
+      Segment.Compute (us 50);
+      Segment.Unlock second;
+      Segment.Unlock first;
+      Segment.Compute (us 20);
+    ]
+  in
+  let tasks =
+    [
+      Task.make_nested ~id:0 ~name:"forward"
+        ~tuf:(Tuf.step ~height:2.0 ~c:(us 4500))
+        ~arrival:(Uam.periodic ~period:(us 5000))
+        ~profile:(profile 0 1) ~abort_cost:(us 5) ();
+      Task.make_nested ~id:1 ~name:"backward"
+        ~tuf:(Tuf.step ~height:1.0 ~c:(us 3000))
+        ~arrival:(Uam.periodic ~period:(us 4700))
+        ~profile:(profile 1 0) ~abort_cost:(us 3) ();
+    ]
+  in
+  List.map
+    (fun (sync_name, sync) ->
+      ( "nested/" ^ sync_name,
+        Simulator.config ~tasks ~sync ~n_objects:2 ~horizon:(us 100_000)
+          ~seed:3 ~trace:true ~cores:1 () ))
+    syncs
+
+let all = random @ adversarial @ nested
+
+let digests result =
+  List.map
+    (fun (group, s) -> (group, Digest.to_hex (Digest.string s)))
+    (Test_support.fingerprint result)
+
+(* One config per line, in grid order, so a regenerated file diffs
+   line by line. *)
+let to_string configs =
+  let line (label, groups) =
+    Json.to_string (Json.Str label)
+    ^ ":"
+    ^ Json.to_string
+        (Json.Obj (List.map (fun (g, h) -> (g, Json.Str h)) groups))
+  in
+  Printf.sprintf "{\"schema\":%s,\"seed\":%d,\"configs\":{\n%s}}\n"
+    (Json.to_string (Json.Str schema))
+    seed
+    (String.concat ",\n" (List.map line configs))
+
+let check_document json =
+  let groups = function
+    | Json.Obj gs ->
+      List.filter_map
+        (function g, Json.Str h -> Some (g, h) | _ -> None)
+        gs
+    | _ -> []
+  in
+  let missing xs ys = List.find_opt (fun (l, _) -> not (List.mem_assoc l ys)) xs in
+  match (Json.member "schema" json, Json.member "configs" json) with
+  | None, _ -> Error "m1 digests: no schema tag"
+  | Some (Json.Str s), _ when s <> schema ->
+    Error (Printf.sprintf "m1 digests: schema tag %S, expected %S" s schema)
+  | Some (Json.Str _), Some (Json.Obj configs) -> (
+    match (missing all configs, missing configs all) with
+    | Some (l, _), _ ->
+      Error (Printf.sprintf "m1 digests: grid config %s has no digest" l)
+    | None, Some (l, _) ->
+      Error (Printf.sprintf "m1 digests: digest %s has no grid config" l)
+    | None, None -> Ok (List.map (fun (l, g) -> (l, groups g)) configs))
+  | Some (Json.Str _), _ -> Error "m1 digests: no configs object"
+  | Some _, _ -> Error "m1 digests: schema tag is not a string"

@@ -20,3 +20,17 @@ val to_alcotest : QCheck.Test.t -> unit Alcotest.test_case
 val run : string -> (string * unit Alcotest.test_case list) list -> unit
 (** [Alcotest.run] that prints [RTLF_SEED=<seed>] on failure before
     re-raising. *)
+
+val fingerprint : Rtlf_sim.Simulator.result -> (string * string) list
+(** [fingerprint r] serialises every field of [r] except [static], as
+    named field groups ([outcomes], [time], [events], [distributions],
+    [contention], [per_task], [audit], [trace]) of ["field value"]
+    lines: ints in decimal, floats in [%h], the trace one entry per
+    line in {!Rtlf_sim.Trace.iter} order. Two results agree field for
+    field exactly when their fingerprints are equal. *)
+
+val fingerprint_diff :
+  (string * string) list -> (string * string) list -> string option
+(** [fingerprint_diff a b] names the first group of [a] whose contents
+    differ in [b], with the first differing line of each side, or is
+    [None] when they agree. *)

@@ -144,16 +144,17 @@ let run_diff kind () =
 
 (* --- lock-based: several victims, absent chain members ------------------- *)
 
-(* Three disjoint 2-cycles (jobs 0-1 on objects 0-1, 2-3 on 2-3, 7-8
-   on 6-7), so one decision aborts several victims and their order in
-   [aborts] — a Hashtbl fold — is pinned against the reference. Job 4
-   waits on object 4, held by a jid that is not in [jobs] at all, and
-   job 5 waits on object 5, held by job 6, which has just completed:
-   both chains name a member the decider must drop. The rest are
-   independent. *)
-let cycles_scene rs ~n =
+(* Disjoint 2-cycles [(a, b, x, y)] (job a holds x and wants y, b
+   holds y and wants x), so one decision aborts a victim per cycle and
+   their order in [aborts] — a Hashtbl fold — is pinned against the
+   reference. Job 4 waits on object 4, held by a jid that is not in
+   [jobs] at all, and job 5 waits on object 5, held by job 6, which has
+   just completed: both chains name a member the decider must drop.
+   The rest are independent. *)
+let cycles_scene rs ~n ~cycles =
   let jobs = Array.init n (fun jid -> mk_job rs ~jid) in
-  let locks = Lock_manager.create ~objects:(Resource.create ~n:8) in
+  let objects = Resource.create ~n:(2 + (2 * List.length cycles)) in
+  let locks = Lock_manager.create ~objects in
   let request jid obj =
     match Lock_manager.request locks ~jid ~obj with
     | Lock_manager.Granted -> ()
@@ -166,7 +167,7 @@ let cycles_scene rs ~n =
       request b y;
       request a y;
       request b x)
-    [ (0, 1, 0, 1); (2, 3, 2, 3); (7, 8, 6, 7) ];
+    cycles;
   request (n + 100) 4;
   request 4 4;
   request 6 5;
@@ -174,24 +175,38 @@ let cycles_scene rs ~n =
   request 5 5;
   (jobs, locks)
 
+(* Three cycles (jobs 0-1 on objects 0-1, 2-3 on 2-3, 7-8 on 6-7), and
+   eight more (jobs 9-24 on objects 8-23): eleven victims or more in
+   one decide. [aborts] folds the victim table bucket by bucket, so its
+   order pins the table's bucket count (16, the floor [Hashtbl.create]
+   rounds up to) as well as the jids' hashes. *)
+let few = [ (0, 1, 0, 1); (2, 3, 2, 3); (7, 8, 6, 7) ]
+
+let many =
+  few @ List.init 8 (fun i -> (9 + (2 * i), 10 + (2 * i), 8 + (2 * i), 9 + (2 * i)))
+
 let run_cycles () =
   let rs = Test_support.rand_state () in
-  for rep = 1 to 24 do
-    let n = 9 + Random.State.int rs 8 in
-    let now = Random.State.int rs 200 in
-    let jobs, locks = cycles_scene rs ~n in
-    let expected =
-      (Reference.rua_lock_based ~locks).Scheduler.decide ~now ~jobs ~remaining
-    in
-    (* Ties (both members expired) can abort both jobs of a cycle. *)
-    Alcotest.(check bool) "three victims or more" true
-      (List.length expected.Scheduler.aborts >= 3);
-    let opt = Rtlf_core.Rua_lock_based.make ~locks in
-    let msg = Printf.sprintf "cycles n=%d rep=%d" n rep in
-    check_same ~msg expected (opt.Scheduler.decide ~now ~jobs ~remaining);
-    check_same ~msg:(msg ^ " (rerun)") expected
-      (opt.Scheduler.decide ~now ~jobs ~remaining)
-  done
+  List.iter
+    (fun (cycles, min_n) ->
+      for rep = 1 to 24 do
+        let n = min_n + Random.State.int rs 8 in
+        let now = Random.State.int rs 200 in
+        let jobs, locks = cycles_scene rs ~n ~cycles in
+        let expected =
+          (Reference.rua_lock_based ~locks).Scheduler.decide ~now ~jobs
+            ~remaining
+        in
+        (* Ties (both members expired) can abort both jobs of a cycle. *)
+        Alcotest.(check bool) "a victim per cycle or more" true
+          (List.length expected.Scheduler.aborts >= List.length cycles);
+        let opt = Rtlf_core.Rua_lock_based.make ~locks in
+        let msg = Printf.sprintf "cycles n=%d rep=%d" n rep in
+        check_same ~msg expected (opt.Scheduler.decide ~now ~jobs ~remaining);
+        check_same ~msg:(msg ^ " (rerun)") expected
+          (opt.Scheduler.decide ~now ~jobs ~remaining)
+      done)
+    [ (few, 9); (many, 25) ]
 
 (* --- tie-dense scenes ----------------------------------------------------- *)
 

@@ -16,9 +16,10 @@
      that were Running or whose state changed) — unknown tasks,
      deadline misses, aborts, lock-chain flips, array replacement on
      release — compared to the fresh oracle at every step;
-   - simulator: [Simulator.run] in Static vs Dynamic mode, field for
-     field and trace entry for trace entry, across sync x scheduler x
-     cores x dispatch.
+   - simulator: [Simulator.run] in Static vs Dynamic mode, equal
+     [Test_support.fingerprint]s (every result field but [static], the
+     trace entry for entry), across sync x scheduler x cores x
+     dispatch.
 
    All randomness derives from RTLF_SEED via [Test_support]. *)
 
@@ -32,7 +33,6 @@ module Static_mode = Rtlf_core.Static_mode
 module Sync = Rtlf_sim.Sync
 module Simulator = Rtlf_sim.Simulator
 module Cores = Rtlf_sim.Cores
-module Trace = Rtlf_sim.Trace
 module Workload = Rtlf_workload.Workload
 
 let remaining = Job.remaining_nominal
@@ -279,40 +279,6 @@ let run_sequences kind () =
 
 (* --- simulator layer --------------------------------------------------- *)
 
-let diff_fields (a : Simulator.result) (b : Simulator.result) =
-  let checks =
-    [
-      ("final_time", a.Simulator.final_time = b.Simulator.final_time);
-      ("released", a.Simulator.released = b.Simulator.released);
-      ("completed", a.Simulator.completed = b.Simulator.completed);
-      ("met", a.Simulator.met = b.Simulator.met);
-      ("aborted", a.Simulator.aborted = b.Simulator.aborted);
-      ("in_flight", a.Simulator.in_flight = b.Simulator.in_flight);
-      ("accrued", compare a.Simulator.accrued b.Simulator.accrued = 0);
-      ( "max_possible",
-        compare a.Simulator.max_possible b.Simulator.max_possible = 0 );
-      ("aur", compare a.Simulator.aur b.Simulator.aur = 0);
-      ("cmr", compare a.Simulator.cmr b.Simulator.cmr = 0);
-      ("retries_total", a.Simulator.retries_total = b.Simulator.retries_total);
-      ("preemptions", a.Simulator.preemptions = b.Simulator.preemptions);
-      ("blocked_events", a.Simulator.blocked_events = b.Simulator.blocked_events);
-      ("migrations", a.Simulator.migrations = b.Simulator.migrations);
-      ( "sched_invocations",
-        a.Simulator.sched_invocations = b.Simulator.sched_invocations );
-      ("sched_overhead", a.Simulator.sched_overhead = b.Simulator.sched_overhead);
-      ("busy", a.Simulator.busy = b.Simulator.busy);
-      ( "per_core_busy",
-        compare a.Simulator.per_core_busy b.Simulator.per_core_busy = 0 );
-      ( "sojourn_samples",
-        compare a.Simulator.sojourn_samples b.Simulator.sojourn_samples = 0 );
-      ("per_task", compare a.Simulator.per_task b.Simulator.per_task = 0);
-      ("audit", compare a.Simulator.audit b.Simulator.audit = 0);
-      ( "trace",
-        Trace.entries a.Simulator.trace = Trace.entries b.Simulator.trace );
-    ]
-  in
-  List.filter_map (fun (name, ok) -> if ok then None else Some name) checks
-
 let syncs =
   [
     ("ideal", Sync.Ideal);
@@ -354,13 +320,17 @@ let test_simulator_identical () =
                   in
                   let dyn = Simulator.run (config Simulator.Dynamic) in
                   let sta = Simulator.run (config Simulator.Static) in
-                  (match diff_fields dyn sta with
-                  | [] -> ()
-                  | bad ->
+                  (match
+                     Test_support.fingerprint_diff
+                       (Test_support.fingerprint dyn)
+                       (Test_support.fingerprint sta)
+                   with
+                  | None -> ()
+                  | Some bad ->
                     Alcotest.failf
                       "%s/%s/%s m=%d seed=%d: static diverged on %s"
                       sync_name sched_name disp_name cores
-                      spec.Workload.seed (String.concat ", " bad));
+                      spec.Workload.seed bad);
                   match sta.Simulator.static with
                   | None ->
                     Alcotest.fail "static run reported no static stats"
