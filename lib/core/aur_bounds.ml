@@ -86,5 +86,3 @@ let lock_based ~tasks ~r ?interference () =
 
 let contains ?(eps = 0.01) b v =
   b.lower -. eps <= v && v <= b.upper +. eps
-
-let pp fmt b = Format.fprintf fmt "(%.4f, %.4f)" b.lower b.upper

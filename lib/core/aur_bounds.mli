@@ -51,6 +51,3 @@ val contains : ?eps:float -> band -> float -> bool
     (minimum) simultaneously, which is not exactly extremal for the
     ratio when tasks have unequal per-task utility ratios, so a
     measured AUR can exceed the nominal band by a sliver. *)
-
-val pp : Format.formatter -> band -> unit
-(** [pp fmt b] prints ["(lower, upper)"]. *)

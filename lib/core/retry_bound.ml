@@ -24,8 +24,6 @@ let bound ~tasks ~i =
   let ai = ti.Task.arrival.Uam.a in
   (3 * ai) + (2 * x_i ~tasks ~i)
 
-let events_upper_bound = bound
-
 let n_i_upper_bound ~tasks ~i =
   let ti = find_task tasks i in
   let ai = ti.Task.arrival.Uam.a in

@@ -20,12 +20,6 @@ val x_i : tasks:Rtlf_model.Task.t list -> i:int -> int
 val bound : tasks:Rtlf_model.Task.t list -> i:int -> int
 (** [bound ~tasks ~i] is Theorem 2's [3aᵢ + 2xᵢ]. *)
 
-val events_upper_bound : tasks:Rtlf_model.Task.t list -> i:int -> int
-(** [events_upper_bound ~tasks ~i] is the same quantity read as the
-    maximum number of scheduling events within a [Tᵢ] job's lifetime —
-    exposed separately because Lemma 1 also bounds preemptions by
-    it. *)
-
 val n_i_upper_bound : tasks:Rtlf_model.Task.t list -> i:int -> int
 (** [n_i_upper_bound ~tasks ~i] is [2aᵢ + xᵢ], the bound on [nᵢ] (the
     number of jobs that could block [Jᵢ]) used in Theorem 3's proof. *)

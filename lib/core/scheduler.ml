@@ -14,6 +14,3 @@ type t = {
     remaining:(Rtlf_model.Job.t -> int) ->
     decision;
 }
-
-let idle_decision =
-  { dispatch = None; aborts = []; rejected = []; schedule = []; ops = 0 }

@@ -34,6 +34,3 @@ type t = {
     and not retained past the call, so the simulator can hand over its
     cached live view without copying. Entries that are not live
     (completed/aborted) are tolerated and ignored. *)
-
-val idle_decision : decision
-(** [idle_decision] dispatches nothing at zero cost. *)

@@ -12,13 +12,12 @@ type params = {
 let fi p = float_of_int ((3 * p.a_i) + (2 * p.x_i))
 
 let blocking_time p = p.r *. float_of_int (min p.m_i p.n_i)
-let retry_time p = p.s *. fi p
 
 let worst_sojourn_lock_based p =
   p.u_i +. p.interference +. (p.r *. float_of_int p.m_i) +. blocking_time p
 
 let worst_sojourn_lock_free p =
-  p.u_i +. p.interference +. (p.s *. float_of_int p.m_i) +. retry_time p
+  p.u_i +. p.interference +. (p.s *. float_of_int p.m_i) +. (p.s *. fi p)
 
 let crossover_ratio p =
   let numerator = float_of_int (p.m_i + min p.m_i p.n_i) in

@@ -29,9 +29,6 @@ type params = {
 val blocking_time : params -> float
 (** [blocking_time p] is [Bᵢ = r·min(mᵢ, nᵢ)]. *)
 
-val retry_time : params -> float
-(** [retry_time p] is [Rᵢ = s·(3aᵢ + 2xᵢ)]. *)
-
 val worst_sojourn_lock_based : params -> float
 (** [worst_sojourn_lock_based p] is [uᵢ + Iᵢ + r·mᵢ + Bᵢ]. *)
 

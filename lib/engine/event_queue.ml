@@ -77,7 +77,7 @@ let peek q =
     let c = q.heap.(0) in
     Some (c.time, c.payload)
 
-let peek_time q = if q.size = 0 then None else Some q.heap.(0).time
+let min_time q = if q.size = 0 then max_int else q.heap.(0).time
 
 let pop q =
   if q.size = 0 then None

@@ -24,8 +24,9 @@ val peek : 'a t -> (int * 'a) option
 (** [peek q] is the earliest [(time, event)] pair without removing it,
     or [None] if [q] is empty. *)
 
-val peek_time : 'a t -> int option
-(** [peek_time q] is the key of the earliest event, if any. *)
+val min_time : 'a t -> int
+(** [min_time q] is the key of the earliest event, or [max_int] when
+    [q] is empty. *)
 
 val pop : 'a t -> (int * 'a) option
 (** [pop q] removes and returns the earliest [(time, event)] pair, or

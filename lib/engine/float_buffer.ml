@@ -4,7 +4,7 @@ let create ?(capacity = 0) () = { data = Array.make capacity 0.0; len = 0 }
 
 let length buf = buf.len
 
-let push buf x =
+let[@inline] push buf x =
   let cap = Array.length buf.data in
   if buf.len = cap then begin
     let ncap = if cap = 0 then 16 else cap * 2 in
@@ -15,9 +15,9 @@ let push buf x =
   buf.data.(buf.len) <- x;
   buf.len <- buf.len + 1
 
-let push_int buf n = push buf (float_of_int n)
+let[@inline] push_int buf n = push buf (float_of_int n)
 
-let get buf i =
+let[@inline] get buf i =
   if i < 0 || i >= buf.len then invalid_arg "Float_buffer.get: out of bounds";
   buf.data.(i)
 

@@ -7,8 +7,10 @@ type summary = {
   max : float;
 }
 
+(* All fields are floats, the count included (exact up to 2⁵³), so the
+   record is stored flat and [add] boxes nothing. *)
 type t = {
-  mutable n : int;
+  mutable n : float;
   mutable mean : float;
   mutable m2 : float;
   mutable min : float;
@@ -16,41 +18,49 @@ type t = {
 }
 
 let create () =
-  { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
+  { n = 0.0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
 
-let add acc x =
-  acc.n <- acc.n + 1;
+let[@inline] add acc x =
+  acc.n <- acc.n +. 1.0;
   let delta = x -. acc.mean in
-  acc.mean <- acc.mean +. (delta /. float_of_int acc.n);
+  acc.mean <- acc.mean +. (delta /. acc.n);
   acc.m2 <- acc.m2 +. (delta *. (x -. acc.mean));
   if x < acc.min then acc.min <- x;
   if x > acc.max then acc.max <- x
 
-let count acc = acc.n
+let count acc = int_of_float acc.n
 
 (* 1.96 = z-score of the two-sided 95 % interval under the normal
    approximation; adequate for the paper's thousands-of-samples runs. *)
 let z95 = 1.96
 
 let summary acc =
-  if acc.n = 0 then
+  if acc.n = 0.0 then
     { n = 0; mean = nan; stddev = nan; ci95 = nan; min = nan; max = nan }
   else
-    let variance =
-      if acc.n < 2 then 0.0 else acc.m2 /. float_of_int (acc.n - 1)
-    in
+    let variance = if acc.n < 2.0 then 0.0 else acc.m2 /. (acc.n -. 1.0) in
     let stddev = sqrt variance in
-    let ci95 = z95 *. stddev /. sqrt (float_of_int acc.n) in
-    { n = acc.n; mean = acc.mean; stddev; ci95; min = acc.min; max = acc.max }
+    let ci95 = z95 *. stddev /. sqrt acc.n in
+    {
+      n = count acc;
+      mean = acc.mean;
+      stddev;
+      ci95;
+      min = acc.min;
+      max = acc.max;
+    }
 
 let of_list xs =
   let acc = create () in
   List.iter (add acc) xs;
   summary acc
 
+(* A loop, not [Array.iter]: the closure would box every sample. *)
 let of_array xs =
   let acc = create () in
-  Array.iter (add acc) xs;
+  for i = 0 to Array.length xs - 1 do
+    add acc xs.(i)
+  done;
   summary acc
 
 (* NaN samples poison order statistics: polymorphic [compare] gives an
@@ -68,8 +78,10 @@ let drop_nans xs =
    Float.compare] produces — down to the order of [-0.0] and [0.0],
    which compare equal. The polymorphic version boxes every float it
    hands to the comparison; this one reads the flat array directly.
-   [fcmp] is [Float.compare]: NaN sorts below everything else. *)
-let fcmp (x : float) (y : float) =
+   [fcmp] is [Float.compare]: NaN sorts below everything else. It and
+   [maxson] must be inlined: called, they box both floats they are
+   passed, on every comparison. *)
+let[@inline] fcmp (x : float) (y : float) =
   if x < y then -1
   else if x > y then 1
   else if x = y then 0
@@ -77,7 +89,7 @@ let fcmp (x : float) (y : float) =
 
 (* Index of the largest of [i]'s three sons in the heap prefix [0, l),
    or -1 when [i] has none (Stdlib's [Bottom i]). *)
-let maxson (a : float array) l i =
+let[@inline] maxson (a : float array) l i =
   let i31 = i + i + i + 1 in
   if i31 + 2 < l then begin
     let x = if fcmp a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
@@ -205,12 +217,11 @@ let histogram ?(bins = 10) xs =
       if span <= 0.0 then 1.0 else span /. float_of_int bins
     in
     let buckets = Array.make bins 0 in
-    Array.iter
-      (fun x ->
-        let i = int_of_float ((x -. lo) /. width) in
-        let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
-        buckets.(i) <- buckets.(i) + 1)
-      xs;
+    for k = 0 to n - 1 do
+      let i = int_of_float ((xs.(k) -. lo) /. width) in
+      let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
+      buckets.(i) <- buckets.(i) + 1
+    done;
     {
       n;
       mean = s.mean;
@@ -281,20 +292,22 @@ module P2 = struct
 
   let count t = t.count
 
-  let parabolic t i d =
+  (* No local closure (say, a [float_of_int] alias): the compiler would
+     then not inline it, and the call would box its argument and
+     result. *)
+  let[@inline] parabolic t i d =
     let q = t.q and n = t.pos in
-    let fi = float_of_int in
     q.(i)
     +. d
-       /. fi (n.(i + 1) - n.(i - 1))
-       *. ((fi (n.(i) - n.(i - 1)) +. d)
+       /. float_of_int (n.(i + 1) - n.(i - 1))
+       *. ((float_of_int (n.(i) - n.(i - 1)) +. d)
            *. (q.(i + 1) -. q.(i))
-           /. fi (n.(i + 1) - n.(i))
-          +. (fi (n.(i + 1) - n.(i)) -. d)
+           /. float_of_int (n.(i + 1) - n.(i))
+          +. (float_of_int (n.(i + 1) - n.(i)) -. d)
              *. (q.(i) -. q.(i - 1))
-             /. fi (n.(i) - n.(i - 1)))
+             /. float_of_int (n.(i) - n.(i - 1)))
 
-  let linear t i s =
+  let[@inline] linear t i s =
     t.q.(i)
     +. float_of_int s
        *. (t.q.(i + s) -. t.q.(i))
@@ -381,7 +394,7 @@ module P2 = struct
       e999 = create ~p:0.999;
     }
 
-  let track tr x =
+  let[@inline] track tr x =
     add tr.e50 x;
     add tr.e90 x;
     add tr.e99 x;

@@ -92,14 +92,3 @@ let restart_access j =
   j.seg_progress <- 0;
   j.attempt_snapshot <- None;
   j.retries <- j.retries + 1
-
-let pp_state fmt = function
-  | Ready -> Format.pp_print_string fmt "ready"
-  | Running -> Format.pp_print_string fmt "running"
-  | Blocked obj -> Format.fprintf fmt "blocked(o%d)" obj
-  | Completed -> Format.pp_print_string fmt "completed"
-  | Aborted -> Format.pp_print_string fmt "aborted"
-
-let pp fmt j =
-  Format.fprintf fmt "J%d[%s] %a rem=%dns retries=%d" j.jid
-    j.task.Task.name pp_state j.state (remaining_nominal j) j.retries

@@ -90,9 +90,3 @@ val finish_segment : t -> unit
 val restart_access : t -> unit
 (** [restart_access j] zeroes progress on the current (access) segment
     and counts one retry — the lock-free conflict path. *)
-
-val pp_state : Format.formatter -> state -> unit
-(** [pp_state fmt s] prints the state name. *)
-
-val pp : Format.formatter -> t -> unit
-(** [pp fmt j] prints a one-line runtime summary. *)

@@ -13,14 +13,14 @@ let span = function
   | Access { work; _ } -> work
   | Lock _ | Unlock _ -> 0
 
-let is_access = function
-  | Access _ -> true
-  | Compute _ | Lock _ | Unlock _ -> false
-
 let total_span segs = List.fold_left (fun acc s -> acc + span s) 0 segs
 
 let count_accesses segs =
-  List.fold_left (fun acc s -> if is_access s then acc + 1 else acc) 0 segs
+  List.fold_left
+    (fun acc -> function
+      | Access _ -> acc + 1
+      | Compute _ | Lock _ | Unlock _ -> acc)
+    0 segs
 
 let interleave_rw ~compute ~accesses =
   if compute < 0 then invalid_arg "Segment.interleave: negative compute";

@@ -33,9 +33,6 @@ val span : t -> int
 (** [span s] is the nominal duration of [s], excluding synchronisation
     overheads. *)
 
-val is_access : t -> bool
-(** [is_access s] is [true] for [Access _]. *)
-
 val total_span : t list -> int
 (** [total_span segs] sums nominal durations. *)
 

@@ -87,7 +87,3 @@ let utilization task =
 
 let approximate_load tasks =
   List.fold_left (fun acc task -> acc +. utilization task) 0.0 tasks
-
-let pp fmt task =
-  Format.fprintf fmt "%s: %a arrivals=%a u=%dns m=%d" task.name Tuf.pp
-    task.tuf Uam.pp task.arrival task.exec (num_accesses task)

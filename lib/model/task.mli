@@ -75,6 +75,3 @@ val utilization : t -> float
 
 val approximate_load : t list -> float
 (** [approximate_load tasks] is [AL = Σ uᵢ/Cᵢ] (§6.1). *)
-
-val pp : Format.formatter -> t -> unit
-(** [pp fmt task] prints a one-line description. *)

@@ -96,11 +96,3 @@ let scale f k =
   | Parabolic { u0; c } -> Parabolic { u0 = u0 *. k; c }
   | Piecewise { points; c } ->
     Piecewise { points = Array.map (fun (t, u) -> (t, u *. k)) points; c }
-
-let pp fmt f =
-  match f with
-  | Step { height; c } -> Format.fprintf fmt "step(%g,c=%d)" height c
-  | Linear { u0; c } -> Format.fprintf fmt "linear(%g,c=%d)" u0 c
-  | Parabolic { u0; c } -> Format.fprintf fmt "parabolic(%g,c=%d)" u0 c
-  | Piecewise { points; c } ->
-    Format.fprintf fmt "piecewise(%d pts,c=%d)" (Array.length points) c

@@ -58,6 +58,3 @@ val is_non_increasing : t -> bool
 
 val scale : t -> float -> t
 (** [scale f k] multiplies utilities by [k >= 0]. *)
-
-val pp : Format.formatter -> t -> unit
-(** [pp fmt f] prints a concise description. *)

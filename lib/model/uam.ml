@@ -141,5 +141,3 @@ let validate law trace =
     end;
     match !err with None -> Ok () | Some msg -> Error msg
   end
-
-let pp fmt law = Format.fprintf fmt "<%d,%d,%d>" law.l law.a law.w

@@ -67,6 +67,3 @@ val validate : t -> int list -> (unit, string) result
     sorted trace; the error message pinpoints the first violation.
     The min-side constraint is only enforced between consecutive
     arrivals (a finite trace necessarily stops). *)
-
-val pp : Format.formatter -> t -> unit
-(** [pp fmt law] prints [⟨l,a,w⟩]. *)

@@ -14,7 +14,7 @@ module Run_queue = Live_view
 type t = {
   m : int;
   policy : policy;
-  running : Job.t option array;
+  running : Job.t array; (* [Job.dummy] marks an idle core *)
   busy : int array; (* per-core executed ns (incl. spin burn) *)
   mutable migrations : int;
   queues : Run_queue.t array; (* length [m] when partitioned, else 0 *)
@@ -25,7 +25,7 @@ let create ~m ~policy =
   {
     m;
     policy;
-    running = Array.make m None;
+    running = Array.make m Job.dummy;
     busy = Array.make m 0;
     migrations = 0;
     queues =
@@ -50,22 +50,20 @@ let retire t job =
 
 let occupant t c = t.running.(c)
 
-let core_of t ~jid =
-  let rec go c =
-    if c >= t.m then None
-    else
-      match t.running.(c) with
-      | Some j when j.Job.jid = jid -> Some c
-      | _ -> go (c + 1)
-  in
-  go 0
+let rec scan t jid c =
+  if c >= t.m then -1
+  else if t.running.(c).Job.jid = jid then c
+  else scan t jid (c + 1)
+
+let core_of t ~jid = scan t jid 0
 
 let vacate t ~jid =
-  match core_of t ~jid with None -> () | Some c -> t.running.(c) <- None
+  let c = core_of t ~jid in
+  if c >= 0 then t.running.(c) <- Job.dummy
 
-let place t c job = t.running.(c) <- Some job
+let place t c job = t.running.(c) <- job
 
-let any_running t = Array.exists Option.is_some t.running
+let any_running t = Array.exists (fun j -> j != Job.dummy) t.running
 
 let note_migration t = t.migrations <- t.migrations + 1
 

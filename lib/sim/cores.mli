@@ -46,12 +46,14 @@ val retire : t -> Rtlf_model.Job.t -> unit
 (** Remove a resolved job from its home run queue (no-op under global
     dispatch). *)
 
-val occupant : t -> int -> Rtlf_model.Job.t option
+val occupant : t -> int -> Rtlf_model.Job.t
 (** [occupant t c] is the job currently running (or spinning) on core
-    [c]. *)
+    [c], or {!Rtlf_model.Job.dummy} when [c] is idle. *)
 
-val core_of : t -> jid:int -> int option
-(** The core whose slot holds [jid], scanning the [m] slots. *)
+val core_of : t -> jid:int -> int
+(** The core whose slot holds [jid] (a job's, so [≥ 0]: an idle slot
+    holds the dummy's [-1]), scanning the [m] slots, or [-1] when no
+    core does. *)
 
 val vacate : t -> jid:int -> unit
 (** Empty the slot holding [jid], if any. *)

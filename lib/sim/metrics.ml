@@ -39,15 +39,14 @@ let aggregate results =
       Stats.add cmr res.Simulator.cmr;
       let a = mean_access_ns res in
       if not (Float.is_nan a) then Stats.add access a;
-      let quantile acc p =
-        (* total: a run with no completions simply contributes nothing *)
-        match Stats.percentile_opt res.Simulator.sojourn_samples ~p with
-        | Some v -> Stats.add acc v
-        | None -> ()
-      in
-      quantile p50 50.0;
-      quantile p90 90.0;
-      quantile p99 99.0;
+      (* The histogram's percentiles are [Stats.percentile]'s over the
+         same samples; a run with no completions contributes nothing. *)
+      let h = res.Simulator.sojourn_hist in
+      if h.Stats.n > 0 then begin
+        Stats.add p50 h.Stats.p50;
+        Stats.add p90 h.Stats.p90;
+        Stats.add p99 h.Stats.p99
+      end;
       retries := !retries + res.Simulator.retries_total;
       let t = Contention.totals res.Simulator.contention in
       conflicts := !conflicts + t.Contention.t_conflicts;

@@ -190,8 +190,20 @@ type state = {
   sched_costs : Float_buffer.t;
   audit : Audit.t;
   retry_tails : Stats.P2.tracker array; (* indexed by task id *)
-  occ : Job.t option array; (* per core: [run_slice] scratch *)
+  occ : Job.t array; (* per core: [run_slice] scratch *)
   steps : int array; (* per core: [run_slice] scratch *)
+  (* The dispatcher pass's plan, sized once per run: per core, whether
+     the pass leaves it untouched (spin-pinned) and the job it assigns
+     ([Job.dummy] leaves the core idle); the global pass's selection
+     and its count; and the pass's charges. *)
+  keep : bool array;
+  assign : Job.t array;
+  selected : Job.t array;
+  mutable n_selected : int;
+  mutable p_ops : int; (* decision ops, excluding migration ops *)
+  mutable p_decisions : int; (* scheduler invocations in this pass *)
+  mutable p_aborts : Job.t list;
+  mutable p_migrations : int;
 }
 
 let scheduler_name cfg =
@@ -357,7 +369,7 @@ let wake_new_owner st obj = function
     | None -> ()
     | Some waiter ->
       waiter.Job.state <-
-        (if is_spin st && Cores.core_of st.cores ~jid <> None then
+        (if is_spin st && Cores.core_of st.cores ~jid >= 0 then
            Job.Running
          else Job.Ready);
       waiter.Job.holding <- obj :: waiter.Job.holding;
@@ -416,7 +428,7 @@ let abort_job st job =
        billed to the core the victim occupied (core 0 for a victim
        that was not running). *)
     let cbusy = Cores.busy st.cores in
-    let c = match core with Some c -> c | None -> 0 in
+    let c = Int.max core 0 in
     cbusy.(c) <- cbusy.(c) + handler
   end;
   resolve st job
@@ -455,189 +467,159 @@ let set_running st ~core job =
 
 let target_ok st j = Job.is_runnable j && Live_view.mem st.live ~jid:j.Job.jid
 
-(* One dispatcher pass, computed before any cost is charged so the
-   migration count can ride in the scheduling cost like scheduler ops. *)
-type plan = {
-  p_ops : int; (* decision ops, excluding migration ops *)
-  p_decisions : int; (* scheduler invocations folded into this pass *)
-  p_aborts : Job.t list;
-  p_assign : Job.t option array; (* per core; [None] leaves it idle *)
-  p_keep : bool array; (* spin-pinned cores: leave untouched *)
-  p_migrations : int;
-}
+(* One dispatcher pass fills [st]'s plan fields before any cost is
+   charged, so the migration count can ride in the scheduling cost like
+   scheduler ops. *)
 
 let migrates_to job core = job.Job.last_core >= 0 && job.Job.last_core <> core
 
-(* Spread [selected] across the non-pinned cores: jobs already running
-   keep their core; newcomers prefer their previous core, then the
-   lowest-numbered free one. *)
-let assign_global st ~keep selected =
+(* Is [job] running on a core the plan keeps? *)
+let pinned st job =
+  let c = Cores.core_of st.cores ~jid:job.Job.jid in
+  c >= 0 && st.keep.(c)
+
+(* Mark the spin-pinned cores; returns how many cores are not kept. *)
+let mark_kept st =
+  let frees = ref 0 in
+  for c = 0 to Cores.count st.cores - 1 do
+    let j = Cores.occupant st.cores c in
+    st.keep.(c) <- j != Job.dummy && spin_pinned st j;
+    if not st.keep.(c) then incr frees
+  done;
+  !frees
+
+let free st c = (not st.keep.(c)) && st.assign.(c) == Job.dummy
+
+let rec lowest_free st c =
+  if c >= Cores.count st.cores then -1
+  else if free st c then c
+  else lowest_free st (c + 1)
+
+(* The core [job] runs on if the plan does not keep it, else [-1]. *)
+let unkept_core st job =
+  let c = Cores.core_of st.cores ~jid:job.Job.jid in
+  if c >= 0 && not st.keep.(c) then c else -1
+
+(* Spread the selection across the non-pinned cores: jobs already
+   running keep their core; newcomers prefer their previous core, then
+   the lowest-numbered free one. *)
+let assign_global st =
   let m = Cores.count st.cores in
-  let assign = Array.make m None in
-  (* A job is placed by the first pass iff it runs on a core the plan
-     does not keep. *)
-  let placed (j : Job.t) =
-    match Cores.core_of st.cores ~jid:j.Job.jid with
-    | Some c -> not keep.(c)
-    | None -> false
-  in
-  List.iter
-    (fun (j : Job.t) ->
-      match Cores.core_of st.cores ~jid:j.Job.jid with
-      | Some c when not keep.(c) -> assign.(c) <- Some j
-      | Some _ | None -> ())
-    selected;
-  let free c = (not keep.(c)) && assign.(c) = None in
-  let lowest_free () =
-    let rec go c = if c >= m then None else if free c then Some c else go (c + 1) in
-    go 0
-  in
+  Array.fill st.assign 0 m Job.dummy;
+  (* A job is placed by the first pass iff it runs on an unkept core. *)
+  for i = 0 to st.n_selected - 1 do
+    let j = st.selected.(i) in
+    let c = unkept_core st j in
+    if c >= 0 then st.assign.(c) <- j
+  done;
   let migrations = ref 0 in
-  List.iter
-    (fun (j : Job.t) ->
-      if not (placed j) then begin
-        let c =
-          if j.Job.last_core >= 0 && j.Job.last_core < m && free j.Job.last_core
-          then Some j.Job.last_core
-          else lowest_free ()
-        in
-        match c with
-        | None -> () (* more selected than free cores: drop the tail *)
-        | Some c ->
-          assign.(c) <- Some j;
-          if migrates_to j c then incr migrations
-      end)
-    selected;
-  (assign, !migrations)
+  for i = 0 to st.n_selected - 1 do
+    let j = st.selected.(i) in
+    if unkept_core st j < 0 then begin
+      let last = j.Job.last_core in
+      let c =
+        if last >= 0 && last < m && free st last then last
+        else lowest_free st 0
+      in
+      (* A negative [c]: more selected than free cores, drop the tail. *)
+      if c >= 0 then begin
+        st.assign.(c) <- j;
+        if migrates_to j c then incr migrations
+      end
+    end
+  done;
+  st.p_migrations <- !migrations
+
+(* Append to the selection, up to [frees] jobs, the first [m - 1 - taken]
+   runnable, unpinned jobs of [schedule] other than [primary]. *)
+let rec select_rest st ~frees ~primary taken = function
+  | j :: tl when taken < Cores.count st.cores - 1 ->
+    if target_ok st j && (not (pinned st j)) && j.Job.jid <> primary.Job.jid
+    then begin
+      if st.n_selected < frees then begin
+        st.selected.(st.n_selected) <- j;
+        st.n_selected <- st.n_selected + 1
+      end;
+      select_rest st ~frees ~primary (taken + 1) tl
+    end
+    else select_rest st ~frees ~primary taken tl
+  | _ -> ()
 
 let plan_global st =
-  let m = Cores.count st.cores in
   let jobs = Live_view.view st.live in
   let d =
     st.schedulers.(0).Scheduler.decide ~now:st.now ~jobs
       ~remaining:st.remaining
   in
-  let keep = Array.make m false in
-  for c = 0 to m - 1 do
-    match Cores.occupant st.cores c with
-    | Some j when spin_pinned st j -> keep.(c) <- true
-    | _ -> ()
-  done;
-  let pinned_jid jid =
-    match Cores.core_of st.cores ~jid with
-    | Some c -> keep.(c)
-    | None -> false
-  in
+  let frees = mark_kept st in
   (* Core 0's slot follows the decision's dispatch exactly — the
      single-CPU semantics; extra cores take the next runnable jobs in
      schedule order (capped at m-1, so at m=1 this engine reduces to
      the pre-SMP single-CPU path step for step). *)
   let primary =
     match d.Scheduler.dispatch with
-    | Some j when target_ok st j && not (pinned_jid j.Job.jid) -> [ j ]
-    | Some _ | None -> []
+    | Some j when target_ok st j && not (pinned st j) -> j
+    | Some _ | None -> Job.dummy
   in
-  let in_primary j =
-    match primary with [ p ] -> p.Job.jid = j.Job.jid | _ -> false
-  in
-  let rest =
-    if m = 1 then []
-    else begin
-      let taken = ref 0 in
-      List.filter
-        (fun j ->
-          if
-            !taken < m - 1
-            && target_ok st j
-            && (not (pinned_jid j.Job.jid))
-            && not (in_primary j)
-          then begin
-            incr taken;
-            true
-          end
-          else false)
-        d.Scheduler.schedule
-    end
-  in
-  let frees = ref 0 in
-  Array.iter (fun k -> if not k then incr frees) keep;
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  let selected = take !frees (primary @ rest) in
-  let assign, migrations = assign_global st ~keep selected in
-  {
-    p_ops = d.Scheduler.ops;
-    p_decisions = 1;
-    p_aborts = d.Scheduler.aborts;
-    p_assign = assign;
-    p_keep = keep;
-    p_migrations = migrations;
-  }
+  st.n_selected <- 0;
+  if primary != Job.dummy && frees > 0 then begin
+    st.selected.(0) <- primary;
+    st.n_selected <- 1
+  end;
+  select_rest st ~frees ~primary 0 d.Scheduler.schedule;
+  assign_global st;
+  st.p_ops <- d.Scheduler.ops;
+  st.p_decisions <- 1;
+  st.p_aborts <- d.Scheduler.aborts
 
 let plan_partitioned st =
   let m = Cores.count st.cores in
   let queues = Cores.queues st.cores in
-  let keep = Array.make m false in
-  let assign = Array.make m None in
-  let ops = ref 0 in
-  let aborts = ref [] in
+  ignore (mark_kept st : int);
+  st.p_ops <- 0;
+  st.p_aborts <- [];
   for c = 0 to m - 1 do
-    (match Cores.occupant st.cores c with
-    | Some j when spin_pinned st j -> keep.(c) <- true
-    | _ -> ());
     let jobs = Live_view.view queues.(c) in
     let d =
       st.schedulers.(c).Scheduler.decide ~now:st.now ~jobs
         ~remaining:st.remaining
     in
-    ops := !ops + d.Scheduler.ops;
-    aborts := !aborts @ d.Scheduler.aborts;
-    if not keep.(c) then
-      assign.(c) <-
-        (match d.Scheduler.dispatch with
-        | Some j when target_ok st j -> Some j
-        | Some _ | None -> None)
+    st.p_ops <- st.p_ops + d.Scheduler.ops;
+    if d.Scheduler.aborts <> [] then
+      st.p_aborts <- st.p_aborts @ d.Scheduler.aborts;
+    st.assign.(c) <-
+      (match d.Scheduler.dispatch with
+      | Some j when (not st.keep.(c)) && target_ok st j -> j
+      | Some _ | None -> Job.dummy)
   done;
-  {
-    p_ops = !ops;
-    p_decisions = m;
-    p_aborts = !aborts;
-    p_assign = assign;
-    p_keep = keep;
-    p_migrations = 0;
-  }
+  st.p_decisions <- m;
+  st.p_migrations <- 0
 
-let apply_plan st plan =
-  let m = Cores.count st.cores in
-  for c = 0 to m - 1 do
-    if not plan.p_keep.(c) then begin
+let dispatch_onto st c j =
+  if migrates_to j c then begin
+    if tracing st then
+      Trace.record st.trace ~time:st.now
+        (Trace.Migrate (j.Job.jid, j.Job.last_core, c));
+    Cores.note_migration st.cores
+  end;
+  set_running st ~core:c j
+
+let apply_plan st =
+  for c = 0 to Cores.count st.cores - 1 do
+    if not st.keep.(c) then begin
       (* Re-check liveness: a deadlock victim aborted between planning
          and application leaves its slot idle. *)
-      let target =
-        match plan.p_assign.(c) with
-        | Some j when target_ok st j -> Some j
-        | Some _ | None -> None
-      in
-      let dispatch_onto j =
-        if migrates_to j c then begin
-          if tracing st then
-            Trace.record st.trace ~time:st.now
-              (Trace.Migrate (j.Job.jid, j.Job.last_core, c));
-          Cores.note_migration st.cores
-        end;
-        set_running st ~core:c j
-      in
-      match (Cores.occupant st.cores c, target) with
-      | Some cur, Some j when cur.Job.jid = j.Job.jid -> ()
-      | Some cur, Some j ->
-        preempt st ~by:j.Job.jid cur;
-        dispatch_onto j
-      | Some cur, None -> preempt st ~by:(-1) cur
-      | None, Some j -> dispatch_onto j
-      | None, None -> ()
+      let j = st.assign.(c) in
+      let target = if j != Job.dummy && target_ok st j then j else Job.dummy in
+      let cur = Cores.occupant st.cores c in
+      if cur == Job.dummy then begin
+        if target != Job.dummy then dispatch_onto st c target
+      end
+      else if target == Job.dummy then preempt st ~by:(-1) cur
+      else if cur.Job.jid <> target.Job.jid then begin
+        preempt st ~by:target.Job.jid cur;
+        dispatch_onto st c target
+      end
     end
   done
 
@@ -646,16 +628,20 @@ let apply_plan st plan =
    its invocation. *)
 let ops_per_migration = 8
 
+let rec abort_victims st = function
+  | [] -> ()
+  | victim :: tl ->
+    if Job.is_live victim then abort_job st victim;
+    abort_victims st tl
+
 let invoke_dispatcher st =
-  let plan =
-    match st.cfg.dispatch with
-    | Cores.Global -> plan_global st
-    | Cores.Partitioned -> plan_partitioned st
-  in
+  (match st.cfg.dispatch with
+  | Cores.Global -> plan_global st
+  | Cores.Partitioned -> plan_partitioned st);
   st.sched_invocations <- st.sched_invocations + 1;
-  let ops = plan.p_ops + (ops_per_migration * plan.p_migrations) in
+  let ops = st.p_ops + (ops_per_migration * st.p_migrations) in
   let cost =
-    (st.cfg.sched_base * plan.p_decisions) + (st.cfg.sched_per_op * ops)
+    (st.cfg.sched_base * st.p_decisions) + (st.cfg.sched_per_op * ops)
   in
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Sched (ops, cost));
@@ -663,10 +649,9 @@ let invoke_dispatcher st =
   st.now <- st.now + cost;
   st.sched_overhead <- st.sched_overhead + cost;
   (* Deadlock victims (only possible with nested sections). *)
-  List.iter
-    (fun victim -> if Job.is_live victim then abort_job st victim)
-    plan.p_aborts;
-  apply_plan st plan
+  abort_victims st st.p_aborts;
+  st.p_aborts <- [];
+  apply_plan st
 
 (* --- event handling ------------------------------------------------- *)
 
@@ -701,29 +686,25 @@ let arrive st k =
   Uam.advance st.cursors.(k);
   refresh_next_arrival st
 
-let queue_time st =
-  match Event_queue.peek_time st.queue with Some t -> t | None -> max_int
+let queue_time st = Event_queue.min_time st.queue
 
 (* Handle every event due at or before [st.now] (and within the
    horizon), arrivals before expiries at equal times. Returns the
-   number handled. *)
-let process_due_events st =
-  let rec go n =
-    let expiry = queue_time st in
-    let t = Int.min st.next_arrival expiry in
-    if t <= st.now && t < st.cfg.horizon then begin
-      if st.next_arrival <= expiry then arrive st st.next_source
-      else begin
-        let _, jid = Event_queue.pop_exn st.queue in
-        match Live_view.find st.live ~jid with
-        | None -> () (* already resolved *)
-        | Some job -> abort_job st job
-      end;
-      go (n + 1)
-    end
-    else n
-  in
-  go 0
+   number handled, counting from [n]. *)
+let rec process_due_events st n =
+  let expiry = queue_time st in
+  let t = Int.min st.next_arrival expiry in
+  if t <= st.now && t < st.cfg.horizon then begin
+    if st.next_arrival <= expiry then arrive st st.next_source
+    else begin
+      let _, jid = Event_queue.pop_exn st.queue in
+      match Live_view.find st.live ~jid with
+      | None -> () (* already resolved *)
+      | Some job -> abort_job st job
+    end;
+    process_due_events st (n + 1)
+  end
+  else n
 
 (* --- running-job execution ------------------------------------------ *)
 
@@ -880,13 +861,13 @@ let burn st delta =
   if delta > 0 then begin
     let cbusy = Cores.busy st.cores in
     for c = 0 to Cores.count st.cores - 1 do
-      match st.occ.(c) with
-      | None -> ()
-      | Some job ->
+      let job = st.occ.(c) in
+      if job != Job.dummy then begin
         if st.steps.(c) >= 0 then
           job.Job.seg_progress <- job.Job.seg_progress + delta;
         cbusy.(c) <- cbusy.(c) + delta;
         st.busy <- st.busy + delta
+      end
     done
   end
 
@@ -899,17 +880,15 @@ let run_slice st =
   let occ = st.occ and steps = st.steps in
   let dmin = ref max_int in
   for c = 0 to m - 1 do
-    occ.(c) <- Cores.occupant st.cores c;
+    let job = Cores.occupant st.cores c in
+    occ.(c) <- job;
     steps.(c) <- -1;
-    match occ.(c) with
-    | None -> ()
-    | Some job ->
-      if not (spin_waiting st job) then begin
-        prepare_attempt st job;
-        let s = next_step st job in
-        steps.(c) <- s;
-        if s < !dmin then dmin := s
-      end
+    if job != Job.dummy && not (spin_waiting st job) then begin
+      prepare_attempt st job;
+      let s = next_step st job in
+      steps.(c) <- s;
+      if s < !dmin then dmin := s
+    end
   done;
   let next_ev =
     Int.min (Int.min st.next_arrival (queue_time st)) st.cfg.horizon
@@ -926,15 +905,14 @@ let run_slice st =
       st.now <- finish;
       let sched_event = ref false in
       for c = 0 to m - 1 do
-        if steps.(c) = !dmin then begin
-          match occ.(c) with
-          | Some job when Job.is_live job && Cores.occupant st.cores c == occ.(c)
-            -> (
-            match boundary st job with
-            | `Sched_event -> sched_event := true
-            | `Continue -> ())
-          | Some _ | None -> ()
-        end
+        let job = occ.(c) in
+        if
+          steps.(c) = !dmin && job != Job.dummy && Job.is_live job
+          && Cores.occupant st.cores c == job
+        then
+          match boundary st job with
+          | `Sched_event -> sched_event := true
+          | `Continue -> ()
       done;
       if !sched_event then invoke_dispatcher st
     end
@@ -948,7 +926,7 @@ let run_slice st =
 
 let rec main_loop st =
   if st.now < st.cfg.horizon then begin
-    if process_due_events st > 0 then begin
+    if process_due_events st 0 > 0 then begin
       invoke_dispatcher st;
       main_loop st
     end
@@ -1153,8 +1131,16 @@ let run cfg =
       sched_costs = Float_buffer.create ();
       audit = Audit.create ~tasks:cfg.tasks ~enabled:audit_enabled;
       retry_tails = Array.init n_tasks (fun _ -> Stats.P2.tracker ());
-      occ = Array.make cfg.cores None;
+      occ = Array.make cfg.cores Job.dummy;
       steps = Array.make cfg.cores (-1);
+      keep = Array.make cfg.cores false;
+      assign = Array.make cfg.cores Job.dummy;
+      selected = Array.make cfg.cores Job.dummy;
+      n_selected = 0;
+      p_ops = 0;
+      p_decisions = 0;
+      p_aborts = [];
+      p_migrations = 0;
     }
   in
   refresh_next_arrival st;

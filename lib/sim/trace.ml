@@ -15,93 +15,81 @@ type kind =
 
 type entry = { time : int; kind : kind }
 
-type storage =
-  | Unbounded of {
-      mutable arr : entry array; (* amortised doubling; [len] used *)
-      mutable len : int;
-    }
-  | Ring of {
-      buf : entry option array;
-      mutable next : int; (* slot receiving the next write *)
-      mutable len : int;
-      mutable dropped : int;
-    }
-
-type t = { enabled : bool; storage : storage }
+(* The entries live in two parallel arrays, not an array of [entry]
+   records: two words an entry fewer, and a record is built only when a
+   reader asks for it. Both storages are a ring over these arrays: a
+   bounded trace drops the oldest entry once full, an unbounded one
+   doubles them instead (so its oldest entry stays at slot 0). *)
+type t = {
+  enabled : bool;
+  bounded : bool;
+  mutable times : int array;
+  mutable kinds : kind array;
+  mutable next : int; (* slot receiving the next write *)
+  mutable len : int;
+  mutable dropped : int;
+}
 
 let create ?capacity ~enabled () =
-  let storage =
+  let cap =
     match capacity with
-    | None -> Unbounded { arr = [||]; len = 0 }
+    | None -> 0
     | Some c ->
       if c <= 0 then invalid_arg "Trace.create: capacity must be positive";
-      Ring { buf = Array.make c None; next = 0; len = 0; dropped = 0 }
+      c
   in
-  { enabled; storage }
+  {
+    enabled;
+    bounded = capacity <> None;
+    times = Array.make cap 0;
+    kinds = Array.make cap (Sched (0, 0));
+    next = 0;
+    len = 0;
+    dropped = 0;
+  }
 
 let enabled tr = tr.enabled
 
+let grow tr =
+  let ncap = if tr.len = 0 then 256 else 2 * tr.len in
+  let times = Array.make ncap 0 and kinds = Array.make ncap (Sched (0, 0)) in
+  Array.blit tr.times 0 times 0 tr.len;
+  Array.blit tr.kinds 0 kinds 0 tr.len;
+  tr.times <- times;
+  tr.kinds <- kinds;
+  tr.next <- tr.len
+
 let record tr ~time kind =
-  if tr.enabled then
-    match tr.storage with
-    | Unbounded u ->
-      let e = { time; kind } in
-      let cap = Array.length u.arr in
-      if u.len = cap then begin
-        let grown = Array.make (if cap = 0 then 256 else 2 * cap) e in
-        Array.blit u.arr 0 grown 0 u.len;
-        u.arr <- grown
-      end;
-      u.arr.(u.len) <- e;
-      u.len <- u.len + 1
-    | Ring r ->
-      let cap = Array.length r.buf in
-      r.buf.(r.next) <- Some { time; kind };
-      r.next <- (r.next + 1) mod cap;
-      if r.len < cap then r.len <- r.len + 1
-      else r.dropped <- r.dropped + 1
+  if tr.enabled then begin
+    if tr.len = Array.length tr.times && not tr.bounded then grow tr;
+    tr.times.(tr.next) <- time;
+    tr.kinds.(tr.next) <- kind;
+    let cap = Array.length tr.times in
+    tr.next <- (if tr.next + 1 = cap then 0 else tr.next + 1);
+    if tr.len < cap then tr.len <- tr.len + 1 else tr.dropped <- tr.dropped + 1
+  end
 
-let entries tr =
-  match tr.storage with
-  | Unbounded u ->
-    let acc = ref [] in
-    for i = u.len - 1 downto 0 do
-      acc := u.arr.(i) :: !acc
-    done;
-    !acc
-  | Ring r ->
-    let cap = Array.length r.buf in
-    let start = (r.next - r.len + cap) mod cap in
-    List.init r.len (fun i ->
-        match r.buf.((start + i) mod cap) with
-        | Some e -> e
-        | None -> assert false)
+let length tr = tr.len
 
-let length tr =
-  match tr.storage with Unbounded u -> u.len | Ring r -> r.len
+(* Slot of the [i]-th retained entry, oldest first. *)
+let slot tr i =
+  let cap = Array.length tr.times in
+  (tr.next - tr.len + i + cap) mod cap
 
 let iter f tr =
-  match tr.storage with
-  | Unbounded u ->
-    for i = 0 to u.len - 1 do
-      f u.arr.(i)
-    done
-  | Ring r ->
-    let cap = Array.length r.buf in
-    let start = (r.next - r.len + cap) mod cap in
-    for i = 0 to r.len - 1 do
-      match r.buf.((start + i) mod cap) with
-      | Some e -> f e
-      | None -> assert false
-    done
+  for i = 0 to tr.len - 1 do
+    let k = slot tr i in
+    f { time = tr.times.(k); kind = tr.kinds.(k) }
+  done
 
-let dropped tr =
-  match tr.storage with Unbounded _ -> 0 | Ring r -> r.dropped
+let entries tr =
+  List.init tr.len (fun i ->
+      let k = slot tr i in
+      { time = tr.times.(k); kind = tr.kinds.(k) })
 
-let capacity tr =
-  match tr.storage with
-  | Unbounded _ -> None
-  | Ring r -> Some (Array.length r.buf)
+let dropped tr = tr.dropped
+
+let capacity tr = if tr.bounded then Some (Array.length tr.times) else None
 
 (* The first [Error] [check] returns on the history, in order. *)
 let first_error tr check =

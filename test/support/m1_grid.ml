@@ -1,10 +1,13 @@
-(* The m = 1 pin: the grid of single-core configs and the digest
-   document that records their results, shared by test_smp_diff and
-   the generator test/gen/gen_m1_digests.exe.
+(* The digest pins: the fixed grids of configs and the digest documents
+   that record their results, shared by test_smp_diff and the generator
+   test/gen/gen_m1_digests.exe. The m = 1 grid pins the single-core
+   semantics; the smp grid re-runs its random and nested configs at 2
+   and 4 cores so that a refactor of the m-core dispatcher shows.
 
    Every config is fixed-seed (the root seed is [default_seed], not
-   RTLF_SEED): the committed test/golden/m1_digests.json was generated
-   from exactly this grid, so changing it invalidates the file. *)
+   RTLF_SEED): the committed test/golden/m1_digests.json and
+   smp_digests.json were generated from exactly these grids, so changing
+   them invalidates the files. *)
 
 module Task = Rtlf_model.Task
 module Tuf = Rtlf_model.Tuf
@@ -16,7 +19,6 @@ module Cores = Rtlf_sim.Cores
 module Workload = Rtlf_workload.Workload
 module Json = Rtlf_obs.Json
 
-let schema = "rtlf-m1-digests-v1"
 let seed = Test_support.default_seed
 
 let syncs =
@@ -64,13 +66,14 @@ let specs =
     (fun k spec -> (Printf.sprintf "spec%d" k, spec))
     (QCheck.Gen.generate ~rand:(Random.State.make [| seed |]) ~n:8 spec_gen)
 
-let config_of ?retry_on_any_preemption ?dispatch ~sync ~sched spec =
+let config_of ?retry_on_any_preemption ?dispatch ?(cores = 1) ~sync ~sched
+    spec =
   Simulator.config ~tasks:(Workload.make spec) ~sync ~sched
     ~horizon:(20 * 50_000 * spec.Workload.n_tasks)
     ~seed:(seed + spec.Workload.seed) ?retry_on_any_preemption ~trace:true
-    ~cores:1 ?dispatch ()
+    ~cores ?dispatch ()
 
-let random =
+let random_at cores =
   List.concat_map
     (fun (name, spec) ->
       List.concat_map
@@ -80,11 +83,13 @@ let random =
               List.map
                 (fun (disp_name, dispatch) ->
                   ( String.concat "/" [ name; sync_name; sched_name; disp_name ],
-                    config_of ~sync ~sched ~dispatch spec ))
+                    config_of ~sync ~sched ~dispatch ~cores spec ))
                 dispatches)
             scheds)
         syncs)
     specs
+
+let random = random_at 1
 
 (* Lemma 1's adversary: any preemption inside a lock-free attempt
    forces a retry. *)
@@ -100,7 +105,7 @@ let adversarial =
 (* Nested critical sections (Lock/Unlock markers), including the
    deadlock-forming pair under lock-based RUA: exercises victim
    aborts, release chains, and the spin engine's Lock/Unlock path. *)
-let nested =
+let nested_at cores =
   let us n = n * 1_000 in
   let profile first second =
     [
@@ -129,10 +134,28 @@ let nested =
     (fun (sync_name, sync) ->
       ( "nested/" ^ sync_name,
         Simulator.config ~tasks ~sync ~n_objects:2 ~horizon:(us 100_000)
-          ~seed:3 ~trace:true ~cores:1 () ))
+          ~seed:3 ~trace:true ~cores () ))
     syncs
 
+let nested = nested_at 1
 let all = random @ adversarial @ nested
+
+let smp =
+  List.concat_map
+    (fun cores ->
+      List.map
+        (fun (label, cfg) -> (Printf.sprintf "m%d/%s" cores label, cfg))
+        (random_at cores @ nested_at cores))
+    [ 2; 4 ]
+
+type document = {
+  name : string;
+  schema : string;
+  grid : (string * Simulator.config) list;
+}
+
+let m1_document = { name = "m1"; schema = "rtlf-m1-digests-v1"; grid = all }
+let smp_document = { name = "smp"; schema = "rtlf-smp-digests-v1"; grid = smp }
 
 let digests result =
   List.map
@@ -141,7 +164,7 @@ let digests result =
 
 (* One config per line, in grid order, so a regenerated file diffs
    line by line. *)
-let to_string configs =
+let to_string doc configs =
   let line (label, groups) =
     Json.to_string (Json.Str label)
     ^ ":"
@@ -149,11 +172,11 @@ let to_string configs =
         (Json.Obj (List.map (fun (g, h) -> (g, Json.Str h)) groups))
   in
   Printf.sprintf "{\"schema\":%s,\"seed\":%d,\"configs\":{\n%s}}\n"
-    (Json.to_string (Json.Str schema))
+    (Json.to_string (Json.Str doc.schema))
     seed
     (String.concat ",\n" (List.map line configs))
 
-let check_document json =
+let check_document doc json =
   let groups = function
     | Json.Obj gs ->
       List.filter_map
@@ -162,16 +185,17 @@ let check_document json =
     | _ -> []
   in
   let missing xs ys = List.find_opt (fun (l, _) -> not (List.mem_assoc l ys)) xs in
+  let error fmt =
+    Printf.ksprintf (fun e -> Error (doc.name ^ " digests: " ^ e)) fmt
+  in
   match (Json.member "schema" json, Json.member "configs" json) with
-  | None, _ -> Error "m1 digests: no schema tag"
-  | Some (Json.Str s), _ when s <> schema ->
-    Error (Printf.sprintf "m1 digests: schema tag %S, expected %S" s schema)
+  | None, _ -> error "no schema tag"
+  | Some (Json.Str s), _ when s <> doc.schema ->
+    error "schema tag %S, expected %S" s doc.schema
   | Some (Json.Str _), Some (Json.Obj configs) -> (
-    match (missing all configs, missing configs all) with
-    | Some (l, _), _ ->
-      Error (Printf.sprintf "m1 digests: grid config %s has no digest" l)
-    | None, Some (l, _) ->
-      Error (Printf.sprintf "m1 digests: digest %s has no grid config" l)
+    match (missing doc.grid configs, missing configs doc.grid) with
+    | Some (l, _), _ -> error "grid config %s has no digest" l
+    | None, Some (l, _) -> error "digest %s has no grid config" l
     | None, None -> Ok (List.map (fun (l, g) -> (l, groups g)) configs))
-  | Some (Json.Str _), _ -> Error "m1 digests: no configs object"
-  | Some _, _ -> Error "m1 digests: schema tag is not a string"
+  | Some (Json.Str _), _ -> error "no configs object"
+  | Some _, _ -> error "schema tag is not a string"

@@ -12,7 +12,8 @@ let test_eq_empty () =
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
   Alcotest.(check int) "length 0" 0 (Event_queue.length q);
   Alcotest.(check bool) "pop none" true (Event_queue.pop q = None);
-  Alcotest.(check bool) "peek none" true (Event_queue.peek q = None)
+  Alcotest.(check bool) "peek none" true (Event_queue.peek q = None);
+  Alcotest.(check int) "min_time max_int" max_int (Event_queue.min_time q)
 
 let test_eq_ordering () =
   let q = Event_queue.create () in
@@ -36,7 +37,7 @@ let test_eq_peek_pop_consistency () =
   Event_queue.add q ~time:3 "x";
   Event_queue.add q ~time:1 "y";
   Alcotest.(check bool) "peek min" true (Event_queue.peek q = Some (1, "y"));
-  Alcotest.(check bool) "peek_time" true (Event_queue.peek_time q = Some 1);
+  Alcotest.(check int) "min_time" 1 (Event_queue.min_time q);
   Alcotest.(check bool) "pop min" true (Event_queue.pop q = Some (1, "y"));
   Alcotest.(check bool) "next" true (Event_queue.pop q = Some (3, "x"))
 

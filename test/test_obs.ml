@@ -408,11 +408,13 @@ let golden_result () =
        ~sched:Simulator.Rua ~horizon:300_000 ~seed:7 ~sched_base:200
        ~sched_per_op:25 ~trace:true ())
 
+(* From [dune runtest] (cwd test/) or [dune exec] at the repo root. *)
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  let path =
+    if Sys.file_exists path || not (Sys.file_exists ("test/" ^ path)) then path
+    else "test/" ^ path
+  in
+  In_channel.with_open_bin path In_channel.input_all
 
 let test_golden_chrome () =
   let res = golden_result () in

@@ -480,8 +480,12 @@ let test_retry_tails_per_task () =
 (* Minor-heap words per scheduler invocation of the paper's base regime
    (10 tasks, AL 0.5, lock-free RUA, full horizon), setup and summary
    included. The count is exact for a given build, so the bound pins
-   the main loop's per-invocation allocation. *)
-let words_per_invocation_budget = 400.0
+   the main loop's per-invocation allocation: jobs, queue cells, the
+   decisions and the results, with no per-pass dispatcher plan and no
+   boxed statistics. That is about 61 words; the dispatcher's old
+   per-pass lists and closures add 18, and the old dispatcher and
+   statistics together bring it to about 310. *)
+let words_per_invocation_budget = 70.0
 
 let test_allocation_budget () =
   let module Common = Rtlf_experiments.Common in

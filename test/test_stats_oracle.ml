@@ -234,6 +234,24 @@ let test_sort_matches_stdlib () =
            P.float_in g ~lo:(-1.0) ~hi:1.0))
   done
 
+(* Sorting a flat float array needs no heap: a comparison that is not
+   inlined boxes both floats it is passed, about 70 words per element at
+   this size. The bound leaves room for the few floats the sift loops
+   box per step. *)
+let sort_words_per_element = 4.0
+
+let test_sort_alloc_budget () =
+  let g = Test_support.prng () in
+  let module P = Rtlf_engine.Prng in
+  let n = 10_000 in
+  let xs = Array.init n (fun _ -> P.float_in g ~lo:(-1.0) ~hi:1.0) in
+  let before = Gc.minor_words () in
+  Stats.sort_floats xs;
+  let per_element = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_element > sort_words_per_element then
+    Alcotest.failf "%.1f minor words per element (budget %.0f)" per_element
+      sort_words_per_element
+
 let test_histogram_matches_percentile () =
   let g = Test_support.prng () in
   let module P = Rtlf_engine.Prng in
@@ -284,5 +302,7 @@ let () =
         [
           Alcotest.test_case "sort_floats = Array.sort Float.compare" `Quick
             test_sort_matches_stdlib;
+          Alcotest.test_case "sort_floats allocation budget" `Quick
+            test_sort_alloc_budget;
         ] );
     ]
