@@ -269,7 +269,8 @@ let bench_queue_hold ~n =
     Rtlf_engine.Event_queue.add q ~time:(delta ()) ()
   done;
   Staged.stage (fun () ->
-      let t, () = Rtlf_engine.Event_queue.pop_exn q in
+      let t = Rtlf_engine.Event_queue.min_time q in
+      Rtlf_engine.Event_queue.pop_payload q;
       Rtlf_engine.Event_queue.add q ~time:(t + delta ()) ())
 
 (* Built on demand (--scale): the 10^5-job scenes are too expensive to

@@ -26,8 +26,9 @@ module Job = Rtlf_model.Job
       rebuild.
 
    The rebuild works on flat arrays indexed by a job's position in
-   [jobs]: each live job's remaining cost is walked once, its PUD is
-   stored unboxed, and both sorts permute ints. The only jobs held
+   [jobs]: each live job's remaining cost is read once (an O(1) lookup
+   in the simulator's per-run suffix-cost table), its PUD is stored
+   unboxed, and both sorts permute ints. The only jobs held
    across calls are the cached array and decision.
 
    The abstract ops charges are the paper's complexity model, not a
@@ -68,7 +69,7 @@ type scratch = {
 let empty_decision =
   { Scheduler.dispatch = None; aborts = []; rejected = []; schedule = []; ops = 0 }
 
-(* [Pud.of_job]'s arithmetic on an already-walked remaining cost.
+(* [Pud.of_job]'s arithmetic on an already-read remaining cost.
    Inlined so the quotient lands unboxed in the caller. *)
 let[@inline] pud ~now job rem =
   let finish = now + rem in

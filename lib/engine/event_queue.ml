@@ -79,23 +79,26 @@ let peek q =
 
 let min_time q = if q.size = 0 then max_int else q.heap.(0).time
 
+(* Remove the root cell and return it; [q] must not be empty. *)
+let remove_min q =
+  let c = q.heap.(0) in
+  q.size <- q.size - 1;
+  if q.size > 0 then begin
+    q.heap.(0) <- q.heap.(q.size);
+    sift_down q 0
+  end;
+  q.heap.(q.size) <- dummy_cell ();
+  c
+
 let pop q =
   if q.size = 0 then None
-  else begin
-    let c = q.heap.(0) in
-    q.size <- q.size - 1;
-    if q.size > 0 then begin
-      q.heap.(0) <- q.heap.(q.size);
-      sift_down q 0
-    end;
-    q.heap.(q.size) <- dummy_cell ();
+  else
+    let c = remove_min q in
     Some (c.time, c.payload)
-  end
 
-let pop_exn q =
-  match pop q with
-  | Some x -> x
-  | None -> invalid_arg "Event_queue.pop_exn: empty queue"
+let pop_payload q =
+  if q.size = 0 then invalid_arg "Event_queue.pop_payload: empty queue";
+  (remove_min q).payload
 
 let clear q =
   (* Retain the backing array: a cleared queue is about to be refilled

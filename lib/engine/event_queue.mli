@@ -32,9 +32,10 @@ val pop : 'a t -> (int * 'a) option
 (** [pop q] removes and returns the earliest [(time, event)] pair, or
     [None] if [q] is empty. *)
 
-val pop_exn : 'a t -> int * 'a
-(** [pop_exn q] is [pop q] but raises [Invalid_argument] on an empty
-    queue. *)
+val pop_payload : 'a t -> 'a
+(** [pop_payload q] removes the earliest event and returns its payload
+    alone (read its key first with {!min_time}). It allocates nothing.
+    Raises [Invalid_argument] on an empty queue. *)
 
 val clear : 'a t -> unit
 (** [clear q] removes every event. Cleared payloads become collectable

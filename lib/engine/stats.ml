@@ -99,29 +99,35 @@ let[@inline] maxson (a : float array) l i =
   else if i31 < l then i31
   else -1
 
-let rec trickle (a : float array) l i e =
-  let j = maxson a l i in
-  if j >= 0 && fcmp a.(j) e > 0 then begin
-    a.(i) <- a.(j);
-    trickle a l j e
-  end
-  else a.(i) <- e
+(* The sift steps are loops over an index, not recursive functions: a
+   float passed to a call is boxed, and [e] moves through every step.
+   Each one writes exactly where Stdlib's recursive version does. *)
+let[@inline] trickle (a : float array) l i e =
+  let i = ref i and j = ref (maxson a l i) in
+  while !j >= 0 && fcmp a.(!j) e > 0 do
+    a.(!i) <- a.(!j);
+    i := !j;
+    j := maxson a l !j
+  done;
+  a.(!i) <- e
 
-let rec bubble (a : float array) l i =
-  let j = maxson a l i in
-  if j < 0 then i
-  else begin
-    a.(i) <- a.(j);
-    bubble a l j
-  end
+let[@inline] bubble (a : float array) l i =
+  let i = ref i and j = ref (maxson a l i) in
+  while !j >= 0 do
+    a.(!i) <- a.(!j);
+    i := !j;
+    j := maxson a l !j
+  done;
+  !i
 
-let rec trickleup (a : float array) i e =
-  let father = (i - 1) / 3 in
-  if fcmp a.(father) e < 0 then begin
-    a.(i) <- a.(father);
-    if father > 0 then trickleup a father e else a.(0) <- e
-  end
-  else a.(i) <- e
+let[@inline] trickleup (a : float array) i e =
+  let i = ref i in
+  while !i > 0 && fcmp a.((!i - 1) / 3) e < 0 do
+    let father = (!i - 1) / 3 in
+    a.(!i) <- a.(father);
+    i := father
+  done;
+  a.(!i) <- e
 
 let sort_floats (a : float array) =
   let l = Array.length a in

@@ -5,42 +5,45 @@ type t = {
   jid : int;
   arrival : int;
   mutable state : state;
-  mutable segments : Segment.t list;
+  profile : Segment.t array;
+  mutable seg : int;
   mutable seg_progress : int;
   mutable holding : int list;
   mutable lock_pending : bool;
-  mutable attempt_snapshot : int option;
-  mutable access_enter : int option;
+  mutable attempt_snapshot : int;
+  mutable access_enter : int;
   mutable retries : int;
   mutable preemptions : int;
   mutable blocked_count : int;
-  mutable completion : int option;
+  mutable completion : int;
   mutable accrued : float;
   mutable last_core : int;
 }
 
-let of_segments ~task ~segments ~jid ~arrival =
+let of_profile ~task ~profile ~jid ~arrival =
   {
     task;
     jid;
     arrival;
     state = Ready;
-    segments;
+    profile;
+    seg = 0;
     seg_progress = 0;
     holding = [];
     lock_pending = false;
-    attempt_snapshot = None;
-    access_enter = None;
+    attempt_snapshot = -1;
+    access_enter = -1;
     retries = 0;
     preemptions = 0;
     blocked_count = 0;
-    completion = None;
+    completion = -1;
     accrued = 0.0;
     last_core = -1;
   }
 
 let create ~task ~jid ~arrival =
-  of_segments ~task ~segments:(Task.segments task) ~jid ~arrival
+  of_profile ~task ~profile:(Array.of_list (Task.segments task)) ~jid
+    ~arrival
 
 let dummy =
   let task =
@@ -52,16 +55,29 @@ let dummy =
 
 let absolute_critical_time j = j.arrival + Task.critical_time j.task
 
-let remaining_nominal j =
-  match j.segments with
-  | [] -> 0
-  | head :: tail ->
-    Segment.span head - j.seg_progress + Segment.total_span tail
+let profile_done j = j.seg >= Array.length j.profile
 
-let remaining_accesses j = Segment.count_accesses j.segments
+let remaining_nominal j =
+  if profile_done j then 0
+  else begin
+    let left = ref (-j.seg_progress) in
+    for k = j.seg to Array.length j.profile - 1 do
+      left := !left + Segment.span j.profile.(k)
+    done;
+    !left
+  end
+
+let remaining_accesses j =
+  let n = ref 0 in
+  for k = j.seg to Array.length j.profile - 1 do
+    match j.profile.(k) with
+    | Segment.Access _ -> incr n
+    | Segment.Compute _ | Segment.Lock _ | Segment.Unlock _ -> ()
+  done;
+  !n
 
 let current_segment j =
-  match j.segments with [] -> None | head :: _ -> Some head
+  if profile_done j then None else Some j.profile.(j.seg)
 
 let is_live j =
   match j.state with
@@ -76,19 +92,18 @@ let is_runnable j =
 let utility_at j ~now = Tuf.utility j.task.Task.tuf ~at:(now - j.arrival)
 
 let sojourn j =
-  match j.completion with None -> None | Some c -> Some (c - j.arrival)
+  if j.completion < 0 then None else Some (j.completion - j.arrival)
 
 let finish_segment j =
-  match j.segments with
-  | [] -> invalid_arg "Job.finish_segment: no segment remaining"
-  | _ :: tail ->
-    j.segments <- tail;
-    j.seg_progress <- 0;
-    j.lock_pending <- false;
-    j.attempt_snapshot <- None;
-    j.access_enter <- None
+  if profile_done j then
+    invalid_arg "Job.finish_segment: no segment remaining";
+  j.seg <- j.seg + 1;
+  j.seg_progress <- 0;
+  j.lock_pending <- false;
+  j.attempt_snapshot <- -1;
+  j.access_enter <- -1
 
 let restart_access j =
   j.seg_progress <- 0;
-  j.attempt_snapshot <- None;
+  j.attempt_snapshot <- -1;
   j.retries <- j.retries + 1

@@ -18,21 +18,29 @@ type t = {
   jid : int;              (** globally unique job id *)
   arrival : int;          (** absolute arrival time, ns *)
   mutable state : state;
-  mutable segments : Segment.t list;  (** remaining profile, head is current *)
+  profile : Segment.t array;
+      (** the task's execution profile, one array shared by all its
+          jobs; never mutated *)
+  mutable seg : int;
+      (** cursor: index in [profile] of the current segment;
+          [Array.length profile] once every segment is done *)
   mutable seg_progress : int;
-      (** ns of the head segment already executed *)
+      (** ns of the current segment already executed *)
   mutable holding : int list;
       (** shared objects currently locked (lock-based) *)
   mutable lock_pending : bool;
-      (** head access segment has issued its lock request *)
-  mutable attempt_snapshot : int option;
-      (** object version at the start of the current lock-free attempt *)
-  mutable access_enter : int option;
-      (** time the head access segment was first entered (for r/s) *)
+      (** current access segment has issued its lock request *)
+  mutable attempt_snapshot : int;
+      (** object version at the start of the current lock-free attempt
+          ([-1]: no attempt open) *)
+  mutable access_enter : int;
+      (** time the current access segment was first entered, for r/s
+          ([-1]: not entered yet) *)
   mutable retries : int;  (** lock-free retries suffered so far *)
   mutable preemptions : int;
   mutable blocked_count : int;
-  mutable completion : int option;  (** absolute completion time *)
+  mutable completion : int;
+      (** absolute completion time ([-1] until completed) *)
   mutable accrued : float;          (** utility credited on completion *)
   mutable last_core : int;
       (** core the job last ran on ([-1] before its first dispatch) —
@@ -41,13 +49,13 @@ type t = {
 
 val create : task:Task.t -> jid:int -> arrival:int -> t
 (** [create ~task ~jid ~arrival] is a fresh [Ready] job with the full
-    segment profile. *)
+    segment profile, built from [Task.segments task]. *)
 
-val of_segments :
-  task:Task.t -> segments:Segment.t list -> jid:int -> arrival:int -> t
-(** [of_segments ~task ~segments ~jid ~arrival] is [create] with the
-    profile [Task.segments task] already built: a simulator builds each
-    task's (immutable) list once per run and shares it between jobs. *)
+val of_profile :
+  task:Task.t -> profile:Segment.t array -> jid:int -> arrival:int -> t
+(** [of_profile ~task ~profile ~jid ~arrival] is [create] with the
+    profile array already built: a simulator builds each task's array
+    once per run and shares it between the task's jobs. *)
 
 val dummy : t
 (** [dummy] is an inert placeholder for the vacant slots of a
@@ -59,13 +67,19 @@ val absolute_critical_time : t -> int
 
 val remaining_nominal : t -> int
 (** [remaining_nominal j] is the ns of work left excluding sync
-    overheads: remaining head-segment span plus the tail. *)
+    overheads: the rest of the current segment's span plus the spans
+    after it. *)
 
 val remaining_accesses : t -> int
 (** [remaining_accesses j] counts access segments not yet completed. *)
 
 val current_segment : t -> Segment.t option
-(** [current_segment j] is the head of the remaining profile. *)
+(** [current_segment j] is the segment under the cursor, [None] once
+    the profile is done. *)
+
+val profile_done : t -> bool
+(** [profile_done j] is [true] once the cursor has passed every
+    segment. *)
 
 val is_live : t -> bool
 (** [is_live j] is [true] for [Ready], [Running] or [Blocked _]. *)
@@ -82,7 +96,7 @@ val sojourn : t -> int option
 (** [sojourn j] is [completion − arrival] once completed. *)
 
 val finish_segment : t -> unit
-(** [finish_segment j] pops the head segment and resets per-segment
+(** [finish_segment j] advances the cursor and resets per-segment
     bookkeeping ([seg_progress], [lock_pending], [attempt_snapshot],
     [access_enter]). Raises [Invalid_argument] if no segment
     remains. *)

@@ -136,9 +136,9 @@ type state = {
          arrivals come from [cursors] *)
   tasks : Task.t array; (* [cfg.tasks], in list order *)
   cursors : Uam.cursor array; (* per task, parallel to [tasks] *)
-  segments : Segment.t list array;
-      (* per task, parallel to [tasks]: each task's segment profile,
-         built once per run and shared by its jobs *)
+  profiles : Segment.t array array;
+      (* by task id: each task's segment profile, built once per run
+         and shared by its jobs *)
   mutable next_arrival : int;
       (* earliest pending arrival over [cursors] ([max_int] when none) *)
   mutable next_source : int;
@@ -155,7 +155,7 @@ type state = {
   statics : Rtlf_core.Static_mode.t array;
       (* parallel to [schedulers] in static mode (each scheduler is the
          wrapper of the corresponding instance); empty in dynamic *)
-  remaining : Job.t -> int; (* hoisted: depends only on [cfg.sync] *)
+  remaining : Job.t -> int; (* per run: see [remaining_of] *)
   trace : Trace.t;
   mutable now : int;
   cores : Cores.t;
@@ -266,20 +266,38 @@ let seg_cost sync = function
     | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } -> overhead
     | Sync.Lock_free _ | Sync.Ideal -> 0)
 
-let rec add_seg_costs sync acc = function
-  | [] -> acc
-  | s :: tail -> add_seg_costs sync (acc + seg_cost sync s) tail
+(* Each task's profile array, by task id (a gap in the ids gets an
+   empty profile). *)
+let profile_table (cfg : config) =
+  let n = 1 + List.fold_left (fun acc t -> max acc t.Task.id) (-1) cfg.tasks in
+  let profiles = Array.make n [||] in
+  List.iter
+    (fun t -> profiles.(t.Task.id) <- Array.of_list (Task.segments t))
+    cfg.tasks;
+  profiles
 
 (* Remaining CPU demand of a job including nominal sync overheads —
-   what the scheduler uses for PUD and feasibility. Depends only on
-   the sync model, so the per-state closure is built once in [run]; a
-   call builds none. *)
-let remaining_cost sync job =
-  match job.Job.segments with
-  | [] -> 0
-  | head :: tail ->
-    let head_left = Int.max 0 (seg_cost sync head - job.Job.seg_progress) in
-    add_seg_costs sync head_left tail
+   what the scheduler uses for PUD and feasibility. [sfx.(id).(k)] is
+   the [seg_cost] of task [id]'s segments from [k] on; two trailing
+   zeros make a finished job (cursor at the profile's length) read 0.
+   The current segment's cost is [sfx.(k) - sfx.(k+1)], so a call is
+   O(1) and allocates nothing. *)
+let remaining_of sync profiles =
+  let suffix profile =
+    let n = Array.length profile in
+    let s = Array.make (n + 2) 0 in
+    for k = n - 1 downto 0 do
+      s.(k) <- s.(k + 1) + seg_cost sync profile.(k)
+    done;
+    s
+  in
+  let sfx = Array.map suffix profiles in
+  fun job ->
+    let s = sfx.(job.Job.task.Task.id) and k = job.Job.seg in
+    let tail = s.(k + 1) in
+    Int.max 0 (s.(k) - tail - job.Job.seg_progress) + tail
+
+let remaining_cost cfg = remaining_of cfg.sync (profile_table cfg)
 
 let tracing st = Trace.enabled st.trace
 
@@ -326,11 +344,8 @@ let resolve st job =
   match job.Job.state with
   | Job.Completed ->
     st.completed.(i) <- st.completed.(i) + 1;
-    let sojourn =
-      match job.Job.completion with
-      | Some c -> c - job.Job.arrival
-      | None -> assert false
-    in
+    assert (job.Job.completion >= 0);
+    let sojourn = job.Job.completion - job.Job.arrival in
     if sojourn < Task.critical_time job.Job.task then
       st.met.(i) <- st.met.(i) + 1;
     Float_buffer.push_int st.completions i;
@@ -341,7 +356,7 @@ let resolve st job =
 
 let complete_job st job =
   job.Job.state <- Job.Completed;
-  job.Job.completion <- Some st.now;
+  job.Job.completion <- st.now;
   job.Job.accrued <- Job.utility_at job ~now:st.now;
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Complete job.Job.jid);
@@ -438,15 +453,19 @@ let preempt st ~by job =
   job.Job.preemptions <- job.Job.preemptions + 1;
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Preempt (job.Job.jid, by));
-  (match (st.cfg.sync, job.Job.segments) with
-  | Sync.Lock_free _, Segment.Access { obj; _ } :: _
-    when st.cfg.retry_on_any_preemption && job.Job.seg_progress > 0 ->
-    let lost = job.Job.seg_progress in
-    Job.restart_access job;
-    Contention.note_retry st.contention.(obj);
-    if tracing st then
-      Trace.record st.trace ~time:st.now
-        (Trace.Retry (job.Job.jid, obj, by, lost))
+  (match st.cfg.sync with
+  | Sync.Lock_free _
+    when st.cfg.retry_on_any_preemption && job.Job.seg_progress > 0
+         && not (Job.profile_done job) -> (
+    match job.Job.profile.(job.Job.seg) with
+    | Segment.Access { obj; _ } ->
+      let lost = job.Job.seg_progress in
+      Job.restart_access job;
+      Contention.note_retry st.contention.(obj);
+      if tracing st then
+        Trace.record st.trace ~time:st.now
+          (Trace.Retry (job.Job.jid, obj, by, lost))
+    | Segment.Compute _ | Segment.Lock _ | Segment.Unlock _ -> ())
   | _ -> ());
   Cores.vacate st.cores ~jid:job.Job.jid
 
@@ -675,7 +694,8 @@ let arrive st k =
   let jid = st.next_jid in
   st.next_jid <- st.next_jid + 1;
   let job =
-    Job.of_segments ~task ~segments:st.segments.(k) ~jid ~arrival:time
+    Job.of_profile ~task ~profile:st.profiles.(task.Task.id) ~jid
+      ~arrival:time
   in
   Live_view.add st.live job;
   Cores.admit st.cores job;
@@ -697,7 +717,7 @@ let rec process_due_events st n =
   if t <= st.now && t < st.cfg.horizon then begin
     if st.next_arrival <= expiry then arrive st st.next_source
     else begin
-      let _, jid = Event_queue.pop_exn st.queue in
+      let jid = Event_queue.pop_payload st.queue in
       match Live_view.find st.live ~jid with
       | None -> () (* already resolved *)
       | Some job -> abort_job st job
@@ -710,46 +730,44 @@ let rec process_due_events st n =
 
 (* Set up per-attempt bookkeeping before executing a slice. *)
 let prepare_attempt st job =
-  match job.Job.segments with
-  | Segment.Access { obj; _ } :: _ -> (
-    if job.Job.access_enter = None then job.Job.access_enter <- Some st.now;
-    match st.cfg.sync with
-    | Sync.Lock_free _ ->
-      if job.Job.seg_progress = 0 && job.Job.attempt_snapshot = None then
-        job.Job.attempt_snapshot <- Some (Resource.version st.objects obj)
-    | Sync.Lock_based _ | Sync.Spin _ | Sync.Ideal -> ())
-  | (Segment.Lock _ | Segment.Unlock _) :: _
-  | Segment.Compute _ :: _
-  | [] ->
-    ()
+  if not (Job.profile_done job) then
+    match job.Job.profile.(job.Job.seg) with
+    | Segment.Access { obj; _ } -> (
+      if job.Job.access_enter < 0 then job.Job.access_enter <- st.now;
+      match st.cfg.sync with
+      | Sync.Lock_free _ ->
+        if job.Job.seg_progress = 0 && job.Job.attempt_snapshot < 0 then
+          job.Job.attempt_snapshot <- Resource.version st.objects obj
+      | Sync.Lock_based _ | Sync.Spin _ | Sync.Ideal -> ())
+    | Segment.Lock _ | Segment.Unlock _ | Segment.Compute _ -> ()
 
 (* Nanoseconds until the running job's next boundary action. *)
 let next_step st job =
-  match job.Job.segments with
-  | [] -> 0
-  | Segment.Compute s :: _ -> Int.max 0 (s - job.Job.seg_progress)
-  | Segment.Access { work; _ } :: _ -> (
-    match st.cfg.sync with
-    | Sync.Ideal -> 0
-    | Sync.Lock_free { overhead } ->
-      Int.max 0 (overhead + work - job.Job.seg_progress)
-    | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } ->
-      if not job.Job.lock_pending then
+  if Job.profile_done job then 0
+  else
+    match job.Job.profile.(job.Job.seg) with
+    | Segment.Compute s -> Int.max 0 (s - job.Job.seg_progress)
+    | Segment.Access { work; _ } -> (
+      match st.cfg.sync with
+      | Sync.Ideal -> 0
+      | Sync.Lock_free { overhead } ->
+        Int.max 0 (overhead + work - job.Job.seg_progress)
+      | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } ->
+        if not job.Job.lock_pending then
+          Int.max 0 (overhead - job.Job.seg_progress)
+        else Int.max 0 ((2 * overhead) + work - job.Job.seg_progress))
+    | Segment.Lock _ | Segment.Unlock _ -> (
+      match st.cfg.sync with
+      | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } ->
         Int.max 0 (overhead - job.Job.seg_progress)
-      else Int.max 0 ((2 * overhead) + work - job.Job.seg_progress))
-  | (Segment.Lock _ | Segment.Unlock _) :: _ -> (
-    match st.cfg.sync with
-    | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } ->
-      Int.max 0 (overhead - job.Job.seg_progress)
-    | Sync.Lock_free _ | Sync.Ideal -> 0)
+      | Sync.Lock_free _ | Sync.Ideal -> 0)
 
 (* Close a finished access: sample its duration and mark it in the
    trace. *)
 let access_done st job obj =
-  (match job.Job.access_enter with
-  | Some enter ->
-    Stats.add st.access_samples (float_of_int (st.now - enter))
-  | None -> Stats.add st.access_samples 0.0);
+  let enter = job.Job.access_enter in
+  Stats.add st.access_samples
+    (if enter >= 0 then float_of_int (st.now - enter) else 0.0);
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Access_done (job.Job.jid, obj))
 
@@ -791,69 +809,72 @@ let release st job obj ~write =
    any release — a spin release ends a non-preemptable section). *)
 let finish_or st job k =
   Job.finish_segment job;
-  if job.Job.segments = [] then begin
+  if Job.profile_done job then begin
     complete_job st job;
     `Sched_event
   end
   else k
 
 let boundary st job =
-  match job.Job.segments with
-  | [] ->
+  if Job.profile_done job then begin
     complete_job st job;
     `Sched_event
-  | Segment.Compute _ :: _ -> finish_or st job `Continue
-  | Segment.Lock obj :: _ -> (
-    match st.cfg.sync with
-    | Sync.Lock_free _ | Sync.Ideal ->
-      (* The lock-free model excludes nested sections (§3.3): lock
-         markers are skipped at zero cost. *)
-      finish_or st job `Continue
-    | Sync.Lock_based _ | Sync.Spin _ ->
-      if job.Job.lock_pending then begin
-        (* Woken after waiting: the lock manager already granted the
-           object on release (see [wake_new_owner]). *)
-        assert (List.mem obj job.Job.holding);
-        Job.finish_segment job;
+  end
+  else
+    match job.Job.profile.(job.Job.seg) with
+    | Segment.Compute _ -> finish_or st job `Continue
+    | Segment.Lock obj -> (
+      match st.cfg.sync with
+      | Sync.Lock_free _ | Sync.Ideal ->
+        (* The lock-free model excludes nested sections (§3.3): lock
+           markers are skipped at zero cost. *)
+        finish_or st job `Continue
+      | Sync.Lock_based _ | Sync.Spin _ ->
+        if job.Job.lock_pending then begin
+          (* Woken after waiting: the lock manager already granted the
+             object on release (see [wake_new_owner]). *)
+          assert (List.mem obj job.Job.holding);
+          Job.finish_segment job;
+          `Continue
+        end
+        else if acquire st job obj then finish_or st job (acquire_event st)
+        else acquire_event st)
+    | Segment.Unlock obj -> (
+      match st.cfg.sync with
+      | Sync.Lock_free _ | Sync.Ideal -> finish_or st job `Continue
+      | Sync.Lock_based _ | Sync.Spin _ ->
+        release st job obj ~write:true;
+        finish_or st job `Sched_event)
+    | Segment.Access { obj; work = _; write } -> (
+      let snap = job.Job.attempt_snapshot in
+      match st.cfg.sync with
+      | Sync.Lock_free _
+        when snap >= 0 && snap <> Resource.version st.objects obj ->
+        (* Attempt finished but invalidated by a peer's commit: retry. *)
+        let lost = job.Job.seg_progress in
+        Job.restart_access job;
+        Contention.note_retry st.contention.(obj);
+        if tracing st then
+          Trace.record st.trace ~time:st.now
+            (Trace.Retry (job.Job.jid, obj, st.last_writer.(obj), lost));
         `Continue
-      end
-      else if acquire st job obj then finish_or st job (acquire_event st)
-      else acquire_event st)
-  | Segment.Unlock obj :: _ -> (
-    match st.cfg.sync with
-    | Sync.Lock_free _ | Sync.Ideal -> finish_or st job `Continue
-    | Sync.Lock_based _ | Sync.Spin _ ->
-      release st job obj ~write:true;
-      finish_or st job `Sched_event)
-  | Segment.Access { obj; work = _; write } :: _ -> (
-    match (st.cfg.sync, job.Job.attempt_snapshot) with
-    | Sync.Lock_free _, Some snap when snap <> Resource.version st.objects obj
-      ->
-      (* Attempt finished but invalidated by a peer's commit: retry. *)
-      let lost = job.Job.seg_progress in
-      Job.restart_access job;
-      Contention.note_retry st.contention.(obj);
-      if tracing st then
-        Trace.record st.trace ~time:st.now
-          (Trace.Retry (job.Job.jid, obj, st.last_writer.(obj), lost));
-      `Continue
-    | (Sync.Lock_free _ | Sync.Ideal), _ ->
-      (* Only writers invalidate peers' in-flight attempts. *)
-      if write then commit_write st job.Job.jid obj;
-      Resource.record_access st.objects obj;
-      Contention.note_acquire st.contention.(obj);
-      access_done st job obj;
-      finish_or st job `Continue
-    | (Sync.Lock_based _ | Sync.Spin _), _ ->
-      if not job.Job.lock_pending then begin
-        ignore (acquire st job obj : bool);
-        acquire_event st
-      end
-      else begin
-        release st job obj ~write;
+      | Sync.Lock_free _ | Sync.Ideal ->
+        (* Only writers invalidate peers' in-flight attempts. *)
+        if write then commit_write st job.Job.jid obj;
+        Resource.record_access st.objects obj;
+        Contention.note_acquire st.contention.(obj);
         access_done st job obj;
-        finish_or st job `Sched_event
-      end)
+        finish_or st job `Continue
+      | Sync.Lock_based _ | Sync.Spin _ ->
+        if not job.Job.lock_pending then begin
+          ignore (acquire st job obj : bool);
+          acquire_event st
+        end
+        else begin
+          release st job obj ~write;
+          access_done st job obj;
+          finish_or st job `Sched_event
+        end)
 
 (* Charge [delta] ns to every core [run_slice] found occupied; only
    occupants with a step (not spin-waiting) make segment progress. *)
@@ -1050,9 +1071,9 @@ let run cfg =
     | Sync.Lock_free _, Rua -> true
     | _ -> false
   in
-  let n_tasks =
-    1 + List.fold_left (fun acc t -> max acc t.Task.id) (-1) cfg.tasks
-  in
+  let profiles = profile_table cfg in
+  let remaining = remaining_of cfg.sync profiles in
+  let n_tasks = Array.length profiles in
   let n_schedulers =
     match cfg.dispatch with
     | Cores.Global -> 1
@@ -1066,8 +1087,7 @@ let run cfg =
          reused across instances (all mutation happens inside decide
          calls, which the virtual clock serializes). *)
       let plan =
-        Rtlf_core.Static_mode.plan ~tasks:cfg.tasks
-          ~remaining:(remaining_cost cfg.sync)
+        Rtlf_core.Static_mode.plan ~tasks:cfg.tasks ~remaining
       in
       let algo =
         match cfg.sched with
@@ -1094,7 +1114,7 @@ let run cfg =
       queue = Event_queue.create ();
       tasks;
       cursors;
-      segments = Array.map Task.segments tasks;
+      profiles;
       next_arrival = max_int;
       next_source = -1;
       objects;
@@ -1104,7 +1124,7 @@ let run cfg =
            Array.init n_schedulers (fun _ -> make_scheduler cfg locks)
          else Array.map Rtlf_core.Static_mode.scheduler statics);
       statics;
-      remaining = remaining_cost cfg.sync;
+      remaining;
       trace = Trace.create ?capacity:cfg.trace_capacity ~enabled:cfg.trace ();
       now = 0;
       cores = Cores.create ~m:cfg.cores ~policy:cfg.dispatch;

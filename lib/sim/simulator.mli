@@ -157,6 +157,17 @@ val run : config -> result
     ids, out-of-range object references, non-positive horizon, fewer
     than one core). *)
 
+val remaining_cost : config -> Rtlf_model.Job.t -> int
+(** [remaining_cost cfg] is the remaining-demand function [run cfg]
+    hands every decider: [remaining_cost cfg job] is the CPU ns [job]
+    still needs under [cfg.sync]'s nominal costs (an access costs
+    {!Sync.nominal_access_cost}; a lock marker costs [overhead] under
+    lock-based and spin sync and nothing under lock-free and ideal),
+    less the progress on its current segment, floored at 0 for that
+    segment. The per-task suffix sums are built once when the function
+    is made, so each call is O(1). [job]'s task must be one of
+    [cfg.tasks]. *)
+
 val scheduler_name : config -> string
 (** [scheduler_name cfg] is the name of the scheduler [run] would
     instantiate. *)

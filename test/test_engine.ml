@@ -174,6 +174,51 @@ let prop_eq_sorted =
       let order = List.map fst (Event_queue.drain q) in
       order = List.sort compare times)
 
+(* [pop_payload] after [min_time] yields exactly the (time, event)
+   sequence [pop] does, ties included. *)
+let prop_eq_pop_payload_order =
+  QCheck.Test.make ~name:"min_time + pop_payload = pop" ~count:200
+    QCheck.(list (int_bound 50))
+    (fun times ->
+      let a = Event_queue.create () and b = Event_queue.create () in
+      List.iteri
+        (fun i t ->
+          Event_queue.add a ~time:t i;
+          Event_queue.add b ~time:t i)
+        times;
+      let rec agree () =
+        match Event_queue.pop a with
+        | None -> Event_queue.is_empty b
+        | Some (t, e) ->
+          let t' = Event_queue.min_time b in
+          let e' = Event_queue.pop_payload b in
+          t = t' && e = e' && agree ()
+      in
+      agree ())
+
+let test_eq_pop_payload_empty () =
+  let q : int Event_queue.t = Event_queue.create () in
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Event_queue.pop_payload: empty queue") (fun () ->
+      ignore (Event_queue.pop_payload q))
+
+(* The simulator pops one expiry per critical time, so the pop must not
+   allocate: [pop]'s option and pair cost 5 words. *)
+let test_eq_pop_payload_allocation () =
+  let n = 1_000 in
+  let q = Event_queue.create () in
+  for i = 0 to n - 1 do
+    Event_queue.add q ~time:((i * 7919) mod n) i
+  done;
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    sum := !sum + Event_queue.pop_payload q
+  done;
+  let per_pop = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "every payload popped" (n * (n - 1) / 2) !sum;
+  Alcotest.(check (float 0.0)) "minor words per pop" 0.0 per_pop
+
 (* --- prng ------------------------------------------------------------- *)
 
 let test_prng_deterministic () =
@@ -393,7 +438,12 @@ let () =
             test_eq_clear_releases_payloads;
           Alcotest.test_case "filter releases payloads" `Quick
             test_eq_filter_releases_payloads;
+          Alcotest.test_case "pop_payload on empty" `Quick
+            test_eq_pop_payload_empty;
+          Alcotest.test_case "pop_payload allocates nothing" `Quick
+            test_eq_pop_payload_allocation;
           Test_support.to_alcotest prop_eq_sorted;
+          Test_support.to_alcotest prop_eq_pop_payload_order;
         ] );
       ( "prng",
         [

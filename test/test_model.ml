@@ -139,18 +139,18 @@ let test_job_utility_and_sojourn () =
   Alcotest.(check (float 1e-9)) "utility at ct" 0.0
     (Job.utility_at j ~now:1100);
   Alcotest.(check bool) "no sojourn yet" true (Job.sojourn j = None);
-  j.Job.completion <- Some 700;
+  j.Job.completion <- 700;
   Alcotest.(check bool) "sojourn" true (Job.sojourn j = Some 600)
 
 let test_job_restart_access () =
   let t = mk_task ~exec:0 ~accesses:[ (0, 10) ] () in
   let j = Job.create ~task:t ~jid:0 ~arrival:0 in
   j.Job.seg_progress <- 7;
-  j.Job.attempt_snapshot <- Some 3;
+  j.Job.attempt_snapshot <- 3;
   Job.restart_access j;
   Alcotest.(check int) "progress reset" 0 j.Job.seg_progress;
   Alcotest.(check bool) "snapshot cleared" true
-    (j.Job.attempt_snapshot = None);
+    (j.Job.attempt_snapshot = -1);
   Alcotest.(check int) "retry counted" 1 j.Job.retries
 
 let test_job_finish_segment_empty () =

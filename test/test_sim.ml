@@ -477,34 +477,58 @@ let test_retry_tails_per_task () =
 
 (* --- allocation budget ------------------------------------------------ *)
 
-(* Minor-heap words per scheduler invocation of the paper's base regime
-   (10 tasks, AL 0.5, lock-free RUA, full horizon), setup and summary
-   included. The count is exact for a given build, so the bound pins
-   the main loop's per-invocation allocation: jobs, queue cells, the
-   decisions and the results, with no per-pass dispatcher plan and no
-   boxed statistics. That is about 61 words; the dispatcher's old
-   per-pass lists and closures add 18, and the old dispatcher and
-   statistics together bring it to about 310. *)
-let words_per_invocation_budget = 70.0
-
-let test_allocation_budget () =
+(* Minor-heap words per scheduler invocation of one RUA run, setup and
+   summary included. The count is exact for a given build, so a bound
+   pins the main loop's per-invocation allocation: jobs, queue cells,
+   the decisions and the results, with no per-pass dispatcher plan, no
+   boxed statistics, no option in a job's per-access bookkeeping and no
+   pair from an expiry pop. *)
+let words_per_invocation ~tasks ~sync ~mode =
   let module Common = Rtlf_experiments.Common in
-  let tasks =
-    Workload.make { Workload.default with Workload.target_al = 0.5 }
-  in
   let cfg =
-    Simulator.config ~tasks ~sync:Common.lock_free ~sched:Simulator.Rua
-      ~horizon:(Common.horizon_for Common.Full tasks)
+    Simulator.config ~tasks ~sync ~sched:Simulator.Rua
+      ~horizon:(Common.horizon_for mode tasks)
       ~seed:1 ~sched_base:Common.sched_base ~sched_per_op:Common.sched_per_op
       ()
   in
   let before = Gc.minor_words () in
   let res = Simulator.run cfg in
   let words = Gc.minor_words () -. before in
-  let per_inv = words /. float_of_int res.Simulator.sched_invocations in
-  if per_inv > words_per_invocation_budget then
-    Alcotest.failf "%.1f minor words per invocation (budget %.0f)" per_inv
-      words_per_invocation_budget
+  words /. float_of_int res.Simulator.sched_invocations
+
+let check_budget ~budget per_inv =
+  if per_inv > budget then
+    Alcotest.failf "%.2f minor words per invocation (budget %.0f)" per_inv
+      budget
+
+(* The paper's base regime (10 tasks, AL 0.5, lock-free RUA, full
+   horizon) reads 50.4 words in the dev build (47.8 release). An
+   [int option] access-entry time instead of the [-1] sentinel reads
+   53.1; the option snapshots, the expiry pop's pair and the boxing
+   heap sort together read 61.3. *)
+let words_per_invocation_budget = 52.0
+
+let test_allocation_budget () =
+  let module Common = Rtlf_experiments.Common in
+  let tasks =
+    Workload.make { Workload.default with Workload.target_al = 0.5 }
+  in
+  check_budget ~budget:words_per_invocation_budget
+    (words_per_invocation ~tasks ~sync:Common.lock_free ~mode:Common.Full)
+
+(* [smp]'s one-core workload (10 accesses a job) under ticket spin locks
+   at [Fast]: every access is entered and every release is a scheduling
+   event. It reads 79.9 words in the dev build (78.5 release); an
+   [int option] access-entry time reads 81.4, and the option
+   snapshots, the expiry pop's pair and the boxing heap sort together
+   read 84.7. *)
+let spin_words_per_invocation_budget = 81.0
+
+let test_spin_allocation_budget () =
+  let module Common = Rtlf_experiments.Common in
+  let tasks = Workload.make (Rtlf_experiments.Smp.spec ~cores:1) in
+  check_budget ~budget:spin_words_per_invocation_budget
+    (words_per_invocation ~tasks ~sync:Common.spin_ticket ~mode:Common.Fast)
 
 (* The incremental deciders key their cross-invocation caches on the
    physical identity of the jobs array [Live_view.view] hands them.
@@ -611,6 +635,8 @@ let () =
         [
           Alcotest.test_case "words per invocation within budget" `Quick
             test_allocation_budget;
+          Alcotest.test_case "spin words per invocation within budget" `Quick
+            test_spin_allocation_budget;
         ] );
       ( "sync",
         [
