@@ -100,25 +100,6 @@ let pop_payload q =
   if q.size = 0 then invalid_arg "Event_queue.pop_payload: empty queue";
   (remove_min q).payload
 
-let clear q =
-  (* Retain the backing array: a cleared queue is about to be refilled
-     (sweeps reuse one queue per run), and dropping to [||] forces the
-     next run to re-grow from capacity 16 doubling by doubling. Only the
-     live prefix needs scrubbing — slots >= size already hold the
-     sentinel. *)
-  for i = 0 to q.size - 1 do
-    q.heap.(i) <- dummy_cell ()
-  done;
-  q.size <- 0
-
-let capacity q = Array.length q.heap
-
-let drain q =
-  let rec loop acc =
-    match pop q with None -> List.rev acc | Some x -> loop (x :: acc)
-  in
-  loop []
-
 let to_list q =
   let cells = Array.sub q.heap 0 q.size in
   let order a b =
@@ -126,24 +107,3 @@ let to_list q =
   in
   Array.sort order cells;
   Array.to_list (Array.map (fun c -> (c.time, c.payload)) cells)
-
-let filter_in_place q keep =
-  (* Compact survivors to the array prefix (stable, so the original
-     sequence numbers — and hence tie order — are untouched), scrub the
-     vacated tail with the sentinel so dropped payloads are not kept
-     alive, then restore the heap invariant bottom-up (Floyd, O(n)). *)
-  let m = ref 0 in
-  for i = 0 to q.size - 1 do
-    let c = q.heap.(i) in
-    if keep c.time c.payload then begin
-      q.heap.(!m) <- c;
-      incr m
-    end
-  done;
-  for i = !m to q.size - 1 do
-    q.heap.(i) <- dummy_cell ()
-  done;
-  q.size <- !m;
-  for i = (q.size / 2) - 1 downto 0 do
-    sift_down q i
-  done

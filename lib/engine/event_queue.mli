@@ -30,35 +30,14 @@ val min_time : 'a t -> int
 
 val pop : 'a t -> (int * 'a) option
 (** [pop q] removes and returns the earliest [(time, event)] pair, or
-    [None] if [q] is empty. *)
+    [None] if [q] is empty. The queue never keeps more payloads
+    reachable than {!length} reports: popped events are released to the
+    GC. *)
 
 val pop_payload : 'a t -> 'a
 (** [pop_payload q] removes the earliest event and returns its payload
     alone (read its key first with {!min_time}). It allocates nothing.
     Raises [Invalid_argument] on an empty queue. *)
-
-val clear : 'a t -> unit
-(** [clear q] removes every event. Cleared payloads become collectable
-    immediately (live slots are scrubbed with a sentinel), but the
-    backing storage is retained so a clear-then-refill cycle performs no
-    fresh allocation up to the previous capacity. The queue never keeps
-    more payloads reachable than {!length} reports: popped, filtered and
-    cleared events are released to the GC. *)
-
-val capacity : 'a t -> int
-(** [capacity q] is the current size of the backing storage (slots, not
-    live events). Exposed so reuse-sensitive callers and tests can
-    verify that {!clear} retains capacity. *)
-
-val drain : 'a t -> (int * 'a) list
-(** [drain q] removes and returns all events in dequeue order. *)
-
-val filter_in_place : 'a t -> (int -> 'a -> bool) -> unit
-(** [filter_in_place q keep] removes every event [e] at time [t] for
-    which [keep t e] is [false]. Dequeue order of survivors is
-    preserved; removed payloads become collectable immediately. [keep]
-    is called once per event in an unspecified order. Costs O(n) with
-    no intermediate list (in-place compaction + bottom-up heapify). *)
 
 val to_list : 'a t -> (int * 'a) list
 (** [to_list q] is the queue contents in dequeue order, without

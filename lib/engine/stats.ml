@@ -416,10 +416,4 @@ module P2 = struct
     }
 
   let empty_tails = { n = 0; p50 = nan; p90 = nan; p99 = nan; p999 = nan }
-
-  let pp_tails fmt t =
-    if t.n = 0 then Format.pp_print_string fmt "(no samples)"
-    else
-      Format.fprintf fmt "n=%d p50=%.4g p90=%.4g p99=%.4g p999=%.4g" t.n
-        t.p50 t.p90 t.p99 t.p999
 end

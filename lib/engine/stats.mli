@@ -74,15 +74,13 @@ type histogram = {
 (** A latency distribution: tail percentiles plus uniform-width
     buckets over [\[min, max\]]. *)
 
-val empty_histogram : histogram
-(** The histogram of no samples ([n = 0], percentiles [nan]). *)
-
 val histogram : ?bins:int -> float array -> histogram
 (** [histogram ~bins xs] buckets [xs] into [bins] (default 10)
     uniform-width buckets and computes p50/p90/p99. NaN samples are
-    dropped first and do not count towards [n]. Returns
-    {!empty_histogram} when no non-NaN sample remains; raises
-    [Invalid_argument] when [bins <= 0]. *)
+    dropped first and do not count towards [n]. Returns the histogram
+    of no samples ([n = 0], percentiles [nan], no buckets) when no
+    non-NaN sample remains; raises [Invalid_argument] when
+    [bins <= 0]. *)
 
 val bar_width : int
 (** Width in characters of the modal bucket's bar in
@@ -143,6 +141,4 @@ module P2 : sig
 
   val empty_tails : tails
   (** The tails of no samples ([n = 0], quantiles [nan]). *)
-
-  val pp_tails : Format.formatter -> tails -> unit
 end

@@ -39,7 +39,6 @@ let table fmt ~header ~rows =
   List.iter print_row rows
 
 let f2 v = Printf.sprintf "%.2f" v
-let f3 v = Printf.sprintf "%.3f" v
 let pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
 let ns_us v = Printf.sprintf "%.2fus" (v /. 1000.0)
 

@@ -18,9 +18,6 @@ val table :
 val f2 : float -> string
 (** [f2 v] formats with two decimals. *)
 
-val f3 : float -> string
-(** [f3 v] formats with three significant decimals. *)
-
 val pct : float -> string
 (** [pct v] formats a ratio as a percentage with one decimal. *)
 

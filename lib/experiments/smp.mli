@@ -21,9 +21,6 @@ type row = {
   cells : cell list;  (** one per sync discipline, in {!syncs} order *)
 }
 
-val default_cores : int list
-(** [[1; 2; 4]] — the acceptance sweep. *)
-
 val syncs : (string * Rtlf_sim.Sync.t) list
 (** The compared disciplines: lock-based, lock-free, spin-ticket,
     spin-mcs. *)
@@ -33,7 +30,8 @@ val spec : cores:int -> Rtlf_workload.Workload.spec
     tasks. *)
 
 val points : ?cores:int list -> unit -> (int * Rtlf_sim.Cores.policy) list
-(** The (core count, dispatch) grid; [Partitioned] only appears for
+(** The (core count, dispatch) grid over [cores] (default
+    [[1; 2; 4]], the acceptance sweep); [Partitioned] only appears for
     m > 1 (both policies coincide on one core). *)
 
 val compute :

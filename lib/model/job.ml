@@ -15,6 +15,7 @@ type t = {
   mutable retries : int;
   mutable preemptions : int;
   mutable blocked_count : int;
+  mutable block_start : int;
   mutable completion : int;
   mutable accrued : float;
   mutable last_core : int;
@@ -36,6 +37,7 @@ let of_profile ~task ~profile ~jid ~arrival =
     retries = 0;
     preemptions = 0;
     blocked_count = 0;
+    block_start = -1;
     completion = -1;
     accrued = 0.0;
     last_core = -1;

@@ -27,7 +27,10 @@ type t = {
   mutable seg_progress : int;
       (** ns of the current segment already executed *)
   mutable holding : int list;
-      (** shared objects currently locked (lock-based) *)
+      (** unused by the library: the lock table
+          ({!Lock_manager.holding}) is the one record of held objects,
+          and [lib/] neither reads nor writes this field. Only the
+          benchmark replay ([bench/e2e/layers.ml]) still keeps it. *)
   mutable lock_pending : bool;
       (** current access segment has issued its lock request *)
   mutable attempt_snapshot : int;
@@ -39,6 +42,9 @@ type t = {
   mutable retries : int;  (** lock-free retries suffered so far *)
   mutable preemptions : int;
   mutable blocked_count : int;
+  mutable block_start : int;
+      (** time the open blocking span began ([-1]: not blocked); the
+          object is the one [Blocked] names *)
   mutable completion : int;
       (** absolute completion time ([-1] until completed) *)
   mutable accrued : float;          (** utility credited on completion *)

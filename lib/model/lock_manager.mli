@@ -5,7 +5,12 @@
     holds which object, who waits on whom, computes the transitive
     dependency chain of a job by following request-and-ownership edges,
     and detects cycles (a necessary condition for deadlock under nested
-    critical sections). Jobs are identified by their [jid]. *)
+    critical sections). Jobs are identified by their [jid] ([>= 0]).
+
+    It is the only record of these facts: the table lives on arrays
+    sized once from the registry (each object's holder, grant stamp and
+    FIFO of waiters), and per-job facts are read off them. An
+    uncontended {!request} + {!release} pair allocates nothing. *)
 
 type t
 (** Mutable lock table over a fixed object registry. *)
@@ -20,8 +25,12 @@ val owner : t -> obj:int -> int option
 (** [owner tbl ~obj] is the jid currently holding [obj], if any. *)
 
 val holding : t -> jid:int -> int list
-(** [holding tbl ~jid] lists the objects held by [jid], most recent
-    first. *)
+(** [holding tbl ~jid] lists the objects held by [jid], most recently
+    granted first. *)
+
+val holds_any : t -> jid:int -> bool
+(** [holds_any tbl ~jid] is [holding tbl ~jid <> []], without
+    allocating. *)
 
 val waiting_for : t -> jid:int -> int option
 (** [waiting_for tbl ~jid] is the object [jid] is blocked on, if
@@ -30,11 +39,16 @@ val waiting_for : t -> jid:int -> int option
 val waiters : t -> obj:int -> int list
 (** [waiters tbl ~obj] is the FIFO queue of jids blocked on [obj]. *)
 
+val queue_length : t -> obj:int -> int
+(** [queue_length tbl ~obj] is [List.length (waiters tbl ~obj)], without
+    allocating. *)
+
 val request : t -> jid:int -> obj:int -> grant
 (** [request tbl ~jid ~obj] acquires [obj] for [jid] if free (or
     already held by [jid] — the lock is reentrant only in that trivial
     sense), otherwise enqueues [jid] as a waiter and returns the
-    blocking owner. *)
+    blocking owner. A waiting job must not request. Raises
+    [Invalid_argument] on a negative [jid]. *)
 
 val release : t -> jid:int -> obj:int -> int option
 (** [release tbl ~jid ~obj] releases [obj] and hands it to the head
@@ -48,8 +62,8 @@ val cancel_wait : t -> jid:int -> unit
 
 val release_all : t -> jid:int -> (int * int option) list
 (** [release_all tbl ~jid] releases every object held by [jid] (abort
-    path), returning [(obj, new_owner)] pairs in release order, and
-    cancels any pending wait of [jid]. *)
+    path), newest grant first, returning [(obj, new_owner)] pairs in
+    that release order, and cancels any pending wait of [jid]. *)
 
 val dependency_chain : t -> jid:int -> int list
 (** [dependency_chain tbl ~jid] is the job's chain in the paper's
@@ -66,10 +80,11 @@ val find_cycle : t -> jid:int -> int list option
     otherwise. *)
 
 val blocked_jobs : t -> int list
-(** [blocked_jobs tbl] lists every waiting jid. *)
+(** [blocked_jobs tbl] lists every waiting jid, by object, each queue
+    in FIFO order. *)
 
 val assert_consistent : t -> unit
-(** [assert_consistent tbl] checks internal invariants (each object has
-    at most one owner; waiters wait on owned objects; no job both holds
-    and waits for the same object). Raises [Assert_failure] on
+(** [assert_consistent tbl] checks internal invariants (waiters wait on
+    owned objects; a job waits in at most one queue, once; no job both
+    holds and waits for the same object). Raises [Assert_failure] on
     violation — intended for tests. *)

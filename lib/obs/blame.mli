@@ -26,9 +26,6 @@ type t = {
   total_ns : int;     (** sum over all edges *)
 }
 
-val cause_name : cause -> string
-(** ["blocking"], ["preemption"], ["retry"], ["abort"]. *)
-
 val of_attribution : Attribution.t -> t
 (** Fold every resolved job's charges into task-level edges. [Own],
     [Sched] and [Idle] charges carry no culprit and are excluded; a

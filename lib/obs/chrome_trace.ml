@@ -12,8 +12,7 @@ let pid = 0
    dedicated "unattributed" lane before the scheduler's. *)
 let lanes spans =
   let max_task =
-    List.fold_left (fun acc (_, task) -> max acc task) (-1)
-      spans.Spans.task_of
+    Hashtbl.fold (fun _ task acc -> max acc task) spans.Spans.task_of (-1)
   in
   let unattributed = max_task + 1 in
   let scheduler = max_task + 2 in
@@ -181,7 +180,8 @@ let events trace =
   let spans = Spans.of_trace trace in
   let lane_of, unattributed, sched_lane = lanes spans in
   let tasks =
-    List.sort_uniq compare (List.map snd spans.Spans.task_of)
+    List.sort_uniq compare
+      (Hashtbl.fold (fun _ task acc -> task :: acc) spans.Spans.task_of [])
   in
   let meta =
     List.map

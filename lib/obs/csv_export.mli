@@ -34,19 +34,9 @@ val read_file : path:string -> (Rtlf_sim.Trace.t, string) result
 (** [read_file ~path] is {!of_string} on the contents of [path]
     ([Error] on I/O failure). *)
 
-val contention_header : string
-(** Header row for the per-object contention profile:
-    [obj,acquires,conflicts,retries,blocked_ns,max_queue_depth]. *)
-
-val contention_row : Rtlf_sim.Contention.t -> string
-(** [contention_row c] is one profile line (no trailing newline). *)
-
-val contention_to_string : Rtlf_sim.Contention.t array -> string
-(** [contention_to_string profile] is the contention-profile CSV
-    (what [rtlf sim --contention-csv] writes): one row per shared
-    object, header first. *)
-
 val write_contention_file :
   path:string -> Rtlf_sim.Contention.t array -> unit
-(** [write_contention_file ~path profile] writes
-    {!contention_to_string} to [path]. *)
+(** [write_contention_file ~path profile] writes the contention-profile
+    CSV (what [rtlf sim --contention-csv] writes) to [path]: the header
+    [obj,acquires,conflicts,retries,blocked_ns,max_queue_depth], then
+    one row per shared object. *)

@@ -15,9 +15,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
-(** [to_buffer buf j] appends the compact serialisation of [j]. *)
-
 val to_string : t -> string
 (** [to_string j] is the compact serialisation of [j]. *)
 

@@ -17,7 +17,7 @@ type t = {
   retries : span list;
   accesses : span list;
   sched : span list;
-  task_of : (int * int) list;
+  task_of : (int, int) Hashtbl.t;
   last_time : int;
   orphans : int;
 }
@@ -171,9 +171,9 @@ let of_trace trace =
     retries = List.rev !retries;
     accesses = List.rev !accesses;
     sched = List.rev !sched;
-    task_of = Hashtbl.fold (fun jid task acc -> (jid, task) :: acc) tasks [];
+    task_of = tasks;
     last_time;
     orphans = !orphans;
   }
 
-let task_of t ~jid = List.assoc_opt jid t.task_of
+let task_of t ~jid = Hashtbl.find_opt t.task_of jid

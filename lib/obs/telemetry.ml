@@ -35,16 +35,6 @@ let slot = function
   | Lock_conflicts -> 6
   | Backoff_spins -> 7
 
-let counter_name = function
-  | Reads -> "reads"
-  | Writes -> "writes"
-  | Cas_attempts -> "cas_attempts"
-  | Cas_failures -> "cas_failures"
-  | Fetch_adds -> "fetch_adds"
-  | Lock_acquires -> "lock_acquires"
-  | Lock_conflicts -> "lock_conflicts"
-  | Backoff_spins -> "backoff_spins"
-
 (* 64 shards × 16-word stride: counters of one shard span at most two
    cache lines and shards never share one. Domain ids are masked into
    the shard space; two domains 64 apart would share cells (racy but
@@ -99,8 +89,6 @@ let count site k =
 
 let reset site = Array.fill site.cells 0 (Array.length site.cells) 0
 
-let reset_all () = List.iter reset (sites ())
-
 (* --- snapshots -------------------------------------------------------- *)
 
 type snapshot = {
@@ -128,8 +116,6 @@ let snapshot site =
     backoff_spins = count site Backoff_spins;
   }
 
-let snapshot_all () = List.map snapshot (sites ())
-
 let is_quiet s =
   s.reads = 0 && s.writes = 0 && s.cas_attempts = 0 && s.cas_failures = 0
   && s.fetch_adds = 0 && s.lock_acquires = 0 && s.lock_conflicts = 0
@@ -153,14 +139,6 @@ let snapshot_json s =
       ("lock_conflicts", Json.Int s.lock_conflicts);
       ("backoff_spins", Json.Int s.backoff_spins);
     ]
-
-let pp_snapshot fmt s =
-  Format.fprintf fmt
-    "%s: reads=%d writes=%d cas=%d/%d (%.1f%% fail) faa=%d locks=%d/%d \
-     spins=%d"
-    s.site s.reads s.writes s.cas_failures s.cas_attempts
-    (100.0 *. cas_failure_rate s)
-    s.fetch_adds s.lock_conflicts s.lock_acquires s.backoff_spins
 
 (* --- backoff spin routing --------------------------------------------- *)
 

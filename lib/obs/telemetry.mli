@@ -29,8 +29,6 @@ type counter =
   | Lock_conflicts   (** acquisitions that found the mutex held *)
   | Backoff_spins    (** spins reported by {!Rtlf_lockfree.Backoff} *)
 
-val counter_name : counter -> string
-
 type site
 (** A named instrumentation point (typically one structure instance,
     or one structure kind). Sites live for the process lifetime. *)
@@ -55,8 +53,6 @@ val count : site -> counter -> int
 val reset : site -> unit
 (** Zero every counter of [site]. Do not race with live increments. *)
 
-val reset_all : unit -> unit
-
 type snapshot = {
   site : string;
   reads : int;
@@ -71,7 +67,6 @@ type snapshot = {
 (** All counters of one site, summed across shards. *)
 
 val snapshot : site -> snapshot
-val snapshot_all : unit -> snapshot list
 
 val is_quiet : snapshot -> bool
 (** [true] when the site recorded nothing. *)
@@ -81,8 +76,6 @@ val cas_failure_rate : snapshot -> float
 
 val snapshot_json : snapshot -> Json.t
 (** The metrics-JSON object for one site (schema in DESIGN.md). *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit
 
 val install_backoff_observer : unit -> site
 (** Route {!Rtlf_lockfree.Backoff} spin reports into a process-global

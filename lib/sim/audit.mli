@@ -51,5 +51,4 @@ val ok : report -> bool
 (** [ok r] is [true] when there is no violation (vacuously when not
     audited). *)
 
-val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -34,13 +34,9 @@ val create : m:int -> policy:policy -> t
 val count : t -> int
 (** Number of cores. *)
 
-val home : t -> Rtlf_model.Job.t -> int
-(** [home t job] is the job's partitioned home core
-    ([task id mod m]). *)
-
 val admit : t -> Rtlf_model.Job.t -> unit
-(** Track a newly released job in its home run queue (no-op under
-    global dispatch). *)
+(** Track a newly released job in its home core's run queue (core
+    [task id mod m]; no-op under global dispatch). *)
 
 val retire : t -> Rtlf_model.Job.t -> unit
 (** Remove a resolved job from its home run queue (no-op under global

@@ -45,7 +45,3 @@ val repeat :
     the point is bit-identical for every [jobs] value. [run] must be
     domain-safe — {!Simulator.run} partially applied to a config
     is. *)
-
-val mean_access_ns : Simulator.result -> float
-(** [mean_access_ns res] is the run's mean measured access duration
-    ([nan] if no access completed). *)

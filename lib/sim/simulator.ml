@@ -180,8 +180,6 @@ type state = {
   mutable blocked_events : int;
   access_samples : Stats.t;
   contention : Contention.t array;
-  block_since : (int, int * int) Hashtbl.t;
-      (* jid -> (obj, block start ns) for open blocking spans *)
   last_writer : int array;
       (* per object: jid of the most recent committed write (-1 when
          none yet) — the invalidator blamed for validation-failure
@@ -316,7 +314,7 @@ let spin_waiting st job =
    core against the dispatcher. *)
 let spin_pinned st job =
   is_spin st
-  && (job.Job.holding <> []
+  && (Lock_manager.holds_any st.locks ~jid:job.Job.jid
      || (match job.Job.state with Job.Blocked _ -> true | _ -> false))
 
 (* --- job lifecycle ------------------------------------------------- *)
@@ -363,15 +361,16 @@ let complete_job st job =
   Cores.vacate st.cores ~jid:job.Job.jid;
   resolve st job
 
-(* Close the open blocking span of [jid] (wake or abort of a waiter). *)
-let close_block_span st jid =
-  match Hashtbl.find_opt st.block_since jid with
-  | None -> ()
-  | Some (obj, since) ->
+(* Close the open blocking span of [job] on [obj] (wake or abort of a
+   waiter). *)
+let close_block_span st job obj =
+  let since = job.Job.block_start in
+  if since >= 0 then begin
     let span = st.now - since in
     Contention.note_blocked st.contention.(obj) ~ns:span;
     Float_buffer.push_int st.blocking_spans span;
-    Hashtbl.remove st.block_since jid
+    job.Job.block_start <- -1
+  end
 
 (* Grant chains after a release: the lock manager hands the object to
    the head waiter; wake it. A lock-based waiter rejoins the ready set;
@@ -387,8 +386,7 @@ let wake_new_owner st obj = function
         (if is_spin st && Cores.core_of st.cores ~jid >= 0 then
            Job.Running
          else Job.Ready);
-      waiter.Job.holding <- obj :: waiter.Job.holding;
-      close_block_span st waiter.Job.jid;
+      close_block_span st waiter obj;
       Contention.note_acquire st.contention.(obj);
       if tracing st then begin
         Trace.record st.trace ~time:st.now (Trace.Wake (waiter.Job.jid, obj));
@@ -408,8 +406,8 @@ let wait_for_lock st job obj =
   let c = st.contention.(obj) in
   Contention.note_conflict c;
   Contention.note_queue_depth c
-    ~depth:(List.length (Lock_manager.waiters st.locks ~obj));
-  Hashtbl.replace st.block_since job.Job.jid (obj, st.now);
+    ~depth:(Lock_manager.queue_length st.locks ~obj);
+  job.Job.block_start <- st.now;
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Block (job.Job.jid, obj));
   if not (is_spin st) then Cores.vacate st.cores ~jid:job.Job.jid
@@ -423,10 +421,11 @@ let abort_job st job =
         if tracing st then
           Trace.record st.trace ~time:st.now (Trace.Release (job.Job.jid, obj));
         wake_new_owner st obj new_owner)
-      released;
-    job.Job.holding <- []
+      released
   | Sync.Lock_free _ | Sync.Ideal -> ());
-  close_block_span st job.Job.jid;
+  (match job.Job.state with
+  | Job.Blocked obj -> close_block_span st job obj
+  | _ -> ());
   job.Job.state <- Job.Aborted;
   (* The exception handler runs immediately on the CPU (§3.5); the
      charged duration rides in the trace payload so attribution can
@@ -784,7 +783,6 @@ let acquire st job obj =
   job.Job.lock_pending <- true;
   match Lock_manager.request st.locks ~jid:job.Job.jid ~obj with
   | Lock_manager.Granted ->
-    job.Job.holding <- obj :: job.Job.holding;
     Contention.note_acquire st.contention.(obj);
     if tracing st then
       Trace.record st.trace ~time:st.now (Trace.Acquire (job.Job.jid, obj));
@@ -797,7 +795,6 @@ let acquire st job obj =
    commit the section's write and count the access. *)
 let release st job obj ~write =
   let new_owner = Lock_manager.release st.locks ~jid:job.Job.jid ~obj in
-  job.Job.holding <- List.filter (fun o -> o <> obj) job.Job.holding;
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Release (job.Job.jid, obj));
   wake_new_owner st obj new_owner;
@@ -833,7 +830,7 @@ let boundary st job =
         if job.Job.lock_pending then begin
           (* Woken after waiting: the lock manager already granted the
              object on release (see [wake_new_owner]). *)
-          assert (List.mem obj job.Job.holding);
+          assert (Lock_manager.owner st.locks ~obj = Some job.Job.jid);
           Job.finish_segment job;
           `Continue
         end
@@ -1145,7 +1142,6 @@ let run cfg =
       blocked_events = 0;
       access_samples = Stats.create ();
       contention = Contention.make_array ~n:cfg.n_objects;
-      block_since = Hashtbl.create 16;
       last_writer = Array.make (max 1 cfg.n_objects) (-1);
       blocking_spans = Float_buffer.create ();
       sched_costs = Float_buffer.create ();

@@ -42,9 +42,6 @@ type t =
           not in simulator-visible ordering). *)
   | Ideal  (** zero-cost accesses *)
 
-val spin_kind_name : spin_kind -> string
-(** [spin_kind_name k] is ["ticket" | "mcs"]. *)
-
 val name : t -> string
 (** [name sync] is
     ["lock-based" | "lock-free" | "spin-ticket" | "spin-mcs" | "ideal"]. *)

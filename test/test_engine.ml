@@ -7,6 +7,15 @@ module Stats = Rtlf_engine.Stats
 
 (* --- event queue ------------------------------------------------------ *)
 
+(* Pop every event, in dequeue order. *)
+let drain q =
+  let rec loop acc =
+    match Event_queue.pop q with
+    | None -> List.rev acc
+    | Some x -> loop (x :: acc)
+  in
+  loop []
+
 let test_eq_empty () =
   let q = Event_queue.create () in
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
@@ -20,7 +29,7 @@ let test_eq_ordering () =
   List.iter
     (fun t -> Event_queue.add q ~time:t t)
     [ 5; 1; 9; 3; 7; 2; 8; 4; 6; 0 ];
-  let order = List.map fst (Event_queue.drain q) in
+  let order = List.map fst (drain q) in
   Alcotest.(check (list int)) "sorted" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ] order
 
 let test_eq_fifo_ties () =
@@ -28,7 +37,7 @@ let test_eq_fifo_ties () =
   List.iteri (fun i label -> Event_queue.add q ~time:(i mod 2) label)
     [ "a"; "b"; "c"; "d"; "e"; "f" ];
   (* time 0: a, c, e; time 1: b, d, f — insertion order preserved. *)
-  let order = List.map snd (Event_queue.drain q) in
+  let order = List.map snd (drain q) in
   Alcotest.(check (list string)) "stable ties"
     [ "a"; "c"; "e"; "b"; "d"; "f" ] order
 
@@ -41,13 +50,6 @@ let test_eq_peek_pop_consistency () =
   Alcotest.(check bool) "pop min" true (Event_queue.pop q = Some (1, "y"));
   Alcotest.(check bool) "next" true (Event_queue.pop q = Some (3, "x"))
 
-let test_eq_filter () =
-  let q = Event_queue.create () in
-  List.iter (fun t -> Event_queue.add q ~time:t t) [ 1; 2; 3; 4; 5; 6 ];
-  Event_queue.filter_in_place q (fun _ v -> v mod 2 = 0);
-  Alcotest.(check (list int)) "evens remain" [ 2; 4; 6 ]
-    (List.map fst (Event_queue.drain q))
-
 let test_eq_to_list_nondestructive () =
   let q = Event_queue.create () in
   List.iter (fun t -> Event_queue.add q ~time:t t) [ 3; 1; 2 ];
@@ -56,35 +58,6 @@ let test_eq_to_list_nondestructive () =
     (List.map fst snapshot);
   Alcotest.(check int) "queue intact" 3 (Event_queue.length q)
 
-let test_eq_clear () =
-  let q = Event_queue.create () in
-  Event_queue.add q ~time:1 ();
-  Event_queue.clear q;
-  Alcotest.(check bool) "cleared" true (Event_queue.is_empty q)
-
-let test_eq_clear_retains_capacity () =
-  (* clear must scrub payloads but keep the backing array: a
-     clear-then-refill sweep should perform no re-allocation (no
-     capacity change) beyond the first run's growth. *)
-  let q = Event_queue.create () in
-  for i = 0 to 999 do
-    Event_queue.add q ~time:i i
-  done;
-  let cap = Event_queue.capacity q in
-  Alcotest.(check bool) "grown past the 16-slot seed" true (cap >= 1000);
-  for run = 1 to 5 do
-    Event_queue.clear q;
-    Alcotest.(check int)
-      (Printf.sprintf "capacity retained after clear %d" run)
-      cap (Event_queue.capacity q);
-    for i = 0 to 999 do
-      Event_queue.add q ~time:i i
-    done;
-    Alcotest.(check int)
-      (Printf.sprintf "no re-growth on refill %d" run)
-      cap (Event_queue.capacity q)
-  done
-
 let test_eq_grow () =
   (* Force several capacity doublings. *)
   let q = Event_queue.create () in
@@ -92,27 +65,15 @@ let test_eq_grow () =
     Event_queue.add q ~time:i i
   done;
   Alcotest.(check int) "all inserted" 1000 (Event_queue.length q);
-  let order = List.map fst (Event_queue.drain q) in
+  let order = List.map fst (drain q) in
   Alcotest.(check (list int)) "sorted after growth"
     (List.init 1000 (fun i -> i))
     order
 
-let test_eq_filter_stable_ties () =
-  let q = Event_queue.create () in
-  List.iteri (fun i label -> Event_queue.add q ~time:(i mod 2) label)
-    [ "a"; "b"; "c"; "d"; "e"; "f" ];
-  (* time 0: a, c, e; time 1: b, d, f. Dropping "c" and "d" must keep
-     the survivors' insertion order within each timestamp. *)
-  Event_queue.filter_in_place q (fun _ v -> v <> "c" && v <> "d");
-  let order = List.map snd (Event_queue.drain q) in
-  Alcotest.(check (list string)) "ties stay in insertion order"
-    [ "a"; "e"; "b"; "f" ] order
-
 (* Liveness regression: the heap must never keep more payloads
    reachable than [length] reports. Weak pointers observe whether the
-   GC can collect popped/cleared payloads — before the fix, [pop] left
-   the popped cell parked in [heap.(size)] and [clear] kept the whole
-   backing array. *)
+   GC can collect popped payloads — before the fix, [pop] left the
+   popped cell parked in [heap.(size)]. *)
 let live_payloads (w : int ref Weak.t) =
   Gc.full_major ();
   let live = ref 0 in
@@ -137,41 +98,13 @@ let test_eq_pop_releases_payloads () =
     (live_payloads w);
   Alcotest.(check int) "length agrees" (n / 2) (Event_queue.length q)
 
-let test_eq_clear_releases_payloads () =
-  let n = 32 in
-  let q = Event_queue.create () in
-  let w = Weak.create n in
-  for i = 0 to n - 1 do
-    let payload = ref i in
-    Weak.set w i (Some payload);
-    Event_queue.add q ~time:(n - i) payload
-  done;
-  Event_queue.clear q;
-  Alcotest.(check int) "cleared payloads are collectable" 0 (live_payloads w)
-
-let test_eq_filter_releases_payloads () =
-  let n = 32 in
-  let q = Event_queue.create () in
-  let w = Weak.create n in
-  for i = 0 to n - 1 do
-    let payload = ref i in
-    Weak.set w i (Some payload);
-    Event_queue.add q ~time:i payload
-  done;
-  Event_queue.filter_in_place q (fun t _ -> t < n / 4);
-  (* Checking the length afterwards also keeps [q] (and so the
-     survivors) reachable across the GC cycle above. *)
-  Alcotest.(check int) "filtered-out payloads are collectable" (n / 4)
-    (live_payloads w);
-  Alcotest.(check int) "survivors retained" (n / 4) (Event_queue.length q)
-
 let prop_eq_sorted =
   QCheck.Test.make ~name:"drain is sorted and complete" ~count:200
     QCheck.(list (int_bound 10_000))
     (fun times ->
       let q = Event_queue.create () in
       List.iter (fun t -> Event_queue.add q ~time:t t) times;
-      let order = List.map fst (Event_queue.drain q) in
+      let order = List.map fst (drain q) in
       order = List.sort compare times)
 
 (* [pop_payload] after [min_time] yields exactly the (time, event)
@@ -423,21 +356,11 @@ let () =
           Alcotest.test_case "FIFO on equal times" `Quick test_eq_fifo_ties;
           Alcotest.test_case "peek/pop consistent" `Quick
             test_eq_peek_pop_consistency;
-          Alcotest.test_case "filter_in_place" `Quick test_eq_filter;
-          Alcotest.test_case "filter keeps insertion order on ties" `Quick
-            test_eq_filter_stable_ties;
           Alcotest.test_case "to_list non-destructive" `Quick
             test_eq_to_list_nondestructive;
-          Alcotest.test_case "clear" `Quick test_eq_clear;
-          Alcotest.test_case "clear retains capacity" `Quick
-            test_eq_clear_retains_capacity;
           Alcotest.test_case "growth preserves order" `Quick test_eq_grow;
           Alcotest.test_case "pop releases payloads" `Quick
             test_eq_pop_releases_payloads;
-          Alcotest.test_case "clear releases payloads" `Quick
-            test_eq_clear_releases_payloads;
-          Alcotest.test_case "filter releases payloads" `Quick
-            test_eq_filter_releases_payloads;
           Alcotest.test_case "pop_payload on empty" `Quick
             test_eq_pop_payload_empty;
           Alcotest.test_case "pop_payload allocates nothing" `Quick

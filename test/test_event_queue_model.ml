@@ -2,7 +2,7 @@
    sequences are applied both to the heap and to a sorted association
    list reference model (stable-sorted by (time, insertion seq), i.e.
    exactly the documented dequeue order), and every observation must
-   agree — including [filter_in_place] and FIFO tie ordering. *)
+   agree — including FIFO tie ordering. *)
 
 module Eq = Rtlf_engine.Event_queue
 
@@ -35,8 +35,6 @@ module Model = struct
       m.items <- rest;
       Some (t, v)
 
-  let filter m keep = m.items <- List.filter (fun (t, _, v) -> keep t v) m.items
-  let clear m = m.items <- []
   let to_list m = List.map (fun (t, _, v) -> (t, v)) m.items
   let length m = List.length m.items
 end
@@ -45,9 +43,6 @@ type cmd =
   | Add of int * int  (* time, payload *)
   | Pop
   | Peek
-  | Filter_mod of int (* keep payloads not divisible by n *)
-  | Filter_time of int (* keep events at time >= t *)
-  | Clear
   | Observe  (* compare to_list / length / is_empty / min_time *)
 
 (* Keys: mostly a narrow range, so ties are dense; also negative keys
@@ -69,9 +64,6 @@ let cmd_gen =
         (6, map2 (fun t v -> Add (t, v)) key_gen (int_bound 1000));
         (3, return Pop);
         (2, return Peek);
-        (1, map (fun n -> Filter_mod (n + 2)) (int_bound 3));
-        (1, map (fun t -> Filter_time t) (int_bound 50));
-        (1, return Clear);
         (2, return Observe);
       ])
 
@@ -79,9 +71,6 @@ let pp_cmd = function
   | Add (t, v) -> Printf.sprintf "add ~time:%d %d" t v
   | Pop -> "pop"
   | Peek -> "peek"
-  | Filter_mod n -> Printf.sprintf "filter (v mod %d <> 0)" n
-  | Filter_time t -> Printf.sprintf "filter (time >= %d)" t
-  | Clear -> "clear"
   | Observe -> "observe"
 
 let cmds_arb =
@@ -103,6 +92,13 @@ let agree_opt what cmd a b =
       | None -> "None"
       | Some (t, v) -> Printf.sprintf "Some (%d, %d)" t v)
 
+(* Pop every event, in dequeue order. *)
+let drain q =
+  let rec loop acc =
+    match Eq.pop q with None -> List.rev acc | Some tv -> loop (tv :: acc)
+  in
+  loop []
+
 let run_cmds cmds =
   let q = Eq.create () in
   let m = Model.create () in
@@ -114,15 +110,6 @@ let run_cmds cmds =
         Model.add m ~time:t v
       | Pop -> agree_opt "pop" cmd (Eq.pop q) (Model.pop m)
       | Peek -> agree_opt "peek" cmd (Eq.peek q) (Model.peek m)
-      | Filter_mod n ->
-        Eq.filter_in_place q (fun _ v -> v mod n <> 0);
-        Model.filter m (fun _ v -> v mod n <> 0)
-      | Filter_time t0 ->
-        Eq.filter_in_place q (fun t _ -> t >= t0);
-        Model.filter m (fun t _ -> t >= t0)
-      | Clear ->
-        Eq.clear q;
-        Model.clear m
       | Observe ->
         if Eq.to_list q <> Model.to_list m then
           QCheck.Test.fail_reportf "to_list disagrees";
@@ -137,11 +124,7 @@ let run_cmds cmds =
       ())
     cmds;
   (* Final drain pins full dequeue order, ties included. *)
-  let rec drain acc = function
-    | None -> List.rev acc
-    | Some tv -> drain (tv :: acc) (Eq.pop q)
-  in
-  let heap_rest = drain [] (Eq.pop q) in
+  let heap_rest = drain q in
   let rec mdrain acc =
     match Model.pop m with None -> List.rev acc | Some tv -> mdrain (tv :: acc)
   in
@@ -152,8 +135,7 @@ let prop_matches_model =
   QCheck.Test.make ~name:"event_queue = sorted assoc list model" ~count:500
     cmds_arb run_cmds
 
-(* Deterministic spot checks of FIFO tie ordering, drain, and
-   filter_in_place survivor order. *)
+(* Deterministic spot check of FIFO tie ordering. *)
 let test_tie_order () =
   let q = Eq.create () in
   List.iter (fun v -> Eq.add q ~time:7 v) [ 1; 2; 3 ];
@@ -162,23 +144,7 @@ let test_tie_order () =
   Alcotest.(check (list (pair int int)))
     "equal keys dequeue in insertion order"
     [ (3, 0); (7, 1); (7, 2); (7, 3); (7, 4) ]
-    (Eq.drain q)
-
-let test_filter_preserves_tie_order () =
-  let q = Eq.create () in
-  List.iter (fun v -> Eq.add q ~time:5 v) [ 10; 11; 12; 13; 14 ];
-  Eq.filter_in_place q (fun _ v -> v mod 2 = 0);
-  Alcotest.(check (list (pair int int)))
-    "survivors keep insertion order"
-    [ (5, 10); (5, 12); (5, 14) ]
-    (Eq.drain q)
-
-let test_filter_by_time () =
-  let q = Eq.create () in
-  List.iteri (fun i v -> Eq.add q ~time:i v) [ 100; 101; 102; 103 ];
-  Eq.filter_in_place q (fun t _ -> t >= 2);
-  Alcotest.(check (list (pair int int)))
-    "time filter" [ (2, 102); (3, 103) ] (Eq.drain q)
+    (drain q)
 
 let seeded_random_soak () =
   (* Long seeded soak through the model, independent of QCheck: drives
@@ -189,13 +155,11 @@ let seeded_random_soak () =
     let len = P.int g ~bound:80 in
     let cmds =
       List.init len (fun _ ->
-          match P.int g ~bound:10 with
+          match P.int g ~bound:8 with
           | 0 | 1 | 2 | 3 ->
             Add (P.int g ~bound:40, P.int g ~bound:1000)
           | 4 | 5 -> Pop
           | 6 -> Peek
-          | 7 -> Filter_mod (2 + P.int g ~bound:3)
-          | 8 -> Filter_time (P.int g ~bound:40)
           | _ -> Observe)
     in
     if not (run_cmds cmds) then
@@ -213,8 +177,5 @@ let () =
       ( "ties",
         [
           Alcotest.test_case "FIFO tie order" `Quick test_tie_order;
-          Alcotest.test_case "filter keeps tie order" `Quick
-            test_filter_preserves_tie_order;
-          Alcotest.test_case "filter by time" `Quick test_filter_by_time;
         ] );
     ]

@@ -204,6 +204,179 @@ let prop_random_ops_consistent =
       Lock_manager.assert_consistent tbl;
       true)
 
+(* --- model-based check ---------------------------------------------------- *)
+
+(* A list model of the lock table, written independently of its arrays:
+   [grants] holds (obj, jid) pairs newest grant first, [queue] holds
+   (obj, jid) waits in arrival order, so each object's FIFO is its
+   filter. *)
+module Model = struct
+  type t = {
+    mutable grants : (int * int) list;
+    mutable queue : (int * int) list;
+  }
+
+  let create () = { grants = []; queue = [] }
+  let owner m obj = List.assoc_opt obj m.grants
+
+  let holding m jid =
+    List.filter_map (fun (o, j) -> if j = jid then Some o else None) m.grants
+
+  let waiters m obj =
+    List.filter_map (fun (o, j) -> if o = obj then Some j else None) m.queue
+
+  let waiting_for m jid =
+    List.find_map (fun (o, j) -> if j = jid then Some o else None) m.queue
+
+  let request m jid obj =
+    match owner m obj with
+    | None ->
+      m.grants <- (obj, jid) :: m.grants;
+      Lock_manager.Granted
+    | Some holder when holder = jid -> Lock_manager.Granted
+    | Some holder ->
+      m.queue <- m.queue @ [ (obj, jid) ];
+      Lock_manager.Blocked_on holder
+
+  let release m jid obj =
+    m.grants <- List.filter (( <> ) (obj, jid)) m.grants;
+    match waiters m obj with
+    | [] -> None
+    | next :: _ ->
+      m.queue <- List.filter (( <> ) (obj, next)) m.queue;
+      m.grants <- (obj, next) :: m.grants;
+      Some next
+
+  let cancel_wait m jid =
+    m.queue <- List.filter (fun (_, j) -> j <> jid) m.queue
+
+  let release_all m jid =
+    cancel_wait m jid;
+    List.map (fun obj -> (obj, release m jid obj)) (holding m jid)
+
+  (* The job [jid] is blocked behind, if any. *)
+  let blocker m jid = Option.bind (waiting_for m jid) (owner m)
+
+  (* Walk the blocked-behind edges; the path is kept in walk order. *)
+  let rec path m jid acc =
+    if List.mem jid acc then (List.rev acc, Some jid)
+    else
+      match blocker m jid with
+      | None -> (List.rev (jid :: acc), None)
+      | Some next -> path m next (jid :: acc)
+
+  let dependency_chain m jid = List.rev (fst (path m jid []))
+
+  let find_cycle m jid =
+    match path m jid [] with
+    | _, None -> None
+    | walked, Some again ->
+      let rec from = function
+        | [] -> []
+        | x :: rest -> if x = again then x :: rest else from rest
+      in
+      Some (from walked)
+end
+
+type op =
+  | Request of int * int
+  | Release of int * int (* the job's k-th held object, if any *)
+  | Release_all of int
+  | Cancel_wait of int
+
+(* Eight jobs on four objects: nested requests close cycles, and up to
+   seven waiters on one object outgrow a queue's first four slots. *)
+let n_jobs = 8
+let n_objs = 4
+
+let pp_op = function
+  | Request (j, o) -> Printf.sprintf "request J%d o%d" j o
+  | Release (j, k) -> Printf.sprintf "release J%d #%d" j k
+  | Release_all j -> Printf.sprintf "release_all J%d" j
+  | Cancel_wait j -> Printf.sprintf "cancel_wait J%d" j
+
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun j o -> Request (j, o)) (int_bound (n_jobs - 1))
+              (int_bound (n_objs - 1)));
+        (4, map2 (fun j k -> Release (j, k)) (int_bound (n_jobs - 1))
+              (int_bound 3));
+        (1, map (fun j -> Release_all j) (int_bound (n_jobs - 1)));
+        (1, map (fun j -> Cancel_wait j) (int_bound (n_jobs - 1)));
+      ])
+
+let ops_arb =
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map pp_op l))
+    QCheck.Gen.(list_size (int_range 0 120) op_gen)
+
+(* Every query of the table against the model, for every job and
+   object. *)
+let agree tbl m op =
+  let fail what =
+    QCheck.Test.fail_reportf "%s disagrees after %s" what (pp_op op)
+  in
+  for obj = 0 to n_objs - 1 do
+    if Lock_manager.owner tbl ~obj <> Model.owner m obj then fail "owner";
+    if Lock_manager.waiters tbl ~obj <> Model.waiters m obj then fail "waiters"
+  done;
+  for jid = 0 to n_jobs - 1 do
+    if Lock_manager.waiting_for tbl ~jid <> Model.waiting_for m jid then
+      fail "waiting_for";
+    if Lock_manager.holding tbl ~jid <> Model.holding m jid then fail "holding";
+    if Lock_manager.dependency_chain tbl ~jid <> Model.dependency_chain m jid
+    then fail "dependency_chain";
+    if Lock_manager.find_cycle tbl ~jid <> Model.find_cycle m jid then
+      fail "find_cycle"
+  done;
+  Lock_manager.assert_consistent tbl
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"lock table = list model" ~count:300 ops_arb
+    (fun ops ->
+      let tbl = mk ~n:n_objs () in
+      let m = Model.create () in
+      List.iter
+        (fun op ->
+          (match op with
+          | Request (jid, obj) ->
+            (* A waiting job does not run, so it does not request. *)
+            if Model.waiting_for m jid = None then
+              if Lock_manager.request tbl ~jid ~obj <> Model.request m jid obj
+              then QCheck.Test.fail_reportf "grant disagrees: %s" (pp_op op)
+          | Release (jid, k) -> (
+            match Model.holding m jid with
+            | [] -> ()
+            | held ->
+              let obj = List.nth held (k mod List.length held) in
+              if Lock_manager.release tbl ~jid ~obj <> Model.release m jid obj
+              then
+                QCheck.Test.fail_reportf "new owner disagrees: %s" (pp_op op))
+          | Release_all jid ->
+            if Lock_manager.release_all tbl ~jid <> Model.release_all m jid then
+              QCheck.Test.fail_reportf "release order disagrees: %s" (pp_op op)
+          | Cancel_wait jid ->
+            Lock_manager.cancel_wait tbl ~jid;
+            Model.cancel_wait m jid);
+          agree tbl m op)
+        ops;
+      true)
+
+(* An uncontended request + release pair allocates nothing: the table
+   is fixed arrays, and both outcomes are constant constructors. *)
+let test_uncontended_pair_allocation () =
+  let tbl = mk () in
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Lock_manager.request tbl ~jid:1 ~obj:(i mod 5));
+    ignore (Lock_manager.release tbl ~jid:1 ~obj:(i mod 5))
+  done;
+  let per_pair = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check (float 0.0)) "minor words per pair" 0.0 per_pair
+
 let () =
   Test_support.run "lock_manager"
     [
@@ -237,5 +410,10 @@ let () =
             test_cycle_broken_by_release;
         ] );
       ( "consistency",
-        [ Test_support.to_alcotest prop_random_ops_consistent ] );
+        [
+          Test_support.to_alcotest prop_random_ops_consistent;
+          Test_support.to_alcotest prop_matches_model;
+          Alcotest.test_case "uncontended pair allocates nothing" `Quick
+            test_uncontended_pair_allocation;
+        ] );
     ]

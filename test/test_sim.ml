@@ -502,10 +502,10 @@ let check_budget ~budget per_inv =
       budget
 
 (* The paper's base regime (10 tasks, AL 0.5, lock-free RUA, full
-   horizon) reads 50.4 words in the dev build (47.8 release). An
-   [int option] access-entry time instead of the [-1] sentinel reads
-   53.1; the option snapshots, the expiry pop's pair and the boxing
-   heap sort together read 61.3. *)
+   horizon) reads 50.8 words in the dev build (48.1 release). An
+   [int option] access-entry time instead of the [-1] sentinel costs
+   2.7 words more; the option snapshots, the expiry pop's pair and the
+   boxing heap sort together cost 10.9 more. *)
 let words_per_invocation_budget = 52.0
 
 let test_allocation_budget () =
@@ -518,17 +518,31 @@ let test_allocation_budget () =
 
 (* [smp]'s one-core workload (10 accesses a job) under ticket spin locks
    at [Fast]: every access is entered and every release is a scheduling
-   event. It reads 79.9 words in the dev build (78.5 release); an
-   [int option] access-entry time reads 81.4, and the option
-   snapshots, the expiry pop's pair and the boxing heap sort together
-   read 84.7. *)
-let spin_words_per_invocation_budget = 81.0
+   event. It reads 61.3 words in the dev build (59.9 release). A lock
+   table on hash tables, with a [holding] list kept beside it in the
+   job, read 79.9. *)
+let spin_words_per_invocation_budget = 63.0
 
 let test_spin_allocation_budget () =
   let module Common = Rtlf_experiments.Common in
   let tasks = Workload.make (Rtlf_experiments.Smp.spec ~cores:1) in
   check_budget ~budget:spin_words_per_invocation_budget
     (words_per_invocation ~tasks ~sync:Common.spin_ticket ~mode:Common.Fast)
+
+(* The base regime under lock-based RUA: every lock request and release
+   is a scheduling event, so the lock table's cost shows per
+   invocation. It reads 27.6 words in the dev build (26.9 release); a
+   lock table on hash tables, with a [holding] list and a jid-keyed
+   blocking-span table kept beside it in the simulator, read 37.0. *)
+let lock_words_per_invocation_budget = 29.0
+
+let test_lock_allocation_budget () =
+  let module Common = Rtlf_experiments.Common in
+  let tasks =
+    Workload.make { Workload.default with Workload.target_al = 0.5 }
+  in
+  check_budget ~budget:lock_words_per_invocation_budget
+    (words_per_invocation ~tasks ~sync:Common.lock_based ~mode:Common.Full)
 
 (* The incremental deciders key their cross-invocation caches on the
    physical identity of the jobs array [Live_view.view] hands them.
@@ -637,6 +651,8 @@ let () =
             test_allocation_budget;
           Alcotest.test_case "spin words per invocation within budget" `Quick
             test_spin_allocation_budget;
+          Alcotest.test_case "lock-based words per invocation within budget"
+            `Quick test_lock_allocation_budget;
         ] );
       ( "sync",
         [
