@@ -90,6 +90,31 @@ let bench_decide ~sched ~n =
   Staged.stage (fun () ->
       ignore (scheduler.Scheduler.decide ~now:0 ~jobs ~remaining))
 
+(* The simulator's arrival pattern for one persistent lock-free
+   decider: every call gets a fresh jid-sorted array that differs from
+   the previous one by one job, so the cache misses and each rebuild
+   can seed its sorts from the last. The live window slides over a
+   pool of 2n jobs — the next jid arrives, then the oldest leaves —
+   and after n slides starts over from the first window: one call in
+   2n changes the whole set. *)
+let bench_decide_arrival ~n =
+  let tasks =
+    Array.of_list (Workload.make { Workload.default with Workload.n_tasks = n })
+  in
+  let pool =
+    Array.init (2 * n) (fun jid ->
+        Job.create ~task:tasks.(jid mod n) ~jid ~arrival:0)
+  in
+  let windows =
+    Array.init (2 * n) (fun k -> Array.sub pool (k / 2) (n + (k land 1)))
+  in
+  let scheduler = Rtlf_core.Rua_lock_free.make () in
+  let k = ref 0 in
+  Staged.stage (fun () ->
+      let jobs = windows.(!k) in
+      k := if !k + 1 = Array.length windows then 0 else !k + 1;
+      ignore (scheduler.Scheduler.decide ~now:0 ~jobs ~remaining))
+
 (* --- per-figure simulation kernels ------------------------------------ *)
 
 (* One short simulation representative of each figure's configuration;
@@ -213,6 +238,8 @@ let scheduler_tests ~keep () =
           fun () -> bench_decide ~sched:`Lock_based ~n );
         ( Printf.sprintf "rua-lock-free decide n=%d" n,
           fun () -> bench_decide ~sched:`Lock_free ~n );
+        ( Printf.sprintf "rua-lock-free decide n=%d arrival" n,
+          fun () -> bench_decide_arrival ~n );
         ( Printf.sprintf "edf decide n=%d" n,
           fun () -> bench_decide ~sched:`Edf ~n );
         ( Printf.sprintf "edf-pip decide n=%d" n,

@@ -29,6 +29,11 @@ val of_job :
 (** [of_job ~now ~remaining j] is [of_chain] on the singleton chain —
     the lock-free RUA case where dependencies never arise. *)
 
+val after : float array -> int array -> int -> int -> bool
+(** [after pud jid a b] is [true] iff index [a] comes after index [b]
+    in {!sort}'s order: [pud.(a) < pud.(b)] by [Float.compare], or
+    equal PUDs and [jid.(a) > jid.(b)]. *)
+
 val sort : pud:float array -> jid:int array -> int array -> int -> unit
 (** [sort ~pud ~jid perm n] sorts the indices [perm.(0) .. perm.(n-1)]
     in place into the RUA deciders' examination order: non-increasing

@@ -1,9 +1,9 @@
 module Job = Rtlf_model.Job
 
-(* Incremental, scale-ready decider. Two layers on top of the abstract
-   algorithm (which is unchanged — [Reference.rua_lock_free] remains
-   the oracle, and the differential suite pins decisions AND charged
-   ops bit-identical):
+(* Incremental, scale-ready decider. Three layers on top of the
+   abstract algorithm (which is unchanged — [Reference.rua_lock_free]
+   remains the oracle, and the differential suite pins decisions AND
+   charged ops bit-identical):
 
    1. Within one invocation, the greedy admission loop runs in
       O(n log n) instead of O(n²). Candidates are laid out once in the
@@ -25,6 +25,21 @@ module Job = Rtlf_model.Job
       runnability, remaining cost, or PUD — falls back to the full
       rebuild.
 
+   3. A rebuild that the cache cannot skip starts both sorts from the
+      previous rebuild's orders. Between two rebuilds the live set
+      changes by a job or so, and under step TUFs only the running
+      job's PUD moves, so the old admission order and the old ECF
+      layout are almost the new ones. The two jid-sorted arrays are
+      matched in one merge walk; survivors are seeded in their old
+      order, new jobs after them, and a budgeted insertion pass
+      (about 4n moves) finishes each sort, handing over to the
+      heapsort if the budget runs out. Both orders are total —
+      (PUD, jid) and (eff_ct, rank) — so the sorted permutation, and
+      with it the decision, is the same whatever the seed: a poor seed
+      (an unsorted array, a disjoint live set) costs time, never a
+      different result. Rebuilds of fewer than [warm_min] live jobs
+      sort cold and record nothing.
+
    The rebuild works on flat arrays indexed by a job's position in
    [jobs]: each live job's remaining cost is read once (an O(1) lookup
    in the simulator's per-run suffix-cost table), its PUD is stored
@@ -32,11 +47,11 @@ module Job = Rtlf_model.Job
    across calls are the cached array and decision.
 
    The abstract ops charges are the paper's complexity model, not a
-   measure of this implementation: both layers charge exactly what the
-   reference list walk would have charged (per candidate probed with k
-   entries admitted: two ordered-structure charges of ceil-log2(k+1)
-   plus a feasibility walk of k+1; plus the n scoring and
-   n*ceil-log2(n) sort charges). *)
+   measure of this implementation: every layer charges exactly what
+   the reference list walk would have charged (per candidate probed
+   with k entries admitted: two ordered-structure charges of
+   ceil-log2(k+1) plus a feasibility walk of k+1; plus the n scoring
+   and n*ceil-log2(n) sort charges), whatever the sorts actually did. *)
 
 (* Last decision plus everything needed to prove it still holds. The
    per-index arrays shadow the jobs array the decision was made from
@@ -63,6 +78,17 @@ type scratch = {
   mutable by_pos : int array; (* schedule position -> admission rank *)
   mutable pos_of_rank : int array; (* admission rank -> schedule position *)
   mutable admitted : bool array; (* schedule position -> admitted? *)
+  (* The warm start: the last rebuild's two orders over its [prev_n]
+     live jobs (0 when it recorded none), and the buffers that carry
+     them into the next one. *)
+  mutable prev_n : int;
+  mutable prev_rank : int array; (* last admission rank -> job index *)
+  mutable prev_pos : int array; (* last schedule position -> rank *)
+  mutable new_of_old : int array; (* last job index -> index in jobs or -1 *)
+  mutable seed : int array; (* spare buffer the admission seed is built in *)
+  mutable mark : int array; (* job index -> [stamp] if seeded as survivor *)
+  mutable stamp : int;
+  mutable rank_of : int array; (* job index -> admission rank *)
   cache : cache;
 }
 
@@ -101,7 +127,7 @@ let rec sift_ecf ect perm i len =
     end
   end
 
-let sort_ecf ect perm n =
+let sort_ecf ~ect perm n =
   for i = (n / 2) - 1 downto 0 do
     sift_ecf ect perm i n
   done;
@@ -111,6 +137,48 @@ let sort_ecf ect perm n =
     perm.(len) <- t;
     sift_ecf ect perm 0 len
   done
+
+(* Budgeted insertion sorts for a warm seed: linear on a nearly sorted
+   prefix. Each stops before its next insertion once more than 4n
+   entries have moved, and the heapsort sorts what is left; [true] iff
+   the insertion pass alone finished. *)
+let resort_pud ~pud ~jid perm n =
+  let budget = ref (4 * n) and i = ref 1 in
+  while !i < n && !budget >= 0 do
+    let x = perm.(!i) in
+    let j = ref (!i - 1) in
+    while !j >= 0 && Pud.after pud jid perm.(!j) x do
+      perm.(!j + 1) <- perm.(!j);
+      decr j
+    done;
+    perm.(!j + 1) <- x;
+    budget := !budget - (!i - 1 - !j);
+    incr i
+  done;
+  !i >= n
+  || begin
+    Pud.sort ~pud ~jid perm n;
+    false
+  end
+
+let resort_ecf ~ect perm n =
+  let budget = ref (4 * n) and i = ref 1 in
+  while !i < n && !budget >= 0 do
+    let x = perm.(!i) in
+    let j = ref (!i - 1) in
+    while !j >= 0 && ecf_after ect perm.(!j) x do
+      perm.(!j + 1) <- perm.(!j);
+      decr j
+    done;
+    perm.(!j + 1) <- x;
+    budget := !budget - (!i - 1 - !j);
+    incr i
+  done;
+  !i >= n
+  || begin
+    sort_ecf ~ect perm n;
+    false
+  end
 
 (* --- cached fast path -------------------------------------------------- *)
 
@@ -139,6 +207,105 @@ let cache_hit c ~now ~jobs ~remaining =
     incr i
   done;
   !i >= n
+
+(* --- warm start -------------------------------------------------------- *)
+
+(* Rebuilds of fewer live jobs sort cold and record nothing: at two or
+   three jobs the bookkeeping would cost more than the sorts. *)
+let warm_min = 8
+
+(* [s.new_of_old]: each job index of the last rebuild's array [prev]
+   mapped to the same jid's index in [jobs], or -1. One merge walk over
+   the two jid-sorted arrays; on an unsorted array it misses some
+   survivors, which are then seeded as new jobs. *)
+let match_previous s ~prev ~jobs =
+  let old = Array.length prev and total = Array.length jobs in
+  s.new_of_old <- Scratch.ensure old s.new_of_old;
+  let map = s.new_of_old in
+  if prev == jobs then
+    for k = 0 to old - 1 do
+      map.(k) <- k
+    done
+  else begin
+    let i = ref 0 in
+    for k = 0 to old - 1 do
+      let jid = prev.(k).Job.jid in
+      while !i < total && jobs.(!i).Job.jid < jid do
+        incr i
+      done;
+      if !i < total && jobs.(!i).Job.jid = jid then begin
+        map.(k) <- !i;
+        incr i
+      end
+      else map.(k) <- -1
+    done
+  end
+
+(* Turns [s.by_rank] — the live indices in index order, from [score] —
+   into the admission seed: the live survivors in their last admission
+   order, marked with this rebuild's stamp, then every other live job
+   in index order. *)
+let seed_ranks s ~total ~n =
+  let live = s.cache.live and map = s.new_of_old in
+  s.stamp <- s.stamp + 1;
+  s.mark <- Scratch.ensure total s.mark;
+  s.seed <- Scratch.ensure total s.seed;
+  let stamp = s.stamp and mark = s.mark and seed = s.seed in
+  let m = ref 0 in
+  for r = 0 to s.prev_n - 1 do
+    let i = map.(s.prev_rank.(r)) in
+    if i >= 0 && live.(i) then begin
+      seed.(!m) <- i;
+      mark.(i) <- stamp;
+      incr m
+    end
+  done;
+  for t = 0 to n - 1 do
+    let i = s.by_rank.(t) in
+    if mark.(i) <> stamp then begin
+      seed.(!m) <- i;
+      incr m
+    end
+  done;
+  s.seed <- s.by_rank;
+  s.by_rank <- seed
+
+(* Fills [s.by_pos] with the schedule-position seed over this rebuild's
+   admission ranks: the marked survivors in their last ECF order, then
+   every other rank in rank order. *)
+let seed_positions s ~total ~n =
+  s.rank_of <- Scratch.ensure total s.rank_of;
+  let rank_of = s.rank_of and mark = s.mark and stamp = s.stamp in
+  for r = 0 to n - 1 do
+    rank_of.(s.by_rank.(r)) <- r
+  done;
+  let m = ref 0 in
+  for p = 0 to s.prev_n - 1 do
+    let i = s.new_of_old.(s.prev_rank.(s.prev_pos.(p))) in
+    if i >= 0 && mark.(i) = stamp then begin
+      s.by_pos.(!m) <- rank_of.(i);
+      incr m
+    end
+  done;
+  for r = 0 to n - 1 do
+    if mark.(s.by_rank.(r)) <> stamp then begin
+      s.by_pos.(!m) <- r;
+      incr m
+    end
+  done
+
+(* Keeps this rebuild's orders for the next one by swapping buffers. *)
+let record s ~n =
+  if n >= warm_min then begin
+    let t = s.prev_rank in
+    s.prev_rank <- s.by_rank;
+    s.by_rank <- t;
+    let t = s.prev_pos in
+    s.prev_pos <- s.by_pos;
+    s.by_pos <- t;
+    s.prev_n <- n
+  end
+  else s.prev_n <- 0
 
 (* --- full rebuild ------------------------------------------------------ *)
 
@@ -176,7 +343,14 @@ let rebuild s ~now ~jobs ~remaining =
   c.valid <- false;
   let n = score s ~now ~jobs ~remaining in
   let ops = ref n in
-  Pud.sort ~pud:c.pud ~jid:s.jid s.by_rank n;
+  let total = Array.length jobs in
+  let warm = s.prev_n > 0 && n >= warm_min in
+  if warm then begin
+    match_previous s ~prev:c.jobs_arr ~jobs;
+    seed_ranks s ~total ~n;
+    ignore (resort_pud ~pud:c.pud ~jid:s.jid s.by_rank n)
+  end
+  else Pud.sort ~pud:c.pud ~jid:s.jid s.by_rank n;
   ops := !ops + (n * Log2.ceil (Int.max n 2));
   (* Fixed schedule positions: candidates ordered by (eff_ct,
      admission rank). The admitted subset read in position order is
@@ -192,7 +366,11 @@ let rebuild s ~now ~jobs ~remaining =
     s.ect_of_rank.(r) <- Job.absolute_critical_time jobs.(i);
     s.by_pos.(r) <- r
   done;
-  sort_ecf s.ect_of_rank s.by_pos n;
+  if warm then begin
+    seed_positions s ~total ~n;
+    ignore (resort_ecf ~ect:s.ect_of_rank s.by_pos n)
+  end
+  else sort_ecf ~ect:s.ect_of_rank s.by_pos n;
   for p = 0 to n - 1 do
     s.pos_of_rank.(s.by_pos.(p)) <- p;
     s.admitted.(p) <- false
@@ -245,6 +423,7 @@ let rebuild s ~now ~jobs ~remaining =
      (eff_ct_i - prefix_rem_i): every admitted entry still feasible,
      every rejection still forced. *)
   c.min_slack <- Slack_tree.min_all tree;
+  record s ~n;
   c.jobs_arr <- jobs;
   c.prev_now <- now;
   c.decision <- decision;
@@ -266,6 +445,14 @@ let make () =
       by_pos = [||];
       pos_of_rank = [||];
       admitted = [||];
+      prev_n = 0;
+      prev_rank = [||];
+      prev_pos = [||];
+      new_of_old = [||];
+      seed = [||];
+      mark = [||];
+      stamp = 0;
+      rank_of = [||];
       cache =
         {
           valid = false;

@@ -229,6 +229,41 @@ let test_prng_exponential_positive () =
     if Prng.exponential g ~mean:5.0 < 0.0 then Alcotest.fail "negative draw"
   done
 
+(* SplitMix64 (Steele, Lea & Flood 2014) computed independently with
+   unbounded integers: seed 42's first four outputs and seed -7's first
+   two, as signed int64s, and seed 42's first four [int ~bound:1000]
+   draws (output lsr 2, mod 1000). *)
+let test_prng_reference_values () =
+  let g = Prng.create ~seed:42 in
+  List.iter
+    (fun want -> Alcotest.(check int64) "seed 42" want (Prng.bits64 g))
+    [
+      -4767286540954276203L;
+      2949826092126892291L;
+      5139283748462763858L;
+      6349198060258255764L;
+    ];
+  let g = Prng.create ~seed:(-7) in
+  List.iter
+    (fun want -> Alcotest.(check int64) "seed -7" want (Prng.bits64 g))
+    [ 7790691224305936752L; 8829294814793142954L ];
+  let g = Prng.create ~seed:42 in
+  List.iter
+    (fun want -> Alcotest.(check int) "int" want (Prng.int g ~bound:1000))
+    [ 853; 72; 964; 941 ]
+
+let test_prng_int_allocation () =
+  let g = Prng.create ~seed:29 in
+  let n = 10_000 in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    sum := !sum + Prng.int g ~bound:1000
+  done;
+  let per_draw = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool) "draws in range" true (!sum >= 0 && !sum < 1000 * n);
+  Alcotest.(check (float 0.0)) "minor words per draw" 0.0 per_draw
+
 let prop_prng_mean =
   QCheck.Test.make ~name:"uniform int mean is near centre" ~count:10
     QCheck.(int_range 1 1_000)
@@ -386,6 +421,10 @@ let () =
             test_prng_shuffle_permutes;
           Alcotest.test_case "exponential positive" `Quick
             test_prng_exponential_positive;
+          Alcotest.test_case "SplitMix64 reference values" `Quick
+            test_prng_reference_values;
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_prng_int_allocation;
           Test_support.to_alcotest prop_prng_mean;
         ] );
       ( "stats",

@@ -314,6 +314,189 @@ let run_tie_diff () =
   Alcotest.(check bool) "PUD ties present" true (!pud_ties >= 100);
   Alcotest.(check bool) "critical-time ties present" true (!ct_ties >= 100)
 
+(* --- warm start across arrays -------------------------------------------- *)
+
+(* The simulator hands the lock-free decider a fresh jid-sorted array
+   whenever membership changes, and the decider seeds its sorts from
+   the previous array's orders. One persistent instance follows a live
+   set through arrivals (a new, higher jid), departures, execution
+   progress (same membership in a fresh array), shuffled arrays (the
+   merge walk finds few survivors) and resolved jobs left in the
+   array. The live set drifts across the warm start's size cut-off.
+   Every step must equal a fresh reference, [ops] included. *)
+let run_warm_arrays () =
+  let rs = Test_support.rand_state () in
+  let counts = Array.make 5 0 in
+  for rep = 1 to 24 do
+    let opt = Rtlf_core.Rua_lock_free.make () in
+    let next_jid = ref 0 in
+    let fresh () =
+      let j = mk_job rs ~jid:!next_jid in
+      incr next_jid;
+      j
+    in
+    let live = ref (List.init (2 + Random.State.int rs 40) (fun _ -> fresh ())) in
+    let now = ref (Random.State.int rs 50) in
+    for step = 1 to 50 do
+      let kind = Random.State.int rs 5 in
+      counts.(kind) <- counts.(kind) + 1;
+      (match kind with
+      | 0 -> live := !live @ [ fresh () ]
+      | 1 -> (
+        match !live with
+        | [] | [ _ ] -> ()
+        | l ->
+          let gone = Random.State.int rs (List.length l) in
+          live := List.filteri (fun i _ -> i <> gone) l)
+      | 2 -> (
+        match !live with
+        | [] -> ()
+        | l ->
+          let j = List.nth l (Random.State.int rs (List.length l)) in
+          if Job.remaining_nominal j > 1 then
+            j.Job.seg_progress <- j.Job.seg_progress + 1)
+      | 3 -> ()
+      | _ -> (
+        match !live with
+        | [] -> ()
+        | l ->
+          let j = List.nth l (Random.State.int rs (List.length l)) in
+          j.Job.state <-
+            (if Random.State.bool rs then Job.Completed else Job.Blocked 0)));
+      let jobs = Array.of_list !live in
+      if kind = 3 then shuffle rs jobs;
+      (* A resolved job stays in this step's array only. *)
+      live := List.filter Job.is_live !live;
+      now := !now + Random.State.int rs 30;
+      let expected =
+        (Reference.rua_lock_free ()).Scheduler.decide ~now:!now ~jobs
+          ~remaining
+      in
+      let msg =
+        Printf.sprintf "warm rep=%d step=%d kind=%d n=%d" rep step kind
+          (Array.length jobs)
+      in
+      check_same ~msg expected (opt.Scheduler.decide ~now:!now ~jobs ~remaining)
+    done
+  done;
+  Array.iteri
+    (fun kind c ->
+      Alcotest.(check bool) (Printf.sprintf "steps of kind %d" kind) true (c >= 100))
+    counts
+
+(* A cold n = 256 scene in reversed order: every job is new to a warmed
+   instance, so the seeds are index order and rank order, while PUD and
+   critical time both rise with the index. Both seeds are then exactly
+   reversed, and each insertion pass must hand over to the heapsort.
+   Then one job leaves and one arrives, and both orders re-sort from
+   the warm seed. *)
+let run_warm_reversed () =
+  let opt = Rtlf_core.Rua_lock_free.make () in
+  let reversed ~base n =
+    Array.init n (fun i ->
+        let ct = 1_000 + (100 * i) in
+        let task =
+          Task.make ~id:(base + i)
+            ~tuf:(Tuf.step ~height:(float_of_int (1 + base + i)) ~c:ct)
+            ~arrival:(Uam.periodic ~period:(2 * ct))
+            ~exec:150 ()
+        in
+        Job.create ~task ~jid:(base + i) ~arrival:0)
+  in
+  let decide ~msg ~now jobs =
+    let expected =
+      (Reference.rua_lock_free ()).Scheduler.decide ~now ~jobs ~remaining
+    in
+    check_same ~msg expected (opt.Scheduler.decide ~now ~jobs ~remaining);
+    if Array.length jobs > 16 then
+      Alcotest.(check bool) (msg ^ ": admits some, rejects some") true
+        (expected.Scheduler.schedule <> [] && expected.Scheduler.rejected <> [])
+  in
+  decide ~msg:"warm-up" ~now:0 (reversed ~base:0 16);
+  let cold = reversed ~base:100 256 in
+  let pud = Array.map (fun j -> Rtlf_core.Pud.of_job ~now:3 ~remaining j) cold in
+  let jid = Array.map (fun j -> j.Job.jid) cold in
+  Alcotest.(check bool) "index order exhausts the insertion budget" false
+    (Rtlf_core.Rua_lock_free.resort_pud ~pud ~jid (Array.init 256 Fun.id) 256);
+  let ect = Array.init 256 (fun r -> Job.absolute_critical_time cold.(255 - r)) in
+  Alcotest.(check bool) "rank order exhausts the insertion budget" false
+    (Rtlf_core.Rua_lock_free.resort_ecf ~ect (Array.init 256 Fun.id) 256);
+  decide ~msg:"cold reversed n=256" ~now:3 cold;
+  let fewer = Array.of_list (List.filter (fun j -> j.Job.jid <> 150) (Array.to_list cold)) in
+  decide ~msg:"reversed n=256, one gone" ~now:5 fewer;
+  let more = Array.append fewer (reversed ~base:400 1) in
+  decide ~msg:"reversed n=256, one new" ~now:7 more
+
+(* --- adaptive sorts ------------------------------------------------------- *)
+
+(* The warm start's sorts against the cold heapsorts: tie-dense keys
+   (PUDs from a handful of values, infinity among them; a handful of
+   critical times), from random and from nearly sorted starting
+   permutations. Both paths must give the cold sort's permutation, and
+   both must be taken often: the insertion pass alone, and the
+   heapsort after the insertion budget runs out. *)
+let nearly_sorted rs sorted n =
+  let perm = Array.copy sorted in
+  for _ = 1 to Random.State.int rs 4 do
+    (* Move one entry to a random place, as an arrival or a PUD change
+       does. *)
+    let a = Random.State.int rs n and b = Random.State.int rs n in
+    let x = perm.(a) in
+    if a < b then Array.blit perm (a + 1) perm a (b - a)
+    else Array.blit perm b perm (b + 1) (a - b);
+    perm.(b) <- x
+  done;
+  perm
+
+let start_perm rs sorted n =
+  if Random.State.bool rs then nearly_sorted rs sorted n
+  else begin
+    let p = Array.init n Fun.id in
+    shuffle rs p;
+    p
+  end
+
+let test_resort_pud () =
+  let rs = Test_support.rand_state () in
+  let insertion = ref 0 and fallback = ref 0 in
+  let values = [| 0.0; 0.5; 1.0; 2.0; infinity |] in
+  for case = 1 to 600 do
+    let n = 1 + Random.State.int rs 80 in
+    let pud =
+      Array.init n (fun _ -> values.(Random.State.int rs (Array.length values)))
+    in
+    let jid = Array.init n (fun i -> 3 * i) in
+    shuffle rs jid;
+    let cold = Array.init n Fun.id in
+    Rtlf_core.Pud.sort ~pud ~jid cold n;
+    let perm = start_perm rs cold n in
+    if Rtlf_core.Rua_lock_free.resort_pud ~pud ~jid perm n then incr insertion
+    else incr fallback;
+    Alcotest.(check (array int)) (Printf.sprintf "case %d n=%d" case n) cold perm
+  done;
+  Alcotest.(check bool) "insertion pass alone" true (!insertion >= 100);
+  Alcotest.(check bool) "heapsort fallback" true (!fallback >= 100)
+
+let test_resort_ecf () =
+  let rs = Test_support.rand_state () in
+  let insertion = ref 0 and fallback = ref 0 in
+  for case = 1 to 600 do
+    let n = 1 + Random.State.int rs 80 in
+    let ect = Array.init n (fun _ -> 100 * Random.State.int rs 6) in
+    let spec =
+      List.init n (fun r -> (ect.(r), r)) |> List.sort compare |> List.map snd
+    in
+    let cold = Array.init n Fun.id in
+    Rtlf_core.Rua_lock_free.sort_ecf ~ect cold n;
+    Alcotest.(check (list int)) "heapsort = (eff_ct, rank)" spec (Array.to_list cold);
+    let perm = start_perm rs cold n in
+    if Rtlf_core.Rua_lock_free.resort_ecf ~ect perm n then incr insertion
+    else incr fallback;
+    Alcotest.(check (array int)) (Printf.sprintf "case %d n=%d" case n) cold perm
+  done;
+  Alcotest.(check bool) "insertion pass alone" true (!insertion >= 100);
+  Alcotest.(check bool) "heapsort fallback" true (!fallback >= 100)
+
 (* --- EDF specification ---------------------------------------------------- *)
 
 (* EDF and EDF+PIP have one implementation each, so they are checked
@@ -409,28 +592,35 @@ let run_spec kind () =
 
 (* A rebuild allocates only the decision it returns: the schedule and
    rejected lists, plus boxed utilities from non-step TUFs. One
-   persistent instance alternates between two disjoint arrays, so every
-   call misses the cache and rebuilds. The first call at each size is a
-   warm-up that grows the scratch arrays. *)
+   persistent instance alternates between two arrays, so every call
+   misses the cache and rebuilds: two disjoint ones (no survivor to
+   seed from) and two that differ by one arrival (the warm start). The
+   first call at each size is a warm-up that grows the scratch
+   arrays. *)
 let test_rebuild_alloc_budget () =
   let rs = Test_support.rand_state () in
-  let opt = Rtlf_core.Rua_lock_free.make () in
   List.iter
     (fun n ->
       let a = Array.init n (fun i -> mk_job rs ~jid:i) in
-      let b = Array.init n (fun i -> mk_job rs ~jid:(n + i)) in
-      ignore (opt.Scheduler.decide ~now:0 ~jobs:a ~remaining);
-      let calls = 200 in
-      let before = Gc.minor_words () in
-      for k = 1 to calls do
-        let jobs = if k land 1 = 1 then b else a in
-        ignore (opt.Scheduler.decide ~now:0 ~jobs ~remaining)
-      done;
-      let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
-      let budget = float_of_int ((12 * n) + 64) in
-      if per_call > budget then
-        Alcotest.failf "n=%d: %.1f minor words per rebuild (budget %.0f)" n
-          per_call budget)
+      let disjoint = Array.init n (fun i -> mk_job rs ~jid:(n + i)) in
+      let arrival = Array.append a [| mk_job rs ~jid:(2 * n) |] in
+      List.iter
+        (fun (label, b) ->
+          let opt = Rtlf_core.Rua_lock_free.make () in
+          ignore (opt.Scheduler.decide ~now:0 ~jobs:b ~remaining);
+          ignore (opt.Scheduler.decide ~now:0 ~jobs:a ~remaining);
+          let calls = 200 in
+          let before = Gc.minor_words () in
+          for k = 1 to calls do
+            let jobs = if k land 1 = 1 then b else a in
+            ignore (opt.Scheduler.decide ~now:0 ~jobs ~remaining)
+          done;
+          let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+          let budget = float_of_int ((12 * n) + 64) in
+          if per_call > budget then
+            Alcotest.failf "%s n=%d: %.1f minor words per rebuild (budget %.0f)"
+              label n per_call budget)
+        [ ("disjoint", disjoint); ("arrival", arrival) ])
     [ 32; 64 ]
 
 (* --- lock-based allocation budget --------------------------------------- *)
@@ -704,6 +894,15 @@ let () =
                    got));
           Alcotest.test_case "rua-lock-based sequences = reference" `Quick
             run_lock_sequences;
+          Alcotest.test_case "rua-lock-free fresh arrays = reference" `Quick
+            run_warm_arrays;
+          Alcotest.test_case "rua-lock-free reversed n=256 = reference" `Quick
+            run_warm_reversed;
+        ] );
+      ( "adaptive",
+        [
+          Alcotest.test_case "pud order = Pud.sort" `Quick test_resort_pud;
+          Alcotest.test_case "ecf order = heapsort" `Quick test_resort_ecf;
         ] );
       ( "allocation",
         [
