@@ -76,10 +76,15 @@ let scene ~n ~with_locks =
 
 let remaining job = Job.remaining_nominal job
 
+(* Calls alternate between two physically distinct copies of the scene
+   so that every call decides: the lock-free decider's cache keys on the
+   array's identity, and on one array it would only revalidate. The
+   other deciders keep no cache, so alternating changes nothing for
+   them. *)
 let bench_decide ~sched ~n =
   let with_locks = sched = `Lock_based in
   let jobs, locks = scene ~n ~with_locks in
-  let jobs = Array.of_list jobs in
+  let copies = [| Array.of_list jobs; Array.of_list jobs |] in
   let scheduler =
     match sched with
     | `Lock_based -> Rtlf_core.Rua_lock_based.make ~locks
@@ -87,8 +92,10 @@ let bench_decide ~sched ~n =
     | `Edf -> Rtlf_core.Edf.make ()
     | `Edf_pip -> Rtlf_core.Edf_pip.make ~locks
   in
+  let k = ref 0 in
   Staged.stage (fun () ->
-      ignore (scheduler.Scheduler.decide ~now:0 ~jobs ~remaining))
+      k := 1 - !k;
+      ignore (scheduler.Scheduler.decide ~now:0 ~jobs:copies.(!k) ~remaining))
 
 (* The simulator's arrival pattern for one persistent lock-free
    decider: every call gets a fresh jid-sorted array that differs from
@@ -438,7 +445,9 @@ let smp_kernels ~keep () =
    0.5 s quota) immediately before the first rewrite of the decision
    path. BENCH_*.json reports measured/baseline speedups
    against these figures; they are the "before" column of the README's
-   performance table. *)
+   performance table. The list-based deciders had no cache and
+   [bench_decide] makes every call decide, so a speedup compares one
+   full decide with another. *)
 let decide_baseline_ns =
   [
     ("rua-lock-based decide n=8", 8921.8);

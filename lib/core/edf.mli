@@ -7,3 +7,16 @@
 
 val make : unit -> Scheduler.t
 (** [make ()] is an EDF scheduler instance. *)
+
+(** {2 Shared with EDF+PIP} *)
+
+val keyed :
+  name:string ->
+  key:(Rtlf_model.Job.t array -> Rtlf_model.Job.t -> int) ->
+  ops:(total:int -> live:int -> int) ->
+  Scheduler.t
+(** [keyed ~name ~key ~ops] is a scheduler whose schedule is the
+    runnable jobs of [jobs] in ascending [(key jobs j, jid)] order,
+    dispatching the head and rejecting and aborting nothing. It charges
+    [ops ~total ~live] for [total] entries of which [live] are live.
+    {!make} is [keyed] on the absolute critical time. *)

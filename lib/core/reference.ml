@@ -5,8 +5,9 @@
    order and the charged [ops] count — on every input; the paper's
    reproduced numbers depend only on that contract, never on the
    physical layout of the hot path. Only the entry points were adapted
-   to the array-based [Scheduler.decide] signature (one [Array.to_list]
-   at the boundary). EDF and EDF+PIP have no twin: their one list-based
+   to the array-based [Scheduler.decide] signature: one [Array.to_list]
+   at the boundary, and a fresh record from [Scheduler.of_lists] on the
+   way out. EDF and EDF+PIP have no twin: their one list-based
    implementation is checked against its specification instead. *)
 
 module Job = Rtlf_model.Job
@@ -132,8 +133,8 @@ end
 
 (* --- lock-free RUA ---------------------------------------------------- *)
 
-let rua_lock_free_decide ~now ~jobs ~remaining =
-  let jobs = Array.to_list jobs in
+let rua_lock_free_decide ~now ~jobs:jobs_arr ~remaining =
+  let jobs = Array.to_list jobs_arr in
   let ops = ref 0 in
   let live = List.filter Job.is_live jobs in
   let n = List.length live in
@@ -154,15 +155,8 @@ let rua_lock_free_decide ~now ~jobs ~remaining =
         else (sched, job.Job.jid :: rejected))
       (sched, []) sorted
   in
-  let schedule = List_schedule.jobs final in
-  let dispatch = List.find_opt Job.is_runnable schedule in
-  {
-    Scheduler.dispatch;
-    aborts = [];
-    rejected = List.rev rejected;
-    schedule;
-    ops = !ops;
-  }
+  Scheduler.of_lists ~jobs:jobs_arr ~aborts:[] ~rejected:(List.rev rejected)
+    ~schedule:(List_schedule.jobs final) ~ops:!ops
 
 let rua_lock_free () =
   { Scheduler.name = "rua-lock-free"; decide = rua_lock_free_decide }
@@ -172,8 +166,8 @@ let rua_lock_free () =
 let resolve_chain by_jid jids =
   List.filter_map (fun jid -> Hashtbl.find_opt by_jid jid) jids
 
-let rua_lock_based_decide ~locks ~now ~jobs ~remaining =
-  let jobs = Array.to_list jobs in
+let rua_lock_based_decide ~locks ~now ~jobs:jobs_arr ~remaining =
+  let jobs = Array.to_list jobs_arr in
   let ops = ref 0 in
   let live = List.filter Job.is_live jobs in
   let n = List.length live in
@@ -241,16 +235,9 @@ let rua_lock_based_decide ~locks ~now ~jobs ~remaining =
         end)
       (sched, []) sorted
   in
-  let schedule = List_schedule.jobs final in
-  let dispatch = List.find_opt Job.is_runnable schedule in
   let aborts = Hashtbl.fold (fun _ job acc -> job :: acc) victims [] in
-  {
-    Scheduler.dispatch;
-    aborts;
-    rejected = List.rev rejected;
-    schedule;
-    ops = !ops;
-  }
+  Scheduler.of_lists ~jobs:jobs_arr ~aborts ~rejected:(List.rev rejected)
+    ~schedule:(List_schedule.jobs final) ~ops:!ops
 
 let rua_lock_based ~locks =
   {

@@ -10,7 +10,9 @@ module Lock_manager = Rtlf_model.Lock_manager
    [Tentative_schedule] with journalled rollback instead of
    deep-copying it per candidate. A job that waits on nothing has the
    singleton chain and no cycle, so the lock manager is consulted only
-   for waiters.
+   for waiters. The decision is written as positions into the
+   instance's one record, so with no waiter a decide allocates
+   nothing.
 
    The deadlock-victim table is a fresh [Hashtbl.create 4], built only
    once a cycle is found: it is folded to produce [aborts], and fold
@@ -29,6 +31,8 @@ type scratch = {
   mutable chain_len : int array; (* rank -> its chain's length *)
   mutable chains : int array; (* chain members as ranks, head first *)
   mutable order : int array; (* surviving ranks, examination order *)
+  probe : float array; (* one slot: the utility [chain_pud] adds next *)
+  decision : Scheduler.decision; (* overwritten by every call *)
 }
 
 (* Append rank [r] at [chains.(c)], keeping the buffer's contents when
@@ -64,14 +68,16 @@ let live_count s n jids =
   List.fold_left (fun k jid -> if rank_of s n jid >= 0 then k + 1 else k) 0 jids
 
 (* [Pud.of_chain] over the chain at [chains.(off) ..], in its exact
-   summation order. Inlined so the quotient lands unboxed in the
-   caller. *)
+   summation order. Each utility goes through [s.probe]
+   ([Job.utility_into]) and the quotient lands unboxed in the caller,
+   so no float is boxed. *)
 let[@inline] chain_pud s ~now ~jobs off len =
   let t = ref now and u = ref 0.0 in
   for k = off to off + len - 1 do
     let r = s.chains.(k) in
     t := !t + s.rem.(r);
-    u := !u +. Job.utility_at jobs.(s.idx.(r)) ~now:!t
+    Job.utility_into jobs.(s.idx.(r)) ~now:!t s.probe 0;
+    u := !u +. s.probe.(0)
   done;
   let span = !t - now in
   if span <= 0 then infinity else !u /. float_of_int span
@@ -205,25 +211,25 @@ let decide s ~locks ~now ~jobs ~remaining =
       incr nrej
     end
   done;
-  let schedule = ref [] in
-  for p = Tentative_schedule.length sched - 1 downto 0 do
-    schedule := jobs.(s.idx.(Tentative_schedule.rank_at sched p)) :: !schedule
+  let d = s.decision in
+  let len = Tentative_schedule.length sched in
+  Scheduler.set_schedule_capacity d n;
+  for p = 0 to len - 1 do
+    d.schedule.(p) <- s.idx.(Tentative_schedule.rank_at sched p)
   done;
-  let rejected = ref [] in
-  for k = !nrej - 1 downto 0 do
-    rejected := s.jid.(s.order.(k)) :: !rejected
+  for k = 0 to !nrej - 1 do
+    d.rejected.(k) <- s.jid.(s.order.(k))
   done;
-  let schedule = !schedule in
-  {
-    Scheduler.dispatch = List.find_opt Job.is_runnable schedule;
-    aborts =
-      (match !victims with
-      | None -> []
-      | Some tbl -> Hashtbl.fold (fun _ job acc -> job :: acc) tbl []);
-    rejected = !rejected;
-    schedule;
-    ops = !ops + Tentative_schedule.ops sched;
-  }
+  d.jobs <- jobs;
+  d.length <- len;
+  d.n_rejected <- !nrej;
+  d.aborts <-
+    (match !victims with
+    | None -> []
+    | Some tbl -> Hashtbl.fold (fun _ job acc -> job :: acc) tbl []);
+  d.ops <- !ops + Tentative_schedule.ops sched;
+  Scheduler.dispatch_first_runnable d;
+  d
 
 let make ~locks =
   let s =
@@ -239,6 +245,8 @@ let make ~locks =
       chain_len = [||];
       chains = [||];
       order = [||];
+      probe = [| 0.0 |];
+      decision = Scheduler.create_decision ();
     }
   in
   {

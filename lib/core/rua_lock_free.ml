@@ -43,8 +43,10 @@ module Job = Rtlf_model.Job
    The rebuild works on flat arrays indexed by a job's position in
    [jobs]: each live job's remaining cost is read once (an O(1) lookup
    in the simulator's per-run suffix-cost table), its PUD is stored
-   unboxed, and both sorts permute ints. The only jobs held
-   across calls are the cached array and decision.
+   unboxed, both sorts permute ints, and the decision is written as
+   positions into the instance's one decision record. A warm decide
+   allocates nothing. The only job pointer held across calls is the
+   decision's [jobs] array.
 
    The abstract ops charges are the paper's complexity model, not a
    measure of this implementation: every layer charges exactly what
@@ -54,19 +56,19 @@ module Job = Rtlf_model.Job
    and n*ceil-log2(n) sort charges), whatever the sorts actually did. *)
 
 (* Last decision plus everything needed to prove it still holds. The
-   per-index arrays shadow the jobs array the decision was made from
-   (identity-checked — the Live_view cache hands the scheduler the same
-   physical array while membership is unchanged). *)
+   per-index arrays shadow the jobs array the decision was made from,
+   [decision.jobs] (identity-checked — the Live_view cache hands the
+   scheduler the same physical array while membership is unchanged). *)
 type cache = {
   mutable valid : bool;
-  mutable jobs_arr : Job.t array;
   mutable prev_now : int;
   mutable min_slack : int; (* cached decision exact while now <= this *)
   mutable live : bool array;
   mutable runnable : bool array;
   mutable pud : float array;
   mutable rem : int array;
-  mutable decision : Scheduler.decision;
+  probe : float array; (* one slot: a job's PUD now, to compare *)
+  decision : Scheduler.decision;
 }
 
 type scratch = {
@@ -92,16 +94,17 @@ type scratch = {
   cache : cache;
 }
 
-let empty_decision =
-  { Scheduler.dispatch = None; aborts = []; rejected = []; schedule = []; ops = 0 }
-
-(* [Pud.of_job]'s arithmetic on an already-read remaining cost.
-   Inlined so the quotient lands unboxed in the caller. *)
-let[@inline] pud ~now job rem =
+(* [Pud.of_job]'s arithmetic on an already-read remaining cost, into
+   [dst.(i)]. The utility is stored there first ([Job.utility_into]),
+   so no float crosses a call boxed. *)
+let[@inline] store_pud ~now job rem (dst : float array) i =
   let finish = now + rem in
   let span = finish - now in
-  if span <= 0 then infinity
-  else Job.utility_at job ~now:finish /. float_of_int span
+  if span <= 0 then dst.(i) <- infinity
+  else begin
+    Job.utility_into job ~now:finish dst i;
+    dst.(i) <- dst.(i) /. float_of_int span
+  end
 
 (* --- index sorts -------------------------------------------------------- *)
 
@@ -188,7 +191,9 @@ let resort_ecf ~ect perm n =
    compared bitwise — a step TUF's PUD is constant over the job's
    feasible window, so steady states validate; any drift rebuilds. *)
 let cache_hit c ~now ~jobs ~remaining =
-  c.valid && jobs == c.jobs_arr && now >= c.prev_now && now <= c.min_slack
+  c.valid
+  && jobs == c.decision.Scheduler.jobs
+  && now >= c.prev_now && now <= c.min_slack
   &&
   let n = Array.length jobs in
   let i = ref 0 in
@@ -202,7 +207,11 @@ let cache_hit c ~now ~jobs ~remaining =
        || Job.is_runnable j = c.runnable.(!i)
           &&
           let rem = remaining j in
-          rem = c.rem.(!i) && Float.equal (pud ~now j rem) c.pud.(!i))
+          rem = c.rem.(!i)
+          && begin
+            store_pud ~now j rem c.probe 0;
+            Float.compare c.probe.(0) c.pud.(!i) = 0
+          end)
   do
     incr i
   done;
@@ -330,7 +339,7 @@ let score s ~now ~jobs ~remaining =
       let rem = remaining j in
       c.runnable.(i) <- Job.is_runnable j;
       c.rem.(i) <- rem;
-      c.pud.(i) <- pud ~now j rem;
+      store_pud ~now j rem c.pud i;
       s.jid.(i) <- j.Job.jid;
       s.by_rank.(!n) <- i;
       incr n
@@ -346,7 +355,7 @@ let rebuild s ~now ~jobs ~remaining =
   let total = Array.length jobs in
   let warm = s.prev_n > 0 && n >= warm_min in
   if warm then begin
-    match_previous s ~prev:c.jobs_arr ~jobs;
+    match_previous s ~prev:c.decision.Scheduler.jobs ~jobs;
     seed_ranks s ~total ~n;
     ignore (resort_pud ~pud:c.pud ~jid:s.jid s.by_rank n)
   end
@@ -399,36 +408,35 @@ let rebuild s ~now ~jobs ~remaining =
       admitted_count := k + 1
     end
   done;
-  let schedule = ref [] in
-  for p = n - 1 downto 0 do
-    if s.admitted.(p) then
-      schedule := jobs.(s.by_rank.(s.by_pos.(p))) :: !schedule
+  let d = c.decision in
+  Scheduler.set_schedule_capacity d n;
+  let len = ref 0 in
+  for p = 0 to n - 1 do
+    if s.admitted.(p) then begin
+      d.schedule.(!len) <- s.by_rank.(s.by_pos.(p));
+      incr len
+    end
   done;
-  let rejected = ref [] in
-  for r = n - 1 downto 0 do
-    if not s.admitted.(s.pos_of_rank.(r)) then
-      rejected := s.jid.(s.by_rank.(r)) :: !rejected
+  let nrej = ref 0 in
+  for r = 0 to n - 1 do
+    if not s.admitted.(s.pos_of_rank.(r)) then begin
+      d.rejected.(!nrej) <- s.jid.(s.by_rank.(r));
+      incr nrej
+    end
   done;
-  let schedule = !schedule in
-  let decision =
-    {
-      Scheduler.dispatch = List.find_opt Job.is_runnable schedule;
-      aborts = [];
-      rejected = !rejected;
-      schedule;
-      ops = !ops;
-    }
-  in
+  d.jobs <- jobs;
+  d.length <- !len;
+  d.n_rejected <- !nrej;
+  d.ops <- !ops;
+  Scheduler.dispatch_first_runnable d;
   (* The decision stays valid while now <= min over admitted of
      (eff_ct_i - prefix_rem_i): every admitted entry still feasible,
      every rejection still forced. *)
   c.min_slack <- Slack_tree.min_all tree;
   record s ~n;
-  c.jobs_arr <- jobs;
   c.prev_now <- now;
-  c.decision <- decision;
   c.valid <- true;
-  decision
+  d
 
 let decide s ~now ~jobs ~remaining =
   if cache_hit s.cache ~now ~jobs ~remaining then s.cache.decision
@@ -456,14 +464,14 @@ let make () =
       cache =
         {
           valid = false;
-          jobs_arr = [||];
           prev_now = 0;
           min_slack = 0;
           live = [||];
           runnable = [||];
           pud = [||];
           rem = [||];
-          decision = empty_decision;
+          probe = [| 0.0 |];
+          decision = Scheduler.create_decision ();
         };
     }
   in

@@ -63,16 +63,15 @@ let learn plan ~mask ~delta ~pos (d : Scheduler.decision) =
     Hashtbl.length plan.patterns < max_patterns
     && not (Hashtbl.mem plan.patterns (mask, delta))
   then
+    let pos_at i = pos d.Scheduler.jobs.(i).Job.jid in
     match
       {
         t_dispatch =
-          (match d.Scheduler.dispatch with
-          | None -> -1
-          | Some j -> pos j.Job.jid);
-        t_rejected = Array.of_list (List.map pos d.Scheduler.rejected);
+          (if d.Scheduler.dispatch < 0 then -1 else pos_at d.Scheduler.dispatch);
+        t_rejected =
+          Array.init d.Scheduler.n_rejected (fun k -> pos d.Scheduler.rejected.(k));
         t_schedule =
-          Array.of_list
-            (List.map (fun j -> pos j.Job.jid) d.Scheduler.schedule);
+          Array.init d.Scheduler.length (fun k -> pos_at d.Scheduler.schedule.(k));
         t_ops = d.Scheduler.ops;
       }
     with
@@ -129,6 +128,7 @@ type t = {
   mutable n_delegated : int;
   (* scratch: array index of the p-th live job, for pattern replay *)
   mutable live_idx : int array;
+  replayed : Scheduler.decision; (* overwritten by every replay *)
 }
 
 let delegate t ~now ~jobs ~remaining =
@@ -137,16 +137,23 @@ let delegate t ~now ~jobs ~remaining =
 
 let replay t ~jobs tpl =
   t.n_pattern <- t.n_pattern + 1;
-  let get p = jobs.(t.live_idx.(p)) in
-  {
-    Scheduler.dispatch =
-      (if tpl.t_dispatch < 0 then None else Some (get tpl.t_dispatch));
-    aborts = [];
-    rejected =
-      Array.fold_right (fun p acc -> (get p).Job.jid :: acc) tpl.t_rejected [];
-    schedule = Array.fold_right (fun p acc -> get p :: acc) tpl.t_schedule [];
-    ops = tpl.t_ops;
-  }
+  let d = t.replayed in
+  let len = Array.length tpl.t_schedule
+  and nrej = Array.length tpl.t_rejected in
+  Scheduler.set_schedule_capacity d (Int.max len nrej);
+  for k = 0 to len - 1 do
+    d.schedule.(k) <- t.live_idx.(tpl.t_schedule.(k))
+  done;
+  for k = 0 to nrej - 1 do
+    d.rejected.(k) <- jobs.(t.live_idx.(tpl.t_rejected.(k))).Job.jid
+  done;
+  d.jobs <- jobs;
+  d.dispatch <-
+    (if tpl.t_dispatch < 0 then -1 else t.live_idx.(tpl.t_dispatch));
+  d.length <- len;
+  d.n_rejected <- nrej;
+  d.ops <- tpl.t_ops;
+  d
 
 (* A release is pattern-eligible iff every live job is [Ready] at its
    planned task's fresh cost, all share one arrival, and (task id, jid)
@@ -216,6 +223,7 @@ let create ~plan ~fallback ~algo =
     n_pattern = 0;
     n_delegated = 0;
     live_idx = [||];
+    replayed = Scheduler.create_decision ();
   }
 
 let scheduler t =

@@ -214,9 +214,8 @@ let histogram ?(bins = 10) xs =
   if n = 0 then empty_histogram
   else
     let s = of_array xs in
-    let sorted = Array.copy xs in
-    sort_floats sorted;
-    let q p = percentile_sorted sorted ~p in
+    sort_floats xs;
+    let q p = percentile_sorted xs ~p in
     let lo = s.min in
     let width =
       let span = s.max -. lo in

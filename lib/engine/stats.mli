@@ -76,8 +76,11 @@ type histogram = {
 
 val histogram : ?bins:int -> float array -> histogram
 (** [histogram ~bins xs] buckets [xs] into [bins] (default 10)
-    uniform-width buckets and computes p50/p90/p99. NaN samples are
-    dropped first and do not count towards [n]. Returns the histogram
+    uniform-width buckets and computes p50/p90/p99. It sorts [xs] in
+    place rather than a copy (the simulator's sample arrays are
+    thousands of floats, built for this call): pass a copy to keep the
+    order. NaN samples are dropped first and do not count towards
+    [n]. Returns the histogram
     of no samples ([n = 0], percentiles [nan], no buckets) when no
     non-NaN sample remains; raises [Invalid_argument] when
     [bins <= 0]. *)

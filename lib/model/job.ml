@@ -93,6 +93,9 @@ let is_runnable j =
 
 let utility_at j ~now = Tuf.utility j.task.Task.tuf ~at:(now - j.arrival)
 
+let utility_into j ~now dst i =
+  Tuf.utility_into j.task.Task.tuf ~at:(now - j.arrival) dst i
+
 let sojourn j =
   if j.completion < 0 then None else Some (j.completion - j.arrival)
 

@@ -98,6 +98,10 @@ val utility_at : t -> now:int -> float
 (** [utility_at j ~now] is the utility the job would accrue by
     completing at absolute time [now]. *)
 
+val utility_into : t -> now:int -> float array -> int -> unit
+(** [utility_into j ~now dst i] stores [utility_at j ~now] in
+    [dst.(i)], allocating nothing ({!Tuf.utility_into}). *)
+
 val sojourn : t -> int option
 (** [sojourn j] is [completion − arrival] once completed. *)
 

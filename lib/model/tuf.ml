@@ -37,14 +37,18 @@ let critical_time = function
   | Step { c; _ } | Linear { c; _ } | Parabolic { c; _ } | Piecewise { c; _ }
     -> c
 
-let interp points c at =
+(* Index of the last point at or before [at], searching from [i]. *)
+let rec last_point points i at =
+  if i + 1 < Array.length points && fst points.(i + 1) <= at then
+    last_point points (i + 1) at
+  else i
+
+(* Linear between neighbours; the value holds flat after the last point
+   until the critical time. Inlined, like [utility], so that the result
+   stays unboxed in [utility_into]. *)
+let[@inline] interp points c at =
   let n = Array.length points in
-  (* Last point at or before [at]; linear between neighbours; the value
-     holds flat after the last point until the critical time. *)
-  let rec find i =
-    if i + 1 < n && fst points.(i + 1) <= at then find (i + 1) else i
-  in
-  let i = find 0 in
+  let i = last_point points 0 at in
   let t0, u0 = points.(i) in
   if i + 1 >= n then u0
   else
@@ -55,7 +59,7 @@ let interp points c at =
       let frac = float_of_int (at - t0) /. float_of_int (t1 - t0) in
       u0 +. (frac *. (u1 -. u0))
 
-let utility f ~at =
+let[@inline] utility f ~at =
   let at = Int.max at 0 in
   let c = critical_time f in
   if at >= c then 0.0
@@ -68,6 +72,8 @@ let utility f ~at =
       let x = float_of_int at /. float_of_int c in
       u0 *. (1.0 -. (x *. x))
     | Piecewise { points; c } -> interp points c at
+
+let utility_into f ~at dst i = dst.(i) <- utility f ~at
 
 let initial_utility f = utility f ~at:0
 

@@ -40,6 +40,12 @@ val utility : t -> at:int -> float
 (** [utility f ~at] is the utility of completing at sojourn time [at].
     Zero for [at >= critical_time f]; [at < 0] is treated as 0. *)
 
+val utility_into : t -> at:int -> float array -> int -> unit
+(** [utility_into f ~at dst i] stores [utility f ~at] in [dst.(i)].
+    Unlike [utility], it allocates nothing under any TUF: a float
+    returned from a call that is not inlined is boxed, and the
+    schedulers read a utility per live job per invocation. *)
+
 val critical_time : t -> int
 (** [critical_time f] is the single time at which [f] drops to (and
     stays at) zero. *)

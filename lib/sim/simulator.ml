@@ -548,20 +548,27 @@ let assign_global st =
   done;
   st.p_migrations <- !migrations
 
-(* Append to the selection, up to [frees] jobs, the first [m - 1 - taken]
-   runnable, unpinned jobs of [schedule] other than [primary]. *)
-let rec select_rest st ~frees ~primary taken = function
-  | j :: tl when taken < Cores.count st.cores - 1 ->
+(* Append to the selection, up to [frees] jobs, the first [m - 1]
+   runnable, unpinned jobs of [d]'s schedule other than [primary]. *)
+let select_rest st ~frees ~primary (d : Scheduler.decision) =
+  let limit = Cores.count st.cores - 1 in
+  let taken = ref 0 and i = ref 0 in
+  while !taken < limit && !i < d.length do
+    let j = d.jobs.(d.schedule.(!i)) in
     if target_ok st j && (not (pinned st j)) && j.Job.jid <> primary.Job.jid
     then begin
       if st.n_selected < frees then begin
         st.selected.(st.n_selected) <- j;
         st.n_selected <- st.n_selected + 1
       end;
-      select_rest st ~frees ~primary (taken + 1) tl
-    end
-    else select_rest st ~frees ~primary taken tl
-  | _ -> ()
+      incr taken
+    end;
+    incr i
+  done
+
+(* The job [d] dispatches, or [Job.dummy] when it idles. *)
+let dispatched (d : Scheduler.decision) =
+  if d.dispatch < 0 then Job.dummy else d.jobs.(d.dispatch)
 
 let plan_global st =
   let jobs = Live_view.view st.live in
@@ -575,20 +582,20 @@ let plan_global st =
      schedule order (capped at m-1, so at m=1 this engine reduces to
      the pre-SMP single-CPU path step for step). *)
   let primary =
-    match d.Scheduler.dispatch with
-    | Some j when target_ok st j && not (pinned st j) -> j
-    | Some _ | None -> Job.dummy
+    let j = dispatched d in
+    if j != Job.dummy && target_ok st j && not (pinned st j) then j
+    else Job.dummy
   in
   st.n_selected <- 0;
   if primary != Job.dummy && frees > 0 then begin
     st.selected.(0) <- primary;
     st.n_selected <- 1
   end;
-  select_rest st ~frees ~primary 0 d.Scheduler.schedule;
+  select_rest st ~frees ~primary d;
   assign_global st;
-  st.p_ops <- d.Scheduler.ops;
+  st.p_ops <- d.ops;
   st.p_decisions <- 1;
-  st.p_aborts <- d.Scheduler.aborts
+  st.p_aborts <- d.aborts
 
 let plan_partitioned st =
   let m = Cores.count st.cores in
@@ -602,13 +609,12 @@ let plan_partitioned st =
       st.schedulers.(c).Scheduler.decide ~now:st.now ~jobs
         ~remaining:st.remaining
     in
-    st.p_ops <- st.p_ops + d.Scheduler.ops;
-    if d.Scheduler.aborts <> [] then
-      st.p_aborts <- st.p_aborts @ d.Scheduler.aborts;
+    st.p_ops <- st.p_ops + d.ops;
+    if d.aborts <> [] then st.p_aborts <- st.p_aborts @ d.aborts;
+    let j = dispatched d in
     st.assign.(c) <-
-      (match d.Scheduler.dispatch with
-      | Some j when (not st.keep.(c)) && target_ok st j -> j
-      | Some _ | None -> Job.dummy)
+      (if j != Job.dummy && (not st.keep.(c)) && target_ok st j then j
+       else Job.dummy)
   done;
   st.p_decisions <- m;
   st.p_migrations <- 0
@@ -1034,7 +1040,7 @@ let summarise st =
     per_core_busy = Array.copy (Cores.busy st.cores);
     access_samples = Stats.summary st.access_samples;
     sojourn_samples;
-    sojourn_hist = Stats.histogram sojourn_samples;
+    sojourn_hist = Stats.histogram (Array.copy sojourn_samples);
     blocking_hist = Stats.histogram (Float_buffer.to_array st.blocking_spans);
     sched_hist = Stats.histogram (Float_buffer.to_array st.sched_costs);
     contention = st.contention;

@@ -33,7 +33,7 @@ let test_plain_edf_without_locks () =
   let b = job ~jid:1 ~ct:200 ~rem:10 in
   let d = sched.Scheduler.decide ~now:0 ~jobs:[| a; b |] ~remaining in
   Alcotest.(check bool) "earliest ct first" true
-    (match d.Scheduler.dispatch with Some j -> j.Job.jid = 1 | None -> false)
+    (match (Scheduler.dispatched d) with Some j -> j.Job.jid = 1 | None -> false)
 
 let test_inheritance_direct () =
   (* Holder (late ct) inherits the blocked job's early ct. *)
@@ -84,13 +84,79 @@ let test_dispatches_inheriting_holder () =
     sched.Scheduler.decide ~now:0 ~jobs:[| holder; urgent; mid |] ~remaining
   in
   Alcotest.(check bool) "holder dispatched via inheritance" true
-    (match d.Scheduler.dispatch with Some j -> j.Job.jid = 0 | None -> false)
+    (match (Scheduler.dispatched d) with Some j -> j.Job.jid = 0 | None -> false)
 
 let test_no_inheritance_without_blocking () =
   let locks = with_locks () in
   let a = job ~jid:0 ~ct:900 ~rem:10 in
   Alcotest.(check int) "own ct" 900
     (Edf_pip.effective_critical_time ~locks ~jobs:[| a |] a)
+
+(* --- index sort ------------------------------------------------------------ *)
+
+(* The decider's in-place position sort against the list sort it
+   replaced: the runnable jobs keyed by inherited critical time, sorted
+   by (key, jid). Critical times take three values and jids are
+   shuffled, so ties decide much of the order; random lock requests on
+   three objects block some jobs behind others (chains and inheritance),
+   and some jobs have already completed. *)
+let list_schedule ~locks jobs =
+  let by_ect ((ka : int), a) (kb, b) =
+    if ka <> kb then Int.compare ka kb else Int.compare a.Job.jid b.Job.jid
+  in
+  let keyed = ref [] in
+  Array.iter
+    (fun j ->
+      if Job.is_runnable j then
+        keyed := (Edf_pip.effective_critical_time ~locks ~jobs j, j) :: !keyed)
+    jobs;
+  List.map snd (List.sort by_ect !keyed)
+
+let scene_gen rs =
+  let n = Random.State.int rs 25 in
+  let jids = Array.init n (fun i -> 2 * i) in
+  for i = n - 1 downto 1 do
+    let k = Random.State.int rs (i + 1) in
+    let t = jids.(i) in
+    jids.(i) <- jids.(k);
+    jids.(k) <- t
+  done;
+  let jobs =
+    Array.map
+      (fun jid -> job ~jid ~ct:(100 * (1 + Random.State.int rs 3)) ~rem:10)
+      jids
+  in
+  let locks = Lock_manager.create ~objects:(Resource.create ~n:3) in
+  Array.iter
+    (fun j ->
+      for _ = 1 to Random.State.int rs 3 do
+        let obj = Random.State.int rs 3 in
+        if Job.is_runnable j then
+          match Lock_manager.request locks ~jid:j.Job.jid ~obj with
+          | Lock_manager.Granted -> ()
+          | Lock_manager.Blocked_on _ -> j.Job.state <- Job.Blocked obj
+      done;
+      if Random.State.int rs 8 = 0 && Job.is_runnable j then
+        j.Job.state <- Job.Completed)
+    jobs;
+  (jobs, locks)
+
+let prop_index_sort =
+  QCheck.Test.make ~name:"index sort = List.sort by (inherited ct, jid)"
+    ~count:400
+    (QCheck.make scene_gen ~print:(fun (jobs, _) ->
+         String.concat " "
+           (Array.to_list
+              (Array.map
+                 (fun j ->
+                   Printf.sprintf "%d@%d%s" j.Job.jid
+                     (Job.absolute_critical_time j)
+                     (if Job.is_runnable j then "" else "!"))
+                 jobs))))
+    (fun (jobs, locks) ->
+      let d = (Edf_pip.make ~locks).Scheduler.decide ~now:0 ~jobs ~remaining in
+      List.map (fun j -> j.Job.jid) (Scheduler.schedule_list d)
+      = List.map (fun j -> j.Job.jid) (list_schedule ~locks jobs))
 
 (* --- end-to-end ------------------------------------------------------------ *)
 
@@ -153,6 +219,7 @@ let () =
           Alcotest.test_case "no inheritance without blocking" `Quick
             test_no_inheritance_without_blocking;
         ] );
+      ("index_sort", [ Test_support.to_alcotest prop_index_sort ]);
       ( "end_to_end",
         [
           Alcotest.test_case "underload meets all" `Quick

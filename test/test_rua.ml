@@ -75,7 +75,7 @@ let test_edf_dispatches_earliest () =
   let b = job ~jid:1 ~ct:200 ~rem:10 () in
   let d = sched.Scheduler.decide ~now:0 ~jobs:[| a; b |] ~remaining in
   Alcotest.(check bool) "earliest ct wins" true
-    (match d.Scheduler.dispatch with Some j -> j.Job.jid = 1 | None -> false)
+    (match (Scheduler.dispatched d) with Some j -> j.Job.jid = 1 | None -> false)
 
 let test_edf_skips_blocked () =
   let sched = Edf.make () in
@@ -84,12 +84,12 @@ let test_edf_skips_blocked () =
   b.Job.state <- Job.Blocked 0;
   let d = sched.Scheduler.decide ~now:0 ~jobs:[| a; b |] ~remaining in
   Alcotest.(check bool) "skips blocked" true
-    (match d.Scheduler.dispatch with Some j -> j.Job.jid = 0 | None -> false)
+    (match (Scheduler.dispatched d) with Some j -> j.Job.jid = 0 | None -> false)
 
 let test_edf_idle_when_nothing_runnable () =
   let sched = Edf.make () in
   let d = sched.Scheduler.decide ~now:0 ~jobs:[||] ~remaining in
-  Alcotest.(check bool) "idle" true (d.Scheduler.dispatch = None)
+  Alcotest.(check bool) "idle" true ((Scheduler.dispatched d) = None)
 
 (* --- lock-free RUA ------------------------------------------------------------ *)
 
@@ -99,8 +99,8 @@ let test_lf_dispatches_feasible_head () =
   let b = job ~jid:1 ~ct:200 ~rem:100 () in
   let d = sched.Scheduler.decide ~now:0 ~jobs:[| a; b |] ~remaining in
   Alcotest.(check bool) "ECF head dispatched" true
-    (match d.Scheduler.dispatch with Some j -> j.Job.jid = 1 | None -> false);
-  Alcotest.(check (list int)) "nothing rejected" [] d.Scheduler.rejected
+    (match (Scheduler.dispatched d) with Some j -> j.Job.jid = 1 | None -> false);
+  Alcotest.(check (list int)) "nothing rejected" [] (Scheduler.rejected_list d)
 
 let test_lf_sheds_lowest_pud_in_overload () =
   (* Two jobs, only one can meet its critical time. The high-utility
@@ -110,9 +110,9 @@ let test_lf_sheds_lowest_pud_in_overload () =
   let sched = Rua_lf.make () in
   let d = sched.Scheduler.decide ~now:0 ~jobs:[| high; low |] ~remaining in
   Alcotest.(check (list int)) "low-PUD job rejected" [ 1 ]
-    d.Scheduler.rejected;
+    (Scheduler.rejected_list d);
   Alcotest.(check bool) "high-PUD job dispatched" true
-    (match d.Scheduler.dispatch with Some j -> j.Job.jid = 0 | None -> false)
+    (match (Scheduler.dispatched d) with Some j -> j.Job.jid = 0 | None -> false)
 
 let test_lf_keeps_all_feasible_regardless_of_pud () =
   (* Underload: even the lowest-PUD job stays. *)
@@ -120,8 +120,8 @@ let test_lf_keeps_all_feasible_regardless_of_pud () =
   let b = job ~height:0.1 ~jid:1 ~ct:2000 ~rem:50 () in
   let sched = Rua_lf.make () in
   let d = sched.Scheduler.decide ~now:0 ~jobs:[| a; b |] ~remaining in
-  Alcotest.(check int) "both scheduled" 2 (List.length d.Scheduler.schedule);
-  Alcotest.(check (list int)) "none rejected" [] d.Scheduler.rejected
+  Alcotest.(check int) "both scheduled" 2 (List.length (Scheduler.schedule_list d));
+  Alcotest.(check (list int)) "none rejected" [] (Scheduler.rejected_list d)
 
 let test_lf_equals_edf_when_feasible () =
   (* §3.4: step TUFs + underload + no sharing => RUA's dispatch matches
@@ -137,7 +137,7 @@ let test_lf_equals_edf_when_feasible () =
   let lf = (Rua_lf.make ()).Scheduler.decide ~now:0 ~jobs:(Array.of_list jobs) ~remaining in
   let ed = (Edf.make ()).Scheduler.decide ~now:0 ~jobs:(Array.of_list jobs) ~remaining in
   Alcotest.(check bool) "same dispatch" true
-    (match (lf.Scheduler.dispatch, ed.Scheduler.dispatch) with
+    (match ((Scheduler.dispatched lf), (Scheduler.dispatched ed)) with
     | Some a, Some b -> a.Job.jid = b.Job.jid
     | None, None -> true
     | _ -> false)
@@ -165,7 +165,7 @@ let prop_lf_edf_equivalence =
       QCheck.assume feasible;
       let lf = (Rua_lf.make ()).Scheduler.decide ~now:0 ~jobs:(Array.of_list jobs) ~remaining in
       let ed = (Edf.make ()).Scheduler.decide ~now:0 ~jobs:(Array.of_list jobs) ~remaining in
-      match (lf.Scheduler.dispatch, ed.Scheduler.dispatch) with
+      match ((Scheduler.dispatched lf), (Scheduler.dispatched ed)) with
       | Some a, Some b ->
         Job.absolute_critical_time a = Job.absolute_critical_time b
       | None, None -> true
@@ -189,9 +189,9 @@ let test_lb_respects_dependency () =
   let sched = Rua_lb.make ~locks in
   let d = sched.Scheduler.decide ~now:0 ~jobs:[| a; b |] ~remaining in
   Alcotest.(check bool) "lock holder dispatched" true
-    (match d.Scheduler.dispatch with Some j -> j.Job.jid = 1 | None -> false);
+    (match (Scheduler.dispatched d) with Some j -> j.Job.jid = 1 | None -> false);
   Alcotest.(check (list int)) "schedule order holder-first" [ 1; 0 ]
-    (List.map (fun j -> j.Job.jid) d.Scheduler.schedule)
+    (List.map (fun j -> j.Job.jid) (Scheduler.schedule_list d))
 
 let test_lb_without_locks_matches_lock_free () =
   let locks = with_locks () in
@@ -201,7 +201,7 @@ let test_lb_without_locks_matches_lock_free () =
   let lb = (Rua_lb.make ~locks).Scheduler.decide ~now:0 ~jobs:(Array.of_list jobs) ~remaining in
   let lf = (Rua_lf.make ()).Scheduler.decide ~now:0 ~jobs:(Array.of_list jobs) ~remaining in
   Alcotest.(check bool) "same dispatch" true
-    (match (lb.Scheduler.dispatch, lf.Scheduler.dispatch) with
+    (match ((Scheduler.dispatched lb), (Scheduler.dispatched lf)) with
     | Some a, Some b -> a.Job.jid = b.Job.jid
     | _ -> false)
 
@@ -238,9 +238,9 @@ let test_lb_aggregate_rejection () =
   | Lock_manager.Granted -> Alcotest.fail "expected block");
   let sched = Rua_lb.make ~locks in
   let d = sched.Scheduler.decide ~now:0 ~jobs:[| holder; waiter |] ~remaining in
-  Alcotest.(check (list int)) "waiter rejected" [ 1 ] d.Scheduler.rejected;
+  Alcotest.(check (list int)) "waiter rejected" [ 1 ] (Scheduler.rejected_list d);
   Alcotest.(check (list int)) "holder kept" [ 0 ]
-    (List.map (fun j -> j.Job.jid) d.Scheduler.schedule)
+    (List.map (fun j -> j.Job.jid) (Scheduler.schedule_list d))
 
 let test_lb_ops_exceed_lf_ops () =
   (* The lock-based algorithm does strictly more abstract work than the
@@ -281,7 +281,7 @@ let test_lb_transitive_chain_in_schedule () =
   let sched = Rua_lb.make ~locks in
   let d = sched.Scheduler.decide ~now:0 ~jobs:[| j0; j1; j2 |] ~remaining in
   Alcotest.(check (list int)) "dependency order" [ 0; 1; 2 ]
-    (List.map (fun j -> j.Job.jid) d.Scheduler.schedule)
+    (List.map (fun j -> j.Job.jid) (Scheduler.schedule_list d))
 
 let () =
   Test_support.run "rua"

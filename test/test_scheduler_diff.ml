@@ -76,22 +76,39 @@ let scene rs ~n ~with_chains =
 let jid_opt = function None -> None | Some j -> Some j.Job.jid
 let jids = List.map (fun j -> j.Job.jid)
 
+(* A copy of [d] that outlives its decider's next call. *)
+let copy (d : Scheduler.decision) =
+  Scheduler.of_lists ~jobs:d.Scheduler.jobs ~aborts:d.Scheduler.aborts
+    ~rejected:(Scheduler.rejected_list d) ~schedule:(Scheduler.schedule_list d)
+    ~ops:d.Scheduler.ops
+
+(* The contract's shape: [dispatch] is the first runnable entry of the
+   schedule slice (or -1 when it has none), and every position is in
+   range. *)
+let check_dispatch ~msg (d : Scheduler.decision) =
+  let schedule = Scheduler.schedule_list d in
+  Alcotest.(check (option int))
+    (msg ^ ": dispatch = first runnable of the schedule")
+    (jid_opt (List.find_opt Job.is_runnable schedule))
+    (jid_opt (Scheduler.dispatched d))
+
 let check_same ~msg (expected : Scheduler.decision)
     (got : Scheduler.decision) =
+  check_dispatch ~msg got;
   Alcotest.(check (option int))
     (msg ^ ": dispatch")
-    (jid_opt expected.Scheduler.dispatch)
-    (jid_opt got.Scheduler.dispatch);
+    (jid_opt (Scheduler.dispatched expected))
+    (jid_opt (Scheduler.dispatched got));
   Alcotest.(check (list int))
     (msg ^ ": aborts")
     (jids expected.Scheduler.aborts)
     (jids got.Scheduler.aborts);
   Alcotest.(check (list int))
-    (msg ^ ": rejected") expected.Scheduler.rejected got.Scheduler.rejected;
+    (msg ^ ": rejected") (Scheduler.rejected_list expected) (Scheduler.rejected_list got);
   Alcotest.(check (list int))
     (msg ^ ": schedule")
-    (jids expected.Scheduler.schedule)
-    (jids got.Scheduler.schedule);
+    (jids (Scheduler.schedule_list expected))
+    (jids (Scheduler.schedule_list got));
   Alcotest.(check int) (msg ^ ": ops") expected.Scheduler.ops
     got.Scheduler.ops
 
@@ -410,7 +427,7 @@ let run_warm_reversed () =
     check_same ~msg expected (opt.Scheduler.decide ~now ~jobs ~remaining);
     if Array.length jobs > 16 then
       Alcotest.(check bool) (msg ^ ": admits some, rejects some") true
-        (expected.Scheduler.schedule <> [] && expected.Scheduler.rejected <> [])
+        ((Scheduler.schedule_list expected) <> [] && (Scheduler.rejected_list expected) <> [])
   in
   decide ~msg:"warm-up" ~now:0 (reversed ~base:0 16);
   let cold = reversed ~base:100 256 in
@@ -504,6 +521,7 @@ let test_resort_ecf () =
    the runnable jobs in (key, jid) order, dispatch is its head, nothing
    is aborted or rejected, and [ops] is the documented charge. *)
 let check_spec ~key ~ops ~msg jobs (got : Scheduler.decision) =
+  check_dispatch ~msg got;
   let schedule =
     Array.to_list jobs
     |> List.filter Job.is_runnable
@@ -512,13 +530,13 @@ let check_spec ~key ~ops ~msg jobs (got : Scheduler.decision) =
   in
   Alcotest.(check (list int))
     (msg ^ ": schedule") schedule
-    (jids got.Scheduler.schedule);
+    (jids (Scheduler.schedule_list got));
   Alcotest.(check (option int))
     (msg ^ ": dispatch")
     (List.nth_opt schedule 0)
-    (jid_opt got.Scheduler.dispatch);
+    (jid_opt (Scheduler.dispatched got));
   Alcotest.(check (list int)) (msg ^ ": aborts") [] (jids got.Scheduler.aborts);
-  Alcotest.(check (list int)) (msg ^ ": rejected") [] got.Scheduler.rejected;
+  Alcotest.(check (list int)) (msg ^ ": rejected") [] (Scheduler.rejected_list got);
   Alcotest.(check int) (msg ^ ": ops") ops got.Scheduler.ops
 
 (* EDF charges every array entry, dead ones included. *)
@@ -547,7 +565,7 @@ let run_spec kind () =
       | `Edf -> (edf, check_edf)
       | `Edf_pip -> (Rtlf_core.Edf_pip.make ~locks, check_edf_pip ~locks)
     in
-    let first = sched.Scheduler.decide ~now ~jobs ~remaining in
+    let first = copy (sched.Scheduler.decide ~now ~jobs ~remaining) in
     let msg = sched.Scheduler.name ^ " " ^ msg in
     check ~msg ~now jobs first;
     check_same ~msg:(msg ^ " (rerun)") first
@@ -588,66 +606,196 @@ let run_spec kind () =
   Alcotest.(check bool) "at least 100 scenes" true (!count >= 100);
   Alcotest.(check bool) "critical-time ties present" true (!ct_ties >= 100)
 
-(* --- rebuild allocation budget ------------------------------------------ *)
+(* --- decision ownership ---------------------------------------------------- *)
 
-(* A rebuild allocates only the decision it returns: the schedule and
-   rejected lists, plus boxed utilities from non-step TUFs. One
-   persistent instance alternates between two arrays, so every call
-   misses the cache and rebuilds: two disjoint ones (no survivor to
-   seed from) and two that differ by one arrival (the warm start). The
-   first call at each size is a warm-up that grows the scratch
-   arrays. *)
+(* Each instance overwrites one record: two successive decides return
+   the same physical record, and what a caller copied out of the first
+   ([schedule_list], [rejected_list]) is still the first decision after
+   the second call. A fresh instance re-decides the first scene as the
+   witness. *)
+let test_same_record () =
+  let rs = Test_support.rand_state () in
+  let locks = Lock_manager.create ~objects:(Resource.create ~n:1) in
+  let makes =
+    [
+      (fun () -> Rtlf_core.Rua_lock_free.make ());
+      (fun () -> Rtlf_core.Rua_lock_based.make ~locks);
+      Rtlf_core.Edf.make;
+      (fun () -> Rtlf_core.Edf_pip.make ~locks);
+    ]
+  in
+  List.iter
+    (fun make ->
+      for rep = 1 to 8 do
+        let first = tie_scene rs ~n:17 `Ct in
+        let second = tie_scene rs ~n:(1 + Random.State.int rs 33) `Ct in
+        let sched = make () in
+        let msg = Printf.sprintf "%s rep=%d" sched.Scheduler.name rep in
+        let d1 = sched.Scheduler.decide ~now:3 ~jobs:first ~remaining in
+        let schedule = jids (Scheduler.schedule_list d1) in
+        let rejected = Scheduler.rejected_list d1 in
+        let d2 = sched.Scheduler.decide ~now:5 ~jobs:second ~remaining in
+        Alcotest.(check bool) (msg ^ ": one record") true (d1 == d2);
+        Alcotest.(check bool) (msg ^ ": record holds the second array") true
+          (d2.Scheduler.jobs == second);
+        let witness = (make ()).Scheduler.decide ~now:3 ~jobs:first ~remaining in
+        Alcotest.(check (list int)) (msg ^ ": schedule copy kept")
+          (jids (Scheduler.schedule_list witness)) schedule;
+        Alcotest.(check (list int)) (msg ^ ": rejected copy kept")
+          (Scheduler.rejected_list witness) rejected;
+        check_same ~msg:(msg ^ ": second")
+          ((make ()).Scheduler.decide ~now:5 ~jobs:second ~remaining)
+          d2
+      done)
+    makes
+
+(* --- EDF index sort ------------------------------------------------------- *)
+
+(* EDF's in-place position sort against the list sort it replaced, on
+   tie-dense critical times (three values) and shuffled jids, with some
+   jobs blocked or resolved. *)
+let edf_list_schedule jobs =
+  let by_ct a b =
+    let ca = Job.absolute_critical_time a
+    and cb = Job.absolute_critical_time b in
+    if ca <> cb then Int.compare ca cb else Int.compare a.Job.jid b.Job.jid
+  in
+  let runnable =
+    Array.fold_right
+      (fun j acc -> if Job.is_runnable j then j :: acc else acc)
+      jobs []
+  in
+  List.sort by_ct runnable
+
+let tie_jobs_gen rs =
+  let n = Random.State.int rs 41 in
+  let jids = Array.init n (fun i -> 3 * i) in
+  shuffle rs jids;
+  Array.init n (fun i ->
+      let ct = 100 * (1 + Random.State.int rs 3) in
+      let task =
+        Task.make ~id:i ~tuf:(Tuf.step ~height:1.0 ~c:ct)
+          ~arrival:(Uam.periodic ~period:(2 * ct)) ~exec:10 ()
+      in
+      let j = Job.create ~task ~jid:jids.(i) ~arrival:0 in
+      (match Random.State.int rs 6 with
+      | 0 -> j.Job.state <- Job.Blocked 0
+      | 1 -> j.Job.state <- Job.Completed
+      | 2 -> j.Job.state <- Job.Running
+      | _ -> ());
+      j)
+
+let prop_edf_index_sort =
+  QCheck.Test.make ~name:"edf index sort = List.sort by (ct, jid)" ~count:500
+    (QCheck.make tie_jobs_gen ~print:(fun jobs ->
+         String.concat " "
+           (Array.to_list
+              (Array.map
+                 (fun j ->
+                   Printf.sprintf "%d@%d" j.Job.jid
+                     (Job.absolute_critical_time j))
+                 jobs))))
+    (fun jobs ->
+      let d = (Rtlf_core.Edf.make ()).Scheduler.decide ~now:0 ~jobs ~remaining in
+      jids (Scheduler.schedule_list d) = jids (edf_list_schedule jobs))
+
+(* --- allocation ------------------------------------------------------------ *)
+
+(* A warm decide allocates nothing: each instance writes its one
+   decision record, and a utility under a linear or parabolic TUF stays
+   unboxed. [mk_tuf_job] draws jobs of one TUF class. *)
+let tuf_classes = [ `Step; `Linear; `Parabolic ]
+
+let tuf_name = function
+  | `Step -> "step"
+  | `Linear -> "linear"
+  | `Parabolic -> "parabolic"
+
+let mk_tuf_job rs ~tuf ~jid =
+  let ct = 50 + Random.State.int rs 1950 in
+  let rem = 1 + Random.State.int rs 400 in
+  let height = 0.1 +. Random.State.float rs 100.0 in
+  let tuf =
+    match tuf with
+    | `Step -> Tuf.step ~height ~c:ct
+    | `Linear -> Tuf.linear ~u0:height ~c:ct
+    | `Parabolic -> Tuf.parabolic ~u0:height ~c:ct
+  in
+  let task =
+    Task.make ~id:jid ~tuf ~arrival:(Uam.periodic ~period:(2 * ct)) ~exec:rem ()
+  in
+  Job.create ~task ~jid ~arrival:0
+
+(* Minor words per call over 200 calls of [sched], alternating arrays
+   [b] and [a], after warm-up calls that grow the scratch arrays (the
+   lock-free decider rotates three buffers through its orders, so each
+   reaches full size only after a few rebuilds). *)
+let words_per_call sched ~a ~b =
+  for _ = 1 to 4 do
+    ignore (sched.Scheduler.decide ~now:0 ~jobs:b ~remaining);
+    ignore (sched.Scheduler.decide ~now:0 ~jobs:a ~remaining)
+  done;
+  let calls = 200 in
+  let before = Gc.minor_words () in
+  for k = 1 to calls do
+    let jobs = if k land 1 = 1 then b else a in
+    ignore (sched.Scheduler.decide ~now:0 ~jobs ~remaining)
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+let check_words ~msg per_call =
+  if per_call > 0.0 then
+    Alcotest.failf "%s: %.2f minor words per warm decide (budget 0)" msg
+      per_call
+
+(* Every lock-free call misses the cache and rebuilds: the arrays are
+   two disjoint ones (no survivor to seed from) and two that differ by
+   one arrival (the warm start). A third pair is one array twice, the
+   cache-hit path. *)
 let test_rebuild_alloc_budget () =
   let rs = Test_support.rand_state () in
   List.iter
-    (fun n ->
-      let a = Array.init n (fun i -> mk_job rs ~jid:i) in
-      let disjoint = Array.init n (fun i -> mk_job rs ~jid:(n + i)) in
-      let arrival = Array.append a [| mk_job rs ~jid:(2 * n) |] in
+    (fun tuf ->
       List.iter
-        (fun (label, b) ->
-          let opt = Rtlf_core.Rua_lock_free.make () in
-          ignore (opt.Scheduler.decide ~now:0 ~jobs:b ~remaining);
-          ignore (opt.Scheduler.decide ~now:0 ~jobs:a ~remaining);
-          let calls = 200 in
-          let before = Gc.minor_words () in
-          for k = 1 to calls do
-            let jobs = if k land 1 = 1 then b else a in
-            ignore (opt.Scheduler.decide ~now:0 ~jobs ~remaining)
-          done;
-          let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
-          let budget = float_of_int ((12 * n) + 64) in
-          if per_call > budget then
-            Alcotest.failf "%s n=%d: %.1f minor words per rebuild (budget %.0f)"
-              label n per_call budget)
-        [ ("disjoint", disjoint); ("arrival", arrival) ])
-    [ 32; 64 ]
+        (fun n ->
+          let job jid = mk_tuf_job rs ~tuf ~jid in
+          let a = Array.init n job in
+          let disjoint = Array.init n (fun i -> job (n + i)) in
+          let arrival = Array.append a [| job (2 * n) |] in
+          List.iter
+            (fun (label, b) ->
+              check_words
+                ~msg:(Printf.sprintf "%s %s n=%d" (tuf_name tuf) label n)
+                (words_per_call (Rtlf_core.Rua_lock_free.make ()) ~a ~b))
+            [ ("disjoint", disjoint); ("arrival", arrival); ("cache hit", a) ])
+        [ 32; 64 ])
+    tuf_classes
 
-(* --- lock-based allocation budget --------------------------------------- *)
-
-(* With no waiters, a warm lock-based decision allocates only what it
-   returns: the schedule and rejected lists, the record, plus boxed
-   utilities from non-step TUFs. The first call at each size is a
-   warm-up that grows the scratch arrays. *)
+(* With no waiters, neither the lock-based decider nor EDF+PIP asks the
+   lock table for a chain, and EDF never does. *)
 let test_lock_based_alloc_budget () =
   let rs = Test_support.rand_state () in
   let locks = Lock_manager.create ~objects:(Resource.create ~n:1) in
-  let opt = Rtlf_core.Rua_lock_based.make ~locks in
   List.iter
-    (fun n ->
-      let jobs = Array.init n (fun i -> mk_job rs ~jid:i) in
-      ignore (opt.Scheduler.decide ~now:0 ~jobs ~remaining);
-      let calls = 200 in
-      let before = Gc.minor_words () in
-      for _ = 1 to calls do
-        ignore (opt.Scheduler.decide ~now:0 ~jobs ~remaining)
-      done;
-      let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
-      let budget = float_of_int ((4 * n) + 64) in
-      if per_call > budget then
-        Alcotest.failf "n=%d: %.1f minor words per decision (budget %.0f)" n
-          per_call budget)
-    [ 32; 64 ]
+    (fun tuf ->
+      List.iter
+        (fun n ->
+          let a = Array.init n (fun jid -> mk_tuf_job rs ~tuf ~jid) in
+          let b = Array.init n (fun i -> mk_tuf_job rs ~tuf ~jid:(n + i)) in
+          List.iter
+            (fun sched ->
+              check_words
+                ~msg:
+                  (Printf.sprintf "%s %s n=%d" sched.Scheduler.name
+                     (tuf_name tuf) n)
+                (words_per_call sched ~a ~b))
+            [
+              Rtlf_core.Rua_lock_based.make ~locks;
+              Rtlf_core.Edf.make ();
+              Rtlf_core.Edf_pip.make ~locks;
+            ])
+        [ 32; 64 ])
+    tuf_classes
 
 (* --- incremental sequences ---------------------------------------------- *)
 
@@ -882,7 +1030,10 @@ let () =
           Alcotest.test_case "edf-pip scenes" `Quick (run_spec `Edf_pip);
           Alcotest.test_case "edf sequences" `Quick
             (run_incremental ~make:Rtlf_core.Edf.make ~expect:check_edf);
+          Test_support.to_alcotest prop_edf_index_sort;
         ] );
+      ( "ownership",
+        [ Alcotest.test_case "one record per instance" `Quick test_same_record ] );
       ( "incremental",
         [
           Alcotest.test_case "rua-lock-free sequences = reference" `Quick

@@ -65,18 +65,18 @@ let check_same ~msg (expected : Scheduler.decision)
     (got : Scheduler.decision) =
   Alcotest.(check (option int))
     (msg ^ ": dispatch")
-    (jid_opt expected.Scheduler.dispatch)
-    (jid_opt got.Scheduler.dispatch);
+    (jid_opt (Scheduler.dispatched expected))
+    (jid_opt (Scheduler.dispatched got));
   Alcotest.(check (list int))
     (msg ^ ": aborts")
     (jids expected.Scheduler.aborts)
     (jids got.Scheduler.aborts);
   Alcotest.(check (list int))
-    (msg ^ ": rejected") expected.Scheduler.rejected got.Scheduler.rejected;
+    (msg ^ ": rejected") (Scheduler.rejected_list expected) (Scheduler.rejected_list got);
   Alcotest.(check (list int))
     (msg ^ ": schedule")
-    (jids expected.Scheduler.schedule)
-    (jids got.Scheduler.schedule);
+    (jids (Scheduler.schedule_list expected))
+    (jids (Scheduler.schedule_list got));
   Alcotest.(check int) (msg ^ ": ops") expected.Scheduler.ops
     got.Scheduler.ops
 
