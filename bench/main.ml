@@ -1,54 +1,85 @@
-(* Benchmark harness.
+(* Micro-benchmark harness: the kernels the end-to-end benchmark
+   (bench/e2e) cannot measure, all timed by one fixed-batch wall-clock
+   loop.
 
-   Two halves:
+   - The native lock-free vs lock-based structures: the real-hardware
+     analogue of Figure 8's r vs s, plus the CAS retry profile and the
+     multi-domain contention sweep on real domains.
+   - The scheduler-decision kernels underlying Figure 9 and §3.6's
+     complexity claims, at n = 8/32/64 and, with --scale, from n = 10^3
+     up, together with the event-queue hold.
 
-   1. Bechamel micro-benchmarks — one [Test.make] per evaluation
-      artifact: the simulation kernel behind each figure (FIG8..FIG14),
-      the scheduler-decision cost underlying Figure 9 and §3.6's
-      complexity claims, and the native lock-free vs lock-based
-      structures (the real-hardware analogue of Figure 8's r vs s),
-      plus a multi-domain contention sweep.
-
-   2. The full experiment suite (Figures 8-14, Theorem 2/3, Lemmas
-      4/5) printed as the paper's rows/series. *)
-
-open Bechamel
+   The decide and scale rows are written to BENCH_<label>.json. *)
 
 module Job = Rtlf_model.Job
 module Resource = Rtlf_model.Resource
 module Lock_manager = Rtlf_model.Lock_manager
 module Scheduler = Rtlf_core.Scheduler
-module Simulator = Rtlf_sim.Simulator
 module Workload = Rtlf_workload.Workload
 module E = Rtlf_experiments
 
 let fmt = Format.std_formatter
 
+(* Every kernel is a [unit -> unit] closure over state its constructor
+   builds; one call is one timed operation. *)
+
 (* --- native structure kernels (Figure 8, real hardware) -------------- *)
 
 let bench_ms_queue () =
   let q = Rtlf_lockfree.Ms_queue.create () in
-  Staged.stage (fun () ->
-      Rtlf_lockfree.Ms_queue.enqueue q 1;
-      ignore (Rtlf_lockfree.Ms_queue.dequeue q))
+  fun () ->
+    Rtlf_lockfree.Ms_queue.enqueue q 1;
+    ignore (Rtlf_lockfree.Ms_queue.dequeue q)
 
 let bench_lock_queue () =
   let q = Rtlf_lockfree.Lock_queue.create () in
-  Staged.stage (fun () ->
-      Rtlf_lockfree.Lock_queue.enqueue q 1;
-      ignore (Rtlf_lockfree.Lock_queue.dequeue q))
+  fun () ->
+    Rtlf_lockfree.Lock_queue.enqueue q 1;
+    ignore (Rtlf_lockfree.Lock_queue.dequeue q)
 
 let bench_treiber () =
   let st = Rtlf_lockfree.Treiber_stack.create () in
-  Staged.stage (fun () ->
-      Rtlf_lockfree.Treiber_stack.push st 1;
-      ignore (Rtlf_lockfree.Treiber_stack.pop st))
+  fun () ->
+    Rtlf_lockfree.Treiber_stack.push st 1;
+    ignore (Rtlf_lockfree.Treiber_stack.pop st)
 
 let bench_lock_stack () =
   let st = Rtlf_lockfree.Lock_stack.create () in
-  Staged.stage (fun () ->
-      Rtlf_lockfree.Lock_stack.push st 1;
-      ignore (Rtlf_lockfree.Lock_stack.pop st))
+  fun () ->
+    Rtlf_lockfree.Lock_stack.push st 1;
+    ignore (Rtlf_lockfree.Lock_stack.pop st)
+
+let bench_ring () =
+  let q = Rtlf_lockfree.Ring_buffer.create ~capacity:64 in
+  fun () ->
+    ignore (Rtlf_lockfree.Ring_buffer.try_push q 1);
+    ignore (Rtlf_lockfree.Ring_buffer.try_pop q)
+
+let bench_lf_set () =
+  let s = Rtlf_lockfree.Lf_set.create () in
+  let k = ref 0 in
+  fun () ->
+    k := (!k + 1) land 1023;
+    ignore (Rtlf_lockfree.Lf_set.add s !k);
+    ignore (Rtlf_lockfree.Lf_set.remove s !k)
+
+let bench_snapshot () =
+  let snap = Rtlf_lockfree.Snapshot.create ~n:8 ~init:0 in
+  fun () ->
+    Rtlf_lockfree.Snapshot.update snap ~i:3 1;
+    ignore (Rtlf_lockfree.Snapshot.scan snap)
+
+let bench_nbw () =
+  let reg = Rtlf_lockfree.Nbw_register.create 0 in
+  fun () ->
+    Rtlf_lockfree.Nbw_register.write reg 1;
+    ignore (Rtlf_lockfree.Nbw_register.read reg)
+
+let bench_four_slot () =
+  let reg = Rtlf_lockfree.Four_slot.create 0 in
+  fun () ->
+    Rtlf_lockfree.Four_slot.write reg 1;
+    ignore (Rtlf_lockfree.Four_slot.read reg)
 
 (* --- scheduler decision kernels (§3.6, Figure 9) ---------------------- *)
 
@@ -93,9 +124,9 @@ let bench_decide ~sched ~n =
     | `Edf_pip -> Rtlf_core.Edf_pip.make ~locks
   in
   let k = ref 0 in
-  Staged.stage (fun () ->
-      k := 1 - !k;
-      ignore (scheduler.Scheduler.decide ~now:0 ~jobs:copies.(!k) ~remaining))
+  fun () ->
+    k := 1 - !k;
+    ignore (scheduler.Scheduler.decide ~now:0 ~jobs:copies.(!k) ~remaining)
 
 (* The simulator's arrival pattern for one persistent lock-free
    decider: every call gets a fresh jid-sorted array that differs from
@@ -117,143 +148,10 @@ let bench_decide_arrival ~n =
   in
   let scheduler = Rtlf_core.Rua_lock_free.make () in
   let k = ref 0 in
-  Staged.stage (fun () ->
-      let jobs = windows.(!k) in
-      k := if !k + 1 = Array.length windows then 0 else !k + 1;
-      ignore (scheduler.Scheduler.decide ~now:0 ~jobs ~remaining))
-
-(* --- per-figure simulation kernels ------------------------------------ *)
-
-(* One short simulation representative of each figure's configuration;
-   benchmarked to track the cost of regenerating each artifact. *)
-let fig_sim ~sync ~al ~tuf_class ~n_objects ~mean_exec =
-  let spec =
-    {
-      Workload.default with
-      Workload.n_objects;
-      accesses_per_job = n_objects;
-      target_al = al;
-      tuf_class;
-      mean_exec;
-      seed = 11;
-    }
-  in
-  let tasks = Workload.make spec in
-  let horizon = 20 * mean_exec * spec.Workload.n_tasks in
-  Staged.stage (fun () ->
-      ignore
-        (Simulator.run
-           (Simulator.config ~tasks ~sync ~horizon ~seed:3
-              ~sched_base:E.Common.sched_base
-              ~sched_per_op:E.Common.sched_per_op ())))
-
-(* Each group is a list of (name, make-staged-fn) pairs so --filter can
-   drop a kernel before its scene is ever built; [pick] applies the
-   predicate and stages only the survivors. *)
-let pick ~keep entries =
-  List.filter_map
-    (fun (name, mk) -> if keep name then Some (name, mk ()) else None)
-    entries
-
-let sim_tests ~keep () =
-  pick ~keep
-    [
-      ( "FIG8-kernel (lock-based access times)",
-        fun () ->
-          fig_sim ~sync:E.Common.lock_based ~al:0.5
-            ~tuf_class:Workload.Step_only ~n_objects:10 ~mean_exec:200_000 );
-      ( "FIG9-kernel (CML probe, lock-free)",
-        fun () ->
-          fig_sim ~sync:E.Common.lock_free ~al:0.8
-            ~tuf_class:Workload.Step_only ~n_objects:10 ~mean_exec:30_000 );
-      ( "FIG10-kernel (underload, step)",
-        fun () ->
-          fig_sim ~sync:E.Common.lock_free ~al:0.4
-            ~tuf_class:Workload.Step_only ~n_objects:10 ~mean_exec:100_000 );
-      ( "FIG11-kernel (underload, heterogeneous)",
-        fun () ->
-          fig_sim ~sync:E.Common.lock_free ~al:0.4
-            ~tuf_class:Workload.Heterogeneous ~n_objects:10
-            ~mean_exec:100_000 );
-      ( "FIG12-kernel (overload, step)",
-        fun () ->
-          fig_sim ~sync:E.Common.lock_based ~al:1.1
-            ~tuf_class:Workload.Step_only ~n_objects:10 ~mean_exec:100_000 );
-      ( "FIG13-kernel (overload, heterogeneous)",
-        fun () ->
-          fig_sim ~sync:E.Common.lock_based ~al:1.1
-            ~tuf_class:Workload.Heterogeneous ~n_objects:10
-            ~mean_exec:100_000 );
-      ( "FIG14-kernel (readers, heterogeneous)",
-        fun () ->
-          fig_sim ~sync:E.Common.lock_based ~al:0.6
-            ~tuf_class:Workload.Heterogeneous ~n_objects:6
-            ~mean_exec:100_000 );
-    ]
-
-let bench_ring () =
-  let q = Rtlf_lockfree.Ring_buffer.create ~capacity:64 in
-  Staged.stage (fun () ->
-      ignore (Rtlf_lockfree.Ring_buffer.try_push q 1);
-      ignore (Rtlf_lockfree.Ring_buffer.try_pop q))
-
-let bench_lf_set () =
-  let s = Rtlf_lockfree.Lf_set.create () in
-  let k = ref 0 in
-  Staged.stage (fun () ->
-      k := (!k + 1) land 1023;
-      ignore (Rtlf_lockfree.Lf_set.add s !k);
-      ignore (Rtlf_lockfree.Lf_set.remove s !k))
-
-let bench_snapshot () =
-  let snap = Rtlf_lockfree.Snapshot.create ~n:8 ~init:0 in
-  Staged.stage (fun () ->
-      Rtlf_lockfree.Snapshot.update snap ~i:3 1;
-      ignore (Rtlf_lockfree.Snapshot.scan snap))
-
-let bench_nbw () =
-  let reg = Rtlf_lockfree.Nbw_register.create 0 in
-  Staged.stage (fun () ->
-      Rtlf_lockfree.Nbw_register.write reg 1;
-      ignore (Rtlf_lockfree.Nbw_register.read reg))
-
-let bench_four_slot () =
-  let reg = Rtlf_lockfree.Four_slot.create 0 in
-  Staged.stage (fun () ->
-      Rtlf_lockfree.Four_slot.write reg 1;
-      ignore (Rtlf_lockfree.Four_slot.read reg))
-
-let native_tests ~keep () =
-  pick ~keep
-    [
-      ("ms-queue enq+deq (lock-free s)", bench_ms_queue);
-      ("mutex-queue enq+deq (lock-based r)", bench_lock_queue);
-      ("treiber push+pop (lock-free s)", bench_treiber);
-      ("mutex-stack push+pop (lock-based r)", bench_lock_stack);
-      ("nbw-register write+read (wait-free writer)", bench_nbw);
-      ("four-slot write+read (fully wait-free)", bench_four_slot);
-      ("mpmc-ring push+pop (lock-free bounded)", bench_ring);
-      ("harris-set add+remove (lock-free ordered)", bench_lf_set);
-      ("snapshot update+scan n=8 (lock-free cut)", bench_snapshot);
-    ]
-
-let scheduler_tests ~keep () =
-  let variants n =
-    pick ~keep
-      [
-        ( Printf.sprintf "rua-lock-based decide n=%d" n,
-          fun () -> bench_decide ~sched:`Lock_based ~n );
-        ( Printf.sprintf "rua-lock-free decide n=%d" n,
-          fun () -> bench_decide ~sched:`Lock_free ~n );
-        ( Printf.sprintf "rua-lock-free decide n=%d arrival" n,
-          fun () -> bench_decide_arrival ~n );
-        ( Printf.sprintf "edf decide n=%d" n,
-          fun () -> bench_decide ~sched:`Edf ~n );
-        ( Printf.sprintf "edf-pip decide n=%d" n,
-          fun () -> bench_decide ~sched:`Edf_pip ~n );
-      ]
-  in
-  List.concat_map variants [ 8; 32; 64 ]
+  fun () ->
+    let jobs = windows.(!k) in
+    k := if !k + 1 = Array.length windows then 0 else !k + 1;
+    ignore (scheduler.Scheduler.decide ~now:0 ~jobs ~remaining)
 
 (* --- scale kernels (10^3..10^5 live jobs / pending events) ------------- *)
 
@@ -262,8 +160,7 @@ let scheduler_tests ~keep () =
    minutes. The scale story is the O(n log n) pair plus the event
    queue. *)
 
-(* 64 anchors the sweep to the classic bechamel kernels' size. *)
-let scale_sizes = [ 64; 1_000; 10_000; 100_000 ]
+let scale_sizes = [ 1_000; 10_000; 100_000 ]
 
 let bench_decide_scale ~sched ~path jobs =
   let scheduler =
@@ -277,17 +174,16 @@ let bench_decide_scale ~sched ~path jobs =
        lock-free decider's cache cannot hit: every run pays the full
        rebuild. EDF has no cache and sorts on every call either way. *)
     let j0 = jobs.(0) in
-    Staged.stage (fun () ->
-        (j0.Job.state <-
-           (match j0.Job.state with
-           | Job.Ready -> Job.Blocked 0
-           | _ -> Job.Ready));
-        ignore (scheduler.Scheduler.decide ~now:0 ~jobs ~remaining))
+    fun () ->
+      (j0.Job.state <-
+         (match j0.Job.state with
+         | Job.Ready -> Job.Blocked 0
+         | _ -> Job.Ready));
+      ignore (scheduler.Scheduler.decide ~now:0 ~jobs ~remaining)
   | `Cached ->
     (* Steady state: after the first call every decide revalidates the
        cache (O(n)) and returns the stored decision. *)
-    Staged.stage (fun () ->
-        ignore (scheduler.Scheduler.decide ~now:0 ~jobs ~remaining))
+    fun () -> ignore (scheduler.Scheduler.decide ~now:0 ~jobs ~remaining)
 
 (* Hold pattern: [n] pending events; each op pops the earliest and
    re-inserts it a pseudo-random delay later, keeping density constant
@@ -302,214 +198,134 @@ let bench_queue_hold ~n =
   for _ = 1 to n do
     Rtlf_engine.Event_queue.add q ~time:(delta ()) ()
   done;
-  Staged.stage (fun () ->
-      let t = Rtlf_engine.Event_queue.min_time q in
-      Rtlf_engine.Event_queue.pop_payload q;
-      Rtlf_engine.Event_queue.add q ~time:(t + delta ()) ())
+  fun () ->
+    let t = Rtlf_engine.Event_queue.min_time q in
+    Rtlf_engine.Event_queue.pop_payload q;
+    Rtlf_engine.Event_queue.add q ~time:(t + delta ()) ()
 
-(* Built on demand (--scale): the 10^5-job scenes are too expensive to
-   construct when the group is not going to run — and [--filter] drops
-   a kernel before its scene is built, for the same reason. Each
-   kernel is (name, batch, fn); batch sizes keep the timer reads off
-   the hot path for the sub-microsecond queue kernels. *)
-let scale_kernels ~keep ~max_n () =
-  List.concat_map
-    (fun n ->
-      if n > max_n then []
-      else begin
-        (* One scene per kernel: the rebuild kernels toggle job state
-           between iterations, which would defeat the cached kernel's
-           cache if they shared an array. *)
-        let fresh_jobs () =
-          let jobs, _locks = scene ~n ~with_locks:false in
-          Array.of_list jobs
-        in
-        let entry name batch mk =
-          if keep name then [ (name, batch, mk ()) ] else []
-        in
-        List.concat
-          [
-            entry
-              (Printf.sprintf "rua-lock-free decide n=%d rebuild" n)
-              1
-              (fun () ->
-                Staged.unstage
-                  (bench_decide_scale ~sched:`Lock_free ~path:`Rebuild
-                     (fresh_jobs ())));
-            entry
-              (Printf.sprintf "rua-lock-free decide n=%d cached" n)
-              1
-              (fun () ->
-                Staged.unstage
-                  (bench_decide_scale ~sched:`Lock_free ~path:`Cached
-                     (fresh_jobs ())));
-            entry
-              (Printf.sprintf "edf decide n=%d rebuild" n)
-              1
-              (fun () ->
-                Staged.unstage
-                  (bench_decide_scale ~sched:`Edf ~path:`Rebuild
-                     (fresh_jobs ())));
-            entry
-              (Printf.sprintf "event-queue hold n=%d heap" n)
-              256
-              (fun () -> Staged.unstage (bench_queue_hold ~n));
-          ]
-      end)
-    scale_sizes
+(* --- kernel groups ----------------------------------------------------- *)
 
-(* The scale kernels span multi-ms (the 10^5-job rebuild) down to
-   ~100 ns (queue hold): a fixed-batch wall-clock loop measures both
-   extremes honestly, where per-sample OLS over GC-stabilized
-   single-run samples buries the cheap kernels in cold-cache noise. *)
-let run_scale_group ~quota ~name kernels =
+(* A kernel is (name, batch, make); [pick] drops the ones --filter
+   rejects before their scene is built (the 10^5-job scenes are
+   expensive) and builds the rest. Batch sizes keep the timer reads off
+   the hot path for the sub-microsecond kernels. *)
+let pick ~keep entries =
+  List.filter_map
+    (fun (name, batch, mk) ->
+      if keep name then Some (name, batch, mk ()) else None)
+    entries
+
+let native_kernels ~keep =
+  pick ~keep
+    (List.map
+       (fun (name, mk) -> (name, 256, mk))
+       [
+         ("ms-queue enq+deq (lock-free s)", bench_ms_queue);
+         ("mutex-queue enq+deq (lock-based r)", bench_lock_queue);
+         ("treiber push+pop (lock-free s)", bench_treiber);
+         ("mutex-stack push+pop (lock-based r)", bench_lock_stack);
+         ("nbw-register write+read (wait-free writer)", bench_nbw);
+         ("four-slot write+read (fully wait-free)", bench_four_slot);
+         ("mpmc-ring push+pop (lock-free bounded)", bench_ring);
+         ("harris-set add+remove (lock-free ordered)", bench_lf_set);
+         ("snapshot update+scan n=8 (lock-free cut)", bench_snapshot);
+       ])
+
+let decide_kernels ~keep =
+  let variants n =
+    [
+      ( Printf.sprintf "rua-lock-based decide n=%d" n,
+        fun () -> bench_decide ~sched:`Lock_based ~n );
+      ( Printf.sprintf "rua-lock-free decide n=%d" n,
+        fun () -> bench_decide ~sched:`Lock_free ~n );
+      ( Printf.sprintf "rua-lock-free decide n=%d arrival" n,
+        fun () -> bench_decide_arrival ~n );
+      ( Printf.sprintf "edf decide n=%d" n,
+        fun () -> bench_decide ~sched:`Edf ~n );
+      ( Printf.sprintf "edf-pip decide n=%d" n,
+        fun () -> bench_decide ~sched:`Edf_pip ~n );
+    ]
+  in
+  List.concat_map variants [ 8; 32; 64 ]
+  |> List.map (fun (name, mk) -> (name, 1, mk))
+  |> pick ~keep
+
+let scale_kernels ~keep ~max_n =
+  (* One scene per kernel: the rebuild kernels toggle job state between
+     iterations, which would defeat the cached kernel's cache if they
+     shared an array. *)
+  let fresh_jobs n =
+    let jobs, _locks = scene ~n ~with_locks:false in
+    Array.of_list jobs
+  in
+  List.filter (fun n -> n <= max_n) scale_sizes
+  |> List.concat_map (fun n ->
+         [
+           ( Printf.sprintf "rua-lock-free decide n=%d rebuild" n,
+             1,
+             fun () ->
+               bench_decide_scale ~sched:`Lock_free ~path:`Rebuild
+                 (fresh_jobs n) );
+           ( Printf.sprintf "rua-lock-free decide n=%d cached" n,
+             1,
+             fun () ->
+               bench_decide_scale ~sched:`Lock_free ~path:`Cached
+                 (fresh_jobs n) );
+           ( Printf.sprintf "edf decide n=%d rebuild" n,
+             1,
+             fun () ->
+               bench_decide_scale ~sched:`Edf ~path:`Rebuild (fresh_jobs n) );
+           ( Printf.sprintf "event-queue hold n=%d heap" n,
+             256,
+             fun () -> bench_queue_hold ~n );
+         ])
+  |> pick ~keep
+
+(* --- the timing loop --------------------------------------------------- *)
+
+(* The kernels span multi-ms (the 10^5-job rebuild) down to ~10 ns (a
+   wait-free register): a fixed-batch wall-clock loop, run until
+   [quota] seconds are spent, measures both extremes honestly. Prints
+   the group's table and returns its [(name, ns_per_op)] rows; a group
+   --filter emptied is skipped entirely. *)
+let run_group ~quota ~name kernels =
   if kernels = [] then []
   else begin
-  E.Report.section fmt name;
-  let rows =
-    List.map
-      (fun (kname, batch, f) ->
-        (* Pay off the previous kernel's GC debt (a 10^5-job rebuild
-           leaves a lot of garbage) so it is not billed to this one,
-           then warm up: populate decision caches, settle queue
-           state. *)
-        Gc.compact ();
-        f ();
-        let t0 = Unix.gettimeofday () in
-        let iters = ref 0 in
-        while Unix.gettimeofday () -. t0 < quota do
-          for _ = 1 to batch do
-            f ()
+    E.Report.section fmt name;
+    let rows =
+      List.map
+        (fun (kname, batch, f) ->
+          (* Pay off the previous kernel's GC debt (a 10^5-job rebuild
+             leaves a lot of garbage) so it is not billed to this one,
+             then warm up: populate decision caches, settle queue
+             state. *)
+          Gc.compact ();
+          f ();
+          let t0 = Unix.gettimeofday () in
+          let iters = ref 0 in
+          while Unix.gettimeofday () -. t0 < quota do
+            for _ = 1 to batch do
+              f ()
+            done;
+            iters := !iters + batch
           done;
-          iters := !iters + batch
-        done;
-        let ns =
-          (Unix.gettimeofday () -. t0) /. float_of_int !iters *. 1e9
-        in
-        (kname, ns))
-      kernels
-  in
-  E.Report.table fmt
-    ~header:[ "benchmark"; "ns/op" ]
-    ~rows:
-      (List.map (fun (n, ns) -> [ n; Printf.sprintf "%.1f" ns ]) rows);
-  rows
-  end
-
-(* --- per-core-count dispatcher kernels (SMP) -------------------------- *)
-
-(* What one dispatcher pass costs at m cores over n live jobs, through
-   the public Scheduler API the dispatcher itself uses: global dispatch
-   runs one decide over all n jobs (the selection is then spread across
-   cores); partitioned dispatch runs m decides over n/m-job partitions,
-   each with its own scheduler instance exactly as the simulator keeps
-   them (deciders carry caches). *)
-let smp_cores = [ 1; 2; 4 ]
-
-let smp_kernels ~keep () =
-  let n = 64 in
-  List.concat_map
-    (fun m ->
-      let entry name batch mk =
-        if keep name then [ (name, batch, mk ()) ] else []
-      in
-      let global () =
-        let jobs, _locks = scene ~n ~with_locks:false in
-        let jobs = Array.of_list jobs in
-        let sched = Rtlf_core.Rua_lock_free.make () in
-        fun () -> ignore (sched.Scheduler.decide ~now:0 ~jobs ~remaining)
-      in
-      let partitioned () =
-        let per_core =
-          Array.init m (fun _ ->
-              let jobs, _locks = scene ~n:(max 1 (n / m)) ~with_locks:false in
-              (Array.of_list jobs, Rtlf_core.Rua_lock_free.make ()))
-        in
-        fun () ->
-          Array.iter
-            (fun (jobs, sched) ->
-              ignore (sched.Scheduler.decide ~now:0 ~jobs ~remaining))
-            per_core
-      in
-      List.concat
-        [
-          entry (Printf.sprintf "smp decide n=%d m=%d global" n m) 1 global;
-          entry
-            (Printf.sprintf "smp decide n=%d m=%d partitioned" n m)
-            1 partitioned;
-        ])
-    smp_cores
-
-(* Decision-kernel costs of the original list-based deciders (now
-   [Rtlf_core.Reference]), measured on this harness (bechamel OLS,
-   0.5 s quota) immediately before the first rewrite of the decision
-   path. BENCH_*.json reports measured/baseline speedups
-   against these figures; they are the "before" column of the README's
-   performance table. The list-based deciders had no cache and
-   [bench_decide] makes every call decide, so a speedup compares one
-   full decide with another. *)
-let decide_baseline_ns =
-  [
-    ("rua-lock-based decide n=8", 8921.8);
-    ("rua-lock-based decide n=32", 44854.7);
-    ("rua-lock-based decide n=64", 147706.4);
-    ("rua-lock-free decide n=8", 3484.5);
-    ("rua-lock-free decide n=32", 36672.3);
-    ("rua-lock-free decide n=64", 130018.7);
-    ("edf decide n=8", 665.3);
-    ("edf decide n=32", 4299.2);
-    ("edf decide n=64", 10003.3);
-    ("edf-pip decide n=8", 1337.2);
-    ("edf-pip decide n=32", 9865.8);
-    ("edf-pip decide n=64", 31591.6);
-  ]
-
-(* --- bechamel driver --------------------------------------------------- *)
-
-(* Runs a bechamel group from (name, staged) pairs, prints the human
-   table and returns the [(test_name, ns_per_op)] rows for
-   machine-readable export. A group --filter emptied is skipped
-   entirely. *)
-let run_group ?(quota = 0.25) ~name pairs =
-  if pairs = [] then []
-  else begin
-  let tests = List.map (fun (n, fn) -> Test.make ~name:n fn) pairs in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None ()
-  in
-  let grouped = Test.make_grouped ~name tests in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let results = Analyze.all ols instance raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun test_name ols_result ->
-      let estimate =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ x ] -> x
-        | Some _ | None -> nan
-      in
-      rows := (test_name, estimate) :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  E.Report.section fmt name;
-  E.Report.table fmt
-    ~header:[ "benchmark"; "ns/op" ]
-    ~rows:
-      (List.map
-         (fun (test_name, ns) -> [ test_name; Printf.sprintf "%.1f" ns ])
-         rows);
-  rows
+          let ns =
+            (Unix.gettimeofday () -. t0) /. float_of_int !iters *. 1e9
+          in
+          (kname, ns))
+        kernels
+    in
+    E.Report.table fmt
+      ~header:[ "benchmark"; "ns/op" ]
+      ~rows:
+        (List.map (fun (n, ns) -> [ n; Printf.sprintf "%.1f" ns ]) rows);
+    rows
   end
 
 (* --- machine-readable bench record (BENCH_<label>.json) ---------------- *)
 
-(* Schema documented in DESIGN.md: the decide-kernel rows carry the
-   tracked list-based baseline and the measured/baseline speedup, so a
-   regression is visible from the artifact alone.
+(* Schema documented in DESIGN.md: one [{"name", "ns_per_op"}] object
+   per measured kernel.
 
    With [--append] the file becomes an append-only trajectory
    [{"label", "schema": "rtlf-bench-trajectory-v1", "runs": [...]}];
@@ -525,28 +341,8 @@ let emit_json ~label ~run_label ~out_dir ~quota ~smoke ~append ~wall_s rows =
   let module J = Rtlf_obs.Json in
   let num x : J.t = if Float.is_finite x then J.Float x else J.Null in
   let kernels =
-    (* Every measured row is exported; rows with a tracked list-based
-       baseline additionally carry the baseline and the speedup against
-       it, the rest (e.g. the scale kernels) carry nulls. *)
     List.map
-      (fun (name, ns) ->
-        let short =
-          match String.rindex_opt name '/' with
-          | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-          | None -> name
-        in
-        let baseline, speedup =
-          match List.assoc_opt short decide_baseline_ns with
-          | Some base -> (J.Float base, num (base /. ns))
-          | None -> (J.Null, J.Null)
-        in
-        J.Obj
-          [
-            ("name", J.Str short);
-            ("ns_per_op", num ns);
-            ("baseline_ns_per_op", baseline);
-            ("speedup", speedup);
-          ])
+      (fun (name, ns) -> J.Obj [ ("name", J.Str name); ("ns_per_op", num ns) ])
       rows
   in
   let run_doc =
@@ -608,55 +404,6 @@ let emit_json ~label ~run_label ~out_dir ~quota ~smoke ~append ~wall_s rows =
   close_out oc;
   Format.fprintf fmt "wrote %s%s@." path
     (if append then " (appended)" else "")
-
-(* --- attribution pass (rtlf explain hot path) -------------------------- *)
-
-(* One traced run, attributed repeatedly: the cost of the causal
-   sweep itself per call (and, via the event count printed alongside,
-   per trace event) — the self-overhead figure the blame experiment
-   quotes. *)
-let attribution_tests ~keep () =
-  (* The traced run feeding both kernels is only worth producing if at
-     least one of them survives --filter. *)
-  if not (keep "attribution sweep" || keep "blame graph fold") then []
-  else begin
-    let tasks =
-      Workload.make
-        {
-          Workload.default with
-          Workload.n_tasks = 8;
-          n_objects = 2;
-          accesses_per_job = 6;
-          burst = 3;
-          seed = 11;
-        }
-    in
-    let res =
-      E.Common.simulate ~mode:E.Common.Fast ~trace:true ~seed:7 tasks
-    in
-    let trace = res.Simulator.trace in
-    let events = List.length (Rtlf_sim.Trace.entries trace) in
-    Format.fprintf fmt "attribution kernel input: %d trace events@." events;
-    pick ~keep
-      [
-        ( "attribution sweep",
-          fun () ->
-            Staged.stage (fun () ->
-                match Rtlf_obs.Attribution.of_trace ~tasks trace with
-                | Ok a -> ignore (Sys.opaque_identity a)
-                | Error msg -> failwith msg) );
-        ( "blame graph fold",
-          fun () ->
-            let a =
-              match Rtlf_obs.Attribution.of_trace ~tasks trace with
-              | Ok a -> a
-              | Error msg -> failwith msg
-            in
-            Staged.stage (fun () ->
-                ignore
-                  (Sys.opaque_identity (Rtlf_obs.Blame.of_attribution a))) );
-      ]
-  end
 
 (* --- CAS retry profile (counting-instrumented structures) -------------- *)
 
@@ -795,44 +542,11 @@ let contention_sweep () =
     ~header:[ "domains"; "structure"; "Mops/s"; "CAS retries"; "conserved" ]
     ~rows:(List.concat_map point [ 1; 2; 4 ])
 
-(* --- parallel harness: jobs=1 vs jobs=N wall-clock -------------------- *)
-
-(* Times one full experiment sweep (Figure 8: the seed × object-count
-   grid) sequentially and through the domain pool. The speedup column
-   is the acceptance measure for the parallel engine; the sweeps
-   produce bit-identical rows by construction, which `dune runtest`
-   asserts separately. *)
-let parallel_sweep ~mode () =
-  let jobs = Rtlf_engine.Pool.default_jobs () in
-  E.Report.section fmt
-    (Printf.sprintf
-       "Parallel harness: Figure 8 sweep wall-clock, jobs=1 vs jobs=%d" jobs);
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    Unix.gettimeofday () -. t0
-  in
-  let seq = time (fun () -> E.Fig8.compute ~mode ~jobs:1 ()) in
-  let par = time (fun () -> E.Fig8.compute ~mode ~jobs ()) in
-  E.Report.table fmt
-    ~header:[ "jobs"; "wall-clock (s)"; "speedup" ]
-    ~rows:
-      [
-        [ "1"; Printf.sprintf "%.2f" seq; "1.00" ];
-        [
-          string_of_int jobs;
-          Printf.sprintf "%.2f" par;
-          Printf.sprintf "%.2f" (seq /. par);
-        ];
-      ]
-
 let () =
   let argv = Array.to_list Sys.argv in
-  let fast = List.mem "--fast" argv in
   let smoke = List.mem "--smoke" argv in
   let append = List.mem "--append" argv in
   let scale = List.mem "--scale" argv in
-  let mode = if fast then E.Common.Fast else E.Common.Full in
   let opt flag =
     let rec find = function
       | f :: v :: _ when f = flag -> Some v
@@ -841,13 +555,12 @@ let () =
     in
     find argv
   in
-  let jobs = Option.bind (opt "--jobs") int_of_string_opt in
   let label = Option.value (opt "--label") ~default:"local" in
   let run_label = Option.value (opt "--run-label") ~default:label in
   let out_dir = Option.value (opt "--out") ~default:"." in
-  (* --filter REGEX (Str syntax, substring match) runs only the micro
-     kernels whose name matches; scenes for dropped kernels are never
-     built and the non-kernel suite sections are skipped. *)
+  (* --filter REGEX (Str syntax, substring match) runs only the kernels
+     whose name matches; scenes for dropped kernels are never built and
+     the contention sweep and retry profile are skipped. *)
   let filter_re = Option.map Str.regexp (opt "--filter") in
   let keep name =
     match filter_re with
@@ -858,34 +571,24 @@ let () =
         true
       with Not_found -> false)
   in
-  let filtered = Option.is_some filter_re in
-  (* Smoke mode (CI): only the decide kernels, at a small quota — enough
-     to catch an order-of-magnitude regression in the artifact. *)
+  (* Smoke mode (CI): only the decide kernels (and the scale sweep with
+     --scale), at a small quota — enough to catch an order-of-magnitude
+     regression in the artifact. *)
   let quota =
     match Option.bind (opt "--quota") float_of_string_opt with
     | Some q -> q
     | None -> if smoke then 0.05 else 0.5
   in
   let t0 = Unix.gettimeofday () in
-  Format.fprintf fmt
-    "rtlf bench harness: micro-benchmarks + full figure regeneration@.";
+  Format.fprintf fmt "rtlf bench harness: micro-benchmarks@.";
   if not smoke then
     ignore
-      (run_group ~name:"Native shared objects (Figure 8, real hardware)"
-         (native_tests ~keep ()));
+      (run_group ~quota ~name:"Native shared objects (Figure 8, real hardware)"
+         (native_kernels ~keep));
   let sched_rows =
     run_group ~quota
       ~name:"Scheduler decision cost (3.6: O(n^2 log n) vs O(n^2))"
-      (scheduler_tests ~keep ())
-  in
-  let attr_rows =
-    run_group ~quota ~name:"Attribution pass (rtlf explain hot path)"
-      (attribution_tests ~keep ())
-  in
-  let smp_rows =
-    run_scale_group ~quota
-      ~name:"SMP dispatcher kernels (decide per core count)"
-      (smp_kernels ~keep ())
+      (decide_kernels ~keep)
   in
   let scale_rows =
     if not scale then []
@@ -897,21 +600,16 @@ let () =
           (Option.bind (opt "--scale-max") int_of_string_opt)
           ~default:max_int
       in
-      run_scale_group ~quota
+      run_group ~quota
         ~name:"Scale kernels (decide + event queue, n=10^3..10^5)"
-        (scale_kernels ~keep ~max_n ())
+        (scale_kernels ~keep ~max_n)
     end
   in
-  if not smoke then
-    ignore
-      (run_group ~name:"Per-figure simulation kernels" (sim_tests ~keep ()));
-  if (not smoke) && not filtered then begin
+  if (not smoke) && Option.is_none filter_re then begin
     contention_sweep ();
-    retry_profile ();
-    parallel_sweep ~mode ();
-    E.All.run ~mode ?jobs fmt
+    retry_profile ()
   end;
   let wall_s = Unix.gettimeofday () -. t0 in
   emit_json ~label ~run_label ~out_dir ~quota ~smoke ~append ~wall_s
-    (sched_rows @ attr_rows @ smp_rows @ scale_rows);
+    (sched_rows @ scale_rows);
   Format.fprintf fmt "@.done.@."

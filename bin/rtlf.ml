@@ -403,6 +403,41 @@ let representative =
     ("baselines", (0.7, false, `Lock_based, Simulator.Edf_pip));
   ]
 
+(* The workload point a traced command runs: [name]'s representative
+   corner, or [default] (the workload options) when no experiment is
+   named. *)
+let pick_point name default =
+  match name with
+  | None -> Ok default
+  | Some n -> (
+    match List.assoc_opt n representative with
+    | Some r -> Ok r
+    | None ->
+      Error (Printf.sprintf "unknown experiment %S (see `rtlf list')" n))
+
+(* One traced run at a quarter of the Fast horizon, shared by trace,
+   explain and timeline; prints the workload and the result header. *)
+let traced_run ~tasks ~objects ~exec_us ~seed ?trace_capacity
+    (load, hetero, sync, sched) =
+  let spec = make_spec ~tasks ~objects ~load ~exec_us ~hetero ~seed in
+  let task_list = Workload.make spec in
+  let horizon =
+    Experiments.Common.horizon_for Experiments.Common.Fast task_list / 4
+  in
+  let res =
+    Simulator.run
+      (Simulator.config ~tasks:task_list ~sync:(sync_of sync) ~sched ~horizon
+         ~seed ~sched_base:Experiments.Common.sched_base
+         ~sched_per_op:Experiments.Common.sched_per_op ~trace:true
+         ?trace_capacity ())
+  in
+  Format.fprintf fmt "workload: %a@." Workload.pp_spec spec;
+  Format.fprintf fmt "scheduler=%s sync=%s AUR=%.1f%% CMR=%.1f%%@."
+    res.Simulator.sched_name res.Simulator.sync_name
+    (100.0 *. res.Simulator.aur)
+    (100.0 *. res.Simulator.cmr);
+  (task_list, res)
+
 let trace_cmd =
   let name_arg =
     let doc =
@@ -418,38 +453,12 @@ let trace_cmd =
   let run name tasks objects load exec_us sync sched hetero seed out csv_out
       trace_capacity =
     usage_guard @@ fun () ->
-    let picked =
-      match name with
-      | None -> Ok (load, hetero, sync, sched)
-      | Some n -> (
-          match List.assoc_opt n representative with
-          | Some r -> Ok r
-          | None ->
-            Error
-              (Printf.sprintf
-                 "unknown experiment %S (see `rtlf list')" n))
-    in
-    match picked with
+    match pick_point name (load, hetero, sync, sched) with
     | Error msg -> `Error (false, msg)
-    | Ok (load, hetero, sync, sched) ->
-      let spec = make_spec ~tasks ~objects ~load ~exec_us ~hetero ~seed in
-      let task_list = Workload.make spec in
-      let horizon =
-        Experiments.Common.horizon_for Experiments.Common.Fast task_list / 4
+    | Ok point ->
+      let task_list, res =
+        traced_run ~tasks ~objects ~exec_us ~seed ?trace_capacity point
       in
-      let res =
-        Simulator.run
-          (Simulator.config ~tasks:task_list ~sync:(sync_of sync) ~sched
-             ~horizon ~seed
-             ~sched_base:Experiments.Common.sched_base
-             ~sched_per_op:Experiments.Common.sched_per_op ~trace:true
-             ?trace_capacity ())
-      in
-      Format.fprintf fmt "workload: %a@." Workload.pp_spec spec;
-      Format.fprintf fmt "scheduler=%s sync=%s AUR=%.1f%% CMR=%.1f%%@."
-        res.Simulator.sched_name res.Simulator.sync_name
-        (100.0 *. res.Simulator.aur)
-        (100.0 *. res.Simulator.cmr);
       let spans = Obs.Spans.of_trace res.Simulator.trace in
       Format.fprintf fmt
         "spans: running=%d blocking=%d retry=%d access=%d sched=%d@."
@@ -521,37 +530,12 @@ let explain_cmd =
       | Some path ->
         Result.bind (Obs.Csv_export.read_file ~path) (fun trace ->
             Obs.Attribution.of_trace trace)
-      | None -> (
-        let picked =
-          match name with
-          | None -> Ok (load, hetero, sync, sched)
-          | Some n -> (
-            match List.assoc_opt n representative with
-            | Some r -> Ok r
-            | None ->
-              Error (Printf.sprintf "unknown experiment %S (see `rtlf list')" n))
-        in
-        match picked with
-        | Error _ as e -> e
-        | Ok (load, hetero, sync, sched) ->
-          let spec = make_spec ~tasks ~objects ~load ~exec_us ~hetero ~seed in
-          let task_list = Workload.make spec in
-          let horizon =
-            Experiments.Common.horizon_for Experiments.Common.Fast task_list / 4
-          in
-          let res =
-            Simulator.run
-              (Simulator.config ~tasks:task_list ~sync:(sync_of sync) ~sched
-                 ~horizon ~seed
-                 ~sched_base:Experiments.Common.sched_base
-                 ~sched_per_op:Experiments.Common.sched_per_op ~trace:true ())
-          in
-          Format.fprintf fmt "workload: %a@." Workload.pp_spec spec;
-          Format.fprintf fmt "scheduler=%s sync=%s AUR=%.1f%% CMR=%.1f%%@."
-            res.Simulator.sched_name res.Simulator.sync_name
-            (100.0 *. res.Simulator.aur)
-            (100.0 *. res.Simulator.cmr);
-          Obs.Attribution.of_trace ~tasks:task_list res.Simulator.trace)
+      | None ->
+        Result.bind (pick_point name (load, hetero, sync, sched)) (fun point ->
+            let task_list, res =
+              traced_run ~tasks ~objects ~exec_us ~seed point
+            in
+            Obs.Attribution.of_trace ~tasks:task_list res.Simulator.trace)
     in
     match attributed with
     | Error msg -> `Error (false, msg)
@@ -603,23 +587,10 @@ let explain_cmd =
 let timeline_cmd =
   let run tasks objects load exec_us sync sched hetero seed =
     usage_guard @@ fun () ->
-    let spec = make_spec ~tasks ~objects ~load ~exec_us ~hetero ~seed in
-    let task_list = Workload.make spec in
-    let horizon =
-      Experiments.Common.horizon_for Experiments.Common.Fast task_list / 4
+    let _, res =
+      traced_run ~tasks ~objects ~exec_us ~seed (load, hetero, sync, sched)
     in
-    let res =
-      Simulator.run
-        (Simulator.config ~tasks:task_list ~sync:(sync_of sync) ~sched
-           ~horizon ~seed
-           ~sched_base:Experiments.Common.sched_base
-           ~sched_per_op:Experiments.Common.sched_per_op ~trace:true ())
-    in
-    Format.fprintf fmt "workload: %a@." Workload.pp_spec spec;
-    Format.fprintf fmt "scheduler=%s sync=%s AUR=%.1f%% CMR=%.1f%%@.@."
-      res.Simulator.sched_name res.Simulator.sync_name
-      (100.0 *. res.Simulator.aur)
-      (100.0 *. res.Simulator.cmr);
+    Format.fprintf fmt "@.";
     Format.pp_print_string fmt
       (Rtlf_sim.Timeline.render
          (Rtlf_sim.Timeline.build ~buckets:100 ~max_jobs:24

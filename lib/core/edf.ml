@@ -4,7 +4,8 @@ module Job = Rtlf_model.Job
    times are fixed at arrival, and [now] and [remaining] are unused.
    The charged [ops] counts every entry of [jobs], dead ones included.
    The schedule is the runnable positions, heapsorted in place by
-   (critical time, jid) from position-indexed key arrays. *)
+   (key, jid) from position-indexed key arrays; each key starts as the
+   job's critical time and [lower] may then lower it. *)
 
 (* [after key jid a b]: position [a] sorts after position [b]. *)
 let[@inline] after (key : int array) (jid : int array) a b =
@@ -42,7 +43,7 @@ type scratch = {
   decision : Scheduler.decision;
 }
 
-let decide s ~key ~ops ~jobs =
+let decide s ~lower ~ops ~jobs =
   let total = Array.length jobs in
   s.key <- Scratch.ensure total s.key;
   s.jid <- Scratch.ensure total s.jid;
@@ -53,12 +54,13 @@ let decide s ~key ~ops ~jobs =
     let j = jobs.(i) in
     if Job.is_live j then incr live;
     if Job.is_runnable j then begin
-      s.key.(i) <- key jobs j;
+      s.key.(i) <- Job.absolute_critical_time j;
       s.jid.(i) <- j.Job.jid;
       d.schedule.(!n) <- i;
       incr n
     end
   done;
+  lower jobs s.key;
   sort_keyed ~key:s.key ~jid:s.jid d.schedule !n;
   d.jobs <- jobs;
   d.length <- !n;
@@ -66,14 +68,12 @@ let decide s ~key ~ops ~jobs =
   d.ops <- ops ~total ~live:!live;
   d
 
-let keyed ~name ~key ~ops =
+let keyed ~name ~lower ~ops =
   let s = { key = [||]; jid = [||]; decision = Scheduler.create_decision () } in
   {
     Scheduler.name;
-    decide = (fun ~now:_ ~jobs ~remaining:_ -> decide s ~key ~ops ~jobs);
+    decide = (fun ~now:_ ~jobs ~remaining:_ -> decide s ~lower ~ops ~jobs);
   }
 
 let make () =
-  keyed ~name:"edf"
-    ~key:(fun _ j -> Job.absolute_critical_time j)
-    ~ops:(fun ~total ~live:_ -> total)
+  keyed ~name:"edf" ~lower:(fun _ _ -> ()) ~ops:(fun ~total ~live:_ -> total)

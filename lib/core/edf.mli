@@ -12,11 +12,14 @@ val make : unit -> Scheduler.t
 
 val keyed :
   name:string ->
-  key:(Rtlf_model.Job.t array -> Rtlf_model.Job.t -> int) ->
+  lower:(Rtlf_model.Job.t array -> int array -> unit) ->
   ops:(total:int -> live:int -> int) ->
   Scheduler.t
-(** [keyed ~name ~key ~ops] is a scheduler whose schedule is the
-    runnable jobs of [jobs] in ascending [(key jobs j, jid)] order,
-    dispatching the head and rejecting and aborting nothing. It charges
-    [ops ~total ~live] for [total] entries of which [live] are live.
-    {!make} is [keyed] on the absolute critical time. *)
+(** [keyed ~name ~lower ~ops] is a scheduler whose schedule is the
+    runnable jobs of [jobs] in ascending [(key, jid)] order, dispatching
+    the head and rejecting and aborting nothing. Each runnable position
+    [i]'s key starts as [jobs.(i)]'s absolute critical time; [lower jobs
+    keys] then runs once per decide and may lower [keys.(i)] at any
+    runnable position (other positions hold stale values and are never
+    read). It charges [ops ~total ~live] for [total] entries of which
+    [live] are live. {!make} lowers nothing. *)

@@ -20,5 +20,7 @@ val effective_critical_time :
   int
 (** [effective_critical_time ~locks ~jobs j] is [j]'s absolute critical
     time lowered to the minimum over every live job of [jobs]
-    transitively blocked on [j] — the inherited priority. This is the
-    fold {!make}'s decide ranks jobs by; exposed for testing. *)
+    transitively blocked on [j] — the inherited priority. {!make}'s
+    decide ranks jobs by the same keys, computed in one pass that walks
+    each blocked job's chain once; this per-job fold is exposed as its
+    oracle for testing. *)

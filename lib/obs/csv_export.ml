@@ -73,29 +73,39 @@ let parse_row line =
     | Some n -> n
     | None -> fail (Printf.sprintf "bad %s %S" name v)
   in
+  (* Times, durations, counts, jids, task ids, objects and cores are
+     never negative in a trace the simulator writes (its clock starts
+     at 0); [by=-1] (no preemptor or winner) is. *)
+  let nat_field name v =
+    let n = int_field name v in
+    if n < 0 then fail (Printf.sprintf "negative %s %d" name n);
+    n
+  in
   match String.split_on_char ',' line with
   | [ time; event; jid; obj; extra ] ->
-    let time = int_field "time" time in
-    let jid () = int_field "jid" jid in
-    let obj () = int_field "obj" obj in
+    let time = nat_field "time" time in
+    let jid () = nat_field "jid" jid in
+    let obj () = nat_field "obj" obj in
     let extras = parse_extra extra in
-    let extra_int ?default key =
+    let extra_field field ?default key =
       match (List.assoc_opt key extras, default) with
-      | Some v, _ -> int_field key v
+      | Some v, _ -> field key v
       | None, Some d -> d
       | None, None -> fail (Printf.sprintf "missing extra %S" key)
     in
+    let extra_int = extra_field int_field in
+    let extra_nat = extra_field nat_field in
     let kind =
       match event with
       | "arrive" ->
         (* Traces written before the causal-attribution payloads carry
            no [at=]; fall back to the processing time. *)
-        Trace.Arrive (jid (), extra_int "task", extra_int ~default:time "at")
+        Trace.Arrive (jid (), extra_nat "task", extra_nat ~default:time "at")
       | "start" ->
         (* Traces written before the SMP engine carry no [core=]. *)
-        Trace.Start (jid (), extra_int ~default:0 "core")
+        Trace.Start (jid (), extra_nat ~default:0 "core")
       | "migrate" ->
-        Trace.Migrate (jid (), extra_int "from", extra_int "to")
+        Trace.Migrate (jid (), extra_nat "from", extra_nat "to")
       | "preempt" -> Trace.Preempt (jid (), extra_int ~default:(-1) "by")
       | "block" -> Trace.Block (jid (), obj ())
       | "wake" -> Trace.Wake (jid (), obj ())
@@ -104,11 +114,11 @@ let parse_row line =
       | "retry" ->
         Trace.Retry
           (jid (), obj (), extra_int ~default:(-1) "by",
-           extra_int ~default:0 "lost")
+           extra_nat ~default:0 "lost")
       | "access_done" -> Trace.Access_done (jid (), obj ())
       | "complete" -> Trace.Complete (jid ())
-      | "abort" -> Trace.Abort (jid (), extra_int ~default:0 "handler")
-      | "sched" -> Trace.Sched (extra_int "ops", extra_int "cost")
+      | "abort" -> Trace.Abort (jid (), extra_nat ~default:0 "handler")
+      | "sched" -> Trace.Sched (extra_nat "ops", extra_nat "cost")
       | other -> fail (Printf.sprintf "unknown event %S" other)
     in
     { Trace.time; kind }

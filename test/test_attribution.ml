@@ -475,6 +475,40 @@ let test_csv_rejects_second_resolution () =
     ]
     ~prefix:"line 5: jid 0 already resolved"
 
+(* Times, durations, counts, jids, task ids, objects and cores cannot
+   be negative; [by=-1] and an empty obj field are what the simulator
+   writes and stay legal. *)
+let test_csv_rejects_negative_fields () =
+  let arrive = "0,arrive,1,,task=0;at=0" in
+  List.iter
+    (fun (row, prefix) ->
+      check_csv_rejected ~what:row [ arrive; row ]
+        ~prefix:("line 3: " ^ prefix))
+    [
+      ("10,retry,1,0,by=-1;lost=-50", "negative lost -50");
+      ("10,abort,1,,handler=-3", "negative handler -3");
+      ("10,sched,,,ops=-1;cost=5", "negative ops -1");
+      ("10,sched,,,ops=1;cost=-5", "negative cost -5");
+      ("10,start,1,,core=-2", "negative core -2");
+      ("10,complete,-1,,", "negative jid -1");
+      ("10,migrate,1,,from=-5;to=0", "negative from -5");
+      ("10,migrate,1,,from=0;to=-2", "negative to -2");
+      ("10,block,1,-4,", "negative obj -4");
+    ];
+  List.iter
+    (fun (row, prefix) ->
+      check_csv_rejected ~what:row [ row ] ~prefix:("line 2: " ^ prefix))
+    [
+      ("0,arrive,-4,,task=0;at=0", "negative jid -4");
+      ("0,arrive,1,,task=-3;at=0", "negative task -3");
+      ("0,arrive,1,,task=0;at=-5", "negative at -5");
+      ("-100,arrive,1,,task=0;at=-100", "negative time -100");
+    ];
+  let legal = [ arrive; "10,retry,1,0,by=-1;lost=50"; "20,preempt,1,,by=-1" ] in
+  match Csv.of_string (String.concat "\n" ((Csv.header :: legal) @ [ "" ])) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "legal by=-1 rows rejected: %s" msg
+
 let () =
   Test_support.run "attribution"
     [
@@ -523,5 +557,7 @@ let () =
             test_csv_rejects_second_arrival;
           Alcotest.test_case "second resolution rejected" `Quick
             test_csv_rejects_second_resolution;
+          Alcotest.test_case "negative fields rejected" `Quick
+            test_csv_rejects_negative_fields;
         ] );
     ]

@@ -158,6 +158,44 @@ let prop_index_sort =
       List.map (fun j -> j.Job.jid) (Scheduler.schedule_list d)
       = List.map (fun j -> j.Job.jid) (list_schedule ~locks jobs))
 
+(* --- allocation ------------------------------------------------------------ *)
+
+(* n = 32: holders 0..3 each hold one object and two jobs wait on each
+   (jids 4..11), 20 more jobs are runnable. A decide builds one
+   dependency chain (blocked, holder) per blocked job: the walk conses
+   three cells, 9 words. Folding per runnable job instead built
+   runnable x blocked chains, 1,728 words per decide. *)
+let test_probe_words () =
+  let locks = Lock_manager.create ~objects:(Resource.create ~n:4) in
+  let jobs =
+    Array.init 32 (fun jid -> job ~jid ~ct:(1_000 - (10 * jid)) ~rem:10)
+  in
+  for obj = 0 to 3 do
+    ignore (Lock_manager.request locks ~jid:obj ~obj);
+    for k = 0 to 1 do
+      let j = jobs.(4 + (2 * obj) + k) in
+      match Lock_manager.request locks ~jid:j.Job.jid ~obj with
+      | Lock_manager.Blocked_on _ -> j.Job.state <- Job.Blocked obj
+      | Lock_manager.Granted -> Alcotest.fail "expected block"
+    done
+  done;
+  let sched = Edf_pip.make ~locks in
+  let decide () = sched.Scheduler.decide ~now:0 ~jobs ~remaining in
+  Alcotest.(check (list int)) "schedule = list sort"
+    (List.map (fun j -> j.Job.jid) (list_schedule ~locks jobs))
+    (List.map (fun j -> j.Job.jid) (Scheduler.schedule_list (decide ())));
+  let calls = 200 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (decide ())
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  let budget = 8.0 *. 12.0 in
+  if per_call > budget then
+    Alcotest.failf
+      "%.1f minor words per decide (budget %.0f: 12 per blocked job)"
+      per_call budget
+
 (* --- end-to-end ------------------------------------------------------------ *)
 
 let test_underload_meets_all () =
@@ -220,6 +258,11 @@ let () =
             test_no_inheritance_without_blocking;
         ] );
       ("index_sort", [ Test_support.to_alcotest prop_index_sort ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "one chain per blocked job" `Quick
+            test_probe_words;
+        ] );
       ( "end_to_end",
         [
           Alcotest.test_case "underload meets all" `Quick
