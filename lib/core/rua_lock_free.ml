@@ -11,7 +11,7 @@ module Job = Rtlf_model.Job
       ties resolved by admission order, exactly the order the
       reference's stable ECF insertion produces — so admitting a
       candidate never shifts anything physically, and both feasibility
-      conditions become Fenwick / slack-tree queries ({!Slack_tree}).
+      conditions become one slack-tree probe ({!Slack_tree}).
 
    2. Across invocations, a validity cache skips the rebuild entirely
       when no job's feasibility inputs changed. The decision is a pure
@@ -393,19 +393,25 @@ let rebuild s ~now ~jobs ~remaining =
      rem c without going negative. Charges mirror the reference list
      walk exactly (see module comment). *)
   let admitted_count = ref 0 in
+  (* [Log2.ceil (k + 1)], stepped as k grows: [lg_cap] is [2^lg]. *)
+  let lg = ref 1 and lg_cap = ref 2 in
   for r = 0 to n - 1 do
     let k = !admitted_count in
-    ops := !ops + (2 * Log2.ceil (k + 1)) + (k + 1);
+    ops := !ops + (2 * !lg) + (k + 1);
     let p = s.pos_of_rank.(r) in
     let rem = s.rem_of_rank.(r) in
     let ect = s.ect_of_rank.(r) in
-    let before = Slack_tree.prefix_rem tree ~pos:p in
+    Slack_tree.probe tree ~pos:p;
+    let before = Slack_tree.before tree in
     let slack = ect - before - rem - now in
-    if slack >= 0 && Slack_tree.suffix_min tree ~pos:(p + 1) >= now + rem
-    then begin
+    if slack >= 0 && Slack_tree.after tree >= now + rem then begin
       Slack_tree.admit tree ~pos:p ~rem ~slack:(ect - before - rem);
       s.admitted.(p) <- true;
-      admitted_count := k + 1
+      admitted_count := k + 1;
+      if k + 2 > !lg_cap then begin
+        incr lg;
+        lg_cap := 2 * !lg_cap
+      end
     end
   done;
   let d = c.decision in

@@ -1,10 +1,10 @@
 (** Growable float buffer (amortised-doubling array).
 
-    Replaces the simulator's unbounded [float list] / [int list] sample
-    accumulators: appending is amortised O(1) with no per-sample boxing
-    beyond the flat float array, and the whole run's samples hand off
-    to {!Stats.histogram} / {!Stats.percentile} as one contiguous
-    array. *)
+    An unbounded sample log: appending is amortised O(1) with no
+    per-sample boxing beyond the flat float array, and the samples hand
+    off to {!Stats.histogram} / {!Stats.percentile} as one contiguous
+    array. The simulator keeps its per-completion log in one; integer
+    samples with few distinct values fit {!Stats.Counts} better. *)
 
 type t
 

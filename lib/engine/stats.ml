@@ -145,16 +145,22 @@ let sort_floats (a : float array) =
     a.(0) <- e
   end
 
-(* [sorted] is non-empty, NaN-free and ascending. *)
-let percentile_sorted sorted ~p =
-  let n = Array.length sorted in
+(* The [p]-th percentile of [n] ascending, NaN-free samples, [nth k]
+   being the [k]-th smallest: linear interpolation between the closest
+   ranks. *)
+let percentile_ranked ~n ~nth ~p =
   let rank = p /. 100.0 *. float_of_int (n - 1) in
   let lo = int_of_float (floor rank) in
   let hi = int_of_float (ceil rank) in
-  if lo = hi then sorted.(lo)
+  if lo = hi then nth lo
   else
     let frac = rank -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+    let at_lo = nth lo in
+    at_lo +. (frac *. (nth hi -. at_lo))
+
+(* [sorted] is non-empty, NaN-free and ascending. *)
+let percentile_sorted sorted ~p =
+  percentile_ranked ~n:(Array.length sorted) ~nth:(Array.get sorted) ~p
 
 let percentile xs ~p =
   if Array.length xs = 0 then invalid_arg "Stats.percentile: empty array";
@@ -207,6 +213,33 @@ let empty_histogram =
     buckets = [||];
   }
 
+(* Uniform buckets over [\[s.min, s.max\]]; one bucket's width when
+   every sample is equal. *)
+let bucket_width ~bins (s : summary) =
+  let span = s.max -. s.min in
+  if span <= 0.0 then 1.0 else span /. float_of_int bins
+
+let[@inline] bucket_index ~bins ~lo ~width x =
+  let i = int_of_float ((x -. lo) /. width) in
+  if i < 0 then 0 else if i >= bins then bins - 1 else i
+
+(* The histogram of [n > 0] samples summarised by [s], whose [k]-th
+   smallest is [nth k], with [buckets] already filled. *)
+let assemble (s : summary) ~n ~nth ~width buckets =
+  let q p = percentile_ranked ~n ~nth ~p in
+  {
+    n;
+    mean = s.mean;
+    min = s.min;
+    max = s.max;
+    p50 = q 50.0;
+    p90 = q 90.0;
+    p99 = q 99.0;
+    bucket_lo = s.min;
+    bucket_width = width;
+    buckets;
+  }
+
 let histogram ?(bins = 10) xs =
   if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
   let xs = drop_nans xs in
@@ -215,30 +248,126 @@ let histogram ?(bins = 10) xs =
   else
     let s = of_array xs in
     sort_floats xs;
-    let q p = percentile_sorted xs ~p in
-    let lo = s.min in
-    let width =
-      let span = s.max -. lo in
-      if span <= 0.0 then 1.0 else span /. float_of_int bins
-    in
+    let lo = s.min and width = bucket_width ~bins s in
     let buckets = Array.make bins 0 in
     for k = 0 to n - 1 do
-      let i = int_of_float ((xs.(k) -. lo) /. width) in
-      let i = if i < 0 then 0 else if i >= bins then bins - 1 else i in
+      let i = bucket_index ~bins ~lo ~width xs.(k) in
       buckets.(i) <- buckets.(i) + 1
     done;
+    assemble s ~n ~nth:(Array.get xs) ~width buckets
+
+(* --- exact integer counts ------------------------------------------- *)
+
+module Counts = struct
+  (* Value -> multiplicity in one open-addressing table over two flat
+     int arrays (linear probing, doubled when half full): recording a
+     value already present writes one int and allocates nothing. A slot
+     is free iff its count is 0, so every int is a valid key. Beside
+     the table, a Welford accumulator takes every sample as it arrives,
+     so mean and extremes are folded in the very order [of_array] folds
+     the arrival-ordered float array. *)
+  type nonrec t = {
+    mutable keys : int array;
+    mutable counts : int array;
+    mutable distinct : int;
+    welford : t;
+  }
+
+  let initial_slots = 16
+
+  let create () =
     {
-      n;
-      mean = s.mean;
-      min = lo;
-      max = s.max;
-      p50 = q 50.0;
-      p90 = q 90.0;
-      p99 = q 99.0;
-      bucket_lo = lo;
-      bucket_width = width;
-      buckets;
+      keys = Array.make initial_slots 0;
+      counts = Array.make initial_slots 0;
+      distinct = 0;
+      welford = create ();
     }
+
+  let count c = count c.welford
+
+  (* Fibonacci hashing: the costs and spans a run records are multiples
+     of a few configured steps, which a plain mask would pile into a
+     few slots. *)
+  let[@inline] home v mask =
+    let h = v * 0x1E3779B97F4A7C15 in
+    (h lxor (h lsr 31)) land mask
+
+  (* The slot holding [v], or the free slot where it would go. *)
+  let[@inline] find keys counts v =
+    let mask = Array.length keys - 1 in
+    let i = ref (home v mask) in
+    while counts.(!i) <> 0 && keys.(!i) <> v do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let grow c =
+    let keys = Array.make (2 * Array.length c.keys) 0 in
+    let counts = Array.make (Array.length keys) 0 in
+    for j = 0 to Array.length c.keys - 1 do
+      let m = c.counts.(j) in
+      if m <> 0 then begin
+        let i = find keys counts c.keys.(j) in
+        keys.(i) <- c.keys.(j);
+        counts.(i) <- m
+      end
+    done;
+    c.keys <- keys;
+    c.counts <- counts
+
+  let add c v =
+    add c.welford (float_of_int v);
+    let counts = c.counts in
+    let i = find c.keys counts v in
+    if counts.(i) <> 0 then counts.(i) <- counts.(i) + 1
+    else begin
+      c.keys.(i) <- v;
+      counts.(i) <- 1;
+      c.distinct <- c.distinct + 1;
+      if 2 * c.distinct > Array.length counts then grow c
+    end
+
+  let histogram ?(bins = 10) c =
+    if bins <= 0 then
+      invalid_arg "Stats.Counts.histogram: bins must be positive";
+    let n = count c in
+    if n = 0 then empty_histogram
+    else begin
+      (* The distinct values ascending, with their multiplicities. *)
+      let values = Array.make c.distinct 0 in
+      let d = ref 0 in
+      Array.iteri
+        (fun j m ->
+          if m <> 0 then begin
+            values.(!d) <- c.keys.(j);
+            incr d
+          end)
+        c.counts;
+      Array.sort Int.compare values;
+      let mult =
+        Array.map (fun v -> c.counts.(find c.keys c.counts v)) values
+      in
+      (* The [k]-th smallest sample: the value whose run of copies in
+         the sorted samples covers index [k]. *)
+      let nth k =
+        let j = ref 0 and upto = ref mult.(0) in
+        while !upto <= k do
+          incr j;
+          upto := !upto + mult.(!j)
+        done;
+        float_of_int values.(!j)
+      in
+      let s = summary c.welford in
+      let lo = s.min and width = bucket_width ~bins s in
+      let buckets = Array.make bins 0 in
+      Array.iteri
+        (fun j v ->
+          let i = bucket_index ~bins ~lo ~width (float_of_int v) in
+          buckets.(i) <- buckets.(i) + mult.(j))
+        values;
+      assemble s ~n ~nth ~width buckets
+    end
+end
 
 (* The widest bucket always renders [bar_width] hashes; the others
    scale linearly, so the plot's width is fixed regardless of counts. *)

@@ -85,6 +85,41 @@ val histogram : ?bins:int -> float array -> histogram
     non-NaN sample remains; raises [Invalid_argument] when
     [bins <= 0]. *)
 
+(** Exact integer multisets, summarised as a {!histogram}.
+
+    For samples that are integers with few distinct values, such as the
+    simulator's scheduler charges and blocking spans (integer
+    nanoseconds): memory grows with the number of distinct values, not
+    with the number of samples. Recording a value already present
+    allocates nothing.
+
+    {!Counts.histogram} is bit for bit {!Stats.histogram} of the
+    recorded samples, as floats, in the order they were added. Mean
+    and extremes come from a Welford accumulator that takes each sample
+    as it arrives, so the order of {!Counts.add} calls matters exactly
+    as the array order does for {!Stats.histogram}. Percentiles and
+    buckets depend only on the multiset. Every [int] is a valid sample,
+    [min_int] and [max_int] included; samples past 2{^53} in magnitude
+    are rounded to the nearest float as [float_of_int] rounds them. *)
+module Counts : sig
+  type t
+  (** A mutable value -> multiplicity table plus a running mean. *)
+
+  val create : unit -> t
+  (** [create ()] holds no sample. *)
+
+  val add : t -> int -> unit
+  (** [add c v] records one more sample [v]. Amortised O(1). *)
+
+  val count : t -> int
+  (** [count c] is the number of samples recorded. *)
+
+  val histogram : ?bins:int -> t -> histogram
+  (** [histogram ~bins c] is [Stats.histogram ~bins] of the samples
+      recorded in [c], in recording order, as floats. It sorts only the
+      distinct values. Raises [Invalid_argument] when [bins <= 0]. *)
+end
+
 val bar_width : int
 (** Width in characters of the modal bucket's bar in
     {!pp_histogram}. *)

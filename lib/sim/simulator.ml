@@ -184,8 +184,8 @@ type state = {
       (* per object: jid of the most recent committed write (-1 when
          none yet) — the invalidator blamed for validation-failure
          retries in the causal-attribution trace payloads *)
-  blocking_spans : Float_buffer.t;
-  sched_costs : Float_buffer.t;
+  blocking_spans : Stats.Counts.t;
+  sched_costs : Stats.Counts.t;
   audit : Audit.t;
   retry_tails : Stats.P2.tracker array; (* indexed by task id *)
   occ : Job.t array; (* per core: [run_slice] scratch *)
@@ -368,7 +368,7 @@ let close_block_span st job obj =
   if since >= 0 then begin
     let span = st.now - since in
     Contention.note_blocked st.contention.(obj) ~ns:span;
-    Float_buffer.push_int st.blocking_spans span;
+    Stats.Counts.add st.blocking_spans span;
     job.Job.block_start <- -1
   end
 
@@ -669,7 +669,7 @@ let invoke_dispatcher st =
   in
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Sched (ops, cost));
-  Float_buffer.push_int st.sched_costs cost;
+  Stats.Counts.add st.sched_costs cost;
   st.now <- st.now + cost;
   st.sched_overhead <- st.sched_overhead + cost;
   (* Deadlock victims (only possible with nested sections). *)
@@ -1041,8 +1041,8 @@ let summarise st =
     access_samples = Stats.summary st.access_samples;
     sojourn_samples;
     sojourn_hist = Stats.histogram (Array.copy sojourn_samples);
-    blocking_hist = Stats.histogram (Float_buffer.to_array st.blocking_spans);
-    sched_hist = Stats.histogram (Float_buffer.to_array st.sched_costs);
+    blocking_hist = Stats.Counts.histogram st.blocking_spans;
+    sched_hist = Stats.Counts.histogram st.sched_costs;
     contention = st.contention;
     per_task;
     audit = Audit.report st.audit;
@@ -1149,8 +1149,8 @@ let run cfg =
       access_samples = Stats.create ();
       contention = Contention.make_array ~n:cfg.n_objects;
       last_writer = Array.make (max 1 cfg.n_objects) (-1);
-      blocking_spans = Float_buffer.create ();
-      sched_costs = Float_buffer.create ();
+      blocking_spans = Stats.Counts.create ();
+      sched_costs = Stats.Counts.create ();
       audit = Audit.create ~tasks:cfg.tasks ~enabled:audit_enabled;
       retry_tails = Array.init n_tasks (fun _ -> Stats.P2.tracker ());
       occ = Array.make cfg.cores Job.dummy;

@@ -17,23 +17,36 @@ type entry = { time : int; kind : kind }
 
 (* The entries live in two parallel arrays, not an array of [entry]
    records: two words an entry fewer, and a record is built only when a
-   reader asks for it. Both storages are a ring over these arrays: a
-   bounded trace drops the oldest entry once full, an unbounded one
-   doubles them instead (so its oldest entry stays at slot 0). *)
+   reader asks for it. Each array is cut into chunks of [chunk_size]
+   slots, allocated as the trace first reaches them, so a trace never
+   copies what it holds. Slot [s] is entry [s land chunk_mask] of chunk
+   [s lsr chunk_bits]. A bounded trace is a ring over [limit]
+   (= capacity) slots, its last chunk cut short to fit, and drops the
+   oldest entry once full; an unbounded one ([limit = max_int]) appends
+   a chunk when full and never wraps, so its oldest entry stays at
+   slot 0. *)
+let chunk_bits = 12
+
+let chunk_size = 1 lsl chunk_bits
+
+let chunk_mask = chunk_size - 1
+
 type t = {
   enabled : bool;
   bounded : bool;
-  mutable times : int array;
-  mutable kinds : kind array;
+  limit : int; (* slots in the ring; [max_int] when unbounded *)
+  mutable times : int array array; (* chunk -> times *)
+  mutable kinds : kind array array; (* chunk -> kinds *)
+  mutable chunks : int; (* chunks allocated *)
   mutable next : int; (* slot receiving the next write *)
   mutable len : int;
   mutable dropped : int;
 }
 
 let create ?capacity ~enabled () =
-  let cap =
+  let limit =
     match capacity with
-    | None -> 0
+    | None -> max_int
     | Some c ->
       if c <= 0 then invalid_arg "Trace.create: capacity must be positive";
       c
@@ -41,8 +54,10 @@ let create ?capacity ~enabled () =
   {
     enabled;
     bounded = capacity <> None;
-    times = Array.make cap 0;
-    kinds = Array.make cap (Sched (0, 0));
+    limit;
+    times = [||];
+    kinds = [||];
+    chunks = 0;
     next = 0;
     len = 0;
     dropped = 0;
@@ -50,46 +65,53 @@ let create ?capacity ~enabled () =
 
 let enabled tr = tr.enabled
 
-let grow tr =
-  let ncap = if tr.len = 0 then 256 else 2 * tr.len in
-  let times = Array.make ncap 0 and kinds = Array.make ncap (Sched (0, 0)) in
-  Array.blit tr.times 0 times 0 tr.len;
-  Array.blit tr.kinds 0 kinds 0 tr.len;
-  tr.times <- times;
-  tr.kinds <- kinds;
-  tr.next <- tr.len
+(* Allocate the chunk the next write starts. *)
+let add_chunk tr =
+  let c = tr.chunks in
+  if c = Array.length tr.times then begin
+    let spine = max 4 (2 * c) in
+    let times = Array.make spine [||] and kinds = Array.make spine [||] in
+    Array.blit tr.times 0 times 0 c;
+    Array.blit tr.kinds 0 kinds 0 c;
+    tr.times <- times;
+    tr.kinds <- kinds
+  end;
+  let size = Int.min chunk_size (tr.limit - (c * chunk_size)) in
+  tr.times.(c) <- Array.make size 0;
+  tr.kinds.(c) <- Array.make size (Sched (0, 0));
+  tr.chunks <- c + 1
 
 let record tr ~time kind =
   if tr.enabled then begin
-    if tr.len = Array.length tr.times && not tr.bounded then grow tr;
-    tr.times.(tr.next) <- time;
-    tr.kinds.(tr.next) <- kind;
-    let cap = Array.length tr.times in
-    tr.next <- (if tr.next + 1 = cap then 0 else tr.next + 1);
-    if tr.len < cap then tr.len <- tr.len + 1 else tr.dropped <- tr.dropped + 1
+    let s = tr.next in
+    let c = s lsr chunk_bits in
+    if c = tr.chunks then add_chunk tr;
+    tr.times.(c).(s land chunk_mask) <- time;
+    tr.kinds.(c).(s land chunk_mask) <- kind;
+    tr.next <- (if s + 1 = tr.limit then 0 else s + 1);
+    if tr.len < tr.limit then tr.len <- tr.len + 1
+    else tr.dropped <- tr.dropped + 1
   end
 
 let length tr = tr.len
 
-(* Slot of the [i]-th retained entry, oldest first. *)
-let slot tr i =
-  let cap = Array.length tr.times in
-  (tr.next - tr.len + i + cap) mod cap
+(* The [i]-th retained entry, oldest first. *)
+let get tr i =
+  let s = tr.next - tr.len + i in
+  let s = if s < 0 then s + tr.limit else s in
+  let c = s lsr chunk_bits and k = s land chunk_mask in
+  { time = tr.times.(c).(k); kind = tr.kinds.(c).(k) }
 
 let iter f tr =
   for i = 0 to tr.len - 1 do
-    let k = slot tr i in
-    f { time = tr.times.(k); kind = tr.kinds.(k) }
+    f (get tr i)
   done
 
-let entries tr =
-  List.init tr.len (fun i ->
-      let k = slot tr i in
-      { time = tr.times.(k); kind = tr.kinds.(k) })
+let entries tr = List.init tr.len (get tr)
 
 let dropped tr = tr.dropped
 
-let capacity tr = if tr.bounded then Some (Array.length tr.times) else None
+let capacity tr = if tr.bounded then Some tr.limit else None
 
 (* The first [Error] [check] returns on the history, in order. *)
 let first_error tr check =

@@ -56,6 +56,11 @@ val create : ?capacity:int -> enabled:bool -> unit -> t
     counts the overwritten entries. Raises [Invalid_argument] when
     [capacity <= 0]. *)
 
+val chunk_size : int
+(** Entries are stored in chunks of this many slots, allocated as the
+    trace first reaches them: an unbounded trace grows one chunk at a
+    time and never copies what it holds. *)
+
 val enabled : t -> bool
 (** [enabled tr] is whether [tr] records anything. Callers on a hot
     path test it before building a {!kind} payload, so an untraced run

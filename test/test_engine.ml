@@ -369,6 +369,23 @@ let test_histogram_ignores_nan () =
   Alcotest.(check int) "all-NaN input is the empty histogram" 0
     empty.Stats.n
 
+(* The simulator adds one scheduler charge per invocation, almost
+   always a value it has seen before: that add must not allocate. The
+   table is filled first, so the loop neither inserts nor grows. *)
+let test_counts_add_allocation () =
+  let n = 10_000 in
+  let c = Stats.Counts.create () in
+  for v = -50 to 49 do
+    Stats.Counts.add c (v * 1_000)
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Stats.Counts.add c (((i mod 100) - 50) * 1_000)
+  done;
+  let per_add = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "every add counted" (n + 100) (Stats.Counts.count c);
+  Alcotest.(check (float 0.0)) "minor words per add" 0.0 per_add
+
 let test_mean_helper () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
   Alcotest.(check bool) "empty nan" true (Float.is_nan (Stats.mean []))
@@ -448,6 +465,8 @@ let () =
           Alcotest.test_case "histogram ignores NaN" `Quick
             test_histogram_ignores_nan;
           Alcotest.test_case "mean helper" `Quick test_mean_helper;
+          Alcotest.test_case "counts add of a present value allocates nothing"
+            `Quick test_counts_add_allocation;
           Test_support.to_alcotest prop_stats_bounds;
         ] );
     ]

@@ -105,6 +105,56 @@ let test_invalid_capacity () =
     (Invalid_argument "Trace.create: capacity must be positive") (fun () ->
       ignore (Trace.create ~capacity:0 ~enabled:true ()))
 
+(* Entry [i] is recorded at time [i]; [iter], [entries] and [length]
+   must all read back [first .. first + n - 1] in order. *)
+let check_times msg t ~first ~n =
+  let want = List.init n (fun i -> first + i) in
+  Alcotest.(check int) (msg ^ " length") n (Trace.length t);
+  Alcotest.(check (list int)) (msg ^ " entries") want
+    (List.map (fun e -> e.Trace.time) (Trace.entries t));
+  let seen = ref [] in
+  Trace.iter (fun e -> seen := e.Trace.time :: !seen) t;
+  Alcotest.(check (list int)) (msg ^ " iter") want (List.rev !seen)
+
+let record_times t ~from ~upto =
+  for i = from to upto - 1 do
+    Trace.record t ~time:i (Trace.Complete i)
+  done
+
+(* An unbounded trace read back across chunk boundaries: one short of a
+   chunk, exactly one, one past, and into a fourth chunk. *)
+let test_unbounded_across_chunks () =
+  let c = Trace.chunk_size in
+  List.iter
+    (fun n ->
+      let t = Trace.create ~enabled:true () in
+      record_times t ~from:0 ~upto:n;
+      check_times (Printf.sprintf "n=%d" n) t ~first:0 ~n;
+      Alcotest.(check int) "dropped" 0 (Trace.dropped t);
+      Alcotest.(check (option int)) "capacity" None (Trace.capacity t))
+    [ c - 1; c; c + 1; (3 * c) + 5 ]
+
+(* A ring whose capacity is not a multiple of the chunk (its last chunk
+   is short), read back before it fills, when exactly full, and after
+   it wraps once and several times: always the newest [capacity]
+   entries, oldest first. *)
+let test_ring_across_chunks () =
+  let c = Trace.chunk_size in
+  let capacity = (2 * c) + 7 in
+  let t = Trace.create ~capacity ~enabled:true () in
+  let recorded = ref 0 in
+  List.iter
+    (fun upto ->
+      record_times t ~from:!recorded ~upto;
+      recorded := upto;
+      let kept = Int.min upto capacity in
+      let msg = Printf.sprintf "after %d" upto in
+      check_times msg t ~first:(upto - kept) ~n:kept;
+      Alcotest.(check int) (msg ^ " dropped") (upto - kept) (Trace.dropped t);
+      Alcotest.(check (option int)) (msg ^ " capacity") (Some capacity)
+        (Trace.capacity t))
+    [ c + 1; capacity - 1; capacity; capacity + 1; (2 * capacity) + c + 3 ]
+
 (* --- Contention counters ----------------------------------------------- *)
 
 let test_contention_counters () =
@@ -539,6 +589,10 @@ let () =
           Alcotest.test_case "unbounded never drops" `Quick
             test_unbounded_never_drops;
           Alcotest.test_case "invalid capacity" `Quick test_invalid_capacity;
+          Alcotest.test_case "unbounded across chunks" `Quick
+            test_unbounded_across_chunks;
+          Alcotest.test_case "ring across chunks" `Quick
+            test_ring_across_chunks;
         ] );
       ( "contention",
         [

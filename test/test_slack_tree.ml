@@ -38,7 +38,11 @@ let test_single () =
   Alcotest.(check int) "suffix_min at 0" 42 (Slack_tree.suffix_min t ~pos:0);
   Alcotest.(check int) "suffix_min past end" sentinel
     (Slack_tree.suffix_min t ~pos:1);
-  Alcotest.(check int) "prefix_rem" 7 (Slack_tree.prefix_rem t ~pos:0)
+  Alcotest.(check int) "prefix_rem" 7 (Slack_tree.prefix_rem t ~pos:0);
+  Slack_tree.probe t ~pos:0;
+  Alcotest.(check int) "probe before" 0 (Slack_tree.before t);
+  Alcotest.(check int) "probe after the last position" sentinel
+    (Slack_tree.after t)
 
 (* ect_p = base + (admitted work <= p) makes every final slack equal to
    [base]: ties at every position must not confuse the range-min, and
@@ -152,8 +156,10 @@ let test_order_independence () =
 (* Seeded random sequences against a brute-force array, checked after
    every single [admit]: the array holds each position's slack (vacant
    positions start at the sentinel and take suffix adds like admitted
-   ones) and each position's admitted rem. One instance runs every
-   size, so storage is reused across resets to smaller and larger n. *)
+   ones) and each position's admitted rem. Every position is also
+   probed on its own: the walk's exclusive prefix sum and suffix min
+   against the same array. One instance runs every size, so storage is
+   reused across resets to smaller and larger n. *)
 let test_random_sequences () =
   let rs = Test_support.rand_state () in
   let t = Slack_tree.create () in
@@ -181,7 +187,22 @@ let test_random_sequences () =
         done;
         Alcotest.(check int) (msg "suffix_min past end") sentinel
           (Slack_tree.suffix_min t ~pos:n);
-        Alcotest.(check int) (msg "min_all") !best (Slack_tree.min_all t)
+        Alcotest.(check int) (msg "min_all") !best (Slack_tree.min_all t);
+        let after = Array.make (n + 1) sentinel in
+        for q = n - 1 downto 1 do
+          after.(q - 1) <- Int.min after.(q) slack.(q)
+        done;
+        let before = ref 0 in
+        for pos = 0 to n - 1 do
+          Slack_tree.probe t ~pos;
+          Alcotest.(check int)
+            (msg (Printf.sprintf "probe %d before" pos))
+            !before (Slack_tree.before t);
+          Alcotest.(check int)
+            (msg (Printf.sprintf "probe %d after" pos))
+            after.(pos) (Slack_tree.after t);
+          before := !before + rem_at.(pos)
+        done
       in
       check 0;
       let order = shuffle rs (Array.init n (fun p -> p)) in

@@ -279,6 +279,70 @@ let test_histogram_matches_percentile () =
       [ (50.0, h.Stats.p50); (90.0, h.Stats.p90); (99.0, h.Stats.p99) ]
   done
 
+(* --- exact integer counts ---------------------------------------------- *)
+
+(* Every field, floats by bit pattern, so a mean folded in another
+   order or a percentile read off by one rank shows. *)
+let show_histogram (h : Stats.histogram) =
+  Printf.sprintf
+    "n=%d mean=%h min=%h max=%h p50=%h p90=%h p99=%h lo=%h width=%h [%s]"
+    h.Stats.n h.Stats.mean h.Stats.min h.Stats.max h.Stats.p50 h.Stats.p90
+    h.Stats.p99 h.Stats.bucket_lo h.Stats.bucket_width
+    (String.concat ";" (List.map string_of_int (Array.to_list h.Stats.buckets)))
+
+(* The counts histogram of [vs], added in order, against
+   [Stats.histogram] of the same samples as a float array, in the same
+   order, at 1, 3 and 10 buckets. *)
+let check_counts msg (vs : int array) =
+  let c = Stats.Counts.create () in
+  Array.iter (Stats.Counts.add c) vs;
+  Alcotest.(check int) (msg ^ ": count") (Array.length vs)
+    (Stats.Counts.count c);
+  List.iter
+    (fun bins ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s, bins=%d" msg bins)
+        (show_histogram (Stats.histogram ~bins (Array.map float_of_int vs)))
+        (show_histogram (Stats.Counts.histogram ~bins c)))
+    [ 1; 3; 10 ]
+
+let test_counts_edges () =
+  check_counts "no samples" [||];
+  check_counts "one value" [| 42 |];
+  check_counts "one negative value" [| -7 |];
+  check_counts "all equal" (Array.make 33 1_500);
+  check_counts "zero and its neighbours" [| 0; -1; 1; 0; 0; -1 |];
+  check_counts "extremes" [| max_int; min_int; 0; max_int; min_int |];
+  check_counts "only min_int" (Array.make 5 min_int);
+  check_counts "max_int beside its float neighbour"
+    [| max_int; max_int - 1; max_int - 512; 3 |];
+  (* 5,000 distinct values: the table doubles from its initial size
+     past 8,192 slots, then every value is counted a second time. *)
+  check_counts "growth"
+    (Array.init 10_000 (fun i -> ((i mod 5_000) * 7_919) - 20_000_000))
+
+(* Random arrival orders of tie-dense, negative, extreme and spread
+   values, at sizes from empty to a few thousand. *)
+let test_counts_random () =
+  let g = Test_support.prng () in
+  let module P = Rtlf_engine.Prng in
+  for rep = 1 to 200 do
+    let n =
+      if rep mod 20 = 0 then 2_000 + P.int g ~bound:3_000
+      else P.int g ~bound:80
+    in
+    let pool = 1 + P.int g ~bound:12 in
+    let vs =
+      Array.init n (fun _ ->
+          match P.int g ~bound:10 with
+          | 0 -> min_int + P.int g ~bound:3
+          | 1 -> max_int - P.int g ~bound:3
+          | 2 -> P.int g ~bound:1_000_000_000 - 500_000_000
+          | _ -> (P.int g ~bound:pool - (pool / 2)) * 250)
+    in
+    check_counts (Printf.sprintf "rep %d, n=%d" rep n) vs
+  done
+
 let () =
   Test_support.run "stats_oracle"
     [
@@ -298,6 +362,10 @@ let () =
           Alcotest.test_case "random cross-check vs oracle" `Quick
             test_histogram_random;
           Alcotest.test_case "edge cases" `Quick test_histogram_edges;
+          Alcotest.test_case "counts = float histogram, edge cases" `Quick
+            test_counts_edges;
+          Alcotest.test_case "counts = float histogram, random" `Quick
+            test_counts_random;
           Alcotest.test_case "p50/p90/p99 = percentile" `Quick
             test_histogram_matches_percentile;
         ] );
