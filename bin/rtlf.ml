@@ -292,8 +292,7 @@ let export_trace ?(dst = fmt) ~trace_out ~csv_out trace =
       dropped
 
 let print_observability res =
-  Report.histogram fmt ~title:"sojourn"
-    res.Simulator.sojourn_hist;
+  Report.histogram fmt ~title:"sojourn" (Simulator.sojourn_hist res);
   if res.Simulator.blocking_hist.Rtlf_engine.Stats.n > 0 then
     Report.histogram fmt ~title:"blocking span"
       res.Simulator.blocking_hist;

@@ -14,7 +14,6 @@ type t = {
   mutable access_enter : int;
   mutable retries : int;
   mutable preemptions : int;
-  mutable blocked_count : int;
   mutable block_start : int;
   mutable completion : int;
   mutable accrued : float;
@@ -36,7 +35,6 @@ let of_profile ~task ~profile ~jid ~arrival =
     access_enter = -1;
     retries = 0;
     preemptions = 0;
-    blocked_count = 0;
     block_start = -1;
     completion = -1;
     accrued = 0.0;

@@ -41,7 +41,6 @@ type t = {
           ([-1]: not entered yet) *)
   mutable retries : int;  (** lock-free retries suffered so far *)
   mutable preemptions : int;
-  mutable blocked_count : int;
   mutable block_start : int;
       (** time the open blocking span began ([-1]: not blocked); the
           object is the one [Blocked] names *)

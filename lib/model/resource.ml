@@ -1,10 +1,10 @@
-type t = { versions : int array; access_counts : int array }
+type t = int array (* per object: its version *)
 
 let create ~n =
   if n < 0 then invalid_arg "Resource.create: negative count";
-  { versions = Array.make n 0; access_counts = Array.make n 0 }
+  Array.make n 0
 
-let count r = Array.length r.versions
+let count r = Array.length r
 
 let check r obj =
   if obj < 0 || obj >= count r then
@@ -12,20 +12,8 @@ let check r obj =
 
 let version r obj =
   check r obj;
-  r.versions.(obj)
+  r.(obj)
 
 let bump r obj =
   check r obj;
-  r.versions.(obj) <- r.versions.(obj) + 1
-
-let accesses r obj =
-  check r obj;
-  r.access_counts.(obj)
-
-let record_access r obj =
-  check r obj;
-  r.access_counts.(obj) <- r.access_counts.(obj) + 1
-
-let reset r =
-  Array.fill r.versions 0 (Array.length r.versions) 0;
-  Array.fill r.access_counts 0 (Array.length r.access_counts) 0
+  r.(obj) <- r.(obj) + 1

@@ -25,12 +25,3 @@ val version : t -> int -> int
 
 val bump : t -> int -> unit
 (** [bump r obj] records one completed modification of [obj]. *)
-
-val accesses : t -> int -> int
-(** [accesses r obj] is the total completed accesses of [obj]. *)
-
-val record_access : t -> int -> unit
-(** [record_access r obj] counts one completed access (reads too). *)
-
-val reset : t -> unit
-(** [reset r] zeroes all counters. *)

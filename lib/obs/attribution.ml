@@ -151,7 +151,7 @@ let of_trace ?tasks trace =
     Error
       (Printf.sprintf
          "attribution requires a complete trace: %d entr%s dropped by the \
-          ring buffer (rerun without --trace-cap, or raise it)"
+          ring buffer (rerun without --trace-capacity, or raise it)"
          (Trace.dropped trace)
          (if Trace.dropped trace = 1 then "y was" else "ies were"))
   else begin

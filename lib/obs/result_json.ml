@@ -135,7 +135,7 @@ let result (res : Simulator.result) =
           (Array.to_list
              (Array.map (fun b -> Json.Int b) res.Simulator.per_core_busy)) );
       ("access_ns", summary res.Simulator.access_samples);
-      ("sojourn_ns", histogram res.Simulator.sojourn_hist);
+      ("sojourn_ns", histogram (Simulator.sojourn_hist res));
       ("blocking_ns", histogram res.Simulator.blocking_hist);
       ("sched_cost_ns", histogram res.Simulator.sched_hist);
       ( "contention",
@@ -189,7 +189,7 @@ let attribution_totals (res : Simulator.result) =
           ("elapsed_s", Json.Float a.Attribution.elapsed_s);
         ]
 
-let metrics ?(telemetry = []) (res : Simulator.result) =
+let metrics (res : Simulator.result) =
   let tails =
     Array.to_list
       (Array.map
@@ -231,17 +231,14 @@ let metrics ?(telemetry = []) (res : Simulator.result) =
       ( "contention",
         Json.List
           (Array.to_list (Array.map contention res.Simulator.contention)) );
-      ( "telemetry",
-        Json.List (List.map Telemetry.snapshot_json telemetry) );
       ("attribution", attribution_totals res);
       ("trace_dropped", Json.Int (Trace.dropped res.Simulator.trace));
     ]
 
-let metrics_to_string ?telemetry res =
-  Json.to_string (metrics ?telemetry res)
+let metrics_to_string res = Json.to_string (metrics res)
 
-let write_metrics ?telemetry ~path res =
+let write_metrics ~path res =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (metrics_to_string ?telemetry res))
+    (fun () -> output_string oc (metrics_to_string res))

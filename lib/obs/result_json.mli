@@ -31,22 +31,15 @@ val result : Rtlf_sim.Simulator.result -> Json.t
 val to_string : Rtlf_sim.Simulator.result -> string
 (** [to_string res] is [result res] serialised compactly. *)
 
-val metrics :
-  ?telemetry:Telemetry.snapshot list -> Rtlf_sim.Simulator.result -> Json.t
+val metrics : Rtlf_sim.Simulator.result -> Json.t
 (** [metrics res] is the "rtlf-metrics-v1" document: the observability
     sections of a run — Theorem-2 audit, per-task P² retry tails with
-    their analytical bounds, per-object contention, optional telemetry
-    counter-site snapshots, per-component attribution totals (when the
-    run kept a complete trace), and the trace-drop count — without the
-    bulky histograms. This is what [rtlf sim --metrics-out] writes and
-    CI archives. *)
+    their analytical bounds, per-object contention, per-component
+    attribution totals (when the run kept a complete trace), and the
+    trace-drop count — without the bulky histograms. This is what
+    [rtlf sim --metrics-out] writes and CI archives. *)
 
-val metrics_to_string :
-  ?telemetry:Telemetry.snapshot list -> Rtlf_sim.Simulator.result -> string
+val metrics_to_string : Rtlf_sim.Simulator.result -> string
 
-val write_metrics :
-  ?telemetry:Telemetry.snapshot list ->
-  path:string ->
-  Rtlf_sim.Simulator.result ->
-  unit
+val write_metrics : path:string -> Rtlf_sim.Simulator.result -> unit
 (** [write_metrics ~path res] writes {!metrics_to_string} to [path]. *)

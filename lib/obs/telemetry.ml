@@ -125,21 +125,6 @@ let cas_failure_rate s =
   if s.cas_attempts = 0 then 0.0
   else float_of_int s.cas_failures /. float_of_int s.cas_attempts
 
-let snapshot_json s =
-  Json.Obj
-    [
-      ("site", Json.Str s.site);
-      ("reads", Json.Int s.reads);
-      ("writes", Json.Int s.writes);
-      ("cas_attempts", Json.Int s.cas_attempts);
-      ("cas_failures", Json.Int s.cas_failures);
-      ("cas_failure_rate", Json.Float (cas_failure_rate s));
-      ("fetch_adds", Json.Int s.fetch_adds);
-      ("lock_acquires", Json.Int s.lock_acquires);
-      ("lock_conflicts", Json.Int s.lock_conflicts);
-      ("backoff_spins", Json.Int s.backoff_spins);
-    ]
-
 (* --- backoff spin routing --------------------------------------------- *)
 
 (* One site for the whole process: [Backoff.once] has no site context

@@ -74,9 +74,6 @@ val is_quiet : snapshot -> bool
 val cas_failure_rate : snapshot -> float
 (** Failures per attempt in [\[0, 1\]] ([0.] when no attempt). *)
 
-val snapshot_json : snapshot -> Json.t
-(** The metrics-JSON object for one site (schema in DESIGN.md). *)
-
 val install_backoff_observer : unit -> site
 (** Route {!Rtlf_lockfree.Backoff} spin reports into a process-global
     ["backoff"] site (returned; stable across calls). Spins cannot be

@@ -9,19 +9,7 @@ type point = {
   cmr : Rtlf_engine.Stats.summary;
   access_ns : Rtlf_engine.Stats.summary;
       (** mean measured access time per run (the r or s of Fig. 8) *)
-  sojourn_p50_ns : Rtlf_engine.Stats.summary;
-      (** per-run median sojourn, summarised across runs *)
-  sojourn_p90_ns : Rtlf_engine.Stats.summary;
-      (** per-run 90th-percentile sojourn across runs *)
-  sojourn_p99_ns : Rtlf_engine.Stats.summary;
-      (** per-run 99th-percentile sojourn across runs — the retry /
-          blocking tail the paper's distributions hinge on *)
-  retries_total : int;
-  max_retries : int;  (** worst per-job retry count across runs *)
-  conflicts_total : int;  (** blocked requests + failed validations *)
-  blocked_ns_total : int; (** total blocked time across runs *)
-  released : int;
-  sched_overhead_ns : int;
+  released : int;  (** jobs resolved across runs *)
   migrations_total : int;
       (** cross-core migrations across runs (0 unless multicore global
           dispatch) *)

@@ -118,7 +118,6 @@ type result = {
   per_core_busy : int array;
   access_samples : Stats.summary;
   sojourn_samples : float array;
-  sojourn_hist : Stats.histogram;
   blocking_hist : Stats.histogram;
   sched_hist : Stats.histogram;
   contention : Contention.t array;
@@ -297,6 +296,8 @@ let remaining_of sync profiles =
 
 let remaining_cost cfg = remaining_of cfg.sync (profile_table cfg)
 
+let sojourn_hist r = Stats.histogram (Array.copy r.sojourn_samples)
+
 let tracing st = Trace.enabled st.trace
 
 let is_spin st =
@@ -401,7 +402,6 @@ let wake_new_owner st obj = function
    burns CPU there. *)
 let wait_for_lock st job obj =
   job.Job.state <- Job.Blocked obj;
-  job.Job.blocked_count <- job.Job.blocked_count + 1;
   st.blocked_events <- st.blocked_events + 1;
   let c = st.contention.(obj) in
   Contention.note_conflict c;
@@ -746,26 +746,22 @@ let prepare_attempt st job =
       | Sync.Lock_based _ | Sync.Spin _ | Sync.Ideal -> ())
     | Segment.Lock _ | Segment.Unlock _ | Segment.Compute _ -> ()
 
-(* Nanoseconds until the running job's next boundary action. *)
+(* Nanoseconds until the running job's next boundary action: what is
+   left of the segment's [seg_cost], except that a lock-based or spin
+   access first runs only its lock request. *)
 let next_step st job =
   if Job.profile_done job then 0
   else
-    match job.Job.profile.(job.Job.seg) with
-    | Segment.Compute s -> Int.max 0 (s - job.Job.seg_progress)
-    | Segment.Access { work; _ } -> (
-      match st.cfg.sync with
-      | Sync.Ideal -> 0
-      | Sync.Lock_free { overhead } ->
-        Int.max 0 (overhead + work - job.Job.seg_progress)
-      | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } ->
-        if not job.Job.lock_pending then
-          Int.max 0 (overhead - job.Job.seg_progress)
-        else Int.max 0 ((2 * overhead) + work - job.Job.seg_progress))
-    | Segment.Lock _ | Segment.Unlock _ -> (
-      match st.cfg.sync with
-      | Sync.Lock_based { overhead } | Sync.Spin { overhead; _ } ->
-        Int.max 0 (overhead - job.Job.seg_progress)
-      | Sync.Lock_free _ | Sync.Ideal -> 0)
+    let seg = job.Job.profile.(job.Job.seg) in
+    let cost =
+      match (seg, st.cfg.sync) with
+      | ( Segment.Access _,
+          (Sync.Lock_based { overhead } | Sync.Spin { overhead; _ }) )
+        when not job.Job.lock_pending ->
+        overhead
+      | _ -> seg_cost st.cfg.sync seg
+    in
+    Int.max 0 (cost - job.Job.seg_progress)
 
 (* Close a finished access: sample its duration and mark it in the
    trace. *)
@@ -797,15 +793,14 @@ let acquire st job obj =
     wait_for_lock st job obj;
     false
 
-(* End a critical section on [obj]: hand the object to the head waiter,
-   commit the section's write and count the access. *)
+(* End a critical section on [obj]: hand the object to the head waiter
+   and commit the section's write. *)
 let release st job obj ~write =
   let new_owner = Lock_manager.release st.locks ~jid:job.Job.jid ~obj in
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Release (job.Job.jid, obj));
   wake_new_owner st obj new_owner;
-  if write then commit_write st job.Job.jid obj;
-  Resource.record_access st.objects obj
+  if write then commit_write st job.Job.jid obj
 
 (* Complete the head segment; returns [`Sched_event] when the boundary
    is a scheduling event (job departure, a lock-based lock request, or
@@ -864,7 +859,6 @@ let boundary st job =
       | Sync.Lock_free _ | Sync.Ideal ->
         (* Only writers invalidate peers' in-flight attempts. *)
         if write then commit_write st job.Job.jid obj;
-        Resource.record_access st.objects obj;
         Contention.note_acquire st.contention.(obj);
         access_done st job obj;
         finish_or st job `Continue
@@ -1040,7 +1034,6 @@ let summarise st =
     per_core_busy = Array.copy (Cores.busy st.cores);
     access_samples = Stats.summary st.access_samples;
     sojourn_samples;
-    sojourn_hist = Stats.histogram (Array.copy sojourn_samples);
     blocking_hist = Stats.Counts.histogram st.blocking_spans;
     sched_hist = Stats.Counts.histogram st.sched_costs;
     contention = st.contention;

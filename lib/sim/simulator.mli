@@ -133,8 +133,6 @@ type result = {
       (** per-access wall durations — the measured r or s (§6.1) *)
   sojourn_samples : float array;
       (** sojourn of every completed job, ns (all tasks pooled) *)
-  sojourn_hist : Rtlf_engine.Stats.histogram;
-      (** distribution of {!result.sojourn_samples} *)
   blocking_hist : Rtlf_engine.Stats.histogram;
       (** distribution of per-wait blocking/spinning spans, ns *)
   sched_hist : Rtlf_engine.Stats.histogram;
@@ -156,6 +154,10 @@ val run : config -> result
     Raises [Invalid_argument] on inconsistent configs (duplicate task
     ids, out-of-range object references, non-positive horizon, fewer
     than one core). *)
+
+val sojourn_hist : result -> Rtlf_engine.Stats.histogram
+(** [sojourn_hist r] is the distribution of {!result.sojourn_samples},
+    built on each call (it sorts a copy of the samples). *)
 
 val remaining_cost : config -> Rtlf_model.Job.t -> int
 (** [remaining_cost cfg] is the remaining-demand function [run cfg]

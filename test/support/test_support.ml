@@ -122,7 +122,7 @@ let fingerprint (r : Simulator.result) =
         [ ("access_samples", summary r.access_samples);
           ("sojourn_samples",
             String.concat " " (List.map f (Array.to_list r.sojourn_samples)));
-          ("sojourn_hist", hist r.sojourn_hist);
+          ("sojourn_hist", hist (Simulator.sojourn_hist r));
           ("blocking_hist", hist r.blocking_hist);
           ("sched_hist", hist r.sched_hist) ] );
     ("contention", rows "object" contention (Array.to_list r.contention));

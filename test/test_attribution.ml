@@ -391,7 +391,9 @@ let test_attribution_refuses_dropped_trace () =
   | Error msg ->
     (* the error names the drop so the operator knows the remedy *)
     Alcotest.(check bool) "error names the drop" true
-      (contains (String.lowercase_ascii msg) "dropped")
+      (contains (String.lowercase_ascii msg) "dropped");
+    Alcotest.(check bool) "error names the flag" true
+      (contains msg "--trace-capacity")
 
 let test_spans_degrade_on_dropped_trace () =
   let trace = dropped_run () in

@@ -175,26 +175,6 @@ let test_backoff_observer () =
   Alcotest.(check int) "uninstalled observer silent" before
     (T.count site T.Backoff_spins)
 
-let test_snapshot_json () =
-  let site = T.register "test:json" in
-  T.bump site T.Cas_attempts;
-  T.bump site T.Cas_failures;
-  let j = T.snapshot_json (T.snapshot site) in
-  let s = Rtlf_obs.Json.to_string j in
-  (* Round-trips through the parser with the counters intact. *)
-  match Rtlf_obs.Json.of_string s with
-  | Rtlf_obs.Json.Obj fields ->
-    Alcotest.(check (option string))
-      "site name"
-      (Some "test:json")
-      (match List.assoc_opt "site" fields with
-      | Some (Rtlf_obs.Json.Str n) -> Some n
-      | _ -> None);
-    Alcotest.(check bool)
-      "failure rate present" true
-      (List.mem_assoc "cas_failure_rate" fields)
-  | _ -> Alcotest.fail "snapshot_json not an object"
-
 let () =
   Test_support.run "counting"
     [
@@ -210,7 +190,5 @@ let () =
           Alcotest.test_case "counter mechanics" `Quick
             test_counter_mechanics;
           Alcotest.test_case "backoff observer" `Quick test_backoff_observer;
-          Alcotest.test_case "snapshot json round-trip" `Quick
-            test_snapshot_json;
         ] );
     ]

@@ -503,14 +503,15 @@ let check_budget ~budget per_inv =
       budget
 
 (* The paper's base regime (10 tasks, AL 0.5, lock-free RUA, full
-   horizon) reads 37.3 words in the dev build (34.6 release). A float
-   pushed per scheduler charge and per blocking span, in place of
-   [Stats.Counts], reads 39.3. Decisions returned as fresh lists and
+   horizon) reads 36.3 words in the dev build (33.6 release), 37.3 with
+   the sojourn histogram built (a sorted copy of the samples) in every
+   run's summary. A float pushed per scheduler charge and per blocking
+   span, in place of [Stats.Counts], reads 39.3. Decisions returned as fresh lists and
    records, with a boxed PUD per job on every cache check, read 50.8.
    An [int option] access-entry time instead of the [-1] sentinel costs
    2.7 words more; the option snapshots, the expiry pop's pair and the
    boxing heap sort together cost 10.9 more. *)
-let words_per_invocation_budget = 38.5
+let words_per_invocation_budget = 37.5
 
 let test_allocation_budget () =
   let module Common = Rtlf_experiments.Common in
@@ -522,11 +523,12 @@ let test_allocation_budget () =
 
 (* [smp]'s one-core workload (10 accesses a job) under ticket spin locks
    at [Fast]: every access is entered and every release is a scheduling
-   event. It reads 22.6 words in the dev build (21.3 release), 24.5
-   with a float pushed per scheduler charge and blocking span; with
+   event. It reads 22.4 words in the dev build (21.0 release), 22.6
+   with the sojourn histogram built in every run's summary, 24.5 with a
+   float pushed per scheduler charge and blocking span; with
    list-built decisions it read 61.3, and with a lock table on hash
    tables and a [holding] list kept beside it in the job, 79.9. *)
-let spin_words_per_invocation_budget = 24.1
+let spin_words_per_invocation_budget = 23.9
 
 let test_spin_allocation_budget () =
   let module Common = Rtlf_experiments.Common in
@@ -536,12 +538,13 @@ let test_spin_allocation_budget () =
 
 (* The base regime under lock-based RUA: every lock request and release
    is a scheduling event, so the lock table's cost shows per
-   invocation. It reads 12.4 words in the dev build (11.7 release),
-   14.4 with a float pushed per scheduler charge and blocking span.
+   invocation. It reads 12.2 words in the dev build (11.4 release),
+   12.4 with the sojourn histogram built in every run's summary, 14.4
+   with a float pushed per scheduler charge and blocking span.
    List-built decisions read 27.6; a lock table on hash tables, with a
    [holding] list and a jid-keyed blocking-span table kept beside it in
    the simulator, read 37.0. *)
-let lock_words_per_invocation_budget = 14.0
+let lock_words_per_invocation_budget = 13.7
 
 let test_lock_allocation_budget () =
   let module Common = Rtlf_experiments.Common in

@@ -278,7 +278,7 @@ let observability_consistent =
       (* retries_total sums over released (finished) jobs only, while
          the contention profile counts every event, including retries
          of jobs still in flight at the horizon. *)
-      res.Simulator.sojourn_hist.Stats.n
+      (Simulator.sojourn_hist res).Stats.n
       = Array.length res.Simulator.sojourn_samples
       && totals.Contention.t_retries >= res.Simulator.retries_total
       && (res.Simulator.in_flight > 0
