@@ -124,29 +124,6 @@ let parse_row line =
     { Trace.time; kind }
   | _ -> fail "expected 5 comma-separated fields"
 
-(* What a simulator trace can never contain, given the rows before [e]:
-   an arrival recorded before it happened, a second arrival of one jid,
-   or a second resolution (complete or abort) of one job. [seen] maps
-   each jid to whether it has resolved. *)
-let check_history seen (e : Trace.entry) line =
-  let fail msg = raise (Bad_row (msg ^ ": " ^ line)) in
-  match e.Trace.kind with
-  | Trace.Arrive (jid, _, at) ->
-    if at > e.Trace.time then
-      fail
-        (Printf.sprintf "arrive at=%d is after the row's time_ns %d" at
-           e.Trace.time);
-    if Hashtbl.mem seen jid then fail (Printf.sprintf "jid %d arrives twice" jid);
-    Hashtbl.replace seen jid false
-  | Trace.Complete jid | Trace.Abort (jid, _) ->
-    if Hashtbl.find_opt seen jid = Some true then
-      fail (Printf.sprintf "jid %d already resolved" jid);
-    Hashtbl.replace seen jid true
-  | Trace.Start _ | Trace.Migrate _ | Trace.Preempt _ | Trace.Block _
-  | Trace.Wake _ | Trace.Acquire _ | Trace.Release _ | Trace.Retry _
-  | Trace.Access_done _ | Trace.Sched _ ->
-    ()
-
 let of_string s =
   match String.split_on_char '\n' s with
   | [] -> Error "empty trace CSV"
@@ -154,31 +131,29 @@ let of_string s =
     if String.trim hd <> header then
       Error (Printf.sprintf "bad header %S (expected %S)" hd header)
     else begin
-      (* Line 1 is the header. A simulator trace never goes back in
-         time, so a row earlier than its predecessor is corrupt input,
-         not something attribution should try to make sense of. *)
-      let line_no = ref 1 and last = ref min_int in
-      let seen = Hashtbl.create 64 in
-      try
-        let trace = Trace.create ~enabled:true () in
+      (* Line 1 is the header; [lines] holds each entry's line number,
+         newest first. *)
+      let line_no = ref 1 and lines = ref [] in
+      let trace = Trace.create ~enabled:true () in
+      match
         List.iter
           (fun line ->
             incr line_no;
             if String.trim line <> "" then begin
               let e = parse_row line in
-              if e.Trace.time < !last then
-                raise
-                  (Bad_row
-                     (Printf.sprintf
-                        "time_ns %d is before the previous row's %d: %s"
-                        e.Trace.time !last line));
-              check_history seen e line;
-              last := e.Trace.time;
-              Trace.record trace ~time:e.Trace.time e.Trace.kind
+              Trace.record trace ~time:e.Trace.time e.Trace.kind;
+              lines := !line_no :: !lines
             end)
-          rows;
-        Ok trace
-      with Bad_row msg -> Error (Printf.sprintf "line %d: %s" !line_no msg)
+          rows
+      with
+      | exception Bad_row msg ->
+        Error (Printf.sprintf "line %d: %s" !line_no msg)
+      | () -> (
+        match Trace.violation trace with
+        | None -> Ok trace
+        | Some (i, msg) ->
+          let lines = Array.of_list (List.rev !lines) in
+          Error (Printf.sprintf "line %d: %s" lines.(i) msg))
     end
 
 let read_file ~path =

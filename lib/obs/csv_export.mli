@@ -25,13 +25,13 @@ val of_string : string -> (Rtlf_sim.Trace.t, string) result
     every entry. Rows written before the causal-attribution payload
     enrichment (no [at=]/[by=]/[lost=]/[handler=] extras) parse with
     conservative defaults. Returns [Error] with a message naming the
-    line on malformed input, including a row whose [time_ns] is below
-    the previous row's, an arrival whose [at=] is after its row's
-    [time_ns], a second arrival of one jid, a second [complete] or
-    [abort] of one job, and a negative [time_ns], jid, obj, [task=],
-    [at=], [core=], [from=], [to=], [lost=], [handler=], [ops=] or
-    [cost=] (the message names the field). A [by=-1] and an empty obj field are legal: the
-    simulator writes them. *)
+    line on malformed input: a row that does not parse, including a
+    negative [time_ns], jid, obj, [task=], [at=], [core=], [from=],
+    [to=], [lost=], [handler=], [ops=] or [cost=] (the message names the
+    field), or a history that breaks {!Rtlf_sim.Trace.check} without a
+    discipline (the message names the first offending row and its jid).
+    A [by=-1] and an empty obj field are legal: the simulator writes
+    them. *)
 
 val read_file : path:string -> (Rtlf_sim.Trace.t, string) result
 (** [read_file ~path] is {!of_string} on the contents of [path]

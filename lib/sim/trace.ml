@@ -113,130 +113,175 @@ let dropped tr = tr.dropped
 
 let capacity tr = if tr.bounded then Some tr.limit else None
 
-(* The first [Error] [check] returns on the history, in order. *)
-let first_error tr check =
-  let exception Bad of string in
-  match
-    iter (fun e -> match check e with Ok () -> () | Error m -> raise (Bad m)) tr
-  with
-  | () -> Ok ()
-  | exception Bad m -> Error m
+(* --- the trace contract (DESIGN.md) -------------------------------------- *)
 
-let check_mutual_exclusion tr =
-  let owners = Hashtbl.create 8 in
-  first_error tr (fun { time; kind } ->
-      match kind with
-      | Acquire (jid, obj) -> (
-        match Hashtbl.find_opt owners obj with
-        | Some holder when holder <> jid ->
-          Error
-            (Printf.sprintf
-               "t=%d: J%d acquired object %d already held by J%d" time jid
-               obj holder)
-        | _ ->
-          Hashtbl.replace owners obj jid;
-          Ok ())
-      | Release (jid, obj) -> (
-        match Hashtbl.find_opt owners obj with
-        | Some holder when holder = jid ->
-          Hashtbl.remove owners obj;
-          Ok ()
-        | _ ->
-          Error
-            (Printf.sprintf "t=%d: J%d released object %d it did not hold"
-               time jid obj))
-      | Arrive _ | Start _ | Migrate _ | Preempt _ | Block _ | Wake _ | Retry _
-      | Access_done _ | Complete _ | Abort _ | Sched _ ->
-        Ok ())
+(* What the walk knows of one job. A core, an object or a migration
+   target reads [-1] for none. *)
+type job = {
+  mutable ended : bool;
+  mutable core : int; (* the core it occupies *)
+  mutable last_core : int; (* the core of its last [Start] *)
+  mutable bound_for : int; (* the target of its pending [Migrate] *)
+  mutable migrated_at : int; (* that [Migrate]'s entry index *)
+  mutable blocked_on : int;
+  mutable holding : int; (* objects it holds *)
+}
 
-let check_abort_releases tr =
-  let held = Hashtbl.create 8 in
-  (* jid -> obj list *)
-  let holding jid =
-    match Hashtbl.find_opt held jid with Some objs -> objs | None -> []
+exception Violation of int * string
+
+let violation ?sync tr =
+  (* Without the discipline, Block and Wake are legal and a Block
+     vacates the core. *)
+  let lock_events, spin =
+    match sync with
+    | None -> (true, false)
+    | Some (Sync.Spin _) -> (true, true)
+    | Some s -> (Sync.uses_lock_events s, false)
   in
-  first_error tr (fun { time; kind } ->
-      match kind with
-      | Acquire (jid, obj) ->
-        Hashtbl.replace held jid (obj :: holding jid);
-        Ok ()
-      | Release (jid, obj) ->
-        Hashtbl.replace held jid (List.filter (( <> ) obj) (holding jid));
-        Ok ()
-      | Complete jid | Abort (jid, _) ->
-        if holding jid <> [] then
-          Error
-            (Printf.sprintf "t=%d: J%d ended while holding %d object(s)"
-               time jid
-               (List.length (holding jid)))
-        else Ok ()
-      | Arrive _ | Start _ | Migrate _ | Preempt _ | Block _ | Wake _ | Retry _
-      | Access_done _ | Sched _ ->
-        Ok ())
+  let jobs = Hashtbl.create 64 in
+  let occupant = Hashtbl.create 4 (* core -> jid *) in
+  let holder = Hashtbl.create 8 (* obj -> jid *) in
+  let prev = ref min_int in
+  let check_entry i { time; kind } =
+    let fail fmt =
+      Printf.ksprintf
+        (fun m -> raise (Violation (i, Printf.sprintf "t=%d: %s" time m)))
+        fmt
+    in
+    if time < !prev then fail "earlier than the previous entry's t=%d" !prev;
+    prev := time;
+    let live jid =
+      match Hashtbl.find_opt jobs jid with
+      | None -> fail "J%d never arrived" jid
+      | Some j when j.ended -> fail "J%d already ended" jid
+      | Some j -> j
+    in
+    let vacate j =
+      if j.core >= 0 then begin
+        Hashtbl.remove occupant j.core;
+        j.core <- -1
+      end
+    in
+    match kind with
+    | Arrive (jid, _, at) ->
+      if Hashtbl.mem jobs jid then fail "J%d arrives twice" jid;
+      if at > time then fail "J%d arrives at=%d, after the entry" jid at;
+      Hashtbl.add jobs jid
+        {
+          ended = false;
+          core = -1;
+          last_core = -1;
+          bound_for = -1;
+          migrated_at = -1;
+          blocked_on = -1;
+          holding = 0;
+        }
+    | Start (jid, core) ->
+      let j = live jid in
+      if j.core >= 0 then
+        fail "J%d started on c%d while still occupying c%d" jid core j.core;
+      Option.iter
+        (fail "J%d started on c%d while J%d still occupies it" jid core)
+        (Hashtbl.find_opt occupant core);
+      if j.bound_for >= 0 && j.bound_for <> core then
+        fail "J%d migrated towards c%d but started on c%d" jid j.bound_for
+          core;
+      j.bound_for <- -1;
+      j.core <- core;
+      j.last_core <- core;
+      Hashtbl.replace occupant core jid
+    | Migrate (jid, from_c, to_c) ->
+      let j = live jid in
+      if j.core >= 0 then
+        fail "J%d migrated c%d->c%d while occupying c%d" jid from_c to_c
+          j.core;
+      if j.last_core < 0 then
+        fail "J%d migrated c%d->c%d before ever running" jid from_c to_c;
+      if j.last_core <> from_c then
+        fail "J%d migrated from c%d but last ran on c%d" jid from_c
+          j.last_core;
+      if j.bound_for >= 0 then
+        fail "J%d migrated towards c%d with a migration to c%d pending" jid
+          to_c j.bound_for;
+      j.bound_for <- to_c;
+      j.migrated_at <- i
+    | Preempt (jid, _) -> vacate (live jid)
+    | Block (jid, obj) ->
+      let j = live jid in
+      if not lock_events then
+        fail "J%d blocked on object %d under non-lock-based sync" jid obj;
+      if j.blocked_on >= 0 then fail "J%d blocked while already blocked" jid;
+      j.blocked_on <- obj;
+      (* A spin-waiter busy-waits on its core. *)
+      if not spin then vacate j
+    | Wake (jid, obj) ->
+      let j = live jid in
+      if not lock_events then
+        fail "J%d woken with object %d under non-lock-based sync" jid obj;
+      if j.blocked_on < 0 then
+        fail "J%d woken with object %d without a prior block" jid obj;
+      if j.blocked_on <> obj then
+        fail "J%d woken with object %d while blocked on %d" jid obj
+          j.blocked_on;
+      j.blocked_on <- -1
+    | Acquire (jid, obj) -> (
+      let j = live jid in
+      if j.blocked_on >= 0 then
+        fail "J%d acquired object %d while blocked on %d" jid obj j.blocked_on;
+      match Hashtbl.find_opt holder obj with
+      | Some h when h <> jid ->
+        fail "J%d acquired object %d already held by J%d" jid obj h
+      | Some _ -> ()
+      | None ->
+        Hashtbl.replace holder obj jid;
+        j.holding <- j.holding + 1)
+    | Release (jid, obj) ->
+      let j = live jid in
+      if Hashtbl.find_opt holder obj <> Some jid then
+        fail "J%d released object %d it did not hold" jid obj;
+      Hashtbl.remove holder obj;
+      j.holding <- j.holding - 1
+    | Retry (jid, _, _, _) | Access_done (jid, _) -> ignore (live jid)
+    | Complete jid | Abort (jid, _) ->
+      let j = live jid in
+      if j.holding > 0 then
+        fail "J%d ended while holding %d object(s)" jid j.holding;
+      (* Aborting a waiter ends its wait. *)
+      j.blocked_on <- -1;
+      vacate j;
+      j.ended <- true
+    | Sched _ -> ()
+  in
+  try
+    if tr.dropped > 0 then
+      raise
+        (Violation
+           ( 0,
+             Printf.sprintf "t=%d: the ring dropped %d earlier entries"
+               (get tr 0).time tr.dropped ));
+    for i = 0 to tr.len - 1 do
+      check_entry i (get tr i)
+    done;
+    (* Every migration is consumed by its job's next [Start]. *)
+    Hashtbl.fold
+      (fun jid j first ->
+        if j.bound_for < 0 then first
+        else
+          match first with
+          | Some (i, _) when i < j.migrated_at -> first
+          | _ ->
+            Some
+              ( j.migrated_at,
+                Printf.sprintf
+                  "t=%d: J%d migrated to c%d but never started there"
+                  (get tr j.migrated_at).time jid j.bound_for ))
+      jobs None
+  with Violation (i, m) -> Some (i, m)
 
-let check_block_only_lock_based ~lock_based tr =
-  if lock_based then Ok ()
-  else
-    first_error tr (fun { time; kind } ->
-        match kind with
-        | Block (jid, obj) ->
-          Error
-            (Printf.sprintf
-               "t=%d: J%d blocked on object %d under non-lock-based sync"
-               time jid obj)
-        | Wake (jid, obj) ->
-          Error
-            (Printf.sprintf
-               "t=%d: J%d woken with object %d under non-lock-based sync"
-               time jid obj)
-        | Arrive _ | Start _ | Migrate _ | Preempt _ | Acquire _ | Release _
-        | Retry _ | Access_done _ | Complete _ | Abort _ | Sched _ ->
-          Ok ())
-
-let check_wake_follows_block tr =
-  let blocked = Hashtbl.create 8 in
-  (* jid -> obj it is currently blocked on *)
-  first_error tr (fun { time; kind } ->
-      match kind with
-      | Block (jid, obj) ->
-        if Hashtbl.mem blocked jid then
-          Error
-            (Printf.sprintf "t=%d: J%d blocked while already blocked" time
-               jid)
-        else begin
-          Hashtbl.replace blocked jid obj;
-          Ok ()
-        end
-      | Wake (jid, obj) -> (
-        match Hashtbl.find_opt blocked jid with
-        | Some o when o = obj ->
-          Hashtbl.remove blocked jid;
-          Ok ()
-        | Some o ->
-          Error
-            (Printf.sprintf
-               "t=%d: J%d woken with object %d while blocked on %d" time
-               jid obj o)
-        | None ->
-          Error
-            (Printf.sprintf
-               "t=%d: J%d woken with object %d without a prior block" time
-               jid obj))
-      | Complete jid | Abort (jid, _) ->
-        (* Aborting a blocked job legitimately ends its wait. *)
-        Hashtbl.remove blocked jid;
-        Ok ()
-      | Arrive _ | Start _ | Migrate _ | Preempt _ | Acquire _ | Release _
-      | Retry _ | Access_done _ | Sched _ ->
-        Ok ())
+let check ?sync tr =
+  Option.fold ~none:(Ok ()) ~some:(fun (_, m) -> Error m) (violation ?sync tr)
 
 let count tr pred =
   let n = ref 0 in
   iter (fun e -> if pred e.kind then incr n) tr;
   !n
-
-let preemptions tr =
-  count tr (function Preempt _ -> true | _ -> false)
-
-let scheduler_invocations tr =
-  count tr (function Sched _ -> true | _ -> false)

@@ -1,10 +1,11 @@
-(** Simulation event traces and invariant checkers.
+(** Simulation event traces and the trace contract.
 
     When tracing is enabled, the simulator records every externally
-    meaningful transition. Tests use the checkers to validate
-    system-wide invariants end-to-end (mutual exclusion, abort-implies-
-    release, Lemma 1's preemption/event inequality), and the exporters
-    in [Rtlf_obs] turn a trace into Chrome trace-event JSON or CSV. *)
+    meaningful transition. {!check} decides whether a trace is a history
+    the simulator could have written (tests run it on every traced
+    configuration, and CSV ingest on every file it reads), and the
+    exporters in [Rtlf_obs] turn a trace into Chrome trace-event JSON or
+    CSV. *)
 
 type kind =
   | Arrive of int * int * int
@@ -49,8 +50,8 @@ type t
 
 val create : ?capacity:int -> enabled:bool -> unit -> t
 (** [create ~enabled] records nothing when [enabled] is [false].
-    Without [capacity] the trace grows unboundedly (required by the
-    invariant checkers, which need full history). With [~capacity:c]
+    Without [capacity] the trace grows unboundedly (required by
+    {!check}, which needs the full history). With [~capacity:c]
     the trace is a drop-oldest ring buffer of at most [c] entries —
     bounded memory for long-horizon simulations — and {!dropped}
     counts the overwritten entries. Raises [Invalid_argument] when
@@ -88,34 +89,20 @@ val capacity : t -> int option
 (** [capacity tr] is the ring-buffer capacity, or [None] when
     unbounded. *)
 
-val check_mutual_exclusion : t -> (unit, string) result
-(** [check_mutual_exclusion tr] verifies that between a job's [Acquire]
-    of an object and the matching [Release], no other job acquires the
-    same object. *)
+val check : ?sync:Sync.t -> t -> (unit, string) result
+(** [check ?sync tr] is [Ok ()] when [tr] obeys the trace contract
+    (DESIGN.md, "Trace contract"), and otherwise [Error "t=T: J… …"]
+    describing the first entry that breaks it. The contract covers time
+    order, a job's life from [Arrive] to [Complete]/[Abort], core
+    occupancy and migrations, wait queues and object ownership; a trace
+    that dropped entries fails it. With the run's [sync], [Block] and
+    [Wake] are legal only when {!Sync.uses_lock_events} holds, and a
+    spin-waiter keeps its core through [Block]; without it (a trace read
+    back from a file) both are legal and a [Block] vacates the core. *)
 
-val check_abort_releases : t -> (unit, string) result
-(** [check_abort_releases tr] verifies no job holds a lock after its
-    [Abort] or [Complete] entry (every [Acquire] is matched by a
-    [Release] before the job ends). *)
-
-val check_block_only_lock_based : lock_based:bool -> t -> (unit, string) result
-(** [check_block_only_lock_based ~lock_based tr] verifies that [Block]
-    and [Wake] events occur only under lock-based synchronization:
-    when [lock_based] is [false] (lock-free or ideal sharing), any
-    such event is an invariant violation. *)
-
-val check_wake_follows_block : t -> (unit, string) result
-(** [check_wake_follows_block tr] verifies wait-queue discipline:
-    every [Wake (jid, obj)] matches an open [Block (jid, obj)], no job
-    blocks twice without an intervening wake, and a job's terminal
-    event clears its pending wait (an aborted waiter needs no
-    [Wake]). *)
-
-val preemptions : t -> int
-(** [preemptions tr] counts [Preempt] entries. *)
-
-val scheduler_invocations : t -> int
-(** [scheduler_invocations tr] counts [Sched] entries. *)
+val violation : ?sync:Sync.t -> t -> (int * string) option
+(** [violation ?sync tr] is the position in {!entries} and the message
+    of the entry {!check} rejects, or [None] when it accepts [tr]. *)
 
 val count : t -> (kind -> bool) -> int
 (** [count tr pred] counts entries whose kind satisfies [pred]. *)

@@ -49,6 +49,7 @@ let validate spec =
     fail "target_al must be positive and finite (got %g)" spec.target_al;
   if spec.mean_exec <= 0 then
     fail "mean_exec must be positive (got %d)" spec.mean_exec;
+  if spec.n_objects < 0 then fail "negative n_objects (got %d)" spec.n_objects;
   if spec.accesses_per_job < 0 then
     fail "negative accesses_per_job (got %d)" spec.accesses_per_job;
   if spec.accesses_per_job > 0 && spec.n_objects <= 0 then

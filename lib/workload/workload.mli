@@ -50,9 +50,9 @@ val make : spec -> Rtlf_model.Task.t list
       over the objects starting at the task's index.
 
     Raises [Invalid_argument] with a ["Workload: "]-prefixed message
-    naming the bad value on nonsensical specs (no tasks, non-positive
-    or non-finite load, a load so high that a critical time falls
-    below 1 ns, window factor below 1, …). *)
+    naming the bad value on nonsensical specs (no tasks, a negative
+    object count, non-positive or non-finite load, a load so high that
+    a critical time falls below 1 ns, window factor below 1, …). *)
 
 val actual_load : Rtlf_model.Task.t list -> float
 (** [actual_load tasks] recomputes [Σ uᵢ/Cᵢ] from the synthesised

@@ -450,12 +450,12 @@ let check_csv_rejected ~what rows ~prefix =
 let test_csv_rejects_time_reversal () =
   check_csv_rejected ~what:"time-reversed"
     [ "0,arrive,0,,task=0;at=0"; "5,start,0,,core=0"; "3,complete,0,," ]
-    ~prefix:"line 4: time_ns 3 is before"
+    ~prefix:"line 4: t=3: earlier than the previous entry's t=5"
 
 let test_csv_rejects_future_arrival () =
   check_csv_rejected ~what:"future-arrival"
     [ "0,arrive,0,,task=0;at=50"; "60,start,0,,core=0"; "70,complete,0,," ]
-    ~prefix:"line 2: arrive at=50 is after the row's time_ns 0"
+    ~prefix:"line 2: t=0: J0 arrives at=50, after the entry"
 
 let test_csv_rejects_second_arrival () =
   check_csv_rejected ~what:"double-arrival"
@@ -465,7 +465,7 @@ let test_csv_rejects_second_arrival () =
       "2,arrive,0,,task=0;at=2";
       "5,complete,0,,";
     ]
-    ~prefix:"line 4: jid 0 arrives twice"
+    ~prefix:"line 4: t=2: J0 arrives twice"
 
 let test_csv_rejects_second_resolution () =
   check_csv_rejected ~what:"double-resolution"
@@ -475,7 +475,37 @@ let test_csv_rejects_second_resolution () =
       "5,complete,0,,";
       "6,abort,0,,handler=0";
     ]
-    ~prefix:"line 5: jid 0 already resolved"
+    ~prefix:"line 5: t=6: J0 already ended"
+
+(* Histories the simulator cannot write: events of a job that never
+   arrived, a job on two cores, a wake with no block, a release of an
+   object the job does not hold. *)
+let test_csv_rejects_impossible_histories () =
+  let arrive = "0,arrive,0,,task=0;at=0" and start = "1,start,0,,core=0" in
+  List.iter
+    (fun (rows, prefix) -> check_csv_rejected ~what:prefix rows ~prefix)
+    [
+      ([ arrive; "1,start,7,,core=0" ], "line 3: t=1: J7 never arrived");
+      ([ arrive; start; "2,complete,7,," ], "line 4: t=2: J7 never arrived");
+      ( [ arrive; start; "2,start,0,,core=1" ],
+        "line 4: t=2: J0 started on c1 while still occupying c0" );
+      ( [ arrive; start; "2,wake,0,3," ],
+        "line 4: t=2: J0 woken with object 3 without a prior block" );
+      ( [ arrive; start; "2,release,0,3," ],
+        "line 4: t=2: J0 released object 3 it did not hold" );
+    ]
+
+(* A ring-buffered trace lost its oldest entries, and with them the
+   arrivals of the jobs its first rows name. *)
+let test_csv_rejects_truncated_trace () =
+  let trace = dropped_run () in
+  Alcotest.(check bool) "entries dropped" true (Trace.dropped trace > 0);
+  match String.split_on_char '\n' (Csv.to_string trace) with
+  | _header :: rows ->
+    check_csv_rejected ~what:"truncated"
+      (List.filter (( <> ) "") rows)
+      ~prefix:"line 2: t=11496667: J51 never arrived"
+  | [] -> Alcotest.fail "empty CSV"
 
 (* Times, durations, counts, jids, task ids, objects and cores cannot
    be negative; [by=-1] and an empty obj field are what the simulator
@@ -561,5 +591,9 @@ let () =
             test_csv_rejects_second_resolution;
           Alcotest.test_case "negative fields rejected" `Quick
             test_csv_rejects_negative_fields;
+          Alcotest.test_case "impossible histories rejected" `Quick
+            test_csv_rejects_impossible_histories;
+          Alcotest.test_case "truncated trace rejected" `Quick
+            test_csv_rejects_truncated_trace;
         ] );
     ]

@@ -1,4 +1,4 @@
-(* Tests for supporting modules: trace invariant checkers, report
+(* Tests for supporting modules: the trace contract, report
    tables, metrics aggregation, sync cost model. *)
 
 module Stats = Rtlf_engine.Stats
@@ -13,7 +13,7 @@ module Tuf = Rtlf_model.Tuf
 module Uam = Rtlf_model.Uam
 module Segment = Rtlf_model.Segment
 
-(* --- trace checkers --------------------------------------------------------- *)
+(* --- trace contract --------------------------------------------------------- *)
 
 let tr entries =
   let t = Trace.create ~enabled:true () in
@@ -25,37 +25,125 @@ let test_trace_disabled_records_nothing () =
   Trace.record t ~time:0 (Trace.Arrive (1, 0, 0));
   Alcotest.(check int) "empty" 0 (List.length (Trace.entries t))
 
+(* Jobs 1 and 2 arrive at t=0 and t=1; [tr] records [entries] after
+   them, one ns apart. *)
+let arrived entries =
+  tr (Trace.Arrive (1, 0, 0) :: Trace.Arrive (2, 0, 1) :: entries)
+
+let legal ?sync t =
+  match Trace.check ?sync t with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "legal trace rejected: %s" msg
+
+(* [t] is rejected with a message that starts with [prefix]. *)
+let rejected ?sync ~prefix t =
+  match Trace.check ?sync t with
+  | Ok () -> Alcotest.failf "%s: not caught" prefix
+  | Error msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "error starts with %S: %s" prefix msg)
+      true
+      (String.starts_with ~prefix msg)
+
 let test_mutual_exclusion_ok () =
-  let t =
-    tr
-      [ Trace.Acquire (1, 0); Trace.Release (1, 0); Trace.Acquire (2, 0);
-        Trace.Release (2, 0) ]
-  in
-  Alcotest.(check bool) "ok" true (Trace.check_mutual_exclusion t = Ok ())
+  legal
+    (arrived
+       [ Trace.Acquire (1, 0); Trace.Release (1, 0); Trace.Acquire (2, 0);
+         Trace.Release (2, 0) ])
 
 let test_mutual_exclusion_violation () =
-  let t = tr [ Trace.Acquire (1, 0); Trace.Acquire (2, 0) ] in
-  match Trace.check_mutual_exclusion t with
-  | Ok () -> Alcotest.fail "violation not caught"
-  | Error _ -> ()
+  rejected ~prefix:"t=3: J2 acquired object 0 already held by J1"
+    (arrived [ Trace.Acquire (1, 0); Trace.Acquire (2, 0) ])
 
 let test_release_without_acquire () =
-  let t = tr [ Trace.Release (1, 0) ] in
-  match Trace.check_mutual_exclusion t with
-  | Ok () -> Alcotest.fail "bogus release not caught"
-  | Error _ -> ()
+  rejected ~prefix:"t=2: J1 released object 0 it did not hold"
+    (arrived [ Trace.Release (1, 0) ])
 
 let test_abort_releases_ok () =
-  let t =
-    tr [ Trace.Acquire (1, 0); Trace.Release (1, 0); Trace.Abort (1, 0) ]
-  in
-  Alcotest.(check bool) "ok" true (Trace.check_abort_releases t = Ok ())
+  legal
+    (arrived [ Trace.Acquire (1, 0); Trace.Release (1, 0); Trace.Abort (1, 0) ])
 
 let test_abort_holding_violation () =
-  let t = tr [ Trace.Acquire (1, 0); Trace.Abort (1, 0) ] in
-  match Trace.check_abort_releases t with
-  | Ok () -> Alcotest.fail "held lock at abort not caught"
-  | Error _ -> ()
+  rejected ~prefix:"t=3: J1 ended while holding 1 object(s)"
+    (arrived [ Trace.Acquire (1, 0); Trace.Abort (1, 0) ])
+
+(* One broken history per rule of the contract. *)
+let test_contract_violations () =
+  let lock_free = Sync.Lock_free { overhead = 1 }
+  and spin = Sync.Spin { overhead = 1; kind = Sync.Ticket } in
+  List.iter
+    (fun (sync, entries, prefix) -> rejected ?sync ~prefix (arrived entries))
+    [
+      (None, [ Trace.Start (3, 0) ], "t=2: J3 never arrived");
+      ( None,
+        [ Trace.Complete 1; Trace.Start (1, 0) ],
+        "t=3: J1 already ended" );
+      (None, [ Trace.Arrive (1, 0, 2) ], "t=2: J1 arrives twice");
+      (None, [ Trace.Arrive (3, 0, 9) ], "t=2: J3 arrives at=9");
+      ( None,
+        [ Trace.Start (1, 0); Trace.Start (1, 1) ],
+        "t=3: J1 started on c1 while still occupying c0" );
+      ( None,
+        [ Trace.Start (1, 0); Trace.Start (2, 0) ],
+        "t=3: J2 started on c0 while J1 still occupies it" );
+      ( None,
+        [ Trace.Start (1, 0); Trace.Migrate (1, 0, 1) ],
+        "t=3: J1 migrated c0->c1 while occupying c0" );
+      ( None,
+        [ Trace.Migrate (1, 0, 1) ],
+        "t=2: J1 migrated c0->c1 before ever running" );
+      ( None,
+        [ Trace.Start (1, 0); Trace.Preempt (1, -1); Trace.Migrate (1, 1, 0) ],
+        "t=4: J1 migrated from c1 but last ran on c0" );
+      ( None,
+        [ Trace.Start (1, 0); Trace.Preempt (1, -1); Trace.Migrate (1, 0, 1);
+          Trace.Start (1, 2) ],
+        "t=5: J1 migrated towards c1 but started on c2" );
+      ( None,
+        [ Trace.Start (1, 0); Trace.Preempt (1, -1); Trace.Migrate (1, 0, 1);
+          Trace.Migrate (1, 0, 2) ],
+        "t=5: J1 migrated towards c2 with a migration to c1 pending" );
+      ( None,
+        [ Trace.Start (1, 0); Trace.Preempt (1, -1); Trace.Migrate (1, 0, 1) ],
+        "t=4: J1 migrated to c1 but never started there" );
+      ( Some lock_free,
+        [ Trace.Block (1, 0) ],
+        "t=2: J1 blocked on object 0 under non-lock-based" );
+      ( Some lock_free,
+        [ Trace.Wake (1, 0) ],
+        "t=2: J1 woken with object 0 under non-lock-based" );
+      ( None,
+        [ Trace.Block (1, 0); Trace.Block (1, 1) ],
+        "t=3: J1 blocked while already blocked" );
+      (None, [ Trace.Wake (1, 0) ], "t=2: J1 woken with object 0 without");
+      ( None,
+        [ Trace.Block (1, 0); Trace.Wake (1, 1) ],
+        "t=3: J1 woken with object 1 while blocked on 0" );
+      ( None,
+        [ Trace.Block (1, 0); Trace.Acquire (1, 0); Trace.Wake (1, 0) ],
+        "t=3: J1 acquired object 0 while blocked on 0" );
+      (* A spin-waiter keeps its core through Block. *)
+      ( Some spin,
+        [ Trace.Start (1, 0); Trace.Block (1, 0); Trace.Start (2, 0) ],
+        "t=4: J2 started on c0 while J1 still occupies it" );
+    ];
+  (* Without the discipline a Block vacates the core, and an aborted
+     waiter needs no Wake. *)
+  legal
+    (arrived [ Trace.Start (1, 0); Trace.Block (1, 0); Trace.Start (2, 0) ]);
+  legal (arrived [ Trace.Block (1, 0); Trace.Abort (1, 0) ]);
+  legal
+    (arrived
+       [ Trace.Acquire (2, 0); Trace.Block (1, 0); Trace.Release (2, 0);
+         Trace.Wake (1, 0); Trace.Acquire (1, 0); Trace.Release (1, 0) ]);
+  let t = tr [ Trace.Sched (1, 1); Trace.Sched (1, 1) ] in
+  Trace.record t ~time:0 (Trace.Sched (1, 1));
+  rejected ~prefix:"t=0: earlier than the previous entry's t=1" t;
+  let ring = Trace.create ~capacity:2 ~enabled:true () in
+  for _ = 1 to 4 do
+    Trace.record ring ~time:0 (Trace.Sched (1, 1))
+  done;
+  rejected ~prefix:"t=0: the ring dropped 2 earlier entries" ring
 
 let test_trace_counters () =
   let t =
@@ -63,8 +151,10 @@ let test_trace_counters () =
       [ Trace.Preempt (1, 2); Trace.Preempt (2, -1); Trace.Sched (10, 450);
         Trace.Arrive (3, 0, 3) ]
   in
-  Alcotest.(check int) "preemptions" 2 (Trace.preemptions t);
-  Alcotest.(check int) "sched" 1 (Trace.scheduler_invocations t)
+  Alcotest.(check int) "preemptions" 2
+    (Trace.count t (function Trace.Preempt _ -> true | _ -> false));
+  Alcotest.(check int) "sched" 1
+    (Trace.count t (function Trace.Sched _ -> true | _ -> false))
 
 (* --- report ------------------------------------------------------------------ *)
 
@@ -212,6 +302,8 @@ let () =
           Alcotest.test_case "abort releases ok" `Quick test_abort_releases_ok;
           Alcotest.test_case "abort holding violation" `Quick
             test_abort_holding_violation;
+          Alcotest.test_case "contract violations" `Quick
+            test_contract_violations;
           Alcotest.test_case "counters" `Quick test_trace_counters;
         ] );
       ( "report",

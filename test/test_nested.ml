@@ -42,11 +42,18 @@ let deadlock_pair ~height0 ~height1 =
       ~profile:(profile 1 0) ();
   ]
 
-let run ?(sync = Sync.Lock_based { overhead = 100 }) ?(horizon = ms 200)
-    tasks =
+let lock_based = Sync.Lock_based { overhead = 100 }
+
+let run ?(sync = lock_based) ?(horizon = ms 200) tasks =
   Simulator.run
     (Simulator.config ~tasks ~sync ~n_objects:2 ~horizon ~seed:3
        ~sched_base:0 ~sched_per_op:0 ~trace:true ())
+
+(* The run's trace obeys the trace contract under lock-based sharing. *)
+let check_trace res =
+  match Trace.check ~sync:lock_based res.Simulator.trace with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
 
 (* --- profile validation ------------------------------------------------ *)
 
@@ -114,12 +121,7 @@ let test_nested_single_task_completes () =
   let res = run ~horizon:(ms 50) [ t ] in
   Alcotest.(check bool) "jobs complete" true (res.Simulator.completed > 0);
   Alcotest.(check int) "no aborts" 0 res.Simulator.aborted;
-  (match Trace.check_mutual_exclusion res.Simulator.trace with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg);
-  match Trace.check_abort_releases res.Simulator.trace with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg
+  check_trace res
 
 (* --- deadlock formation and resolution ------------------------------------ *)
 
@@ -130,12 +132,7 @@ let test_deadlock_detected_and_resolved () =
   Alcotest.(check bool) "victims aborted" true (res.Simulator.aborted > 0);
   Alcotest.(check bool) "system keeps completing" true
     (res.Simulator.completed > 0);
-  (match Trace.check_mutual_exclusion res.Simulator.trace with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg);
-  match Trace.check_abort_releases res.Simulator.trace with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg
+  check_trace res
 
 let test_deadlock_victim_is_low_utility () =
   (* §3.3: the cycle member contributing the least utility is aborted.
@@ -180,9 +177,7 @@ let test_nested_contention_without_deadlock () =
   Alcotest.(check int) "no aborts" 0 res.Simulator.aborted;
   Alcotest.(check bool) "blocking occurred" true
     (res.Simulator.blocked_events > 0);
-  match Trace.check_mutual_exclusion res.Simulator.trace with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg
+  check_trace res
 
 let () =
   Test_support.run "nested"

@@ -132,14 +132,9 @@ let test_abort_releases_locks () =
         ~accesses:[ (obj, us 20) ] ();
     ]
   in
-  let res =
-    run ~sync:(Sync.Lock_based { overhead = 100 }) ~n_objects:1 ~trace:true
-      tasks
-  in
-  (match Trace.check_abort_releases res.Simulator.trace with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg);
-  (match Trace.check_mutual_exclusion res.Simulator.trace with
+  let sync = Sync.Lock_based { overhead = 100 } in
+  let res = run ~sync ~n_objects:1 ~trace:true tasks in
+  (match Trace.check ~sync res.Simulator.trace with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg);
   let t1 = res.Simulator.per_task.(1) in

@@ -10,7 +10,7 @@ module Simulator = Rtlf_sim.Simulator
 module Trace = Rtlf_sim.Trace
 module Cores = Rtlf_sim.Cores
 module Contention = Rtlf_sim.Contention
-module Smp_invariants = Rtlf_obs.Smp_invariants
+module Csv = Rtlf_obs.Csv_export
 module Workload = Rtlf_workload.Workload
 module Retry_bound = Rtlf_core.Retry_bound
 
@@ -144,8 +144,23 @@ let sojourns_exceed_work =
           s.Stats.min >= float_of_int task.Task.exec -. 1e-6)
         res.Simulator.per_task)
 
-(* Run every trace checker on a traced run of every sync x sched
-   configuration. Smaller count: 9 simulations per case. *)
+(* A traced run obeys the trace contract under its discipline, and its
+   CSV export reads back: ingest, which cannot know the discipline,
+   accepts every trace the simulator writes. *)
+let trace_legal ?(name = Fun.id) ~sync tr =
+  let fail msg = QCheck.Test.fail_report (name msg) in
+  (match Trace.check ~sync:(sync_of_int sync) tr with
+  | Ok () -> true
+  | Error msg -> fail msg)
+  &&
+  match Csv.of_string (Csv.to_string tr) with
+  | Ok back ->
+    Trace.entries back = Trace.entries tr
+    || fail "CSV round trip changed the trace"
+  | Error msg -> fail ("CSV ingest: " ^ msg)
+
+(* Every sync x sched configuration on one core. Smaller count: 9
+   simulations per case. *)
 let trace_checkers_all_configs =
   QCheck.Test.make ~name:"trace checkers hold on every sync x sched"
     ~count:8 spec_arb
@@ -155,52 +170,23 @@ let trace_checkers_all_configs =
           List.for_all
             (fun sched ->
               let _, res = simulate ~sync ~sched ~trace:true spec in
-              let tr = res.Simulator.trace in
-              let checks =
-                [
-                  Trace.check_mutual_exclusion tr;
-                  Trace.check_abort_releases tr;
-                  Trace.check_block_only_lock_based
-                    ~lock_based:(sync = 2) tr;
-                  Trace.check_wake_follows_block tr;
-                ]
-              in
-              List.for_all
-                (function
-                  | Ok () -> true
-                  | Error msg -> QCheck.Test.fail_report msg)
-                checks)
+              trace_legal ~sync res.Simulator.trace)
             [ Simulator.Rua; Simulator.Edf; Simulator.Edf_pip ])
         [ 0; 1; 2 ])
 
-(* SMP trace invariants (single occupancy, migration balance) plus the
-   original checkers, over every sync x sched x cores combination. Spin
-   disciplines block-and-burn in place, so [Block] events are legal for
-   sync >= 2 and do not vacate the core for sync >= 3. *)
+(* The contract over every sync x sched x cores combination, and the
+   traced migrations against the result's count. *)
 let smp_checks ~sync ~cores ~dispatch res =
   let tr = res.Simulator.trace in
-  let spin = sync >= 3 in
   let name msg =
     Printf.sprintf "sync=%d cores=%d %s: %s" sync cores
       (Cores.policy_name dispatch) msg
   in
-  let checks =
-    [
-      Trace.check_mutual_exclusion tr;
-      Trace.check_abort_releases tr;
-      Trace.check_block_only_lock_based ~lock_based:(sync >= 2) tr;
-      Trace.check_wake_follows_block tr;
-      Smp_invariants.check_single_occupancy ~spin tr;
-      Smp_invariants.check_migration_balance ~spin tr;
-    ]
+  let traced =
+    Trace.count tr (function Trace.Migrate _ -> true | _ -> false)
   in
-  let traced = Smp_invariants.migrations tr in
   let counted = res.Simulator.migrations in
-  List.for_all
-    (function
-      | Ok () -> true
-      | Error msg -> QCheck.Test.fail_report (name msg))
-    checks
+  trace_legal ~name ~sync tr
   && (traced = counted
      || QCheck.Test.fail_report
           (name

@@ -112,6 +112,16 @@ let test_validation () =
   expect_invalid "accesses without objects"
     { spec with Workload.n_objects = 0; accesses_per_job = 2 };
   expect_invalid "burst 0" { spec with Workload.burst = 0 };
+  (* The CLI copies --objects into both fields; the error names the
+     objects, not the accesses. *)
+  (match
+     Workload.make
+       { spec with Workload.n_objects = -1; accesses_per_job = -1 }
+   with
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "negative objects named"
+      "Workload: negative n_objects (got -1)" msg
+  | _ -> Alcotest.fail "negative objects accepted");
   (* A finite but huge load would put critical times below 1 ns. *)
   match Workload.make { spec with Workload.target_al = 1e300 } with
   | exception Invalid_argument msg ->
