@@ -4,7 +4,10 @@
 
    The workload here must stay in lockstep with [golden_result] in
    test_obs.ml: a change to either invalidates the checked-in files
-   under test/golden/. *)
+   under test/golden/. export_digests.json pins the Chrome export, the
+   span counts and the rendered timelines of every [M1_grid] m = 1 and
+   smp config; regenerate it only for a deliberate change to an
+   exporter's output, never to absorb an unintended one. *)
 
 module Task = Rtlf_model.Task
 module Tuf = Rtlf_model.Tuf
@@ -44,4 +47,13 @@ let () =
   Rtlf_obs.Csv_export.write_file
     ~path:(Filename.concat dir "trace_small.csv")
     res.Simulator.trace;
+  let doc = M1_grid.export_document in
+  Out_channel.with_open_bin (Filename.concat dir "export_digests.json")
+    (fun oc ->
+      output_string oc
+        (M1_grid.to_string doc
+           (List.map
+              (fun (label, cfg) ->
+                (label, M1_grid.export_digests (Simulator.run cfg)))
+              doc.grid)));
   Printf.printf "wrote golden files to %s\n" dir

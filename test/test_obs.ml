@@ -478,6 +478,23 @@ let test_golden_csv () =
   let want = read_file "golden/trace_small.csv" in
   Alcotest.(check string) "csv trace matches golden" want got
 
+(* Every m = 1 and smp grid config, and one trace that dropped entries,
+   must export byte for byte what golden/export_digests.json records. *)
+let test_export_digests () =
+  let doc = M1_grid.export_document in
+  match
+    M1_grid.check_document doc
+      (Json.of_string (read_file "golden/export_digests.json"))
+  with
+  | Error e -> Alcotest.fail e
+  | Ok want -> (
+    match M1_grid.diverging M1_grid.export_digests want doc.grid with
+    | [] -> ()
+    | diverged ->
+      Alcotest.failf "%d of %d configs export other bytes:\n%s"
+        (List.length diverged) (List.length doc.grid)
+        (String.concat "\n" diverged))
+
 let test_chrome_schema () =
   let res = golden_result () in
   let events = Chrome_trace.events res.Simulator.trace in
@@ -627,6 +644,7 @@ let () =
         [
           Alcotest.test_case "golden chrome trace" `Quick test_golden_chrome;
           Alcotest.test_case "golden csv" `Quick test_golden_csv;
+          Alcotest.test_case "export digests" `Quick test_export_digests;
           Alcotest.test_case "chrome schema" `Quick test_chrome_schema;
           Alcotest.test_case "csv schema" `Quick test_csv_schema;
           Alcotest.test_case "result json keys" `Quick
