@@ -591,9 +591,8 @@ let timeline_cmd =
     in
     Format.fprintf fmt "@.";
     Format.pp_print_string fmt
-      (Rtlf_sim.Timeline.render
-         (Rtlf_sim.Timeline.build ~buckets:100 ~max_jobs:24
-            res.Simulator.trace));
+      (Obs.Timeline.render
+         (Obs.Timeline.build ~buckets:100 ~max_jobs:24 res.Simulator.trace));
     `Ok ()
   in
   Cmd.v

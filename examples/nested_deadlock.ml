@@ -67,9 +67,8 @@ let () =
   summarize "lock-based" lb;
   print_newline ();
   print_string
-    (Rtlf_sim.Timeline.render
-       (Rtlf_sim.Timeline.build ~buckets:72 ~max_jobs:8
-          lb.Simulator.trace));
+    (Rtlf_obs.Timeline.render
+       (Rtlf_obs.Timeline.build ~buckets:72 ~max_jobs:8 lb.Simulator.trace));
   (match Trace.check ~sync lb.Simulator.trace with
   | Ok () ->
     print_endline

@@ -83,94 +83,6 @@ let flow_event ~ph ~tid ~id ~name ~time =
         ("ts", Json.Float (us time));
       ])
 
-(* Counter tracks: cumulative lock-free retries, per object and total.
-   Each [Retry] trace entry bumps its object's running count and emits
-   one counter sample, so Perfetto renders retry pressure as a
-   staircase aligned with the job lanes — flat stretches are
-   conflict-free, steep ones mark interference bursts. *)
-let counter_events trace =
-  let per_obj = Hashtbl.create 8 in
-  let total = ref 0 in
-  let events = ref [] in
-  Trace.iter
-    (fun { Trace.time; kind } ->
-      match kind with
-      | Trace.Retry (_, obj, _, _) ->
-        let n = 1 + Option.value (Hashtbl.find_opt per_obj obj) ~default:0 in
-        Hashtbl.replace per_obj obj n;
-        incr total;
-        events :=
-          counter_event ~name:"retries (total)" ~time ~value:!total
-          :: counter_event ~name:(Printf.sprintf "retries o%d" obj) ~time
-               ~value:n
-          :: !events
-      | _ -> ())
-    trace;
-  List.rev !events
-
-(* Blame flows: one arrow per causal hand-off.
-
-   - blocking: [Block (v, obj)] while [h] holds [obj] → arrow from the
-     holder's lane at the block instant to the victim's lane at its
-     [Wake] (or terminal event, for waiters that abort while parked);
-   - retry: [Retry (v, obj, by, _)] with a known invalidator → arrow
-     from the invalidator's lane (at its last committed access to
-     [obj], when traced) to the victim's lane at the retry instant. *)
-let flow_events trace lane_of =
-  let next_id = ref 0 in
-  let fresh () =
-    incr next_id;
-    !next_id
-  in
-  let holder = Hashtbl.create 16 in (* obj -> jid *)
-  let pending = Hashtbl.create 16 in (* victim jid -> (id, name) *)
-  let last_commit = Hashtbl.create 16 in (* (jid, obj) -> time *)
-  let events = ref [] in
-  let emit e = events := e :: !events in
-  let finish_pending jid time =
-    match Hashtbl.find_opt pending jid with
-    | None -> ()
-    | Some (id, name) ->
-      emit (flow_event ~ph:"f" ~tid:(lane_of jid) ~id ~name ~time);
-      Hashtbl.remove pending jid
-  in
-  Trace.iter
-    (fun { Trace.time; kind } ->
-      match kind with
-      | Trace.Acquire (jid, obj) -> Hashtbl.replace holder obj jid
-      | Trace.Release (_, obj) -> Hashtbl.remove holder obj
-      | Trace.Block (jid, obj) -> (
-        match Hashtbl.find_opt holder obj with
-        | None -> ()
-        | Some h ->
-          let id = fresh () in
-          let name = Printf.sprintf "blocks o%d" obj in
-          emit (flow_event ~ph:"s" ~tid:(lane_of h) ~id ~name ~time);
-          Hashtbl.replace pending jid (id, name))
-      | Trace.Wake (jid, _) -> finish_pending jid time
-      | Trace.Complete jid | Trace.Abort (jid, _) ->
-        (* A waiter that never woke still terminates its arrow. *)
-        finish_pending jid time
-      | Trace.Access_done (jid, obj) ->
-        Hashtbl.replace last_commit (jid, obj) time
-      | Trace.Retry (jid, obj, by, _) ->
-        if by >= 0 then begin
-          let id = fresh () in
-          let name = Printf.sprintf "invalidates o%d" obj in
-          let start =
-            match Hashtbl.find_opt last_commit (by, obj) with
-            | Some t when t <= time -> t
-            | Some _ | None -> time
-          in
-          emit (flow_event ~ph:"s" ~tid:(lane_of by) ~id ~name ~time:start);
-          emit (flow_event ~ph:"f" ~tid:(lane_of jid) ~id ~name ~time)
-        end
-      | Trace.Arrive _ | Trace.Start _ | Trace.Preempt _ | Trace.Sched _
-      | Trace.Migrate _ ->
-        ())
-    trace;
-  List.rev !events
-
 let span_name (s : Spans.span) =
   match s.Spans.obj with
   | Some obj -> Printf.sprintf "%s o%d" (Spans.kind_name s.Spans.kind) obj
@@ -220,7 +132,34 @@ let events trace =
         List.map sched_span spans.Spans.sched;
       ]
   in
-  let instants = ref [] in
+  (* One walk emits three families, each in trace order:
+
+     - instants for arrivals, preemptions, wakes, completions, aborts;
+     - counter tracks of cumulative lock-free retries, per object and in
+       total: each [Retry] bumps its object's count and emits a sample,
+       so Perfetto draws retry pressure as a staircase aligned with the
+       job lanes;
+     - blame flows, one arrow per causal hand-off: from the holder's
+       lane at a [Block] on an object it holds to the victim's at its
+       [Wake] (or its end, for a waiter that aborts while parked), and
+       from an invalidator's lane at its last committed access to the
+       object, when traced, to the victim's at the [Retry]. *)
+  let instants = ref [] and counters = ref [] and flows = ref [] in
+  let per_obj = Hashtbl.create 8 and total = ref 0 in
+  let next_id = ref 0 in
+  let holder = Hashtbl.create 16 in (* obj -> jid *)
+  let pending = Hashtbl.create 16 in (* victim jid -> (id, name) *)
+  let last_commit = Hashtbl.create 16 in (* (jid, obj) -> time *)
+  let flow ph jid id name time =
+    flows := flow_event ~ph ~tid:(lane_of jid) ~id ~name ~time :: !flows
+  in
+  let finish_pending jid time =
+    match Hashtbl.find_opt pending jid with
+    | None -> ()
+    | Some (id, name) ->
+      flow "f" jid id name time;
+      Hashtbl.remove pending jid
+  in
   Trace.iter
     (fun { Trace.time; kind } ->
       let inst jid name extra =
@@ -234,17 +173,51 @@ let events trace =
         inst jid "arrive" [ ("task", Json.Int task); ("at", Json.Int at) ]
       | Trace.Preempt (jid, by) ->
         inst jid "preempt" (if by >= 0 then [ ("by", Json.Int by) ] else [])
-      | Trace.Wake (jid, obj) -> inst jid "wake" [ ("obj", Json.Int obj) ]
-      | Trace.Complete jid -> inst jid "complete" []
+      | Trace.Wake (jid, obj) ->
+        inst jid "wake" [ ("obj", Json.Int obj) ];
+        finish_pending jid time
+      | Trace.Complete jid ->
+        inst jid "complete" [];
+        finish_pending jid time
       | Trace.Abort (jid, handler) ->
-        inst jid "abort" [ ("handler_ns", Json.Int handler) ]
-      | Trace.Start _ | Trace.Block _ | Trace.Acquire _ | Trace.Release _
-      | Trace.Retry _ | Trace.Access_done _ | Trace.Sched _
-      | Trace.Migrate _ ->
-        ())
+        inst jid "abort" [ ("handler_ns", Json.Int handler) ];
+        finish_pending jid time
+      | Trace.Acquire (jid, obj) -> Hashtbl.replace holder obj jid
+      | Trace.Release (_, obj) -> Hashtbl.remove holder obj
+      | Trace.Block (jid, obj) ->
+        Option.iter
+          (fun h ->
+            incr next_id;
+            let name = Printf.sprintf "blocks o%d" obj in
+            flow "s" h !next_id name time;
+            Hashtbl.replace pending jid (!next_id, name))
+          (Hashtbl.find_opt holder obj)
+      | Trace.Access_done (jid, obj) ->
+        Hashtbl.replace last_commit (jid, obj) time
+      | Trace.Retry (jid, obj, by, _) ->
+        let n = 1 + Option.value (Hashtbl.find_opt per_obj obj) ~default:0 in
+        Hashtbl.replace per_obj obj n;
+        incr total;
+        counters :=
+          counter_event ~name:"retries (total)" ~time ~value:!total
+          :: counter_event ~name:(Printf.sprintf "retries o%d" obj) ~time
+               ~value:n
+          :: !counters;
+        if by >= 0 then begin
+          incr next_id;
+          let name = Printf.sprintf "invalidates o%d" obj in
+          let start =
+            match Hashtbl.find_opt last_commit (by, obj) with
+            | Some t when t <= time -> t
+            | Some _ | None -> time
+          in
+          flow "s" by !next_id name start;
+          flow "f" jid !next_id name time
+        end
+      | Trace.Start _ | Trace.Sched _ | Trace.Migrate _ -> ())
     trace;
-  meta @ durations @ List.rev !instants @ counter_events trace
-  @ flow_events trace lane_of
+  meta @ durations @ List.rev !instants @ List.rev !counters
+  @ List.rev !flows
 
 let to_string trace = Json.lines_to_string (events trace)
 

@@ -26,8 +26,9 @@
     precision as fractional µs. *)
 
 val events : Rtlf_sim.Trace.t -> Json.t list
-(** [events trace] is the flat event list (metadata first, then
-    duration events, then instants). *)
+(** [events trace] is the flat event list: metadata, then duration
+    events, instants, counter samples and blame flows. It walks the
+    trace twice: once in {!Spans.of_trace}, once for the last three. *)
 
 val to_string : Rtlf_sim.Trace.t -> string
 (** [to_string trace] is the full JSON document, one event per line. *)

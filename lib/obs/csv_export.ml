@@ -54,17 +54,32 @@ let write_file ~path trace =
 
 exception Bad_row of string
 
+(* The [extra] keys each event carries. *)
+let extra_keys = function
+  | "arrive" -> [ "task"; "at" ]
+  | "start" -> [ "core" ]
+  | "migrate" -> [ "from"; "to" ]
+  | "preempt" -> [ "by" ]
+  | "retry" -> [ "by"; "lost" ]
+  | "abort" -> [ "handler" ]
+  | "sched" -> [ "ops"; "cost" ]
+  | _ -> []
+
+(* "k1=v1;k2=v2" -> assoc list; empty string -> []. A key given twice
+   is an error. *)
 let parse_extra extra =
-  (* "k1=v1;k2=v2" -> assoc list; empty string -> []. *)
   if extra = "" then []
   else
-    String.split_on_char ';' extra
-    |> List.map (fun kv ->
-           match String.index_opt kv '=' with
-           | None -> raise (Bad_row ("malformed extra field: " ^ kv))
-           | Some i ->
-             ( String.sub kv 0 i,
-               String.sub kv (i + 1) (String.length kv - i - 1) ))
+    List.fold_left
+      (fun acc kv ->
+        match String.index_opt kv '=' with
+        | None -> raise (Bad_row ("malformed extra field: " ^ kv))
+        | Some i ->
+          let key = String.sub kv 0 i in
+          if List.mem_assoc key acc then
+            raise (Bad_row (Printf.sprintf "repeated extra key %S" key));
+          (key, String.sub kv (i + 1) (String.length kv - i - 1)) :: acc)
+      [] (String.split_on_char ';' extra)
 
 let parse_row line =
   let fail msg = raise (Bad_row (msg ^ ": " ^ line)) in
@@ -86,7 +101,7 @@ let parse_row line =
     let time = nat_field "time" time in
     let jid () = nat_field "jid" jid in
     let obj () = nat_field "obj" obj in
-    let extras = parse_extra extra in
+    let extras = try parse_extra extra with Bad_row msg -> fail msg in
     let extra_field field ?default key =
       match (List.assoc_opt key extras, default) with
       | Some v, _ -> field key v
@@ -121,6 +136,11 @@ let parse_row line =
       | "sched" -> Trace.Sched (extra_nat "ops", extra_nat "cost")
       | other -> fail (Printf.sprintf "unknown event %S" other)
     in
+    List.iter
+      (fun (key, _) ->
+        if not (List.mem key (extra_keys event)) then
+          fail (Printf.sprintf "unknown extra key %S for %s" key event))
+      extras;
     { Trace.time; kind }
   | _ -> fail "expected 5 comma-separated fields"
 
@@ -139,6 +159,12 @@ let of_string s =
         List.iter
           (fun line ->
             incr line_no;
+            (* A file saved with CRLF line ends. *)
+            let line =
+              if String.ends_with ~suffix:"\r" line then
+                String.sub line 0 (String.length line - 1)
+              else line
+            in
             if String.trim line <> "" then begin
               let e = parse_row line in
               Trace.record trace ~time:e.Trace.time e.Trace.kind;

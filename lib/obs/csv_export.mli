@@ -28,10 +28,13 @@ val of_string : string -> (Rtlf_sim.Trace.t, string) result
     line on malformed input: a row that does not parse, including a
     negative [time_ns], jid, obj, [task=], [at=], [core=], [from=],
     [to=], [lost=], [handler=], [ops=] or [cost=] (the message names the
-    field), or a history that breaks {!Rtlf_sim.Trace.check} without a
-    discipline (the message names the first offending row and its jid).
-    A [by=-1] and an empty obj field are legal: the simulator writes
-    them. *)
+    field), an [extra] key given twice or not carried by the row's
+    event (the message names the key), or a history that breaks
+    {!Rtlf_sim.Trace.check} without a discipline (the message names the
+    first offending row and its jid). A [by=-1] and an empty obj field
+    are legal: the simulator writes them. One trailing ['\r'] per line
+    is ignored, so a file saved with CRLF line ends reads as its LF
+    original. *)
 
 val read_file : path:string -> (Rtlf_sim.Trace.t, string) result
 (** [read_file ~path] is {!of_string} on the contents of [path]

@@ -19,7 +19,6 @@ type t = {
   sched : span list;
   task_of : (int, int) Hashtbl.t;
   last_time : int;
-  orphans : int;
 }
 
 let kind_name = function
@@ -33,15 +32,14 @@ let duration s = s.stop - s.start
 
 let of_trace trace =
   let last_time = ref 0 in
-  Trace.iter (fun e -> last_time := max !last_time e.Trace.time) trace;
-  let last_time = !last_time in
-  (* Open-interval bookkeeping. [anchor] is the per-job start of the
-     current access attempt: the last dispatch, wake, retry or segment
-     boundary — the point from which a Retry/Access_done span runs. *)
-  (* Per-core open running intervals (core -> jid, since); single-CPU
-     traces only ever use core 0. *)
-  let running_since = Hashtbl.create 4 in
+  (* [on.(core)] is the job occupying [core], its dispatch time and
+     the dispatching entry's index; the array grows at the first
+     [Start] on a new core. *)
+  let on = ref [||] and index = ref 0 in
   let block_since = Hashtbl.create 16 in
+  (* Per-job start of the current access attempt: the last dispatch,
+     wake, retry or segment boundary — where a Retry/Access_done span
+     begins. *)
   let anchor = Hashtbl.create 16 in
   let tasks = Hashtbl.create 16 in
   let running = ref []
@@ -49,97 +47,69 @@ let of_trace trace =
   and retries = ref []
   and accesses = ref []
   and sched = ref [] in
-  (* Events whose matching open interval is missing — possible only
-     when a ring buffer dropped the opening entry. Reconstruction
-     degrades gracefully (zero-width or best-effort spans) and the
-     count is surfaced so consumers know the spans are partial. *)
-  let orphans = ref 0 in
-  let set_anchor jid time = Hashtbl.replace anchor jid time in
-  let attempt_span jid time =
-    match Hashtbl.find_opt anchor jid with
-    | Some since -> since
-    | None ->
-      incr orphans;
-      time
+  let span kind jid obj start stop =
+    { kind; jid; obj; start; stop; ops = 0 }
   in
   let close_core core time =
-    match Hashtbl.find_opt running_since core with
+    match !on.(core) with
     | None -> ()
-    | Some (jid, since) ->
-      running :=
-        { kind = Running; jid; obj = None; start = since; stop = time;
-          ops = 0 }
-        :: !running;
-      Hashtbl.remove running_since core
+    | Some (jid, since, _) ->
+      running := span Running jid None since time :: !running;
+      !on.(core) <- None
   in
-  let core_running jid =
-    Hashtbl.fold
-      (fun core (r, _) found ->
-        match found with Some _ -> found | None -> if r = jid then Some core else None)
-      running_since None
-  in
-  let close_running_jid jid time =
-    match core_running jid with
-    | Some core -> close_core core time
-    | None -> ()
+  (* A job occupies at most one core. *)
+  let close_running jid time =
+    let on_core = function Some (j, _, _) -> j = jid | None -> false in
+    Option.iter (fun core -> close_core core time)
+      (Array.find_index on_core !on)
   in
   let close_block jid time =
     match Hashtbl.find_opt block_since jid with
     | None -> ()
     | Some (obj, since) ->
-      blocking :=
-        { kind = Blocking; jid; obj = Some obj; start = since; stop = time;
-          ops = 0 }
-        :: !blocking;
+      blocking := span Blocking jid (Some obj) since time :: !blocking;
       Hashtbl.remove block_since jid
+  in
+  (* Without its opening entry (a ring buffer dropped it) an attempt
+     is zero-width. *)
+  let attempt kind jid obj time =
+    let since = Option.value (Hashtbl.find_opt anchor jid) ~default:time in
+    Hashtbl.replace anchor jid time;
+    span kind jid (Some obj) since time
   in
   Trace.iter
     (fun { Trace.time; kind } ->
+      last_time := max !last_time time;
+      incr index;
       match kind with
       | Trace.Arrive (jid, task, _) ->
         Hashtbl.replace tasks jid task;
-        set_anchor jid time
+        Hashtbl.replace anchor jid time
       | Trace.Start (jid, core) ->
+        let n = Array.length !on in
+        if core >= n then
+          on := Array.append !on (Array.make (core + 1 - n) None);
         close_core core time;
-        close_running_jid jid time;
-        Hashtbl.replace running_since core (jid, time);
-        set_anchor jid time
-      | Trace.Preempt (jid, _) ->
-        (match core_running jid with
-        | Some _ -> ()
-        | None -> incr orphans);
-        close_running_jid jid time
+        close_running jid time;
+        !on.(core) <- Some (jid, time, !index);
+        Hashtbl.replace anchor jid time
+      | Trace.Preempt (jid, _) -> close_running jid time
       | Trace.Block (jid, obj) ->
-        (match core_running jid with
-        | Some _ -> ()
-        | None -> incr orphans);
-        (* A spin-waiter burns on its core: its running span stays
-           open until the grant resumes it or the expiry aborts it —
-           but the historical (lock-based) reading closes the span at
-           the block, which still holds there. *)
-        close_running_jid jid time;
+        (* A spin-waiter keeps burning its core, but the historical
+           (lock-based) reading closes the running span at the block. *)
+        close_running jid time;
         Hashtbl.replace block_since jid (obj, time)
       | Trace.Wake (jid, _) ->
-        if not (Hashtbl.mem block_since jid) then incr orphans;
         close_block jid time;
-        set_anchor jid time
+        Hashtbl.replace anchor jid time
       | Trace.Retry (jid, obj, _, _) ->
-        retries :=
-          { kind = Retry; jid; obj = Some obj;
-            start = attempt_span jid time; stop = time; ops = 0 }
-          :: !retries;
-        set_anchor jid time
+        retries := attempt Retry jid obj time :: !retries
       | Trace.Access_done (jid, obj) ->
-        accesses :=
-          { kind = Access; jid; obj = Some obj;
-            start = attempt_span jid time; stop = time; ops = 0 }
-          :: !accesses;
-        set_anchor jid time
+        accesses := attempt Access jid obj time :: !accesses
       | Trace.Complete jid | Trace.Abort (jid, _) ->
-        (* Only close the running span when it belongs to the ending
-           job: an expiry can abort a blocked/ready job while another
-           job keeps the CPU (and gets no fresh [Start]). *)
-        close_running_jid jid time;
+        (* An expiry can abort a blocked or ready job while another
+           keeps its core, so only the ending job's span closes. *)
+        close_running jid time;
         close_block jid time
       | Trace.Sched (ops, cost) ->
         sched :=
@@ -149,21 +119,25 @@ let of_trace trace =
       | Trace.Acquire _ | Trace.Release _ | Trace.Migrate _ -> ())
     trace;
   (* Close whatever the horizon cut off so exporters see no dangling
-     intervals. *)
+     intervals. Running spans close in the order of a core-keyed
+     [Hashtbl] filled in dispatch order, the order the Chrome export
+     has always listed them in. *)
+  let last_time = !last_time in
+  let cut = ref [] and by_core = Hashtbl.create 16 in
+  Array.iteri
+    (fun core ->
+      Option.iter (fun (jid, since, i) -> cut := (i, core, jid, since) :: !cut))
+    !on;
+  List.iter
+    (fun (_, core, jid, since) -> Hashtbl.replace by_core core (jid, since))
+    (List.sort compare !cut);
   Hashtbl.iter
     (fun _ (jid, since) ->
-      running :=
-        { kind = Running; jid; obj = None; start = since; stop = last_time;
-          ops = 0 }
-        :: !running)
-    (Hashtbl.copy running_since);
-  Hashtbl.reset running_since;
+      running := span Running jid None since last_time :: !running)
+    by_core;
   Hashtbl.iter
     (fun jid (obj, since) ->
-      blocking :=
-        { kind = Blocking; jid; obj = Some obj; start = since;
-          stop = last_time; ops = 0 }
-        :: !blocking)
+      blocking := span Blocking jid (Some obj) since last_time :: !blocking)
     block_since;
   {
     running = List.rev !running;
@@ -173,7 +147,6 @@ let of_trace trace =
     sched = List.rev !sched;
     task_of = tasks;
     last_time;
-    orphans = !orphans;
   }
 
 let task_of t ~jid = Hashtbl.find_opt t.task_of jid

@@ -16,7 +16,9 @@
     - {e sched}: each scheduler invocation and its charged cost.
 
     Intervals cut off by the horizon are closed at the last traced
-    time, so exporters never see dangling spans. *)
+    time, so exporters never see dangling spans. This is the one place
+    that turns trace entries into intervals: {!Timeline} and
+    {!Chrome_trace} draw from it. *)
 
 type kind = Running | Blocking | Retry | Access | Sched
 
@@ -38,16 +40,14 @@ type t = {
   task_of : (int, int) Hashtbl.t;
       (** jid → task id, from [Arrive] events *)
   last_time : int;            (** greatest timestamp in the trace *)
-  orphans : int;
-      (** events whose matching opening entry was missing — non-zero
-          only when a ring buffer dropped entries ({!val:
-          Rtlf_sim.Trace.dropped}); reconstruction degrades to
-          zero-width / best-effort spans instead of raising *)
 }
 
 val of_trace : Rtlf_sim.Trace.t -> t
-(** [of_trace trace] reconstructs all span families in chronological
-    order. *)
+(** [of_trace trace] reconstructs all span families in one walk of the
+    trace, each family in the order its spans close. On a trace whose
+    ring buffer dropped entries ({!Rtlf_sim.Trace.dropped}) a closing
+    entry without its opening one yields no running or blocking span,
+    and an attempt without its start is zero-width. *)
 
 val task_of : t -> jid:int -> int option
 (** [task_of t ~jid] is the task that released [jid], if its arrival

@@ -51,14 +51,14 @@ let sync_of_int = function
   | 1 -> Sync.Lock_free { overhead = 150 }
   | _ -> Sync.Lock_based { overhead = 2_000 }
 
-let simulate ?(sync = 1) ?(sched = Simulator.Rua) ?trace_capacity spec =
+let simulate ?(sync = 1) ?(sched = Simulator.Rua) ?trace_capacity ?cores spec =
   let tasks = Workload.make spec in
   let horizon = 40 * 50_000 * spec.Workload.n_tasks in
   ( tasks,
     Simulator.run
       (Simulator.config ~tasks ~sync:(sync_of_int sync) ~sched ~horizon
          ~seed:99 ~sched_base:200 ~sched_per_op:25 ~trace:true
-         ?trace_capacity ()) )
+         ?trace_capacity ?cores ()) )
 
 let attribute_exn ~tasks trace =
   match Attribution.of_trace ~tasks trace with
@@ -369,11 +369,11 @@ let test_blame_edges () =
 
 (* --- ring-buffered (dropped) traces ------------------------------------- *)
 
-let dropped_run () =
+let dropped_run ?(trace_capacity = 64) ?cores () =
   let spec =
     { Workload.default with Workload.n_tasks = 6; target_al = 0.9; seed = 3 }
   in
-  let _, res = simulate ~sync:2 ~trace_capacity:64 spec in
+  let _, res = simulate ~sync:2 ~trace_capacity ?cores spec in
   res.Simulator.trace
 
 let contains haystack needle =
@@ -395,15 +395,81 @@ let test_attribution_refuses_dropped_trace () =
     Alcotest.(check bool) "error names the flag" true
       (contains msg "--trace-capacity")
 
+(* Spans rebuilt from what a ring buffer kept are still intervals:
+   they end by the last traced time, and never two run at once on one
+   core. A
+   running span's core is that of the [Start] that opened it. *)
 let test_spans_degrade_on_dropped_trace () =
-  let trace = dropped_run () in
-  (* Must not raise; unmatched opens surface as the orphan count. *)
-  let spans = Spans.of_trace trace in
-  Alcotest.(check bool) "orphans reported" true (spans.Spans.orphans >= 0);
-  Alcotest.(check bool) "spans still built" true
-    (List.length spans.Spans.running > 0)
+  List.iter
+    (fun (trace_capacity, cores) ->
+      let trace = dropped_run ~trace_capacity ~cores () in
+      Alcotest.(check bool) "entries dropped" true (Trace.dropped trace > 0);
+      let spans = Spans.of_trace trace in
+      Alcotest.(check bool) "spans still built" true (spans.Spans.running <> []);
+      (* A scheduler span runs on for its charged cost past its entry,
+         which can be the last one. *)
+      List.iter
+        (fun (s : Spans.span) ->
+          let limit = if s.kind = Spans.Sched then s.start else s.stop in
+          if not (s.start <= s.stop && limit <= spans.Spans.last_time) then
+            Alcotest.failf "J%d %s span [%d, %d] outside [start, %d]" s.jid
+              (Spans.kind_name s.kind) s.start s.stop spans.Spans.last_time)
+        (List.concat
+           Spans.[ spans.running; spans.blocking; spans.retries;
+                   spans.accesses; spans.sched ]);
+      let core_of = Hashtbl.create 64 in
+      Trace.iter
+        (function
+          | { Trace.time; kind = Trace.Start (jid, core) } ->
+            Hashtbl.replace core_of (jid, time) core
+          | _ -> ())
+        trace;
+      let on_core = Array.make cores [] in
+      List.iter
+        (fun (s : Spans.span) ->
+          let core = Hashtbl.find core_of (s.jid, s.start) in
+          on_core.(core) <- s :: on_core.(core))
+        spans.Spans.running;
+      Array.iteri
+        (fun core spans ->
+          let sorted =
+            List.sort (fun (a : Spans.span) b -> compare a.start b.start) spans
+          in
+          ignore
+            (List.fold_left
+               (fun (prev : Spans.span option) (s : Spans.span) ->
+                 (match prev with
+                 | Some p when p.stop > s.start ->
+                   Alcotest.failf "core %d: J%d [%d, %d] overlaps J%d [%d, %d]"
+                     core p.jid p.start p.stop s.jid s.start s.stop
+                 | _ -> ());
+                 Some s)
+               None sorted))
+        on_core)
+    [ (64, 1); (200, 4) ]
 
 (* --- CSV round-trip ------------------------------------------------------ *)
+
+let check_same_attribution (a1 : Attribution.t) (a2 : Attribution.t) =
+  Alcotest.(check int) "same job count"
+    (List.length a1.Attribution.jobs)
+    (List.length a2.Attribution.jobs);
+  List.iter2
+    (fun (x : Attribution.job) (y : Attribution.job) ->
+      Alcotest.(check int) "jid" x.Attribution.jid y.Attribution.jid;
+      Alcotest.(check int) "sojourn" x.Attribution.sojourn
+        y.Attribution.sojourn;
+      Alcotest.(check int) "own" x.Attribution.own y.Attribution.own;
+      Alcotest.(check int) "retry" x.Attribution.retry y.Attribution.retry;
+      Alcotest.(check int) "blocked" x.Attribution.blocked
+        y.Attribution.blocked;
+      Alcotest.(check int) "preempted" x.Attribution.preempted
+        y.Attribution.preempted;
+      Alcotest.(check int) "sched" x.Attribution.sched y.Attribution.sched;
+      Alcotest.(check int) "abort" x.Attribution.abort_handler
+        y.Attribution.abort_handler;
+      Alcotest.(check int) "idle" x.Attribution.idle y.Attribution.idle)
+    a1.Attribution.jobs a2.Attribution.jobs
 
 let test_csv_round_trip_preserves_attribution () =
   let spec =
@@ -414,27 +480,20 @@ let test_csv_round_trip_preserves_attribution () =
   let csv = Csv.to_string res.Simulator.trace in
   match Csv.of_string csv with
   | Error msg -> Alcotest.fail ("csv parse failed: " ^ msg)
-  | Ok trace2 ->
-    let a2 = attribute_exn ~tasks trace2 in
-    Alcotest.(check int) "same job count"
-      (List.length a1.Attribution.jobs)
-      (List.length a2.Attribution.jobs);
-    List.iter2
-      (fun (x : Attribution.job) (y : Attribution.job) ->
-        Alcotest.(check int) "jid" x.Attribution.jid y.Attribution.jid;
-        Alcotest.(check int) "sojourn" x.Attribution.sojourn
-          y.Attribution.sojourn;
-        Alcotest.(check int) "own" x.Attribution.own y.Attribution.own;
-        Alcotest.(check int) "retry" x.Attribution.retry y.Attribution.retry;
-        Alcotest.(check int) "blocked" x.Attribution.blocked
-          y.Attribution.blocked;
-        Alcotest.(check int) "preempted" x.Attribution.preempted
-          y.Attribution.preempted;
-        Alcotest.(check int) "sched" x.Attribution.sched y.Attribution.sched;
-        Alcotest.(check int) "abort" x.Attribution.abort_handler
-          y.Attribution.abort_handler;
-        Alcotest.(check int) "idle" x.Attribution.idle y.Attribution.idle)
-      a1.Attribution.jobs a2.Attribution.jobs
+  | Ok trace2 -> check_same_attribution a1 (attribute_exn ~tasks trace2)
+
+(* A trace saved with CRLF line ends reads as its LF original. *)
+let test_csv_crlf_attributes_as_lf () =
+  let spec =
+    { Workload.default with Workload.n_tasks = 3; target_al = 0.9; seed = 4 }
+  in
+  let tasks, res = simulate ~sync:2 spec in
+  let lf = Csv.to_string res.Simulator.trace in
+  let crlf = String.concat "\r\n" (String.split_on_char '\n' lf) in
+  match (Csv.of_string lf, Csv.of_string crlf) with
+  | Ok t1, Ok t2 ->
+    check_same_attribution (attribute_exn ~tasks t1) (attribute_exn ~tasks t2)
+  | Error msg, _ | _, Error msg -> Alcotest.fail ("csv parse failed: " ^ msg)
 
 (* [rows] (after the header) must be rejected with an error starting
    with [prefix], which names the offending line. *)
@@ -541,6 +600,148 @@ let test_csv_rejects_negative_fields () =
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "legal by=-1 rows rejected: %s" msg
 
+(* Each event carries a fixed set of [extra] keys, each at most once. *)
+let test_csv_rejects_extra_keys () =
+  List.iter
+    (fun (row, prefix) ->
+      check_csv_rejected ~what:row [ row ] ~prefix:("line 2: " ^ prefix))
+    [
+      ("0,arrive,0,,task=0;at=0;task=5;bogus=1", "repeated extra key \"task\"");
+      ( "0,arrive,0,,task=0;at=0;bogus=1",
+        "unknown extra key \"bogus\" for arrive" );
+      ( "0,arrive,0,,task=0;at=0;core=0",
+        "unknown extra key \"core\" for arrive" );
+    ];
+  let arrive = "0,arrive,1,,task=0;at=0" in
+  List.iter
+    (fun (row, prefix) ->
+      check_csv_rejected ~what:row [ arrive; row ] ~prefix:("line 3: " ^ prefix))
+    [
+      ("5,start,1,,core=0;core=1", "repeated extra key \"core\"");
+      ("5,complete,1,,handler=0", "unknown extra key \"handler\" for complete");
+      ("5,block,1,0,by=2", "unknown extra key \"by\" for block");
+    ]
+
+(* Parser fuzzing: a valid CSV with a field dropped, duplicated, swapped
+   or filled with junk, a row truncated, duplicated or swapped, or CRLF
+   line ends either parses into a trace that obeys the trace contract
+   or is refused with an error naming its line or the header. It never
+   raises. Row 0 is the header, so it is mutated too. *)
+type mutation =
+  | Drop_field
+  | Dup_field
+  | Swap_fields
+  | Junk of string
+  | Truncate
+  | Dup_row
+  | Swap_rows
+  | Crlf
+
+let fuzz_bases =
+  lazy
+    (List.map
+       (fun (sync, cores) ->
+         let spec =
+           {
+             Workload.default with
+             Workload.n_tasks = 3;
+             target_al = 1.1;
+             seed = 5;
+           }
+         in
+         let _, res = simulate ~sync ~cores spec in
+         List.filter (( <> ) "")
+           (String.split_on_char '\n' (Csv.to_string res.Simulator.trace)))
+       [ (1, 1); (2, 1); (2, 2) ])
+
+(* [r] picks a row; [k] and [l] pick fields of it, or [k] a second row
+   or where to cut. *)
+let mutate rows (m, r, k, l) =
+  let n = List.length rows in
+  let r = r mod n in
+  let edit f = List.mapi (fun i row -> if i = r then f row else row) rows in
+  let fields f =
+    edit (fun row ->
+        let fs = String.split_on_char ',' row in
+        let w = List.length fs in
+        String.concat "," (f fs (k mod w) (l mod w)))
+  in
+  let swap xs a b =
+    List.mapi
+      (fun i x ->
+        if i = a then List.nth xs b else if i = b then List.nth xs a else x)
+      xs
+  in
+  match m with
+  | Drop_field -> fields (fun fs k _ -> List.filteri (fun i _ -> i <> k) fs)
+  | Dup_field -> fields (fun fs k _ -> fs @ [ List.nth fs k ])
+  | Swap_fields -> fields swap
+  | Junk j ->
+    fields (fun fs k _ -> List.mapi (fun i f -> if i = k then j else f) fs)
+  | Truncate ->
+    edit (fun row -> String.sub row 0 (k mod (String.length row + 1)))
+  | Dup_row ->
+    List.concat_map (fun (i, row) -> if i = r then [ row; row ] else [ row ])
+      (List.mapi (fun i row -> (i, row)) rows)
+  | Swap_rows -> swap rows r (k mod n)
+  | Crlf -> List.map (fun row -> row ^ "\r") rows
+
+let mutation_name = function
+  | Drop_field -> "drop field"
+  | Dup_field -> "duplicate field"
+  | Swap_fields -> "swap fields"
+  | Junk j -> Printf.sprintf "junk %S" j
+  | Truncate -> "truncate row"
+  | Dup_row -> "duplicate row"
+  | Swap_rows -> "swap rows"
+  | Crlf -> "crlf"
+
+let names_line msg =
+  match String.index_opt msg ':' with
+  | Some i when String.starts_with ~prefix:"line " msg && i > 5 ->
+    String.for_all (fun c -> c >= '0' && c <= '9') (String.sub msg 5 (i - 5))
+  | _ -> false
+
+let csv_fuzz =
+  let junk =
+    [ ""; "x"; "-1"; "1e3"; "99999999999999999999"; ";"; "="; "a=b";
+      "task=1;task=2"; "core=0"; " 7"; "\r" ]
+  in
+  let mutation =
+    QCheck.Gen.(
+      quad
+        (oneof
+           [
+             oneofl
+               [ Drop_field; Dup_field; Swap_fields; Truncate; Dup_row;
+                 Swap_rows; Crlf ];
+             map (fun j -> Junk j) (oneofl junk);
+           ])
+        nat nat nat)
+  in
+  let print (base, ms) =
+    Printf.sprintf "base %d: %s" base
+      (String.concat "; "
+         (List.map
+            (fun (m, r, k, l) ->
+              Printf.sprintf "%s (%d, %d, %d)" (mutation_name m) r k l)
+            ms))
+  in
+  QCheck.Test.make ~name:"mutated csv parses legally or names its line"
+    ~count:300
+    (QCheck.make ~print
+       QCheck.Gen.(pair (int_bound 2) (list_size (int_range 1 3) mutation)))
+    (fun (base, ms) ->
+      let base = List.nth (Lazy.force fuzz_bases) base in
+      let rows = List.fold_left mutate base ms in
+      match Csv.of_string (String.concat "\n" rows ^ "\n") with
+      | Ok trace -> Trace.check trace = Ok ()
+      | Error msg ->
+        names_line msg || String.starts_with ~prefix:"bad header" msg
+        || QCheck.Test.fail_reportf "unnamed error %S" msg
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let () =
   Test_support.run "attribution"
     [
@@ -595,5 +796,10 @@ let () =
             test_csv_rejects_impossible_histories;
           Alcotest.test_case "truncated trace rejected" `Quick
             test_csv_rejects_truncated_trace;
+          Alcotest.test_case "unknown or repeated extra keys rejected" `Quick
+            test_csv_rejects_extra_keys;
+          Alcotest.test_case "crlf attributes as lf" `Quick
+            test_csv_crlf_attributes_as_lf;
+          Test_support.to_alcotest csv_fuzz;
         ] );
     ]

@@ -6,7 +6,7 @@ module Tuf = Rtlf_model.Tuf
 module Uam = Rtlf_model.Uam
 module Sync = Rtlf_sim.Sync
 module Simulator = Rtlf_sim.Simulator
-module Timeline = Rtlf_sim.Timeline
+module Timeline = Rtlf_obs.Timeline
 module Trace = Rtlf_sim.Trace
 module Demand_bound = Rtlf_core.Demand_bound
 module Workload = Rtlf_workload.Workload
