@@ -5,9 +5,9 @@
    The workload here must stay in lockstep with [golden_result] in
    test_obs.ml: a change to either invalidates the checked-in files
    under test/golden/. export_digests.json pins the Chrome export, the
-   span counts and the rendered timelines of every [M1_grid] m = 1 and
-   smp config; regenerate it only for a deliberate change to an
-   exporter's output, never to absorb an unintended one. *)
+   span counts, the rendered timelines and the attribution of every
+   [M1_grid] m = 1 and smp config; regenerate it only for a deliberate
+   change to an exporter's output, never to absorb an unintended one. *)
 
 module Task = Rtlf_model.Task
 module Tuf = Rtlf_model.Tuf

@@ -22,6 +22,8 @@ module Json = Rtlf_obs.Json
 module Spans = Rtlf_obs.Spans
 module Chrome_trace = Rtlf_obs.Chrome_trace
 module Timeline = Rtlf_obs.Timeline
+module Attribution = Rtlf_obs.Attribution
+module Blame = Rtlf_obs.Blame
 
 let seed = Test_support.default_seed
 
@@ -180,6 +182,28 @@ let md5 s = Digest.to_hex (Digest.string s)
 let digests result =
   List.map (fun (group, s) -> (group, md5 s)) (Test_support.fingerprint result)
 
+(* The blame document, then one line per resolved job: its window, its
+   seven components and its charges. [elapsed_s] is host time and stays
+   out. *)
+let attribution trace =
+  match Attribution.of_trace trace with
+  | Error e -> e
+  | Ok a ->
+    let job (j : Attribution.job) =
+      Printf.sprintf "J%d %d-%d %d %d %d %d %d %d %d%s" j.jid j.arrival
+        j.resolved_at j.own j.retry j.blocked j.preempted j.sched
+        j.abort_handler j.idle
+        (String.concat ""
+           (List.map
+              (fun (c : Attribution.charge) ->
+                Printf.sprintf " %s:%d:%d:%d"
+                  (Attribution.component_name c.comp) c.by c.obj c.ns)
+              j.charges))
+    in
+    String.concat "\n"
+      (Json.to_string (Blame.to_json (Blame.of_attribution a))
+       :: List.map job a.jobs)
+
 let export_digests (result : Simulator.result) =
   let trace = result.trace in
   let spans = Spans.of_trace trace in
@@ -197,10 +221,14 @@ let export_digests (result : Simulator.result) =
                 spans.sched ])) );
   ]
   @
-  (* A timeline is drawn only from a complete trace. *)
+  (* A timeline and an attribution need a complete trace. *)
   if Rtlf_sim.Trace.dropped trace > 0 then []
   else
-    [ ("timeline72x20", timeline 72 20); ("timeline100x24", timeline 100 24) ]
+    [
+      ("timeline72x20", timeline 72 20);
+      ("timeline100x24", timeline 100 24);
+      ("attribution", md5 (attribution trace));
+    ]
 
 let diverging digest want configs =
   List.filter_map

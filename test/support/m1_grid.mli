@@ -42,7 +42,9 @@ val digests : Rtlf_sim.Simulator.result -> (string * string) list
 val export_digests : Rtlf_sim.Simulator.result -> (string * string) list
 (** MD5 hex of the result's Chrome trace export, of its five span-list
     lengths and, when the trace dropped nothing, of its rendered
-    timeline at 72 x 20 and 100 x 24 (buckets x jobs). *)
+    timeline at 72 x 20 and 100 x 24 (buckets x jobs) and of its
+    attribution: the blame document and each resolved job's seven
+    components and charges. *)
 
 val diverging :
   (Rtlf_sim.Simulator.result -> (string * string) list) ->
