@@ -21,8 +21,3 @@ let run_one ?(fast = false) ?(seed = default_seed) name =
       (Printf.sprintf "unknown structure %S (known: %s)" name
          (String.concat ", " (structures () @ demos ())))
   | Some def -> Ok (Scenario.run def ~fast ~seed)
-
-let run_all ?(fast = false) ?(seed = default_seed) () =
-  Scenario.all
-  |> List.filter (fun d -> not (Scenario.demo d))
-  |> List.map (fun def -> Scenario.run def ~fast ~seed)

@@ -1,6 +1,6 @@
 (** Public facade of the deterministic interleaving checker.
 
-    [run_one]/[run_all] explore each structure's programs under
+    [run_one] explores a structure's programs under
     controlled schedules ({!Sched}), judge every execution with the
     linearizability oracle ({!History}) plus retry-monotonicity
     invariants, and shrink any failure to a minimal annotated
@@ -21,5 +21,3 @@ val run_one :
   ?fast:bool -> ?seed:int -> string -> (Scenario.report, string) result
 (** [Error] for an unknown name. [fast] trims exploration budgets to
     CI scale. *)
-
-val run_all : ?fast:bool -> ?seed:int -> unit -> Scenario.report list

@@ -701,6 +701,10 @@ type fail = { reason : string; calls : (op, res) History.call list }
 
 let max_steps = 4000
 
+(* The {!Sched.case} of one program: thread [i] runs [ops.(i)] on a
+   fresh instance; the verdict stamps every completed op into a
+   history, appends sequential audit ops, and consults the
+   linearizability oracle plus retry-monotonicity invariants. *)
 let case_of (def : def) ~(ops : op list array) : fail Sched.case =
  fun () ->
   let inst = def.make () in

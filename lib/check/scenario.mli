@@ -43,14 +43,6 @@ val descr : def -> string
 val all : def list
 val find : string -> def option
 
-type fail = { reason : string; calls : (op, res) History.call list }
-
-val case_of : def -> ops:op list array -> fail Sched.case
-(** Build a {!Sched.case} for one program: thread [i] runs [ops.(i)] on
-    a fresh instance; the verdict stamps every completed op into a
-    history, appends sequential audit ops, and consults the
-    linearizability oracle plus retry-monotonicity invariants. *)
-
 type counterexample = {
   structure : string;
   reason : string;

@@ -62,8 +62,6 @@ val fresh_atom : unit -> int
 (** Next atom id (for trace labels); reset at the start of every
     controlled execution, so ids are stable across re-executions. *)
 
-val reset_atoms : unit -> unit
-
 (** {1 Exploration} *)
 
 type mode =
