@@ -74,14 +74,12 @@ let find t ~jid = List.find_opt (fun j -> j.jid = jid) t.jobs
 
 (* --- the sweep ------------------------------------------------------- *)
 
-(* Mutable per-job accumulator while the job is live. [Own]/[Sched]/
-   [Idle] have no culprit and stay plain counters; the attributed
-   components accumulate per (component, culprit, object). *)
+(* Mutable per-job accumulator while the job is live, beside the
+   walker's record of the job. [Own]/[Sched]/[Idle] have no culprit and
+   stay plain counters; the attributed components accumulate per
+   (component, culprit, object). *)
 type acc = {
-  a_jid : int;
-  a_task : int;
-  a_arrival : int;
-  mutable a_state : [ `Ready | `Blocked of int ];
+  a_job : Trace.job;
   mutable a_own : int;
   mutable a_sched : int;
   mutable a_idle : int;
@@ -187,24 +185,9 @@ let of_trace ?tasks trace =
     let n_arrivals = Array.length arrivals in
     let next_arrival = ref 0 in
     let live = Hashtbl.create 64 in
-    (* Per-core running map (core -> jid). Single-CPU traces only ever
-       populate core 0, reproducing the historical behaviour. *)
-    let running = Hashtbl.create 4 in
-    let running_jid jid =
-      Hashtbl.fold (fun _ r found -> found || r = jid) running false
-    in
-    (* The culprit for a Ready job with every core occupied by others:
-       the lowest-core occupant, a deterministic stand-in for "the job
-       that displaced me". *)
-    let running_culprit () =
-      Hashtbl.fold
-        (fun core jid best ->
-          match best with
-          | Some (c, _) when c <= core -> best
-          | _ -> Some (core, jid))
-        running None
-    in
-    let holder = Hashtbl.create 8 in
+    (* Without a discipline a [Block] vacates the core: a spin-waiter's
+       wait counts as blocked, not as its own execution. *)
+    let w = Trace.walk () in
     (* CPU-wide exclusive interval: scheduler cost or an abort handler,
        with its end time (and culprit, for handlers). *)
     let special = ref `None in
@@ -228,46 +211,39 @@ let of_trace ?tasks trace =
         let (at, jid, task) = arrivals.(!next_arrival) in
         incr next_arrival;
         Hashtbl.replace live jid
-          {
-            a_jid = jid;
-            a_task = task;
-            a_arrival = at;
-            a_state = `Ready;
-            a_own = 0;
-            a_sched = 0;
-            a_idle = 0;
-            a_charges = Hashtbl.create 4;
-          }
+          { a_job = Trace.arrive w ~jid ~task ~at; a_own = 0; a_sched = 0;
+            a_idle = 0; a_charges = Hashtbl.create 4 }
       done
     in
     let expire_special () =
       match !special with
-      | `Sched u when u <= !cur -> special := `None
-      | `Handler (u, _) when u <= !cur -> special := `None
+      | (`Sched u | `Handler (u, _)) when u <= !cur -> special := `None
       | _ -> ()
     in
     let charge_interval len =
+      (* The culprit for a ready job off every core: the lowest-core
+         occupant, a deterministic stand-in for "the job that displaced
+         me". *)
+      let culprit =
+        lazy (match Trace.occupants w with (_, r) :: _ -> r | [] -> -1)
+      in
       Hashtbl.iter
         (fun _ acc ->
-          match acc.a_state with
-          | `Blocked obj ->
-            let by =
-              match Hashtbl.find_opt holder obj with
-              | Some h -> h
-              | None -> -1
-            in
-            add_charge acc Blocked ~by ~obj len
-          | `Ready -> (
+          let j = acc.a_job in
+          if j.waits_on >= 0 then
+            add_charge acc Blocked ~by:(Trace.holder w ~obj:j.waits_on)
+              ~obj:j.waits_on len
+          else
             match !special with
             | `Sched _ -> acc.a_sched <- acc.a_sched + len
             | `Handler (_, ajid) ->
               add_charge acc Abort_handler ~by:ajid ~obj:(-1) len
             | `None ->
-              if running_jid acc.a_jid then acc.a_own <- acc.a_own + len
-              else (
-                match running_culprit () with
-                | Some (_, r) -> add_charge acc Preempted ~by:r ~obj:(-1) len
-                | None -> acc.a_idle <- acc.a_idle + len)))
+              if j.core >= 0 then acc.a_own <- acc.a_own + len
+              else
+                let r = Lazy.force culprit in
+                if r >= 0 then add_charge acc Preempted ~by:r ~obj:(-1) len
+                else acc.a_idle <- acc.a_idle + len)
         live
     in
     (* Distribute [!cur, t) across the live set, splitting at arrival
@@ -291,26 +267,18 @@ let of_trace ?tasks trace =
         expire_special ()
       done
     in
-    let deschedule jid =
-      let cores =
-        Hashtbl.fold
-          (fun core r l -> if r = jid then core :: l else l)
-          running []
-      in
-      List.iter (Hashtbl.remove running) cores
-    in
     let finalize jid time outcome =
       match Hashtbl.find_opt live jid with
-      | None -> deschedule jid
+      | None -> ()
       | Some acc ->
-        deschedule jid;
         Hashtbl.remove live jid;
-        let sojourn = time - acc.a_arrival in
+        let { Trace.task; arrival; _ } = acc.a_job in
+        let sojourn = time - arrival in
         let j =
           {
             jid;
-            task = acc.a_task;
-            arrival = acc.a_arrival;
+            task;
+            arrival;
             resolved_at = time;
             outcome;
             sojourn;
@@ -328,7 +296,7 @@ let of_trace ?tasks trace =
           }
         in
         let j =
-          match Hashtbl.find_opt task_by_id acc.a_task with
+          match Hashtbl.find_opt task_by_id task with
           | None -> j
           | Some tk ->
             let maxu, accrued, loss =
@@ -339,30 +307,13 @@ let of_trace ?tasks trace =
         resolved := j :: !resolved
     in
     Trace.iter
-      (fun { Trace.time; kind } ->
+      (fun ({ Trace.time; kind } as e) ->
         (* Trace times are nondecreasing for simulator output; clamp
            defensively so hand-built traces cannot drive the cursor
            backwards. *)
         let time = max time !cur in
         advance time;
-        match kind with
-        | Trace.Arrive _ -> () (* admitted by the pre-pass sweep *)
-        | Trace.Start (jid, core) ->
-          deschedule jid;
-          Hashtbl.replace running core jid
-        | Trace.Migrate _ -> () (* the matching Start carries the move *)
-        | Trace.Preempt (jid, _) -> deschedule jid
-        | Trace.Block (jid, obj) -> (
-          deschedule jid;
-          match Hashtbl.find_opt live jid with
-          | Some acc -> acc.a_state <- `Blocked obj
-          | None -> ())
-        | Trace.Wake (jid, _) -> (
-          match Hashtbl.find_opt live jid with
-          | Some acc -> acc.a_state <- `Ready
-          | None -> ())
-        | Trace.Acquire (jid, obj) -> Hashtbl.replace holder obj jid
-        | Trace.Release (_, obj) -> Hashtbl.remove holder obj
+        (match kind with
         | Trace.Retry (jid, obj, by, lost) -> (
           (* The discarded attempt's CPU time moves from Own to the
              invalidator's Retry account — a transfer, so the
@@ -374,13 +325,14 @@ let of_trace ?tasks trace =
             if amt < lost then incr anomalies;
             acc.a_own <- acc.a_own - amt;
             add_charge acc Retry ~by ~obj amt)
-        | Trace.Access_done _ -> ()
         | Trace.Complete jid -> finalize jid time Completed
         | Trace.Abort (jid, handler) ->
           finalize jid time Aborted;
           if handler > 0 then special := `Handler (time + handler, jid)
         | Trace.Sched (_, cost) ->
-          if cost > 0 then special := `Sched (time + cost))
+          if cost > 0 then special := `Sched (time + cost)
+        | _ -> ());
+        Trace.step w e)
       trace;
     Ok
       {

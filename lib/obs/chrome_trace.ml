@@ -147,7 +147,7 @@ let events trace =
   let instants = ref [] and counters = ref [] and flows = ref [] in
   let per_obj = Hashtbl.create 8 and total = ref 0 in
   let next_id = ref 0 in
-  let holder = Hashtbl.create 16 in (* obj -> jid *)
+  let w = Trace.walk () in
   let pending = Hashtbl.create 16 in (* victim jid -> (id, name) *)
   let last_commit = Hashtbl.create 16 in (* (jid, obj) -> time *)
   let flow ph jid id name time =
@@ -161,14 +161,14 @@ let events trace =
       Hashtbl.remove pending jid
   in
   Trace.iter
-    (fun { Trace.time; kind } ->
+    (fun ({ Trace.time; kind } as e) ->
       let inst jid name extra =
         instants :=
           instant_event ~tid:(lane_of jid) ~name ~time
             ~args:(("jid", Json.Int jid) :: extra)
           :: !instants
       in
-      match kind with
+      (match kind with
       | Trace.Arrive (jid, task, at) ->
         inst jid "arrive" [ ("task", Json.Int task); ("at", Json.Int at) ]
       | Trace.Preempt (jid, by) ->
@@ -182,16 +182,14 @@ let events trace =
       | Trace.Abort (jid, handler) ->
         inst jid "abort" [ ("handler_ns", Json.Int handler) ];
         finish_pending jid time
-      | Trace.Acquire (jid, obj) -> Hashtbl.replace holder obj jid
-      | Trace.Release (_, obj) -> Hashtbl.remove holder obj
       | Trace.Block (jid, obj) ->
-        Option.iter
-          (fun h ->
-            incr next_id;
-            let name = Printf.sprintf "blocks o%d" obj in
-            flow "s" h !next_id name time;
-            Hashtbl.replace pending jid (!next_id, name))
-          (Hashtbl.find_opt holder obj)
+        let h = Trace.holder w ~obj in
+        if h >= 0 then begin
+          incr next_id;
+          let name = Printf.sprintf "blocks o%d" obj in
+          flow "s" h !next_id name time;
+          Hashtbl.replace pending jid (!next_id, name)
+        end
       | Trace.Access_done (jid, obj) ->
         Hashtbl.replace last_commit (jid, obj) time
       | Trace.Retry (jid, obj, by, _) ->
@@ -214,7 +212,9 @@ let events trace =
           flow "s" by !next_id name start;
           flow "f" jid !next_id name time
         end
-      | Trace.Start _ | Trace.Sched _ | Trace.Migrate _ -> ())
+      | Trace.Start _ | Trace.Sched _ | Trace.Migrate _ | Trace.Acquire _
+      | Trace.Release _ -> ());
+      Trace.step w e)
     trace;
   meta @ durations @ List.rev !instants @ List.rev !counters
   @ List.rev !flows

@@ -31,12 +31,12 @@ let kind_name = function
 let duration s = s.stop - s.start
 
 let of_trace trace =
+  let w = Trace.walk () in
   let last_time = ref 0 in
-  (* [on.(core)] is the job occupying [core], its dispatch time and
-     the dispatching entry's index; the array grows at the first
-     [Start] on a new core. *)
-  let on = ref [||] and index = ref 0 in
-  let block_since = Hashtbl.create 16 in
+  (* Start times: of each job's dispatch (with the dispatching entry's
+     index) and of its wait. *)
+  let run_since = Hashtbl.create 16 and block_since = Hashtbl.create 16 in
+  let index = ref 0 in
   (* Per-job start of the current access attempt: the last dispatch,
      wake, retry or segment boundary — where a Retry/Access_done span
      begins. *)
@@ -50,25 +50,25 @@ let of_trace trace =
   let span kind jid obj start stop =
     { kind; jid; obj; start; stop; ops = 0 }
   in
-  let close_core core time =
-    match !on.(core) with
-    | None -> ()
-    | Some (jid, since, _) ->
-      running := span Running jid None since time :: !running;
-      !on.(core) <- None
-  in
-  (* A job occupies at most one core. *)
   let close_running jid time =
-    let on_core = function Some (j, _, _) -> j = jid | None -> false in
-    Option.iter (fun core -> close_core core time)
-      (Array.find_index on_core !on)
+    match Trace.find w jid with
+    | Some j when j.core >= 0 ->
+      let since, _ = Hashtbl.find run_since jid in
+      running := span Running jid None since time :: !running
+    | _ -> ()
+  in
+  (* A job in [block_since] waits on an object, read before the entry
+     that ends the wait is stepped. *)
+  let block_span jid since time =
+    let obj = (Option.get (Trace.find w jid)).waits_on in
+    blocking := span Blocking jid (Some obj) since time :: !blocking
   in
   let close_block jid time =
-    match Hashtbl.find_opt block_since jid with
-    | None -> ()
-    | Some (obj, since) ->
-      blocking := span Blocking jid (Some obj) since time :: !blocking;
-      Hashtbl.remove block_since jid
+    Option.iter
+      (fun since ->
+        block_span jid since time;
+        Hashtbl.remove block_since jid)
+      (Hashtbl.find_opt block_since jid)
   in
   (* Without its opening entry (a ring buffer dropped it) an attempt
      is zero-width. *)
@@ -78,27 +78,25 @@ let of_trace trace =
     span kind jid (Some obj) since time
   in
   Trace.iter
-    (fun { Trace.time; kind } ->
+    (fun ({ Trace.time; kind } as e) ->
       last_time := max !last_time time;
       incr index;
-      match kind with
+      (match kind with
       | Trace.Arrive (jid, task, _) ->
         Hashtbl.replace tasks jid task;
         Hashtbl.replace anchor jid time
       | Trace.Start (jid, core) ->
-        let n = Array.length !on in
-        if core >= n then
-          on := Array.append !on (Array.make (core + 1 - n) None);
-        close_core core time;
+        let o = Trace.occupant w ~core in
+        if o >= 0 && o <> jid then close_running o time;
         close_running jid time;
-        !on.(core) <- Some (jid, time, !index);
+        Hashtbl.replace run_since jid (time, !index);
         Hashtbl.replace anchor jid time
       | Trace.Preempt (jid, _) -> close_running jid time
-      | Trace.Block (jid, obj) ->
-        (* A spin-waiter keeps burning its core, but the historical
-           (lock-based) reading closes the running span at the block. *)
+      | Trace.Block (jid, _) ->
+        (* Without a discipline a [Block] vacates the core, so a
+           spin-waiter's running span closes at its block too. *)
         close_running jid time;
-        Hashtbl.replace block_since jid (obj, time)
+        Hashtbl.replace block_since jid time
       | Trace.Wake (jid, _) ->
         close_block jid time;
         Hashtbl.replace anchor jid time
@@ -116,7 +114,8 @@ let of_trace trace =
           { kind = Sched; jid = -1; obj = None; start = time;
             stop = time + cost; ops }
           :: !sched
-      | Trace.Acquire _ | Trace.Release _ | Trace.Migrate _ -> ())
+      | Trace.Acquire _ | Trace.Release _ | Trace.Migrate _ -> ());
+      Trace.step w e)
     trace;
   (* Close whatever the horizon cut off so exporters see no dangling
      intervals. Running spans close in the order of a core-keyed
@@ -124,10 +123,11 @@ let of_trace trace =
      has always listed them in. *)
   let last_time = !last_time in
   let cut = ref [] and by_core = Hashtbl.create 16 in
-  Array.iteri
-    (fun core ->
-      Option.iter (fun (jid, since, i) -> cut := (i, core, jid, since) :: !cut))
-    !on;
+  List.iter
+    (fun (core, jid) ->
+      let since, i = Hashtbl.find run_since jid in
+      cut := (i, core, jid, since) :: !cut)
+    (Trace.occupants w);
   List.iter
     (fun (_, core, jid, since) -> Hashtbl.replace by_core core (jid, since))
     (List.sort compare !cut);
@@ -135,10 +135,7 @@ let of_trace trace =
     (fun _ (jid, since) ->
       running := span Running jid None since last_time :: !running)
     by_core;
-  Hashtbl.iter
-    (fun jid (obj, since) ->
-      blocking := span Blocking jid (Some obj) since last_time :: !blocking)
-    block_since;
+  Hashtbl.iter (fun jid since -> block_span jid since last_time) block_since;
   {
     running = List.rev !running;
     blocking = List.rev !blocking;

@@ -113,36 +113,134 @@ let dropped tr = tr.dropped
 
 let capacity tr = if tr.bounded then Some tr.limit else None
 
-(* --- the trace contract (DESIGN.md) -------------------------------------- *)
+(* --- the state a trace implies ------------------------------------------ *)
 
-(* What the walk knows of one job. A core, an object or a migration
-   target reads [-1] for none. *)
+(* A core, an object or a migration target reads [-1] for none. *)
 type job = {
+  jid : int;
+  mutable task : int;
+  mutable arrival : int;
+  mutable core : int;
+  mutable waits_on : int;
+  mutable holds : int;
   mutable ended : bool;
-  mutable core : int; (* the core it occupies *)
-  mutable last_core : int; (* the core of its last [Start] *)
-  mutable bound_for : int; (* the target of its pending [Migrate] *)
-  mutable migrated_at : int; (* that [Migrate]'s entry index *)
-  mutable blocked_on : int;
-  mutable holding : int; (* objects it holds *)
+  mutable last_core : int;
+  mutable bound_for : int;
+  mutable migrated_at : int;
 }
+
+(* Ids come unchecked from a CSV, so every map is a hash table: no
+   array is sized by an id. *)
+type walk = {
+  spin : bool; (* a [Block] keeps the waiter on its core *)
+  jobs : (int, job) Hashtbl.t;
+  occupant : (int, int) Hashtbl.t; (* core -> jid *)
+  holder : (int, int) Hashtbl.t; (* obj -> jid *)
+  mutable steps : int;
+}
+
+let walk ?sync () =
+  {
+    spin = (match sync with Some (Sync.Spin _) -> true | _ -> false);
+    jobs = Hashtbl.create 64;
+    occupant = Hashtbl.create 4;
+    holder = Hashtbl.create 8;
+    steps = 0;
+  }
+
+let find w jid = Hashtbl.find_opt w.jobs jid
+
+(* A job first named by any entry but its [Arrive] (a ring dropped the
+   arrival) gets a record too: stepping never fails. *)
+let job w jid =
+  match Hashtbl.find w.jobs jid with
+  | j -> j
+  | exception Not_found ->
+    let j =
+      { jid; task = -1; arrival = -1; core = -1; waits_on = -1; holds = 0;
+        ended = false; last_core = -1; bound_for = -1; migrated_at = -1 }
+    in
+    Hashtbl.add w.jobs jid j;
+    j
+
+let arrive w ~jid ~task ~at =
+  let j = job w jid in
+  j.task <- task;
+  j.arrival <- at;
+  j
+
+let lookup tbl k =
+  match Hashtbl.find tbl k with v -> v | exception Not_found -> -1
+
+let occupant w ~core = lookup w.occupant core
+
+let holder w ~obj = lookup w.holder obj
+
+let occupants w =
+  List.sort compare (Hashtbl.fold (fun c jid l -> (c, jid) :: l) w.occupant [])
+
+let vacate w j =
+  if j.core >= 0 then begin
+    Hashtbl.remove w.occupant j.core;
+    j.core <- -1
+  end
+
+let release w obj =
+  match Hashtbl.find w.holder obj with
+  | h ->
+    let j = Hashtbl.find w.jobs h in
+    j.holds <- j.holds - 1;
+    Hashtbl.remove w.holder obj
+  | exception Not_found -> ()
+
+let step w { kind; _ } =
+  (match kind with
+  | Arrive (jid, task, at) -> ignore (arrive w ~jid ~task ~at)
+  | Start (jid, core) ->
+    let j = job w jid and o = occupant w ~core in
+    if o >= 0 then vacate w (Hashtbl.find w.jobs o);
+    vacate w j;
+    j.bound_for <- -1;
+    j.core <- core;
+    j.last_core <- core;
+    Hashtbl.replace w.occupant core jid
+  | Migrate (jid, _, to_c) ->
+    let j = job w jid in
+    j.bound_for <- to_c;
+    j.migrated_at <- w.steps
+  | Preempt (jid, _) -> vacate w (job w jid)
+  | Block (jid, obj) ->
+    let j = job w jid in
+    j.waits_on <- obj;
+    if not w.spin then vacate w j
+  | Wake (jid, _) -> (job w jid).waits_on <- -1
+  | Acquire (jid, obj) ->
+    if holder w ~obj <> jid then begin
+      release w obj;
+      let j = job w jid in
+      j.holds <- j.holds + 1;
+      Hashtbl.replace w.holder obj jid
+    end
+  | Release (_, obj) -> release w obj
+  | Complete jid | Abort (jid, _) ->
+    (* Aborting a waiter ends its wait. *)
+    let j = job w jid in
+    j.waits_on <- -1;
+    vacate w j;
+    j.ended <- true
+  | Retry _ | Access_done _ | Sched _ -> ());
+  w.steps <- w.steps + 1
+
+(* --- the trace contract (DESIGN.md) -------------------------------------- *)
 
 exception Violation of int * string
 
 let violation ?sync tr =
-  (* Without the discipline, Block and Wake are legal and a Block
-     vacates the core. *)
-  let lock_events, spin =
-    match sync with
-    | None -> (true, false)
-    | Some (Sync.Spin _) -> (true, true)
-    | Some s -> (Sync.uses_lock_events s, false)
-  in
-  let jobs = Hashtbl.create 64 in
-  let occupant = Hashtbl.create 4 (* core -> jid *) in
-  let holder = Hashtbl.create 8 (* obj -> jid *) in
+  (* Without the discipline, Block and Wake are legal. *)
+  let lock_events = Option.fold ~none:true ~some:Sync.uses_lock_events sync in
+  let w = walk ?sync () in
   let prev = ref min_int in
-  let check_entry i { time; kind } =
+  let check_entry i ({ time; kind } as e) =
     let fail fmt =
       Printf.ksprintf
         (fun m -> raise (Violation (i, Printf.sprintf "t=%d: %s" time m)))
@@ -151,45 +249,25 @@ let violation ?sync tr =
     if time < !prev then fail "earlier than the previous entry's t=%d" !prev;
     prev := time;
     let live jid =
-      match Hashtbl.find_opt jobs jid with
+      match find w jid with
       | None -> fail "J%d never arrived" jid
       | Some j when j.ended -> fail "J%d already ended" jid
       | Some j -> j
     in
-    let vacate j =
-      if j.core >= 0 then begin
-        Hashtbl.remove occupant j.core;
-        j.core <- -1
-      end
-    in
-    match kind with
+    (match kind with
     | Arrive (jid, _, at) ->
-      if Hashtbl.mem jobs jid then fail "J%d arrives twice" jid;
-      if at > time then fail "J%d arrives at=%d, after the entry" jid at;
-      Hashtbl.add jobs jid
-        {
-          ended = false;
-          core = -1;
-          last_core = -1;
-          bound_for = -1;
-          migrated_at = -1;
-          blocked_on = -1;
-          holding = 0;
-        }
+      if find w jid <> None then fail "J%d arrives twice" jid;
+      if at > time then fail "J%d arrives at=%d, after the entry" jid at
     | Start (jid, core) ->
       let j = live jid in
       if j.core >= 0 then
         fail "J%d started on c%d while still occupying c%d" jid core j.core;
-      Option.iter
-        (fail "J%d started on c%d while J%d still occupies it" jid core)
-        (Hashtbl.find_opt occupant core);
+      let o = occupant w ~core in
+      if o >= 0 then
+        fail "J%d started on c%d while J%d still occupies it" jid core o;
       if j.bound_for >= 0 && j.bound_for <> core then
         fail "J%d migrated towards c%d but started on c%d" jid j.bound_for
-          core;
-      j.bound_for <- -1;
-      j.core <- core;
-      j.last_core <- core;
-      Hashtbl.replace occupant core jid
+          core
     | Migrate (jid, from_c, to_c) ->
       let j = live jid in
       if j.core >= 0 then
@@ -202,55 +280,39 @@ let violation ?sync tr =
           j.last_core;
       if j.bound_for >= 0 then
         fail "J%d migrated towards c%d with a migration to c%d pending" jid
-          to_c j.bound_for;
-      j.bound_for <- to_c;
-      j.migrated_at <- i
-    | Preempt (jid, _) -> vacate (live jid)
+          to_c j.bound_for
     | Block (jid, obj) ->
       let j = live jid in
       if not lock_events then
         fail "J%d blocked on object %d under non-lock-based sync" jid obj;
-      if j.blocked_on >= 0 then fail "J%d blocked while already blocked" jid;
-      j.blocked_on <- obj;
-      (* A spin-waiter busy-waits on its core. *)
-      if not spin then vacate j
+      if j.waits_on >= 0 then fail "J%d blocked while already blocked" jid
     | Wake (jid, obj) ->
       let j = live jid in
       if not lock_events then
         fail "J%d woken with object %d under non-lock-based sync" jid obj;
-      if j.blocked_on < 0 then
+      if j.waits_on < 0 then
         fail "J%d woken with object %d without a prior block" jid obj;
-      if j.blocked_on <> obj then
+      if j.waits_on <> obj then
         fail "J%d woken with object %d while blocked on %d" jid obj
-          j.blocked_on;
-      j.blocked_on <- -1
-    | Acquire (jid, obj) -> (
+          j.waits_on
+    | Acquire (jid, obj) ->
       let j = live jid in
-      if j.blocked_on >= 0 then
-        fail "J%d acquired object %d while blocked on %d" jid obj j.blocked_on;
-      match Hashtbl.find_opt holder obj with
-      | Some h when h <> jid ->
+      if j.waits_on >= 0 then
+        fail "J%d acquired object %d while blocked on %d" jid obj j.waits_on;
+      let h = holder w ~obj in
+      if h >= 0 && h <> jid then
         fail "J%d acquired object %d already held by J%d" jid obj h
-      | Some _ -> ()
-      | None ->
-        Hashtbl.replace holder obj jid;
-        j.holding <- j.holding + 1)
     | Release (jid, obj) ->
-      let j = live jid in
-      if Hashtbl.find_opt holder obj <> Some jid then
-        fail "J%d released object %d it did not hold" jid obj;
-      Hashtbl.remove holder obj;
-      j.holding <- j.holding - 1
-    | Retry (jid, _, _, _) | Access_done (jid, _) -> ignore (live jid)
+      ignore (live jid);
+      if holder w ~obj <> jid then
+        fail "J%d released object %d it did not hold" jid obj
     | Complete jid | Abort (jid, _) ->
       let j = live jid in
-      if j.holding > 0 then
-        fail "J%d ended while holding %d object(s)" jid j.holding;
-      (* Aborting a waiter ends its wait. *)
-      j.blocked_on <- -1;
-      vacate j;
-      j.ended <- true
-    | Sched _ -> ()
+      if j.holds > 0 then fail "J%d ended while holding %d object(s)" jid j.holds
+    | Preempt (jid, _) | Retry (jid, _, _, _) | Access_done (jid, _) ->
+      ignore (live jid)
+    | Sched _ -> ());
+    step w e
   in
   try
     if tr.dropped > 0 then
@@ -275,7 +337,7 @@ let violation ?sync tr =
                 Printf.sprintf
                   "t=%d: J%d migrated to c%d but never started there"
                   (get tr j.migrated_at).time jid j.bound_for ))
-      jobs None
+      w.jobs None
   with Violation (i, m) -> Some (i, m)
 
 let check ?sync tr =

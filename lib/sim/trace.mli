@@ -89,6 +89,66 @@ val capacity : t -> int option
 (** [capacity tr] is the ring-buffer capacity, or [None] when
     unbounded. *)
 
+(** {1 The state a trace implies}
+
+    One walker steps through a trace entry by entry and keeps what the
+    entries so far imply: who occupies each core, who holds each object,
+    and each job's core, wait and holdings. {!check} checks every entry
+    against it before stepping; the readers in [Rtlf_obs] (spans,
+    attribution, the Chrome export) step their own walker and read from
+    it, so they agree on one reading of the trace. Stepping never fails:
+    on an entry the contract rejects, or on a ring-buffered trace, it
+    applies the entry's effect as far as it can. *)
+
+type job = private {
+  jid : int;
+  mutable task : int;     (** from its [Arrive]; [-1] before it *)
+  mutable arrival : int;  (** true arrival time; [-1] before [Arrive] *)
+  mutable core : int;     (** the core it occupies, or [-1] *)
+  mutable waits_on : int; (** the object it is blocked on, or [-1] *)
+  mutable holds : int;    (** how many objects it holds *)
+  mutable ended : bool;   (** it completed or aborted *)
+  mutable last_core : int;  (** the core of its last [Start], or [-1] *)
+  mutable bound_for : int;
+      (** the target of a [Migrate] no [Start] consumed yet, or [-1] *)
+  mutable migrated_at : int;  (** that [Migrate]'s step number *)
+}
+
+type walk
+(** A walker's state, which {!step} updates in place. *)
+
+val walk : ?sync:Sync.t -> unit -> walk
+(** [walk ?sync ()] is the state before any entry. Under a spin
+    discipline a [Block] leaves the waiter on its core (it busy-waits
+    there); otherwise, and without [sync], a [Block] vacates it. *)
+
+val step : walk -> entry -> unit
+(** [step w e] applies [e]: [Start] puts its job on the core (vacating
+    the job's previous core and the core's previous occupant), [Preempt],
+    [Complete] and [Abort] vacate, [Block] sets the wait, [Wake],
+    [Complete] and [Abort] clear it, [Acquire] and [Release] move the
+    object's holder. A job an entry names before its [Arrive] gets a
+    record anyway. *)
+
+val find : walk -> int -> job option
+(** [find w jid] is [jid]'s record, if an entry stepped so far named it. *)
+
+val arrive : walk -> jid:int -> task:int -> at:int -> job
+(** [arrive w ~jid ~task ~at] is what stepping [Arrive (jid, task, at)]
+    does, for a reader that admits a job at its true arrival, before
+    its [Arrive] entry; it returns the job's record. *)
+
+val occupant : walk -> core:int -> int
+(** [occupant w ~core] is the job on [core], or [-1]. *)
+
+val holder : walk -> obj:int -> int
+(** [holder w ~obj] is the job holding [obj], or [-1]. *)
+
+val occupants : walk -> (int * int) list
+(** [occupants w] is every busy [(core, jid)], in core order. *)
+
+(** {1 The trace contract} *)
+
 val check : ?sync:Sync.t -> t -> (unit, string) result
 (** [check ?sync tr] is [Ok ()] when [tr] obeys the trace contract
     (DESIGN.md, "Trace contract"), and otherwise [Error "t=T: J… …"]
