@@ -33,10 +33,8 @@ let duration s = s.stop - s.start
 let of_trace trace =
   let w = Trace.walk () in
   let last_time = ref 0 in
-  (* Start times: of each job's dispatch (with the dispatching entry's
-     index) and of its wait. *)
+  (* Start times: of each job's dispatch and of its wait. *)
   let run_since = Hashtbl.create 16 and block_since = Hashtbl.create 16 in
-  let index = ref 0 in
   (* Per-job start of the current access attempt: the last dispatch,
      wake, retry or segment boundary — where a Retry/Access_done span
      begins. *)
@@ -53,8 +51,8 @@ let of_trace trace =
   let close_running jid time =
     match Trace.find w jid with
     | Some j when j.core >= 0 ->
-      let since, _ = Hashtbl.find run_since jid in
-      running := span Running jid None since time :: !running
+      running :=
+        span Running jid None (Hashtbl.find run_since jid) time :: !running
     | _ -> ()
   in
   (* A job in [block_since] waits on an object, read before the entry
@@ -80,7 +78,6 @@ let of_trace trace =
   Trace.iter
     (fun ({ Trace.time; kind } as e) ->
       last_time := max !last_time time;
-      incr index;
       (match kind with
       | Trace.Arrive (jid, task, _) ->
         Hashtbl.replace tasks jid task;
@@ -89,7 +86,7 @@ let of_trace trace =
         let o = Trace.occupant w ~core in
         if o >= 0 && o <> jid then close_running o time;
         close_running jid time;
-        Hashtbl.replace run_since jid (time, !index);
+        Hashtbl.replace run_since jid time;
         Hashtbl.replace anchor jid time
       | Trace.Preempt (jid, _) -> close_running jid time
       | Trace.Block (jid, _) ->
@@ -118,23 +115,9 @@ let of_trace trace =
       Trace.step w e)
     trace;
   (* Close whatever the horizon cut off so exporters see no dangling
-     intervals. Running spans close in the order of a core-keyed
-     [Hashtbl] filled in dispatch order, the order the Chrome export
-     has always listed them in. *)
+     intervals, running spans in core order. *)
   let last_time = !last_time in
-  let cut = ref [] and by_core = Hashtbl.create 16 in
-  List.iter
-    (fun (core, jid) ->
-      let since, i = Hashtbl.find run_since jid in
-      cut := (i, core, jid, since) :: !cut)
-    (Trace.occupants w);
-  List.iter
-    (fun (_, core, jid, since) -> Hashtbl.replace by_core core (jid, since))
-    (List.sort compare !cut);
-  Hashtbl.iter
-    (fun _ (jid, since) ->
-      running := span Running jid None since last_time :: !running)
-    by_core;
+  List.iter (fun (_, jid) -> close_running jid last_time) (Trace.occupants w);
   Hashtbl.iter (fun jid since -> block_span jid since last_time) block_since;
   {
     running = List.rev !running;
