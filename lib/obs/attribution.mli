@@ -9,7 +9,10 @@
     decomposes every resolved job's sojourn into those named
     components, each charged to the specific culprit job the trace
     identifies (the lock holder, the preemptor, the invalidating
-    writer, the aborted job whose handler held the CPU).
+    writer, the aborted job whose handler held the CPU). Which job runs,
+    waits or holds an object it reads from the trace walker
+    ({!Rtlf_sim.Trace.step}), stepped without a discipline: a
+    spin-waiter's wait counts as blocked, not as its own execution.
 
     {b Conservation invariant.} Times are virtual-time integers and the
     sweep partitions the job's live window, so for every resolved job

@@ -2,7 +2,9 @@
 
     The trace is a flat event stream; the quantities the paper argues
     about — blocking spans, retry (wasted-attempt) spans, scheduler
-    overhead — are intervals. This module rebuilds them:
+    overhead — are intervals. This module rebuilds them, reading who
+    runs where and who waits on what from the trace walker
+    ({!Rtlf_sim.Trace.step}), stepped without a discipline:
 
     - {e running}: dispatch ([Start]) to the next preemption, block,
       completion or abort of the same job;
@@ -13,12 +15,14 @@
       the work a conflict wasted;
     - {e access}: attempt start to [Access_done] — the measured access
       span (the r or s of §6.1);
-    - {e sched}: each scheduler invocation and its charged cost.
+    - {e sched}: [[time, time + cost]] for each scheduler invocation,
+      its charged cost.
 
-    Intervals cut off by the horizon are closed at the last traced
-    time, so exporters never see dangling spans. This is the one place
-    that turns trace entries into intervals: {!Timeline} and
-    {!Chrome_trace} draw from it. *)
+    Job intervals cut off by the horizon close at [last_time], running
+    spans in core order, so exporters never see dangling spans.
+    Scheduler spans keep their charged cost, so the last one can end
+    after [last_time]. This is the one place that turns trace entries
+    into intervals: {!Timeline} and {!Chrome_trace} draw from it. *)
 
 type kind = Running | Blocking | Retry | Access | Sched
 

@@ -13,6 +13,7 @@ module Workload = Rtlf_workload.Workload
 module Attribution = Rtlf_obs.Attribution
 module Blame = Rtlf_obs.Blame
 module Spans = Rtlf_obs.Spans
+module Chrome_trace = Rtlf_obs.Chrome_trace
 module Csv = Rtlf_obs.Csv_export
 
 (* --- randomised conservation across all configurations ---------------- *)
@@ -395,10 +396,11 @@ let test_attribution_refuses_dropped_trace () =
     Alcotest.(check bool) "error names the flag" true
       (contains msg "--trace-capacity")
 
-(* Spans rebuilt from what a ring buffer kept are still intervals:
-   they end by the last traced time, and never two run at once on one
-   core. A
-   running span's core is that of the [Start] that opened it. *)
+(* Spans rebuilt from what a ring buffer kept are still intervals: job
+   spans end by the last traced time, and never two run at once on one
+   core. A running span's core is that of the [Start] that opened it.
+   A scheduler span is [time, time + cost] of its entry, unclamped: the
+   capacity-64 run's last one ends after the last traced time. *)
 let test_spans_degrade_on_dropped_trace () =
   List.iter
     (fun (trace_capacity, cores) ->
@@ -417,13 +419,25 @@ let test_spans_degrade_on_dropped_trace () =
         (List.concat
            Spans.[ spans.running; spans.blocking; spans.retries;
                    spans.accesses; spans.sched ]);
-      let core_of = Hashtbl.create 64 in
+      let core_of = Hashtbl.create 64 and charged = ref [] in
       Trace.iter
         (function
           | { Trace.time; kind = Trace.Start (jid, core) } ->
             Hashtbl.replace core_of (jid, time) core
+          | { Trace.time; kind = Trace.Sched (ops, cost) } ->
+            charged := (time, time + cost, ops) :: !charged
           | _ -> ())
         trace;
+      Alcotest.(check (list (triple int int int)))
+        "sched spans keep their charged cost" (List.rev !charged)
+        (List.map
+           (fun (s : Spans.span) -> (s.start, s.stop, s.ops))
+           spans.Spans.sched);
+      if cores = 1 then
+        Alcotest.(check bool) "a sched span ends after last_time" true
+          (List.exists
+             (fun (s : Spans.span) -> s.stop > spans.Spans.last_time)
+             spans.Spans.sched);
       let on_core = Array.make cores [] in
       List.iter
         (fun (s : Spans.span) ->
@@ -481,6 +495,46 @@ let test_csv_round_trip_preserves_attribution () =
   match Csv.of_string csv with
   | Error msg -> Alcotest.fail ("csv parse failed: " ^ msg)
   | Ok trace2 -> check_same_attribution a1 (attribute_exn ~tasks trace2)
+
+(* Ids reach the trace walker unchecked from a CSV: a row starting a
+   job on core 10^11 is legal, and nothing sizes an array by it. J1,
+   ready while J0 runs there, is charged to J0. *)
+let test_csv_outside_ids () =
+  let rows =
+    [
+      "774000,arrive,0,,task=0;at=774000";
+      "774000,arrive,1,,task=1;at=774000";
+      "774399,start,0,,core=100000000000";
+      "774500,start,1,,core=0";
+      "775000,complete,0,,";
+      "775200,complete,1,,";
+    ]
+  in
+  match Csv.of_string (String.concat "\n" ((Csv.header :: rows) @ [ "" ])) with
+  | Error msg -> Alcotest.fail ("csv rejected: " ^ msg)
+  | Ok trace ->
+    let a =
+      match Attribution.of_trace trace with
+      | Ok a -> a
+      | Error msg -> Alcotest.fail ("attribution refused: " ^ msg)
+    in
+    check_ok a;
+    let j0 = job a 0 and j1 = job a 1 in
+    Alcotest.(check (list int)) "J0 idle, own" [ 399; 601 ]
+      [ j0.Attribution.idle; j0.Attribution.own ];
+    Alcotest.(check (list int)) "J1 idle, preempted, own" [ 399; 101; 700 ]
+      [ j1.Attribution.idle; j1.Attribution.preempted; j1.Attribution.own ];
+    Alcotest.(check (list int)) "J1 preempted by J0" [ 0 ]
+      (List.filter_map
+         (fun (c : Attribution.charge) ->
+           if c.comp = Attribution.Preempted then Some c.by else None)
+         j1.Attribution.charges);
+    let spans = Spans.of_trace trace in
+    Alcotest.(check (list (pair int int))) "running spans"
+      [ (774399, 775000); (774500, 775200) ]
+      (List.map (fun (s : Spans.span) -> (s.start, s.stop)) spans.Spans.running);
+    Alcotest.(check bool) "chrome export" true
+      (String.length (Chrome_trace.to_string trace) > 0)
 
 (* A trace saved with CRLF line ends reads as its LF original. *)
 let test_csv_crlf_attributes_as_lf () =
@@ -800,6 +854,8 @@ let () =
             test_csv_rejects_extra_keys;
           Alcotest.test_case "crlf attributes as lf" `Quick
             test_csv_crlf_attributes_as_lf;
+          Alcotest.test_case "outside ids size no array" `Quick
+            test_csv_outside_ids;
           Test_support.to_alcotest csv_fuzz;
         ] );
     ]
