@@ -225,7 +225,7 @@ let of_trace ?tasks trace =
          occupant, a deterministic stand-in for "the job that displaced
          me". *)
       let culprit =
-        lazy (match Trace.occupants w with (_, r) :: _ -> r | [] -> -1)
+        lazy (match Trace.occupants w with (_, r) :: _ -> Some r | [] -> None)
       in
       Hashtbl.iter
         (fun _ acc ->
@@ -240,10 +240,10 @@ let of_trace ?tasks trace =
               add_charge acc Abort_handler ~by:ajid ~obj:(-1) len
             | `None ->
               if j.core >= 0 then acc.a_own <- acc.a_own + len
-              else
-                let r = Lazy.force culprit in
-                if r >= 0 then add_charge acc Preempted ~by:r ~obj:(-1) len
-                else acc.a_idle <- acc.a_idle + len)
+              else (
+                match Lazy.force culprit with
+                | Some r -> add_charge acc Preempted ~by:r ~obj:(-1) len
+                | None -> acc.a_idle <- acc.a_idle + len))
         live
     in
     (* Distribute [!cur, t) across the live set, splitting at arrival
