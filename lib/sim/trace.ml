@@ -117,12 +117,10 @@ let capacity tr = if tr.bounded then Some tr.limit else None
 
 (* A core, an object or a migration target reads [-1] for none. *)
 type job = {
-  jid : int;
   mutable task : int;
   mutable arrival : int;
   mutable core : int;
   mutable waits_on : int;
-  mutable holds : int;
   mutable ended : bool;
   mutable last_core : int;
   mutable bound_for : int;
@@ -150,18 +148,26 @@ let walk ?sync () =
 
 let find w jid = Hashtbl.find_opt w.jobs jid
 
+let fresh ended =
+  { task = -1; arrival = -1; core = -1; waits_on = -1; ended; last_core = -1;
+    bound_for = -1; migrated_at = -1 }
+
+(* What an ended job leaves in [jobs]: its jid, so that the contract
+   can reject a later entry naming it, but not its record, so that a
+   long trace's walk holds the live jobs only. Never stepped. *)
+let gone = fresh true
+
 (* A job first named by any entry but its [Arrive] (a ring dropped the
-   arrival) gets a record too: stepping never fails. *)
+   arrival), or named again after it ended, gets a fresh record:
+   stepping never fails. *)
 let job w jid =
-  match Hashtbl.find w.jobs jid with
-  | j -> j
-  | exception Not_found ->
-    let j =
-      { jid; task = -1; arrival = -1; core = -1; waits_on = -1; holds = 0;
-        ended = false; last_core = -1; bound_for = -1; migrated_at = -1 }
-    in
-    Hashtbl.add w.jobs jid j;
+  let j = try Hashtbl.find w.jobs jid with Not_found -> gone in
+  if j != gone then j
+  else begin
+    let j = fresh false in
+    Hashtbl.replace w.jobs jid j;
     j
+  end
 
 let arrive w ~jid ~task ~at =
   let j = job w jid in
@@ -185,20 +191,12 @@ let vacate w j =
     j.core <- -1
   end
 
-let release w obj =
-  match Hashtbl.find w.holder obj with
-  | h ->
-    let j = Hashtbl.find w.jobs h in
-    j.holds <- j.holds - 1;
-    Hashtbl.remove w.holder obj
-  | exception Not_found -> ()
-
 let step w { kind; _ } =
   (match kind with
   | Arrive (jid, task, at) -> ignore (arrive w ~jid ~task ~at)
   | Start (jid, core) ->
     let j = job w jid and o = occupant w ~core in
-    if o >= 0 then vacate w (Hashtbl.find w.jobs o);
+    if o >= 0 then vacate w (job w o);
     vacate w j;
     j.bound_for <- -1;
     j.core <- core;
@@ -214,20 +212,16 @@ let step w { kind; _ } =
     j.waits_on <- obj;
     if not w.spin then vacate w j
   | Wake (jid, _) -> (job w jid).waits_on <- -1
-  | Acquire (jid, obj) ->
-    if holder w ~obj <> jid then begin
-      release w obj;
-      let j = job w jid in
-      j.holds <- j.holds + 1;
-      Hashtbl.replace w.holder obj jid
-    end
-  | Release (_, obj) -> release w obj
+  | Acquire (jid, obj) -> Hashtbl.replace w.holder obj jid
+  | Release (_, obj) -> Hashtbl.remove w.holder obj
   | Complete jid | Abort (jid, _) ->
-    (* Aborting a waiter ends its wait. *)
+    (* Aborting a waiter ends its wait. A migration it never consumed
+       stays on record for the contract to report. *)
     let j = job w jid in
     j.waits_on <- -1;
     vacate w j;
-    j.ended <- true
+    j.ended <- true;
+    if j.bound_for < 0 then Hashtbl.replace w.jobs jid gone
   | Retry _ | Access_done _ | Sched _ -> ());
   w.steps <- w.steps + 1
 
@@ -307,8 +301,11 @@ let violation ?sync tr =
       if holder w ~obj <> jid then
         fail "J%d released object %d it did not hold" jid obj
     | Complete jid | Abort (jid, _) ->
-      let j = live jid in
-      if j.holds > 0 then fail "J%d ended while holding %d object(s)" jid j.holds
+      ignore (live jid);
+      let holds =
+        Hashtbl.fold (fun _ h n -> if h = jid then n + 1 else n) w.holder 0
+      in
+      if holds > 0 then fail "J%d ended while holding %d object(s)" jid holds
     | Preempt (jid, _) | Retry (jid, _, _, _) | Access_done (jid, _) ->
       ignore (live jid)
     | Sched _ -> ());

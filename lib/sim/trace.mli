@@ -93,7 +93,8 @@ val capacity : t -> int option
 
     One walker steps through a trace entry by entry and keeps what the
     entries so far imply: who occupies each core, who holds each object,
-    and each job's core, wait and holdings. {!check} checks every entry
+    and each live job's task, arrival, core and wait; of an ended job it
+    keeps only that it ended. {!check} checks every entry
     against it before stepping; the readers in [Rtlf_obs] (spans,
     attribution, the Chrome export) step their own walker and read from
     it, so they agree on one reading of the trace. Stepping never fails:
@@ -101,12 +102,10 @@ val capacity : t -> int option
     applies the entry's effect as far as it can. *)
 
 type job = private {
-  jid : int;
   mutable task : int;     (** from its [Arrive]; [-1] before it *)
   mutable arrival : int;  (** true arrival time; [-1] before [Arrive] *)
   mutable core : int;     (** the core it occupies, or [-1] *)
   mutable waits_on : int; (** the object it is blocked on, or [-1] *)
-  mutable holds : int;    (** how many objects it holds *)
   mutable ended : bool;   (** it completed or aborted *)
   mutable last_core : int;  (** the core of its last [Start], or [-1] *)
   mutable bound_for : int;
@@ -127,11 +126,13 @@ val step : walk -> entry -> unit
     the job's previous core and the core's previous occupant), [Preempt],
     [Complete] and [Abort] vacate, [Block] sets the wait, [Wake],
     [Complete] and [Abort] clear it, [Acquire] and [Release] move the
-    object's holder. A job an entry names before its [Arrive] gets a
-    record anyway. *)
+    object's holder. A job an entry names before its [Arrive], or after
+    it ended, gets a fresh record. *)
 
 val find : walk -> int -> job option
-(** [find w jid] is [jid]'s record, if an entry stepped so far named it. *)
+(** [find w jid] is [jid]'s record, if an entry stepped so far named it.
+    Once the job has ended, the record says only that: [ended], no
+    core, no wait. *)
 
 val arrive : walk -> jid:int -> task:int -> at:int -> job
 (** [arrive w ~jid ~task ~at] is what stepping [Arrive (jid, task, at)]
