@@ -19,7 +19,6 @@ open Cmdliner
 module Workload = Rtlf_workload.Workload
 module Simulator = Rtlf_sim.Simulator
 module Sync = Rtlf_sim.Sync
-module Cores = Rtlf_sim.Cores
 module Trace = Rtlf_sim.Trace
 module Experiments = Rtlf_experiments
 module Report = Rtlf_experiments.Report
@@ -161,9 +160,9 @@ let cores_arg =
 let dispatch_arg =
   let doc = "Multicore dispatch policy: global or partitioned." in
   let policies =
-    [ ("global", Cores.Global); ("partitioned", Cores.Partitioned) ]
+    [ ("global", Simulator.Global); ("partitioned", Simulator.Partitioned) ]
   in
-  Arg.(value & opt (enum policies) Cores.Global & info [ "dispatch" ] ~doc)
+  Arg.(value & opt (enum policies) Simulator.Global & info [ "dispatch" ] ~doc)
 
 (* --- rtlf list -------------------------------------------------------- *)
 

@@ -73,78 +73,6 @@ let drop_nans xs =
     Array.of_list (List.filter (fun x -> not (Float.is_nan x)) (Array.to_list xs))
   else xs
 
-(* Float-specialised port of Stdlib's [Array.sort] (a ternary heap
-   sort), so the result is the very permutation [Array.sort
-   Float.compare] produces — down to the order of [-0.0] and [0.0],
-   which compare equal. The polymorphic version boxes every float it
-   hands to the comparison; this one reads the flat array directly.
-   [fcmp] is [Float.compare]: NaN sorts below everything else. It and
-   [maxson] must be inlined: called, they box both floats they are
-   passed, on every comparison. *)
-let[@inline] fcmp (x : float) (y : float) =
-  if x < y then -1
-  else if x > y then 1
-  else if x = y then 0
-  else Bool.to_int (Float.is_nan y) - Bool.to_int (Float.is_nan x)
-
-(* Index of the largest of [i]'s three sons in the heap prefix [0, l),
-   or -1 when [i] has none (Stdlib's [Bottom i]). *)
-let[@inline] maxson (a : float array) l i =
-  let i31 = i + i + i + 1 in
-  if i31 + 2 < l then begin
-    let x = if fcmp a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
-    if fcmp a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
-  end
-  else if i31 + 1 < l && fcmp a.(i31) a.(i31 + 1) < 0 then i31 + 1
-  else if i31 < l then i31
-  else -1
-
-(* The sift steps are loops over an index, not recursive functions: a
-   float passed to a call is boxed, and [e] moves through every step.
-   Each one writes exactly where Stdlib's recursive version does. *)
-let[@inline] trickle (a : float array) l i e =
-  let i = ref i and j = ref (maxson a l i) in
-  while !j >= 0 && fcmp a.(!j) e > 0 do
-    a.(!i) <- a.(!j);
-    i := !j;
-    j := maxson a l !j
-  done;
-  a.(!i) <- e
-
-let[@inline] bubble (a : float array) l i =
-  let i = ref i and j = ref (maxson a l i) in
-  while !j >= 0 do
-    a.(!i) <- a.(!j);
-    i := !j;
-    j := maxson a l !j
-  done;
-  !i
-
-let[@inline] trickleup (a : float array) i e =
-  let i = ref i in
-  while !i > 0 && fcmp a.((!i - 1) / 3) e < 0 do
-    let father = (!i - 1) / 3 in
-    a.(!i) <- a.(father);
-    i := father
-  done;
-  a.(!i) <- e
-
-let sort_floats (a : float array) =
-  let l = Array.length a in
-  for i = ((l + 1) / 3) - 1 downto 0 do
-    trickle a l i a.(i)
-  done;
-  for i = l - 1 downto 2 do
-    let e = a.(i) in
-    a.(i) <- a.(0);
-    trickleup a (bubble a i 0) e
-  done;
-  if l > 1 then begin
-    let e = a.(1) in
-    a.(1) <- a.(0);
-    a.(0) <- e
-  end
-
 (* The [p]-th percentile of [n] ascending, NaN-free samples, [nth k]
    being the [k]-th smallest: linear interpolation between the closest
    ranks. *)
@@ -169,7 +97,7 @@ let percentile xs ~p =
   if Array.length kept = 0 then
     invalid_arg "Stats.percentile: no non-NaN samples";
   let sorted = if kept == xs then Array.copy kept else kept in
-  sort_floats sorted;
+  Array.sort Float.compare sorted;
   percentile_sorted sorted ~p
 
 let percentile_opt xs ~p =
@@ -247,7 +175,7 @@ let histogram ?(bins = 10) xs =
   if n = 0 then empty_histogram
   else
     let s = of_array xs in
-    sort_floats xs;
+    Array.sort Float.compare xs;
     let lo = s.min and width = bucket_width ~bins s in
     let buckets = Array.make bins 0 in
     for k = 0 to n - 1 do
@@ -447,12 +375,26 @@ module P2 = struct
        *. (t.q.(i + s) -. t.q.(i))
        /. float_of_int (t.pos.(i + s) - t.pos.(i))
 
+  (* The five initial markers, sorted by insertion: with no call and no
+     closure, no float is boxed, so a tracker's warm-up allocates
+     nothing. *)
+  let sort5 (q : float array) =
+    for i = 1 to 4 do
+      let x = q.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && q.(!j) > x do
+        q.(!j + 1) <- q.(!j);
+        decr j
+      done;
+      q.(!j + 1) <- x
+    done
+
   let add t x =
     if not (Float.is_nan x) then begin
       if t.count < 5 then begin
         t.q.(t.count) <- x;
         t.count <- t.count + 1;
-        if t.count = 5 then sort_floats t.q
+        if t.count = 5 then sort5 t.q
       end
       else begin
         (* Locate the marker cell and clamp the extremes. *)
@@ -503,7 +445,7 @@ module P2 = struct
       (* Exact over the retained prefix, same interpolation as
          [percentile]. *)
       let sorted = Array.sub t.q 0 t.count in
-      sort_floats sorted;
+      Array.sort Float.compare sorted;
       let rank = t.p *. float_of_int (t.count - 1) in
       let lo = int_of_float (floor rank) in
       let hi = int_of_float (ceil rank) in

@@ -44,12 +44,6 @@ val percentile : float array -> p:float -> float
     [Invalid_argument] on an empty array, on an array with no non-NaN
     sample, or on out-of-range [p]. *)
 
-val sort_floats : float array -> unit
-(** [sort_floats a] sorts [a] in place into exactly the permutation
-    [Array.sort Float.compare a] produces (a float-specialised port of
-    the same heap sort, so [-0.0]/[0.0] ties land where the standard
-    library puts them), without boxing a float per comparison. *)
-
 val percentile_opt : float array -> p:float -> float option
 (** [percentile_opt xs ~p] is the total variant of {!percentile}:
     [None] when there is no usable (non-NaN) sample instead of
@@ -77,9 +71,8 @@ type histogram = {
 val histogram : ?bins:int -> float array -> histogram
 (** [histogram ~bins xs] buckets [xs] into [bins] (default 10)
     uniform-width buckets and computes p50/p90/p99. It sorts [xs] in
-    place rather than a copy (the simulator's sample arrays are
-    thousands of floats, built for this call): pass a copy to keep the
-    order. NaN samples are dropped first and do not count towards
+    place ([Array.sort Float.compare]): pass a copy to keep the order.
+    NaN samples are dropped first and do not count towards
     [n]. Returns the histogram
     of no samples ([n = 0], percentiles [nan], no buckets) when no
     non-NaN sample remains; raises [Invalid_argument] when

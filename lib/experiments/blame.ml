@@ -16,8 +16,6 @@ type row = {
   abort : float;
   idle : float;
   conservation_ok : bool;
-  events : int;
-  attr_s : float;
 }
 
 let loads = function
@@ -67,8 +65,6 @@ let attribute ~load ~sync tasks =
       abort = share (total (fun j -> j.Attribution.abort_handler));
       idle = share (total (fun j -> j.Attribution.idle));
       conservation_ok = Result.is_ok (Attribution.check a);
-      events = a.Attribution.events;
-      attr_s = a.Attribution.elapsed_s;
     }
 
 let compute ?(mode = Common.Full) ?jobs () =
@@ -116,14 +112,7 @@ let run ?(mode = Common.Full) ?jobs fmt =
          (List.length bad)));
   table_for fmt rows "lock-based";
   table_for fmt rows "lock-free";
-  let events = List.fold_left (fun s r -> s + r.events) 0 rows in
-  let attr_s = List.fold_left (fun s r -> s +. r.attr_s) 0.0 rows in
   Format.fprintf fmt
     "conservation: OK at all %d points (components sum to sojourn \
      bit-exactly)@."
-    (List.length rows);
-  Format.fprintf fmt
-    "attribution self-overhead: %.1fms wall for %d trace events (%.0f \
-     ns/event)@."
-    (attr_s *. 1e3) events
-    (if events = 0 then 0.0 else attr_s *. 1e9 /. float_of_int events)
+    (List.length rows)

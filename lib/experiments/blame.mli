@@ -6,9 +6,7 @@
     total sojourn (own / retry / blocked / preempted / sched / abort /
     idle). The crossover the theorem predicts shows up here as a
     decomposition shift: the lock-based blocked share climbs with load
-    while the lock-free runs pay a bounded retry share instead. The
-    attribution pass's own cost (wall ms per trace event) is reported —
-    observability observing itself. *)
+    while the lock-free runs pay a bounded retry share instead. *)
 
 type row = {
   load : float;
@@ -24,8 +22,6 @@ type row = {
   abort : float;
   idle : float;
   conservation_ok : bool;
-  events : int;        (** trace entries attributed *)
-  attr_s : float;      (** attribution pass wall seconds *)
 }
 
 val compute :
@@ -34,6 +30,6 @@ val compute :
     before lock-free at equal load. *)
 
 val run : ?mode:Common.mode -> ?jobs:int -> Format.formatter -> unit
-(** Render the sweep as per-discipline tables plus the attribution
-    self-overhead summary. Raises [Failure] if any run violates the
-    conservation invariant (CI runs this with [--fast]). *)
+(** Render the sweep as per-discipline tables and the conservation
+    summary. Raises [Failure] if any run violates the conservation
+    invariant (CI runs this with [--fast]). *)

@@ -56,7 +56,7 @@ val simulate :
   ?trace:bool ->
   ?trace_capacity:int ->
   ?cores:int ->
-  ?dispatch:Rtlf_sim.Cores.policy ->
+  ?dispatch:Rtlf_sim.Simulator.dispatch ->
   ?sched_mode:Rtlf_sim.Simulator.sched_mode ->
   seed:int ->
   Rtlf_model.Task.t list ->
@@ -69,7 +69,7 @@ val measure :
   ?mode:mode ->
   ?jobs:int ->
   ?cores:int ->
-  ?dispatch:Rtlf_sim.Cores.policy ->
+  ?dispatch:Rtlf_sim.Simulator.dispatch ->
   sync:Rtlf_sim.Sync.t ->
   Rtlf_model.Task.t list ->
   Rtlf_sim.Metrics.point

@@ -1,6 +1,6 @@
 module Stats = Rtlf_engine.Stats
 module Workload = Rtlf_workload.Workload
-module Cores = Rtlf_sim.Cores
+module Simulator = Rtlf_sim.Simulator
 module Metrics = Rtlf_sim.Metrics
 
 type cell = {
@@ -12,7 +12,7 @@ type cell = {
 
 type row = {
   cores : int;
-  dispatch : Cores.policy;
+  dispatch : Simulator.dispatch;
   cells : cell list;  (** one per sync discipline, in {!syncs} order *)
 }
 
@@ -50,8 +50,8 @@ let points ?(cores = default_cores) () =
     (fun m ->
       List.map
         (fun d -> (m, d))
-        (if m = 1 then [ Cores.Global ]
-         else [ Cores.Global; Cores.Partitioned ]))
+        (if m = 1 then [ Simulator.Global ]
+         else [ Simulator.Global; Simulator.Partitioned ]))
     cores
 
 let compute ?(mode = Common.Full) ?jobs ?cores () =
@@ -83,7 +83,7 @@ let run ?(mode = Common.Full) ?jobs ?cores fmt =
     (fun row ->
       Report.subsection fmt
         (Printf.sprintf "m=%d cores, %s dispatch (AL target %.2f)" row.cores
-           (Cores.policy_name row.dispatch)
+           (Simulator.dispatch_name row.dispatch)
            (spec ~cores:row.cores).Workload.target_al);
       Report.table fmt
         ~header:[ "sync"; "AUR"; "CMR"; "migrations/run" ]

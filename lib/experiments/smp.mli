@@ -17,7 +17,7 @@ type cell = {
 
 type row = {
   cores : int;
-  dispatch : Rtlf_sim.Cores.policy;
+  dispatch : Rtlf_sim.Simulator.dispatch;
   cells : cell list;  (** one per sync discipline, in {!syncs} order *)
 }
 
@@ -29,7 +29,8 @@ val spec : cores:int -> Rtlf_workload.Workload.spec
 (** Workload for an m-core point: target AL ≈ 0.55·m, at least 3·m
     tasks. *)
 
-val points : ?cores:int list -> unit -> (int * Rtlf_sim.Cores.policy) list
+val points :
+  ?cores:int list -> unit -> (int * Rtlf_sim.Simulator.dispatch) list
 (** The (core count, dispatch) grid over [cores] (default
     [[1; 2; 4]], the acceptance sweep); [Partitioned] only appears for
     m > 1 (both policies coincide on one core). *)

@@ -51,7 +51,6 @@ type t = {
   in_flight : int;
   events : int;
   last_time : int;
-  elapsed_s : float;
   anomalies : int;
 }
 
@@ -144,7 +143,6 @@ let decompose_loss ~tuf j =
     { u_self; u_retry; u_blocked; u_preempted; u_sched; u_abort; u_idle } )
 
 let of_trace ?tasks trace =
-  let t0 = Unix.gettimeofday () in
   if Trace.dropped trace > 0 then
     Error
       (Printf.sprintf
@@ -341,7 +339,6 @@ let of_trace ?tasks trace =
         in_flight = Hashtbl.length live;
         events = Trace.length trace;
         last_time;
-        elapsed_s = Unix.gettimeofday () -. t0;
         anomalies = !anomalies;
       }
   end

@@ -98,10 +98,6 @@ type t = {
   in_flight : int;  (** jobs still live when the trace ended *)
   events : int;     (** trace entries consumed *)
   last_time : int;  (** greatest timestamp in the trace *)
-  elapsed_s : float;
-      (** wall seconds the attribution pass itself took — observability
-          observing itself; reported by [rtlf explain] and the blame
-          experiment *)
   anomalies : int;
       (** retry-transfer clamps (a [Retry] whose [lost] exceeded the
           accumulated own-time); always [0] on simulator traces *)

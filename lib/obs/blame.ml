@@ -265,6 +265,4 @@ let render_summary fmt (a : Attribution.t) =
       (ns_str sojourn)
   | Error msg -> Format.fprintf fmt "conservation: VIOLATED@.%s@." msg);
   if a.Attribution.anomalies > 0 then
-    Format.fprintf fmt "anomalies: %d retry clamp(s)@." a.Attribution.anomalies;
-  Format.fprintf fmt "attribution pass: %.1fms wall@."
-    (a.Attribution.elapsed_s *. 1e3)
+    Format.fprintf fmt "anomalies: %d retry clamp(s)@." a.Attribution.anomalies

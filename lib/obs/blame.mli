@@ -56,4 +56,4 @@ val render_summary :
   Format.formatter -> Attribution.t -> unit
 (** Aggregate decomposition across all resolved jobs: total ns per
     component with shares of total sojourn, conservation status, job
-    counts, and the attribution pass's own cost. *)
+    counts. *)

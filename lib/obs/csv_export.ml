@@ -102,37 +102,29 @@ let parse_row line =
     let jid () = nat_field "jid" jid in
     let obj () = nat_field "obj" obj in
     let extras = try parse_extra extra with Bad_row msg -> fail msg in
-    let extra_field field ?default key =
-      match (List.assoc_opt key extras, default) with
-      | Some v, _ -> field key v
-      | None, Some d -> d
-      | None, None -> fail (Printf.sprintf "missing extra %S" key)
+    let extra_field field key =
+      match List.assoc_opt key extras with
+      | Some v -> field key v
+      | None -> fail (Printf.sprintf "missing extra %S" key)
     in
     let extra_int = extra_field int_field in
     let extra_nat = extra_field nat_field in
     let kind =
       match event with
-      | "arrive" ->
-        (* Traces written before the causal-attribution payloads carry
-           no [at=]; fall back to the processing time. *)
-        Trace.Arrive (jid (), extra_nat "task", extra_nat ~default:time "at")
-      | "start" ->
-        (* Traces written before the SMP engine carry no [core=]. *)
-        Trace.Start (jid (), extra_nat ~default:0 "core")
+      | "arrive" -> Trace.Arrive (jid (), extra_nat "task", extra_nat "at")
+      | "start" -> Trace.Start (jid (), extra_nat "core")
       | "migrate" ->
         Trace.Migrate (jid (), extra_nat "from", extra_nat "to")
-      | "preempt" -> Trace.Preempt (jid (), extra_int ~default:(-1) "by")
+      | "preempt" -> Trace.Preempt (jid (), extra_int "by")
       | "block" -> Trace.Block (jid (), obj ())
       | "wake" -> Trace.Wake (jid (), obj ())
       | "acquire" -> Trace.Acquire (jid (), obj ())
       | "release" -> Trace.Release (jid (), obj ())
       | "retry" ->
-        Trace.Retry
-          (jid (), obj (), extra_int ~default:(-1) "by",
-           extra_nat ~default:0 "lost")
+        Trace.Retry (jid (), obj (), extra_int "by", extra_nat "lost")
       | "access_done" -> Trace.Access_done (jid (), obj ())
       | "complete" -> Trace.Complete (jid ())
-      | "abort" -> Trace.Abort (jid (), extra_nat ~default:0 "handler")
+      | "abort" -> Trace.Abort (jid (), extra_nat "handler")
       | "sched" -> Trace.Sched (extra_nat "ops", extra_nat "cost")
       | other -> fail (Printf.sprintf "unknown event %S" other)
     in

@@ -2,9 +2,10 @@
 
     One row per trace entry, schema
     [time_ns,event,jid,obj,extra]: [jid]/[obj] are empty when the
-    event has none, [extra] carries the remaining payload
-    ([task=<id>] for arrivals, [ops=<n>;cost=<ns>] for scheduler
-    invocations). Suited to spreadsheet / pandas post-processing. *)
+    event has none, [extra] carries the remaining payload as
+    [;]-separated [key=value] pairs ([task=<id>;at=<ns>] for arrivals,
+    [ops=<n>;cost=<ns>] for scheduler invocations). Suited to
+    spreadsheet / pandas post-processing. *)
 
 val header : string
 (** The column header row (no trailing newline). *)
@@ -22,14 +23,13 @@ val write_file : path:string -> Rtlf_sim.Trace.t -> unit
 val of_string : string -> (Rtlf_sim.Trace.t, string) result
 (** [of_string s] parses a document produced by {!to_string} back into
     a trace — the CSV export is lossless, so round-tripping preserves
-    every entry. Rows written before the causal-attribution payload
-    enrichment (no [at=]/[by=]/[lost=]/[handler=] extras) parse with
-    conservative defaults. Returns [Error] with a message naming the
-    line on malformed input: a row that does not parse, including a
+    every entry. Returns [Error] with a message naming the line on
+    malformed input: a row that does not parse, including a
     negative [time_ns], jid, obj, [task=], [at=], [core=], [from=],
     [to=], [lost=], [handler=], [ops=] or [cost=] (the message names the
-    field), an [extra] key given twice or not carried by the row's
-    event (the message names the key), or a history that breaks
+    field), an [extra] key given twice, not carried by the row's event
+    or missing from it (the message names the key), or a history that
+    breaks
     {!Rtlf_sim.Trace.check} without a discipline (the message names the
     first offending row and its jid). A [by=-1] and an empty obj field
     are legal: the simulator writes them. One trailing ['\r'] per line

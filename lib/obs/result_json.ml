@@ -186,7 +186,6 @@ let attribution_totals (res : Simulator.result) =
           ("idle_ns", Json.Int (total (fun j -> j.Attribution.idle)));
           ( "conservation_ok",
             Json.Bool (Result.is_ok (Attribution.check a)) );
-          ("elapsed_s", Json.Float a.Attribution.elapsed_s);
         ]
 
 let metrics (res : Simulator.result) =

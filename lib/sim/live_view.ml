@@ -63,10 +63,6 @@ let find t ~jid =
   let i = lower_bound t jid in
   if i < t.len && t.buf.(i).Job.jid = jid then Some t.buf.(i) else None
 
-let mem t ~jid =
-  let i = lower_bound t jid in
-  i < t.len && t.buf.(i).Job.jid = jid
-
 let remove t ~jid =
   let i = lower_bound t jid in
   if i < t.len && t.buf.(i).Job.jid = jid then begin

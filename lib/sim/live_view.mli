@@ -4,9 +4,11 @@
     paid a fold plus a [List.sort]. Membership mutations keep a flat
     jid-sorted array; {!view} hands the scheduler a trimmed snapshot
     that is rebuilt only when a dirty flag records a membership change
-    since the previous invocation. Existence and cardinality queries
-    ({!mem}, {!find}, {!count}) never touch the dirty flag, so callers
-    that only probe membership never force a rebuild. *)
+    since the previous invocation. Lookup and cardinality queries
+    ({!find}, {!count}) never touch the dirty flag, so callers
+    that only probe membership never force a rebuild. The simulator
+    keeps one for its whole live set and, under partitioned dispatch,
+    one per core as that core's run queue. *)
 
 type t
 
@@ -22,9 +24,6 @@ val add : t -> Rtlf_model.Job.t -> unit
 
 val find : t -> jid:int -> Rtlf_model.Job.t option
 (** Binary search; O(log n). *)
-
-val mem : t -> jid:int -> bool
-(** Binary search; O(log n), allocation-free. *)
 
 val remove : t -> jid:int -> unit
 (** No-op when [jid] is absent. The vacated tail slot is reset to a

@@ -18,6 +18,10 @@ type sched_kind = Edf | Edf_pip | Rua
    suite); only the cost of producing them changes. *)
 type sched_mode = Dynamic | Static
 
+type dispatch = Global | Partitioned
+
+let dispatch_name = function Global -> "global" | Partitioned -> "partitioned"
+
 type config = {
   tasks : Task.t list;
   sync : Sync.t;
@@ -31,7 +35,7 @@ type config = {
   trace : bool;
   trace_capacity : int option;
   cores : int;
-  dispatch : Cores.policy;
+  dispatch : dispatch;
   mode : sched_mode;
 }
 
@@ -58,7 +62,7 @@ let infer_objects tasks =
 let config ~tasks ~sync ?(sched = Rua) ?n_objects ~horizon ?(seed = 1)
     ?(sched_base = 200) ?(sched_per_op = 25)
     ?(retry_on_any_preemption = false) ?(trace = false) ?trace_capacity
-    ?(cores = 1) ?(dispatch = Cores.Global) ?(mode = Dynamic) () =
+    ?(cores = 1) ?(dispatch = Global) ?(mode = Dynamic) () =
   let n_objects =
     match n_objects with Some n -> n | None -> infer_objects tasks
   in
@@ -157,7 +161,13 @@ type state = {
   remaining : Job.t -> int; (* per run: see [remaining_of] *)
   trace : Trace.t;
   mutable now : int;
-  cores : Cores.t;
+  running : Job.t array; (* per core: its occupant, [Job.dummy] when idle *)
+  busy : int array; (* per core: executed ns, spin burn included *)
+  mutable migrations : int;
+  queues : Live_view.t array;
+      (* per core under partitioned dispatch: the live jobs of the tasks
+         homed there ([task id mod m]), one scheduler instance's input;
+         empty under global dispatch *)
   mutable next_jid : int;
   live : Live_view.t;
   (* Per-task-id results of resolved jobs, kept as they resolve. *)
@@ -175,7 +185,6 @@ type state = {
          order-sensitive float results (ids and ns are exact floats) *)
   mutable sched_invocations : int;
   mutable sched_overhead : int;
-  mutable busy : int;
   mutable blocked_events : int;
   access_samples : Stats.t;
   contention : Contention.t array;
@@ -296,7 +305,10 @@ let remaining_of sync profiles =
 
 let remaining_cost cfg = remaining_of cfg.sync (profile_table cfg)
 
-let sojourn_hist r = Stats.histogram (Array.copy r.sojourn_samples)
+let sojourn_hist r =
+  let c = Stats.Counts.create () in
+  Array.iter (fun s -> Stats.Counts.add c (int_of_float s)) r.sojourn_samples;
+  Stats.Counts.histogram c
 
 let tracing st = Trace.enabled st.trace
 
@@ -318,6 +330,22 @@ let spin_pinned st job =
   && (Lock_manager.holds_any st.locks ~jid:job.Job.jid
      || (match job.Job.state with Job.Blocked _ -> true | _ -> false))
 
+(* --- cores ---------------------------------------------------------- *)
+
+(* Under partitioned dispatch a task's jobs run only on its home core,
+   [task id mod m]. *)
+let home_queue st job = st.queues.(job.Job.task.Task.id mod st.cfg.cores)
+
+(* The core [job] occupies, or [-1]. [set_running] writes [last_core]
+   before placing a job, so that slot is the only one it can be in. *)
+let core_of st job =
+  let c = job.Job.last_core in
+  if c >= 0 && st.running.(c) == job then c else -1
+
+let vacate st job =
+  let c = core_of st job in
+  if c >= 0 then st.running.(c) <- Job.dummy
+
 (* --- job lifecycle ------------------------------------------------- *)
 
 (* Every job leaves the live set exactly once, through here — the one
@@ -329,7 +357,9 @@ let resolve st job =
   Audit.observe st.audit ~task_id:i ~jid:job.Job.jid ~retries ~time:st.now;
   Stats.P2.track st.retry_tails.(i) (float_of_int retries);
   Live_view.remove st.live ~jid:job.Job.jid;
-  Cores.retire st.cores job;
+  (match st.cfg.dispatch with
+  | Partitioned -> Live_view.remove (home_queue st job) ~jid:job.Job.jid
+  | Global -> ());
   st.released.(i) <- st.released.(i) + 1;
   st.preemptions <- st.preemptions + job.Job.preemptions;
   (* The supremum of the TUF, not U(0): increasing piecewise shapes
@@ -359,7 +389,7 @@ let complete_job st job =
   job.Job.accrued <- Job.utility_at job ~now:st.now;
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Complete job.Job.jid);
-  Cores.vacate st.cores ~jid:job.Job.jid;
+  vacate st job;
   resolve st job
 
 (* Close the open blocking span of [job] on [obj] (wake or abort of a
@@ -384,7 +414,7 @@ let wake_new_owner st obj = function
     | None -> ()
     | Some waiter ->
       waiter.Job.state <-
-        (if is_spin st && Cores.core_of st.cores ~jid >= 0 then
+        (if is_spin st && core_of st waiter >= 0 then
            Job.Running
          else Job.Ready);
       close_block_span st waiter obj;
@@ -410,7 +440,7 @@ let wait_for_lock st job obj =
   job.Job.block_start <- st.now;
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Block (job.Job.jid, obj));
-  if not (is_spin st) then Cores.vacate st.cores ~jid:job.Job.jid
+  if not (is_spin st) then vacate st job
 
 let abort_job st job =
   (match st.cfg.sync with
@@ -433,17 +463,15 @@ let abort_job st job =
   let handler = Int.max 0 job.Job.task.Task.abort_cost in
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Abort (job.Job.jid, handler));
-  let core = Cores.core_of st.cores ~jid:job.Job.jid in
-  Cores.vacate st.cores ~jid:job.Job.jid;
+  let core = core_of st job in
+  vacate st job;
   if handler > 0 then begin
     st.now <- st.now + handler;
-    st.busy <- st.busy + handler;
     (* The handler is serialized with the dispatcher; its CPU burn is
        billed to the core the victim occupied (core 0 for a victim
        that was not running). *)
-    let cbusy = Cores.busy st.cores in
     let c = Int.max core 0 in
-    cbusy.(c) <- cbusy.(c) + handler
+    st.busy.(c) <- st.busy.(c) + handler
   end;
   resolve st job
 
@@ -466,7 +494,7 @@ let preempt st ~by job =
           (Trace.Retry (job.Job.jid, obj, by, lost))
     | Segment.Compute _ | Segment.Lock _ | Segment.Unlock _ -> ())
   | _ -> ());
-  Cores.vacate st.cores ~jid:job.Job.jid
+  vacate st job
 
 (* Commit a write to [obj]: bump the version (invalidating in-flight
    lock-free attempts) and remember the writer for retry blame. *)
@@ -479,11 +507,9 @@ let set_running st ~core job =
   if tracing st then
     Trace.record st.trace ~time:st.now (Trace.Start (job.Job.jid, core));
   job.Job.last_core <- core;
-  Cores.place st.cores core job
+  st.running.(core) <- job
 
 (* --- dispatcher ----------------------------------------------------- *)
-
-let target_ok st j = Job.is_runnable j && Live_view.mem st.live ~jid:j.Job.jid
 
 (* One dispatcher pass fills [st]'s plan fields before any cost is
    charged, so the migration count can ride in the scheduling cost like
@@ -493,14 +519,14 @@ let migrates_to job core = job.Job.last_core >= 0 && job.Job.last_core <> core
 
 (* Is [job] running on a core the plan keeps? *)
 let pinned st job =
-  let c = Cores.core_of st.cores ~jid:job.Job.jid in
+  let c = core_of st job in
   c >= 0 && st.keep.(c)
 
 (* Mark the spin-pinned cores; returns how many cores are not kept. *)
 let mark_kept st =
   let frees = ref 0 in
-  for c = 0 to Cores.count st.cores - 1 do
-    let j = Cores.occupant st.cores c in
+  for c = 0 to st.cfg.cores - 1 do
+    let j = st.running.(c) in
     st.keep.(c) <- j != Job.dummy && spin_pinned st j;
     if not st.keep.(c) then incr frees
   done;
@@ -509,20 +535,20 @@ let mark_kept st =
 let free st c = (not st.keep.(c)) && st.assign.(c) == Job.dummy
 
 let rec lowest_free st c =
-  if c >= Cores.count st.cores then -1
+  if c >= st.cfg.cores then -1
   else if free st c then c
   else lowest_free st (c + 1)
 
 (* The core [job] runs on if the plan does not keep it, else [-1]. *)
 let unkept_core st job =
-  let c = Cores.core_of st.cores ~jid:job.Job.jid in
+  let c = core_of st job in
   if c >= 0 && not st.keep.(c) then c else -1
 
 (* Spread the selection across the non-pinned cores: jobs already
    running keep their core; newcomers prefer their previous core, then
    the lowest-numbered free one. *)
 let assign_global st =
-  let m = Cores.count st.cores in
+  let m = st.cfg.cores in
   Array.fill st.assign 0 m Job.dummy;
   (* A job is placed by the first pass iff it runs on an unkept core. *)
   for i = 0 to st.n_selected - 1 do
@@ -551,11 +577,11 @@ let assign_global st =
 (* Append to the selection, up to [frees] jobs, the first [m - 1]
    runnable, unpinned jobs of [d]'s schedule other than [primary]. *)
 let select_rest st ~frees ~primary (d : Scheduler.decision) =
-  let limit = Cores.count st.cores - 1 in
+  let limit = st.cfg.cores - 1 in
   let taken = ref 0 and i = ref 0 in
   while !taken < limit && !i < d.length do
     let j = d.jobs.(d.schedule.(!i)) in
-    if target_ok st j && (not (pinned st j)) && j.Job.jid <> primary.Job.jid
+    if Job.is_runnable j && (not (pinned st j)) && j.Job.jid <> primary.Job.jid
     then begin
       if st.n_selected < frees then begin
         st.selected.(st.n_selected) <- j;
@@ -583,7 +609,7 @@ let plan_global st =
      the pre-SMP single-CPU path step for step). *)
   let primary =
     let j = dispatched d in
-    if j != Job.dummy && target_ok st j && not (pinned st j) then j
+    if j != Job.dummy && Job.is_runnable j && not (pinned st j) then j
     else Job.dummy
   in
   st.n_selected <- 0;
@@ -598,13 +624,12 @@ let plan_global st =
   st.p_aborts <- d.aborts
 
 let plan_partitioned st =
-  let m = Cores.count st.cores in
-  let queues = Cores.queues st.cores in
+  let m = st.cfg.cores in
   ignore (mark_kept st : int);
   st.p_ops <- 0;
   st.p_aborts <- [];
   for c = 0 to m - 1 do
-    let jobs = Live_view.view queues.(c) in
+    let jobs = Live_view.view st.queues.(c) in
     let d =
       st.schedulers.(c).Scheduler.decide ~now:st.now ~jobs
         ~remaining:st.remaining
@@ -613,7 +638,7 @@ let plan_partitioned st =
     if d.aborts <> [] then st.p_aborts <- st.p_aborts @ d.aborts;
     let j = dispatched d in
     st.assign.(c) <-
-      (if j != Job.dummy && (not st.keep.(c)) && target_ok st j then j
+      (if j != Job.dummy && (not st.keep.(c)) && Job.is_runnable j then j
        else Job.dummy)
   done;
   st.p_decisions <- m;
@@ -624,18 +649,22 @@ let dispatch_onto st c j =
     if tracing st then
       Trace.record st.trace ~time:st.now
         (Trace.Migrate (j.Job.jid, j.Job.last_core, c));
-    Cores.note_migration st.cores
+    st.migrations <- st.migrations + 1
   end;
   set_running st ~core:c j
 
 let apply_plan st =
-  for c = 0 to Cores.count st.cores - 1 do
+  for c = 0 to st.cfg.cores - 1 do
     if not st.keep.(c) then begin
       (* Re-check liveness: a deadlock victim aborted between planning
-         and application leaves its slot idle. *)
+         and application leaves its slot idle. A runnable job is live:
+         [complete_job] and [abort_job] give a job its final state
+         before [resolve] drops it from the live set. *)
       let j = st.assign.(c) in
-      let target = if j != Job.dummy && target_ok st j then j else Job.dummy in
-      let cur = Cores.occupant st.cores c in
+      let target =
+        if j != Job.dummy && Job.is_runnable j then j else Job.dummy
+      in
+      let cur = st.running.(c) in
       if cur == Job.dummy then begin
         if target != Job.dummy then dispatch_onto st c target
       end
@@ -660,8 +689,8 @@ let rec abort_victims st = function
 
 let invoke_dispatcher st =
   (match st.cfg.dispatch with
-  | Cores.Global -> plan_global st
-  | Cores.Partitioned -> plan_partitioned st);
+  | Global -> plan_global st
+  | Partitioned -> plan_partitioned st);
   st.sched_invocations <- st.sched_invocations + 1;
   let ops = st.p_ops + (ops_per_migration * st.p_migrations) in
   let cost =
@@ -703,7 +732,9 @@ let arrive st k =
       ~arrival:time
   in
   Live_view.add st.live job;
-  Cores.admit st.cores job;
+  (match st.cfg.dispatch with
+  | Partitioned -> Live_view.add (home_queue st job) job
+  | Global -> ());
   Event_queue.add st.queue ~time:(Job.absolute_critical_time job) jid;
   if tracing st then
     Trace.record st.trace ~time:st.now
@@ -877,14 +908,12 @@ let boundary st job =
    occupants with a step (not spin-waiting) make segment progress. *)
 let burn st delta =
   if delta > 0 then begin
-    let cbusy = Cores.busy st.cores in
-    for c = 0 to Cores.count st.cores - 1 do
+    for c = 0 to st.cfg.cores - 1 do
       let job = st.occ.(c) in
       if job != Job.dummy then begin
         if st.steps.(c) >= 0 then
           job.Job.seg_progress <- job.Job.seg_progress + delta;
-        cbusy.(c) <- cbusy.(c) + delta;
-        st.busy <- st.busy + delta
+        st.busy.(c) <- st.busy.(c) + delta
       end
     done
   end
@@ -894,11 +923,11 @@ let burn st delta =
    without making segment progress; their only exit is a grant from a
    holder's release boundary or an expiry abort. *)
 let run_slice st =
-  let m = Cores.count st.cores in
+  let m = st.cfg.cores in
   let occ = st.occ and steps = st.steps in
   let dmin = ref max_int in
   for c = 0 to m - 1 do
-    let job = Cores.occupant st.cores c in
+    let job = st.running.(c) in
     occ.(c) <- job;
     steps.(c) <- -1;
     if job != Job.dummy && not (spin_waiting st job) then begin
@@ -926,7 +955,7 @@ let run_slice st =
         let job = occ.(c) in
         if
           steps.(c) = !dmin && job != Job.dummy && Job.is_live job
-          && Cores.occupant st.cores c == job
+          && st.running.(c) == job
         then
           match boundary st job with
           | `Sched_event -> sched_event := true
@@ -948,7 +977,7 @@ let rec main_loop st =
       invoke_dispatcher st;
       main_loop st
     end
-    else if Cores.any_running st.cores then begin
+    else if Array.exists (fun j -> j != Job.dummy) st.running then begin
       run_slice st;
       main_loop st
     end
@@ -1009,7 +1038,7 @@ let summarise st =
   {
     sync_name = Sync.name cfg.sync;
     sched_name = st.schedulers.(0).Scheduler.name;
-    dispatch_name = Cores.policy_name cfg.dispatch;
+    dispatch_name = dispatch_name cfg.dispatch;
     cores = cfg.cores;
     final_time = st.now;
     released = released_all;
@@ -1027,11 +1056,11 @@ let summarise st =
     retries_total = sum (fun tr -> tr.total_retries);
     preemptions = st.preemptions;
     blocked_events = st.blocked_events;
-    migrations = Cores.migrations st.cores;
+    migrations = st.migrations;
     sched_invocations = st.sched_invocations;
     sched_overhead = st.sched_overhead;
-    busy = st.busy;
-    per_core_busy = Array.copy (Cores.busy st.cores);
+    busy = Array.fold_left ( + ) 0 st.busy;
+    per_core_busy = Array.copy st.busy;
     access_samples = Stats.summary st.access_samples;
     sojourn_samples;
     blocking_hist = Stats.Counts.histogram st.blocking_spans;
@@ -1072,8 +1101,8 @@ let run cfg =
   let n_tasks = Array.length profiles in
   let n_schedulers =
     match cfg.dispatch with
-    | Cores.Global -> 1
-    | Cores.Partitioned -> cfg.cores
+    | Global -> 1
+    | Partitioned -> cfg.cores
   in
   let statics =
     match cfg.mode with
@@ -1123,7 +1152,13 @@ let run cfg =
       remaining;
       trace = Trace.create ?capacity:cfg.trace_capacity ~enabled:cfg.trace ();
       now = 0;
-      cores = Cores.create ~m:cfg.cores ~policy:cfg.dispatch;
+      running = Array.make cfg.cores Job.dummy;
+      busy = Array.make cfg.cores 0;
+      migrations = 0;
+      queues =
+        (match cfg.dispatch with
+        | Partitioned -> Array.init cfg.cores (fun _ -> Live_view.create ())
+        | Global -> [||]);
       next_jid = 0;
       live = Live_view.create ();
       released = per_task 0;
@@ -1137,7 +1172,6 @@ let run cfg =
       completions = Float_buffer.create ();
       sched_invocations = 0;
       sched_overhead = 0;
-      busy = 0;
       blocked_events = 0;
       access_samples = Stats.create ();
       contention = Contention.make_array ~n:cfg.n_objects;

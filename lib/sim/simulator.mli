@@ -43,6 +43,20 @@ type sched_mode =
           under lock-free/spin/ideal sync ({!run} raises
           [Invalid_argument] otherwise). *)
 
+type dispatch =
+  | Global
+      (** one scheduler over the whole live set; core 0 follows the
+          decision's dispatch slot exactly (the single-CPU semantics),
+          remaining cores take the next runnable jobs in schedule
+          order; jobs may migrate *)
+  | Partitioned
+      (** tasks are statically assigned to cores by [task id mod m];
+          each core runs an independent scheduler instance over its own
+          run queue (the live jobs of its tasks); jobs never migrate *)
+
+val dispatch_name : dispatch -> string
+(** ["global" | "partitioned"]. *)
+
 type config = {
   tasks : Rtlf_model.Task.t list;  (** unique ids [0 .. n−1] expected *)
   sync : Sync.t;
@@ -60,7 +74,7 @@ type config = {
       (** bound the trace to a drop-oldest ring buffer of this many
           entries; [None] keeps the full history *)
   cores : int;         (** number of cores, ≥ 1 *)
-  dispatch : Cores.policy;  (** global or partitioned dispatch *)
+  dispatch : dispatch;
   mode : sched_mode;
 }
 
@@ -77,7 +91,7 @@ val config :
   ?trace:bool ->
   ?trace_capacity:int ->
   ?cores:int ->
-  ?dispatch:Cores.policy ->
+  ?dispatch:dispatch ->
   ?mode:sched_mode ->
   unit ->
   config
@@ -157,7 +171,9 @@ val run : config -> result
 
 val sojourn_hist : result -> Rtlf_engine.Stats.histogram
 (** [sojourn_hist r] is the distribution of {!result.sojourn_samples},
-    built on each call (it sorts a copy of the samples). *)
+    built on each call through {!Rtlf_engine.Stats.Counts} fed the
+    samples (whole nanoseconds) in array order: bit for bit
+    [Stats.histogram] of a copy of them. *)
 
 val remaining_cost : config -> Rtlf_model.Job.t -> int
 (** [remaining_cost cfg] is the remaining-demand function [run cfg]

@@ -16,7 +16,6 @@ module Uam = Rtlf_model.Uam
 module Segment = Rtlf_model.Segment
 module Sync = Rtlf_sim.Sync
 module Simulator = Rtlf_sim.Simulator
-module Cores = Rtlf_sim.Cores
 module Workload = Rtlf_workload.Workload
 module Json = Rtlf_obs.Json
 module Spans = Rtlf_obs.Spans
@@ -39,7 +38,8 @@ let syncs =
 let scheds =
   [ ("rua", Simulator.Rua); ("edf", Simulator.Edf); ("edf-pip", Simulator.Edf_pip) ]
 
-let dispatches = [ ("global", Cores.Global); ("partitioned", Cores.Partitioned) ]
+let dispatches =
+  [ ("global", Simulator.Global); ("partitioned", Simulator.Partitioned) ]
 
 let spec_gen =
   QCheck.Gen.(
@@ -183,8 +183,7 @@ let digests result =
   List.map (fun (group, s) -> (group, md5 s)) (Test_support.fingerprint result)
 
 (* The blame document, then one line per resolved job: its window, its
-   seven components and its charges. [elapsed_s] is host time and stays
-   out. *)
+   seven components and its charges. *)
 let attribution trace =
   match Attribution.of_trace trace with
   | Error e -> e

@@ -676,6 +676,21 @@ let test_csv_rejects_extra_keys () =
       ("5,block,1,0,by=2", "unknown extra key \"by\" for block");
     ]
 
+(* Every extra key an event carries is required: a row without one is
+   refused with the key named, not given a default. *)
+let test_csv_rejects_missing_extra () =
+  let arrive = "0,arrive,1,,task=0;at=0" in
+  List.iter
+    (fun (rows, prefix) -> check_csv_rejected ~what:prefix rows ~prefix)
+    [
+      ([ "0,arrive,1,,task=0" ], "line 2: missing extra \"at\"");
+      ([ arrive; "5,start,1,," ], "line 3: missing extra \"core\"");
+      ([ arrive; "5,preempt,1,," ], "line 3: missing extra \"by\"");
+      ([ arrive; "5,retry,1,0,lost=5" ], "line 3: missing extra \"by\"");
+      ([ arrive; "5,retry,1,0,by=-1" ], "line 3: missing extra \"lost\"");
+      ([ arrive; "5,abort,1,," ], "line 3: missing extra \"handler\"");
+    ]
+
 (* Parser fuzzing: a valid CSV with a field dropped, duplicated, swapped
    or filled with junk, a row truncated, duplicated or swapped, or CRLF
    line ends either parses into a trace that obeys the trace contract
@@ -852,6 +867,8 @@ let () =
             test_csv_rejects_truncated_trace;
           Alcotest.test_case "unknown or repeated extra keys rejected" `Quick
             test_csv_rejects_extra_keys;
+          Alcotest.test_case "missing extra key rejected" `Quick
+            test_csv_rejects_missing_extra;
           Alcotest.test_case "crlf attributes as lf" `Quick
             test_csv_crlf_attributes_as_lf;
           Alcotest.test_case "outside ids size no array" `Quick

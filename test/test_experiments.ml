@@ -209,7 +209,9 @@ let test_smp_shape () =
         (fun (c : E.Smp.cell) ->
           let aur = c.E.Smp.aur.Rtlf_engine.Stats.mean in
           Alcotest.(check bool) "AUR in [0,1]" true (aur >= 0.0 && aur <= 1.0);
-          if r.E.Smp.cores = 1 || r.E.Smp.dispatch = Rtlf_sim.Cores.Partitioned
+          if
+            r.E.Smp.cores = 1
+            || r.E.Smp.dispatch = Rtlf_sim.Simulator.Partitioned
           then
             Alcotest.(check (float 0.0)) "no migrations off global multicore"
               0.0 c.E.Smp.migrations)

@@ -595,6 +595,18 @@ let test_live_view_decide_aliasing () =
   Alcotest.(check bool) "membership change breaks identity" true
     (Live_view.view lv != view)
 
+(* [Simulator.validate] is the one check of the core count. *)
+let test_rejects_zero_cores () =
+  let tasks =
+    [ periodic_task ~id:0 ~period:(us 1000) ~c:(us 800) ~exec:(us 100) () ]
+  in
+  Alcotest.check_raises "cores = 0"
+    (Invalid_argument "Simulator: need at least one core") (fun () ->
+      ignore
+        (Simulator.run
+           (Simulator.config ~tasks ~sync:Sync.Ideal ~horizon:(ms 1) ~cores:0
+              ())))
+
 let () =
   Test_support.run "sim"
     [
@@ -605,6 +617,11 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "live-view aliasing across decides" `Quick
             test_live_view_decide_aliasing;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "zero cores rejected" `Quick
+            test_rejects_zero_cores;
         ] );
       ( "scheduling",
         [

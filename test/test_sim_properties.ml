@@ -8,7 +8,6 @@ module Task = Rtlf_model.Task
 module Sync = Rtlf_sim.Sync
 module Simulator = Rtlf_sim.Simulator
 module Trace = Rtlf_sim.Trace
-module Cores = Rtlf_sim.Cores
 module Contention = Rtlf_sim.Contention
 module Csv = Rtlf_obs.Csv_export
 module Workload = Rtlf_workload.Workload
@@ -53,7 +52,7 @@ let sync_of_int = function
 
 let simulate ?(sync = 1) ?(sched = Simulator.Rua) ?(trace = false)
     ?(retry_on_any_preemption = false) ?(cores = 1)
-    ?(dispatch = Cores.Global) spec =
+    ?(dispatch = Simulator.Global) spec =
   let tasks = Workload.make spec in
   let horizon = 40 * 50_000 * spec.Workload.n_tasks in
   ( tasks,
@@ -180,7 +179,7 @@ let smp_checks ~sync ~cores ~dispatch res =
   let tr = res.Simulator.trace in
   let name msg =
     Printf.sprintf "sync=%d cores=%d %s: %s" sync cores
-      (Cores.policy_name dispatch) msg
+      (Simulator.dispatch_name dispatch) msg
   in
   let traced =
     Trace.count tr (function Trace.Migrate _ -> true | _ -> false)
@@ -192,7 +191,7 @@ let smp_checks ~sync ~cores ~dispatch res =
           (name
              (Printf.sprintf "trace has %d migrations, result counted %d"
                 traced counted)))
-  && ((cores > 1 && dispatch = Cores.Global)
+  && ((cores > 1 && dispatch = Simulator.Global)
      || counted = 0
      || QCheck.Test.fail_report
           (name (Printf.sprintf "%d migrations are impossible here" counted))
@@ -212,7 +211,7 @@ let smp_trace_invariants_all_configs =
                   let _, res =
                     simulate ~sync ~sched ~trace:true ~cores spec
                   in
-                  smp_checks ~sync ~cores ~dispatch:Cores.Global res)
+                  smp_checks ~sync ~cores ~dispatch:Simulator.Global res)
                 [ 1; 2; 4 ])
             [ Simulator.Rua; Simulator.Edf; Simulator.Edf_pip ])
         [ 0; 1; 2; 3; 4 ])
@@ -228,9 +227,9 @@ let smp_trace_invariants_partitioned =
             (fun cores ->
               let _, res =
                 simulate ~sync ~trace:true ~cores
-                  ~dispatch:Cores.Partitioned spec
+                  ~dispatch:Simulator.Partitioned spec
               in
-              smp_checks ~sync ~cores ~dispatch:Cores.Partitioned res)
+              smp_checks ~sync ~cores ~dispatch:Simulator.Partitioned res)
             [ 2; 4 ])
         [ 0; 1; 2; 3; 4 ])
 
@@ -252,10 +251,10 @@ let smp_accounting =
           && Array.fold_left ( + ) 0 res.Simulator.per_core_busy
              = res.Simulator.busy)
         [
-          (2, Cores.Global);
-          (4, Cores.Global);
-          (2, Cores.Partitioned);
-          (4, Cores.Partitioned);
+          (2, Simulator.Global);
+          (4, Simulator.Global);
+          (2, Simulator.Partitioned);
+          (4, Simulator.Partitioned);
         ])
 
 let observability_consistent =

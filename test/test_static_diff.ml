@@ -32,7 +32,6 @@ module Reference = Rtlf_core.Reference
 module Static_mode = Rtlf_core.Static_mode
 module Sync = Rtlf_sim.Sync
 module Simulator = Rtlf_sim.Simulator
-module Cores = Rtlf_sim.Cores
 module Workload = Rtlf_workload.Workload
 
 let remaining = Job.remaining_nominal
@@ -341,9 +340,9 @@ let test_simulator_identical () =
                       s.Static_mode.decides
                       (s.Static_mode.pattern_hits + s.Static_mode.delegated))
                 [
-                  (1, Cores.Global, "global");
-                  (2, Cores.Global, "global");
-                  (2, Cores.Partitioned, "partitioned");
+                  (1, Simulator.Global, "global");
+                  (2, Simulator.Global, "global");
+                  (2, Simulator.Partitioned, "partitioned");
                 ])
             [ ("rua", Simulator.Rua); ("edf", Simulator.Edf) ])
         syncs)

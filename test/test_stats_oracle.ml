@@ -188,73 +188,6 @@ let test_histogram_edges () =
   Alcotest.(check int) "all-NaN histogram is empty" 0 h.Stats.n;
   Alcotest.(check bool) "all-NaN p50 nan" true (Float.is_nan h.Stats.p50)
 
-(* --- the float-specialised sort ---------------------------------------- *)
-
-(* Bit patterns, so [-0.0] and [0.0] (equal under [Float.compare]) are
-   told apart: the specialised sort must put them exactly where the
-   standard library's heap sort does. *)
-let bits xs = Array.map Int64.bits_of_float xs
-
-let check_sort xs =
-  let want = Array.copy xs in
-  Array.sort Float.compare want;
-  let got = Array.copy xs in
-  Stats.sort_floats got;
-  if bits got <> bits want then
-    Alcotest.failf "sort_floats [%s] = [%s], Array.sort gives [%s]"
-      (String.concat "; " (List.map (Printf.sprintf "%h") (Array.to_list xs)))
-      (String.concat "; " (List.map (Printf.sprintf "%h") (Array.to_list got)))
-      (String.concat "; "
-         (List.map (Printf.sprintf "%h") (Array.to_list want)))
-
-let test_sort_matches_stdlib () =
-  let g = Test_support.prng () in
-  let module P = Rtlf_engine.Prng in
-  for n = 0 to 64 do
-    for _ = 1 to 30 do
-      (* A small value pool forces duplicates; signed zeros and
-         infinities are the ties and extremes a port could get wrong. *)
-      let pool = 1 + P.int g ~bound:8 in
-      let xs =
-        Array.init n (fun _ ->
-            match P.int g ~bound:(pool + 5) with
-            | 0 -> 0.0
-            | 1 -> -0.0
-            | 2 -> Float.infinity
-            | 3 -> Float.neg_infinity
-            | 4 -> Float.nan
-            | k -> float_of_int (k - 5 - (pool / 2)))
-      in
-      check_sort xs
-    done
-  done;
-  for _ = 1 to 50 do
-    check_sort
-      (Array.init (100 + P.int g ~bound:900) (fun _ ->
-           P.float_in g ~lo:(-1.0) ~hi:1.0))
-  done
-
-(* Sorting a flat float array needs no heap: a comparison that is not
-   inlined boxes both floats it is passed, about 70 words per element at
-   this size, and a sift step that passes the moving float to a
-   recursive call boxes it once per call, about 2.7 words per element.
-   The sort reads 0 words in dev and release builds; the bound's margin
-   of 0.1 words per element (1,000 words over the probe) admits a few
-   constant allocations but not one per sift step. *)
-let sort_words_per_element = 0.1
-
-let test_sort_alloc_budget () =
-  let g = Test_support.prng () in
-  let module P = Rtlf_engine.Prng in
-  let n = 10_000 in
-  let xs = Array.init n (fun _ -> P.float_in g ~lo:(-1.0) ~hi:1.0) in
-  let before = Gc.minor_words () in
-  Stats.sort_floats xs;
-  let per_element = (Gc.minor_words () -. before) /. float_of_int n in
-  if per_element > sort_words_per_element then
-    Alcotest.failf "%.2f minor words per element (budget %.2f)" per_element
-      sort_words_per_element
-
 let test_histogram_matches_percentile () =
   let g = Test_support.prng () in
   let module P = Rtlf_engine.Prng in
@@ -368,12 +301,5 @@ let () =
             test_counts_random;
           Alcotest.test_case "p50/p90/p99 = percentile" `Quick
             test_histogram_matches_percentile;
-        ] );
-      ( "sort",
-        [
-          Alcotest.test_case "sort_floats = Array.sort Float.compare" `Quick
-            test_sort_matches_stdlib;
-          Alcotest.test_case "sort_floats allocation budget" `Quick
-            test_sort_alloc_budget;
         ] );
     ]
