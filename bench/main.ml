@@ -111,14 +111,16 @@ let remaining job = Job.remaining_nominal job
    so that every call decides: the lock-free decider's cache keys on the
    array's identity, and on one array it would only revalidate. The
    other deciders keep no cache, so alternating changes nothing for
-   them. *)
+   them. [`Lock_based_no_waiter] runs lock-based RUA on an empty lock
+   table, its no-waiter path. *)
 let bench_decide ~sched ~n =
   let with_locks = sched = `Lock_based in
   let jobs, locks = scene ~n ~with_locks in
   let copies = [| Array.of_list jobs; Array.of_list jobs |] in
   let scheduler =
     match sched with
-    | `Lock_based -> Rtlf_core.Rua_lock_based.make ~locks
+    | `Lock_based | `Lock_based_no_waiter ->
+      Rtlf_core.Rua_lock_based.make ~locks
     | `Lock_free -> Rtlf_core.Rua_lock_free.make ()
     | `Edf -> Rtlf_core.Edf.make ()
     | `Edf_pip -> Rtlf_core.Edf_pip.make ~locks
@@ -236,6 +238,8 @@ let decide_kernels ~keep =
     [
       ( Printf.sprintf "rua-lock-based decide n=%d" n,
         fun () -> bench_decide ~sched:`Lock_based ~n );
+      ( Printf.sprintf "rua-lock-based decide n=%d free" n,
+        fun () -> bench_decide ~sched:`Lock_based_no_waiter ~n );
       ( Printf.sprintf "rua-lock-free decide n=%d" n,
         fun () -> bench_decide ~sched:`Lock_free ~n );
       ( Printf.sprintf "rua-lock-free decide n=%d arrival" n,

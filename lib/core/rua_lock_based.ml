@@ -5,14 +5,24 @@ module Lock_manager = Rtlf_model.Lock_manager
    tested bit-identical to [Reference.rua_lock_based] (decisions and
    charged ops). Every live job is walked once into int arrays indexed
    by its live rank (its position among the live entries of [jobs]).
-   Dependency chains are rank ranges in one shared buffer; the sort
-   permutes ranks; the greedy loop probes the rank-indexed
-   [Tentative_schedule] with journalled rollback instead of
-   deep-copying it per candidate. A job that waits on nothing has the
-   singleton chain and no cycle, so the lock manager is consulted only
-   for waiters. The decision is written as positions into the
-   instance's one record, so with no waiter a decide allocates
-   nothing.
+   Two paths share that walk and the decision write:
+
+   - With a waiter in the lock table ([chained]), dependency chains are
+     rank ranges in one shared buffer; the sort permutes ranks; the
+     greedy loop probes the rank-indexed [Tentative_schedule] with
+     journalled rollback instead of deep-copying it per candidate. A
+     job that waits on nothing has the singleton chain and no cycle, so
+     the lock manager is consulted only for waiters.
+   - With no waiter ([unchained]), every chain is the job alone and
+     nothing deadlocks, so the greedy loop admits single ranks into a
+     flat schedule and charges in closed form what [chained] charges on
+     singleton chains: 2 per job for step 1, 1 per job for step 3, and
+     per candidate two [mem]s, one [insert_at_ecf] and one [feasible]
+     walk.
+
+   Both paths charge identical [ops]. The decision is written as
+   positions into the instance's one record, so with no waiter a decide
+   allocates nothing.
 
    The deadlock-victim table is a fresh [Hashtbl.create 4], built only
    once a cycle is found: it is folded to produce [aborts], and fold
@@ -31,6 +41,7 @@ type scratch = {
   mutable chain_len : int array; (* rank -> its chain's length *)
   mutable chains : int array; (* chain members as ranks, head first *)
   mutable order : int array; (* surviving ranks, examination order *)
+  mutable ect : int array; (* position -> critical time, [unchained] *)
   probe : float array; (* one slot: the utility [chain_pud] adds next *)
   decision : Scheduler.decision; (* overwritten by every call *)
 }
@@ -111,6 +122,7 @@ let score s ~jobs ~remaining =
   s.chain_len <- Scratch.ensure total s.chain_len;
   s.chains <- Scratch.ensure total s.chains;
   s.order <- Scratch.ensure total s.order;
+  s.ect <- Scratch.ensure total s.ect;
   let n = ref 0 in
   for i = 0 to total - 1 do
     let j = jobs.(i) in
@@ -124,10 +136,28 @@ let score s ~jobs ~remaining =
       n := r + 1
     end
   done;
+  Scheduler.set_schedule_capacity s.decision !n;
   !n
 
-let decide s ~locks ~now ~jobs ~remaining =
-  let n = score s ~jobs ~remaining in
+(* The decision from [d.schedule.(0 .. len - 1)], admitted ranks in
+   schedule order, and [order.(0 .. nrej - 1)], rejected ranks. *)
+let write s ~jobs ~len ~nrej ~aborts ~ops =
+  let d = s.decision in
+  for p = 0 to len - 1 do
+    d.schedule.(p) <- s.idx.(d.schedule.(p))
+  done;
+  for k = 0 to nrej - 1 do
+    d.rejected.(k) <- s.jid.(s.order.(k))
+  done;
+  d.jobs <- jobs;
+  d.length <- len;
+  d.n_rejected <- nrej;
+  d.aborts <- aborts;
+  d.ops <- ops;
+  Scheduler.dispatch_first_runnable d;
+  d
+
+let chained s ~locks ~now ~jobs ~remaining n =
   let ops = ref 0 in
   (* Steps 1 and 2: dependency chains (head-first execution order) and
      deadlock detection, resolving each cycle by aborting its least-PUD
@@ -211,25 +241,69 @@ let decide s ~locks ~now ~jobs ~remaining =
       incr nrej
     end
   done;
-  let d = s.decision in
   let len = Tentative_schedule.length sched in
-  Scheduler.set_schedule_capacity d n;
   for p = 0 to len - 1 do
-    d.schedule.(p) <- s.idx.(Tentative_schedule.rank_at sched p)
+    s.decision.schedule.(p) <- Tentative_schedule.rank_at sched p
   done;
-  for k = 0 to !nrej - 1 do
-    d.rejected.(k) <- s.jid.(s.order.(k))
+  write s ~jobs ~len ~nrej:!nrej
+    ~aborts:
+      (match !victims with
+      | None -> []
+      | Some tbl -> Hashtbl.fold (fun _ job acc -> job :: acc) tbl [])
+    ~ops:(!ops + Tentative_schedule.ops sched)
+
+(* [chained] on singleton chains. The PUD is [chain_pud]'s over one
+   job, bit for bit. The schedule holds ranks by position with their
+   critical times in [ect], in ECF order: a candidate goes after every
+   equal critical time, the k + 1 entries are walked for feasibility,
+   and a rejected candidate is shifted back out. *)
+let unchained s ~now ~jobs n =
+  for r = 0 to n - 1 do
+    let span = s.rem.(r) in
+    Job.utility_into jobs.(s.idx.(r)) ~now:(now + span) s.probe 0;
+    s.pud.(r) <-
+      (if span <= 0 then infinity
+       else (0.0 +. s.probe.(0)) /. float_of_int span);
+    s.order.(r) <- r
   done;
-  d.jobs <- jobs;
-  d.length <- len;
-  d.n_rejected <- !nrej;
-  d.aborts <-
-    (match !victims with
-    | None -> []
-    | Some tbl -> Hashtbl.fold (fun _ job acc -> job :: acc) tbl []);
-  d.ops <- !ops + Tentative_schedule.ops sched;
-  Scheduler.dispatch_first_runnable d;
-  d
+  Pud.sort ~pud:s.pud ~jid:s.jid s.order n;
+  let ops = ref ((3 * n) + (n * Log2.ceil (Int.max n 2))) in
+  let sch = s.decision.schedule and ect = s.ect and rem = s.rem in
+  let len = ref 0 and nrej = ref 0 in
+  for k = 0 to n - 1 do
+    let r = s.order.(k) and l = !len in
+    let ct = s.act.(r) in
+    ops := !ops + (3 * Log2.ceil (l + 1)) + l + 1;
+    let i = ref l in
+    while !i > 0 && ect.(!i - 1) > ct do
+      sch.(!i) <- sch.(!i - 1);
+      ect.(!i) <- ect.(!i - 1);
+      decr i
+    done;
+    sch.(!i) <- r;
+    ect.(!i) <- ct;
+    let t = ref now and p = ref 0 in
+    while !p <= l && !t + rem.(sch.(!p)) <= ect.(!p) do
+      t := !t + rem.(sch.(!p));
+      incr p
+    done;
+    if !p > l then len := l + 1
+    else begin
+      for q = !i to l - 1 do
+        sch.(q) <- sch.(q + 1);
+        ect.(q) <- ect.(q + 1)
+      done;
+      s.order.(!nrej) <- r;
+      incr nrej
+    end
+  done;
+  write s ~jobs ~len:!len ~nrej:!nrej ~aborts:[] ~ops:!ops
+
+let decide s ~locks ~now ~jobs ~remaining =
+  let n = score s ~jobs ~remaining in
+  if Lock_manager.any_waiting locks then
+    chained s ~locks ~now ~jobs ~remaining n
+  else unchained s ~now ~jobs n
 
 let make ~locks =
   let s =
@@ -245,6 +319,7 @@ let make ~locks =
       chain_len = [||];
       chains = [||];
       order = [||];
+      ect = [||];
       probe = [| 0.0 |];
       decision = Scheduler.create_decision ();
     }

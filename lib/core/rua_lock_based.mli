@@ -16,7 +16,14 @@
     + dispatches the earliest runnable job of the resulting schedule.
 
     Asymptotic cost O(n² log n) (§3.6); the reported [ops] count grows
-    accordingly and drives the simulator's overhead charging. *)
+    accordingly and drives the simulator's overhead charging.
+
+    Two paths compute the same decision. While some job waits in the
+    lock table ({!Rtlf_model.Lock_manager.any_waiting}), the steps above
+    run as written. Otherwise every chain is the job alone and no cycle
+    exists, so the decider sorts and admits single jobs in flat arrays
+    and charges in closed form the [ops] the chain steps charge on
+    singleton chains. Both paths charge identical [ops]. *)
 
 val make : locks:Rtlf_model.Lock_manager.t -> Scheduler.t
 (** [make ~locks] is a lock-based RUA instance reading dependencies

@@ -45,6 +45,7 @@ let rec waited_from tbl jid obj =
   else waited_from tbl jid (obj + 1)
 
 let waited tbl jid = if tbl.waiting = 0 then -1 else waited_from tbl jid 0
+let any_waiting tbl = tbl.waiting > 0
 
 let waiting_for tbl ~jid =
   let obj = waited tbl jid in

@@ -36,6 +36,9 @@ val waiting_for : t -> jid:int -> int option
 (** [waiting_for tbl ~jid] is the object [jid] is blocked on, if
     any. *)
 
+val any_waiting : t -> bool
+(** [any_waiting tbl] is [blocked_jobs tbl <> []], in O(1). *)
+
 val waiters : t -> obj:int -> int list
 (** [waiters tbl ~obj] is the FIFO queue of jids blocked on [obj]. *)
 

@@ -313,7 +313,7 @@ let ops_arb =
     QCheck.Gen.(list_size (int_range 0 120) op_gen)
 
 (* Every query of the table against the model, for every job and
-   object. *)
+   object, and [any_waiting] against the waiters it summarises. *)
 let agree tbl m op =
   let fail what =
     QCheck.Test.fail_reportf "%s disagrees after %s" what (pp_op op)
@@ -322,6 +322,8 @@ let agree tbl m op =
     if Lock_manager.owner tbl ~obj <> Model.owner m obj then fail "owner";
     if Lock_manager.waiters tbl ~obj <> Model.waiters m obj then fail "waiters"
   done;
+  if Lock_manager.any_waiting tbl <> (Lock_manager.blocked_jobs tbl <> []) then
+    fail "any_waiting";
   for jid = 0 to n_jobs - 1 do
     if Lock_manager.waiting_for tbl ~jid <> Model.waiting_for m jid then
       fail "waiting_for";

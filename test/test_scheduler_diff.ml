@@ -297,18 +297,27 @@ let shared_pairs key jobs =
   in
   count keys
 
-let run_tie_diff () =
+(* One persistent instance per decider. The lock-based one reads an
+   empty lock table, so every scene takes its no-waiter path. *)
+let run_tie_diff kind () =
   let rs = Test_support.rand_state () in
-  let opt = Rtlf_core.Rua_lock_free.make () in
+  let locks = Lock_manager.create ~objects:(Resource.create ~n:1) in
+  let opt, reference =
+    match kind with
+    | `Lock_free -> (Rtlf_core.Rua_lock_free.make (), Reference.rua_lock_free)
+    | `Lock_based ->
+      ( Rtlf_core.Rua_lock_based.make ~locks,
+        fun () -> Reference.rua_lock_based ~locks )
+  in
   let pud_ties = ref 0 and ct_ties = ref 0 in
   List.iter
-    (fun (kind, label) ->
+    (fun (shape, label) ->
       List.iter
         (fun n ->
           for rep = 1 to 8 do
             let now = Random.State.int rs 20 in
-            let jobs = tie_scene rs ~n kind in
-            (match kind with
+            let jobs = tie_scene rs ~n shape in
+            (match shape with
             | `Pud ->
               pud_ties :=
                 !pud_ties
@@ -318,8 +327,7 @@ let run_tie_diff () =
             | `Ct -> ct_ties := !ct_ties + shared_pairs Job.absolute_critical_time jobs
             | `Dead -> ());
             let expected =
-              (Reference.rua_lock_free ()).Scheduler.decide ~now ~jobs
-                ~remaining
+              (reference ()).Scheduler.decide ~now ~jobs ~remaining
             in
             let msg = Printf.sprintf "%s n=%d rep=%d" label n rep in
             check_same ~msg expected (opt.Scheduler.decide ~now ~jobs ~remaining);
@@ -881,7 +889,8 @@ let run_incremental ~make ~expect () =
    before the next step. At every step the decision must equal a fresh
    reference's, so scratch state left by earlier, larger or
    differently shaped calls cannot leak. Returns (steps with a waiter,
-   steps with a victim). *)
+   steps with none, steps with a victim): the decider takes its chain
+   path only in the first. *)
 let lock_sequence rs ~label =
   let locks = Lock_manager.create ~objects:(Resource.create ~n:4) in
   let opt = Rtlf_core.Rua_lock_based.make ~locks in
@@ -893,7 +902,7 @@ let lock_sequence rs ~label =
   in
   let jobs = ref (Array.init (1 + Random.State.int rs 6) (fun _ -> fresh ())) in
   let now = ref (Random.State.int rs 50) in
-  let waiting = ref 0 and victims = ref 0 in
+  let waiting = ref 0 and free = ref 0 and victims = ref 0 in
   let pick () =
     let a = !jobs in
     if Array.length a = 0 then None
@@ -965,7 +974,7 @@ let lock_sequence rs ~label =
       (Reference.rua_lock_based ~locks).Scheduler.decide ~now:!now ~jobs
         ~remaining
     in
-    if Lock_manager.blocked_jobs locks <> [] then incr waiting;
+    if Lock_manager.blocked_jobs locks <> [] then incr waiting else incr free;
     if expected.Scheduler.aborts <> [] then incr victims;
     let msg = Printf.sprintf "lock sequence %s step=%d" label step in
     let got = opt.Scheduler.decide ~now:!now ~jobs ~remaining in
@@ -973,17 +982,19 @@ let lock_sequence rs ~label =
     if Random.State.int rs 4 > 0 then
       List.iter (resolve Job.Aborted) got.Scheduler.aborts
   done;
-  (!waiting, !victims)
+  (!waiting, !free, !victims)
 
 let run_lock_sequences () =
   let rs = Test_support.rand_state () in
-  let waiting = ref 0 and victims = ref 0 in
+  let waiting = ref 0 and free = ref 0 and victims = ref 0 in
   for rep = 1 to 40 do
-    let w, v = lock_sequence rs ~label:(Printf.sprintf "rep=%d" rep) in
+    let w, f, v = lock_sequence rs ~label:(Printf.sprintf "rep=%d" rep) in
     waiting := !waiting + w;
+    free := !free + f;
     victims := !victims + v
   done;
   Alcotest.(check bool) "steps with waiters" true (!waiting >= 500);
+  Alcotest.(check bool) "steps without waiters" true (!free >= 500);
   Alcotest.(check bool) "steps with deadlock victims" true (!victims >= 20)
 
 (* --- Log2 --------------------------------------------------------------- *)
@@ -1020,7 +1031,9 @@ let () =
           Alcotest.test_case "rua-lock-based = reference" `Quick
             (run_diff `Lock_based);
           Alcotest.test_case "rua-lock-free tie-dense = reference" `Quick
-            run_tie_diff;
+            (run_tie_diff `Lock_free);
+          Alcotest.test_case "rua-lock-based tie-dense = reference" `Quick
+            (run_tie_diff `Lock_based);
           Alcotest.test_case "rua-lock-based disjoint cycles = reference"
             `Quick run_cycles;
         ] );
